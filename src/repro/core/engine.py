@@ -894,6 +894,12 @@ class SLFEEngine:
         if store is not None:
             _snapshot()  # superstep-0 floor every rollback can reach
 
+        # RR off: every superstep gathers every vertex, so the task list,
+        # its in-degrees and the per-node (edge, vertex) op counts are
+        # loop invariants, recounted only when ownership moves.
+        live_mask, live, counts = None, np.arange(n, dtype=np.int64), in_deg
+        node_ops = None
+
         while iteration < max_iterations:
             iteration += 1
             dispatch.begin_superstep(iteration)
@@ -905,16 +911,25 @@ class SLFEEngine:
                     self._handle_crash(
                         crash, cluster, metrics, completed, restored
                     )
+                    node_ops = None
                     continue
-            live_mask = tracker.active_mask() if tracker is not None else None
-            live = (
-                np.nonzero(live_mask)[0]
-                if live_mask is not None
-                else np.arange(n, dtype=np.int64)
-            )
+            if tracker is not None:
+                live_mask = tracker.active_mask()
+                live = np.nonzero(live_mask)[0]
+                counts = in_deg[live]
             if live.size == 0:
                 converged = True
                 break
+            if tracker is not None or node_ops is None:
+                # Weighted owner bincount == bincount over the expanded
+                # per-edge rows (each live vertex repeats by its
+                # in-degree), without materialising them.
+                nodes = cluster.num_nodes
+                node_ops = (
+                    np.bincount(owner[live], weights=counts, minlength=nodes)
+                    .astype(np.int64),
+                    np.bincount(owner[live], minlength=nodes),
+                )
 
             metrics.begin_iteration(PULL)
             if injector is not None:
@@ -922,34 +937,22 @@ class SLFEEngine:
                 if slowdown is not None:
                     metrics.set_node_slowdown(slowdown)
             with rec.phase("gather"):
-                counts = in_deg[live]
                 # Fused gather+reduce kernel: the dispatch zeroes its
                 # result array and fills per-destination contribution
                 # sums in one pass (grouped reduceat over non-empty
                 # blocks, the same kernel on both backends).
                 stats = dispatch.gather(live)
                 self._emit_dispatch(dispatch, stats, "gather")
-                if counts.sum():
-                    # Weighted owner bincount == bincount over the
-                    # expanded per-edge rows (each live vertex repeats
-                    # by its in-degree), without materialising them.
-                    metrics.add_edge_ops(
-                        np.bincount(
-                            owner[live],
-                            weights=counts,
-                            minlength=cluster.num_nodes,
-                        ).astype(np.int64)
-                    )
+                if node_ops[0].any():
+                    metrics.add_edge_ops(node_ops[0])
             gathered = dispatch.result
             with rec.phase("apply"):
                 new_values = values.copy()
                 applied = app.apply(gathered, values)
                 new_values[live] = applied[live]
-                metrics.add_vertex_ops(
-                    np.bincount(owner[live], minlength=cluster.num_nodes)
-                )
+                metrics.add_vertex_ops(node_ops[1])
             if per_vertex_ops is not None:
-                per_vertex_ops.append((live, in_deg[live].astype(np.int64)))
+                per_vertex_ops.append((live, counts.astype(np.int64)))
 
             delta = np.abs(new_values[live] - values[live])
             if tracker is not None:
@@ -1010,12 +1013,13 @@ class SLFEEngine:
             metrics.add_updates(changed.size)
             if self.rebalancer is not None:
                 dense_ops = np.zeros(n)
-                dense_ops[live] = in_deg[live]
+                dense_ops[live] = counts
                 self.rebalancer.observe(dense_ops)
                 if self.rebalancer.should_check(iteration):
                     event = self.rebalancer.apply(cluster, iteration)
                     if event is not None:
                         metrics.add_messages(1, event.bytes_moved)
+                        node_ops = None
             metrics.set_frontier(active=live.size, skipped=n - live.size)
             metrics.end_iteration()
             values[...] = new_values

@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.frontier import DEFAULT_DENSE_DENOMINATOR
 from repro.core.rrg import RRGuidance
 from repro.errors import EngineError
+from repro.graph.csr import contiguous_run, expand_rows
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import NULL_RECORDER, Recorder
@@ -347,10 +348,31 @@ def telemetry_end(row: np.ndarray) -> None:
     row[TEL_HEARTBEAT] += 1
 
 
+def _row_segments(indptr: np.ndarray, degrees: np.ndarray, ids: np.ndarray):
+    """``(target, counts, boundaries)`` of ``expand_sources(ids)``: row
+    ``ids[i]`` owns ``counts[i]`` edges from ``boundaries[i]`` on, and
+    ``target`` indexes per-vertex arrays at ``ids``.  On a contiguous run
+    all three come straight off the CSR (``target`` a slice, so results
+    are written through a view) instead of being gathered and re-summed.
+    """
+    run = contiguous_run(ids)
+    if run is None:
+        counts = degrees[ids]
+        return ids, counts, np.cumsum(counts) - counts
+    lo, hi = run
+    return slice(lo, hi), degrees[lo:hi], indptr[lo:hi] - indptr[lo]
+
+
 def grouped_reduce(
-    aggregation: str, per_edge: np.ndarray, group_counts: np.ndarray
+    aggregation: str,
+    per_edge: np.ndarray,
+    group_counts: np.ndarray,
+    boundaries: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reduce contiguous per-group blocks; empty groups get the identity.
+
+    ``boundaries`` is the exclusive prefix sum of ``group_counts``; pass
+    it when already at hand (:func:`_row_segments` on a contiguous run).
 
     ``reduceat`` repeats the boundary element for a zero-width segment
     (the next group's first edge), which would silently hand an empty
@@ -364,8 +386,8 @@ def grouped_reduce(
     contiguous blocks — as the parallel workers do — without changing a
     single output bit, provided no block splits a group's edge run.
     """
-    boundaries = np.zeros(group_counts.size, dtype=np.int64)
-    np.cumsum(group_counts[:-1], out=boundaries[1:])
+    if boundaries is None:
+        boundaries = np.cumsum(group_counts) - group_counts
     ufunc = np.minimum if aggregation == "min" else np.maximum
     nonempty = group_counts > 0
     if nonempty.all():
@@ -401,9 +423,10 @@ def pull_apply_block(
     """
     _, srcs, weights = in_csr.expand_sources(ids)
     candidates = app.edge_candidates(values, srcs, weights)
-    reduced = grouped_reduce(aggregation, candidates, in_deg[ids])
-    result[ids] = reduced
-    improved[ids] = app.better(reduced, values[ids])
+    target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
+    reduced = grouped_reduce(aggregation, candidates, counts, boundaries)
+    result[target] = reduced
+    improved[target] = app.better(reduced, values[target])
     return int(srcs.size)
 
 
@@ -418,18 +441,17 @@ def gather_block(
     """Arithmetic gather over one block: per-destination contribution sums.
 
     ``result`` must be pre-zeroed by the caller; ids with no in-edges
-    are left untouched (grouped sum over non-empty blocks only, the
-    same reduceat-over-nonempty-boundaries trick as the serial engine
-    has always used).  Returns the number of edges gathered.
+    are left untouched (``reduceat`` over the non-empty blocks only).
+    Returns the number of edges gathered.
     """
     rows, srcs, weights = in_csr.expand_sources(ids)
     if srcs.size:
         contributions = app.edge_contributions(values, srcs, rows, weights)
-        counts = in_deg[ids]
-        boundaries = np.zeros(ids.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=boundaries[1:])
+        target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
         nonempty = counts > 0
-        if nonempty.any():
+        if nonempty.all():
+            result[target] = np.add.reduceat(contributions, boundaries)
+        else:
             result[ids[nonempty]] = np.add.reduceat(
                 contributions, boundaries[nonempty]
             )
@@ -462,25 +484,13 @@ def push_block(
 
 
 def expand_row_dsts(
-    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray, base: int = 0
 ) -> np.ndarray:
-    """The concatenated adjacency targets of ``ids``, in row order.
-
-    The destination half of ``CSR.expand_sources`` without requiring a
-    CSR object — dispatch backends that hold raw shared arrays (the
-    worker pool's views) or shard-local slices can serve the engine's
-    ``expand_out_dsts`` contract from whatever they have resident.
-    """
-    starts = indptr[ids]
-    counts = indptr[ids + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    positions = np.arange(total, dtype=np.int64)
-    offsets = np.zeros(ids.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    positions -= np.repeat(offsets, counts)
-    return indices[np.repeat(starts, counts) + positions]
+    """The ``dsts`` of ``expand_sources(ids)`` alone — no ``srcs`` built,
+    no weights gathered — over raw arrays (``base`` as in
+    :func:`repro.graph.csr.expand_rows`): what every backend's
+    ``expand_out_dsts`` serves from whatever adjacency it has resident."""
+    return indices[expand_rows(indptr, ids, base)[1]]
 
 
 class SerialDispatch:
@@ -580,7 +590,7 @@ class SerialDispatch:
         """Concatenated out-neighbours of ``ids`` (engine frontier/thaw
         expansion) — the one remaining engine-side edge access, routed
         through the dispatch so out-of-core backends can stream it."""
-        return self._out_csr.expand_sources(ids)[1]
+        return expand_row_dsts(self._out_csr.indptr, self._out_csr.indices, ids)
 
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:

@@ -5,20 +5,64 @@ package.  It stores, for each source vertex ``u``, a contiguous slice of
 neighbour ids ``indices[indptr[u]:indptr[u + 1]]`` and, in parallel, the
 edge weights ``weights[indptr[u]:indptr[u + 1]]``.
 
-The structure is immutable after construction; engines read it through the
-vectorised helpers (:meth:`CSR.neighbors`, :meth:`CSR.edge_slice`,
-:meth:`CSR.expand_sources`) rather than mutating it.
+The structure is immutable after construction: its arrays are read-only
+views, because row expansion (:func:`expand_rows`, the one routine
+behind :meth:`CSR.expand_sources` and every backend's edge access) hands
+out views of them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "contiguous_run", "expand_rows"]
+
+
+def contiguous_run(ids: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` if ``ids`` is exactly ``arange(lo, hi)``, else ``None``.
+
+    Strictly ascending with span == length leaves no room for a gap; the
+    O(1) span test rejects nearly every non-run before the O(|ids|) one.
+    """
+    if ids.size == 0:
+        return None
+    lo, hi = int(ids[0]), int(ids[-1]) + 1
+    if hi - lo != ids.size or not (ids[1:] > ids[:-1]).all():
+        return None
+    return lo, hi
+
+
+def expand_rows(
+    indptr: np.ndarray, ids: np.ndarray, base: int = 0
+) -> Tuple[np.ndarray, Union[slice, np.ndarray]]:
+    """Where the edges of rows ``ids`` sit: ``(degrees, selector)``.
+
+    ``selector`` indexes edge-aligned arrays whose element 0 is global
+    edge ``base`` (a shard's offset; 0 for a whole CSR).  On a contiguous
+    run it is a ``slice`` — indexing yields views, no per-edge index is
+    built — otherwise the flat ``int64`` positions, rows concatenated in
+    ``ids`` order (unsorted, repeated ids welcome).  Same values, same
+    order either way.
+    """
+    run = contiguous_run(ids)
+    if run is not None:
+        ptr = indptr[run[0] : run[1] + 1]
+        return np.diff(ptr), slice(int(ptr[0]) - base, int(ptr[-1]) - base)
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return counts, slice(0, 0)
+    # Output position p of row r is edge starts[r] + (p - offsets[r]),
+    # offsets being the exclusive prefix sum of counts.
+    starts -= np.cumsum(counts) - counts + base
+    positions = np.repeat(starts, counts)
+    positions += np.arange(total, dtype=np.int64)
+    return counts, positions
 
 
 class CSR:
@@ -68,9 +112,12 @@ class CSR:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
             if weights.shape != indices.shape:
                 raise GraphFormatError("weights must align with indices")
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        # Freeze our own views (never the caller's array): expansion
+        # hands out views of them and nothing may write through one.
+        for name, array in zip(self.__slots__, (indptr, indices, weights)):
+            view = array.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     # ------------------------------------------------------------------
     # basic shape
@@ -123,44 +170,25 @@ class CSR:
     def expand_positions(self, vertices: np.ndarray) -> np.ndarray:
         """Flat edge indices of the rows of ``vertices`` (concatenated).
 
-        The result aligns with the arrays returned by
-        :meth:`expand_sources` for the same input, and indexes any
-        edge-aligned side array (e.g. per-edge partition owners).
+        Aligned with :meth:`expand_sources` for the same input; indexes
+        any edge-aligned side array (e.g. per-edge partition owners).
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = np.arange(total, dtype=np.int64) - offsets
-        return np.repeat(starts, counts) + positions
+        _, sel = expand_rows(self.indptr, np.asarray(vertices, dtype=np.int64))
+        if isinstance(sel, slice):
+            return np.arange(sel.start, sel.stop, dtype=np.int64)
+        return sel
 
     def expand_sources(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather the edges of a set of rows at once.
+        """Gather the edges of a set of rows: ``(srcs, dsts, weights)``.
 
-        Parameters
-        ----------
-        vertices:
-            Array of row ids (need not be sorted, may be empty).
-
-        Returns
-        -------
-        (srcs, dsts, weights):
-            Flat, aligned arrays covering every edge whose source is in
-            ``vertices`` (with multiplicity if a vertex repeats).
+        Flat, aligned arrays covering every edge whose source is in
+        ``vertices`` (any order, may be empty; a repeated vertex repeats
+        its edges).  On a contiguous ascending run ``dsts`` and
+        ``weights`` are read-only views of this CSR's storage.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        flat = self.expand_positions(vertices)
-        if flat.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        counts = self.indptr[vertices + 1] - self.indptr[vertices]
-        srcs = np.repeat(vertices, counts)
-        return srcs, self.indices[flat], self.weights[flat]
+        counts, sel = expand_rows(self.indptr, vertices)
+        return np.repeat(vertices, counts), self.indices[sel], self.weights[sel]
 
     # ------------------------------------------------------------------
     # transforms

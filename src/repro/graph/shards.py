@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, expand_rows
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -274,9 +274,10 @@ class ShardSlice:
     """One decoded shard, addressable by *global* row ids.
 
     Exposes exactly the surface the fused kernels consume —
-    ``expand_sources(ids)`` — so :func:`repro.core.runtime.pull_apply_block`
-    and friends run verbatim against a shard.  ``indptr`` is the full
-    global array (shared, O(|V|)); only this shard's edge arrays are
+    ``expand_sources(ids)`` and ``indptr`` — so
+    :func:`repro.core.runtime.pull_apply_block` and friends run verbatim
+    against a shard.  ``indptr`` is the full global array (shared,
+    O(|V|)); only this shard's edge arrays, offset by ``base``, are
     resident.  Callers must pass row ids inside ``[lo, hi)``.
     """
 
@@ -302,20 +303,8 @@ class ShardSlice:
         row's edge run.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        positions = np.arange(total, dtype=np.int64) - offsets
-        flat = np.repeat(starts, counts) + positions - self.base
-        srcs = np.repeat(vertices, counts)
-        return srcs, self.indices[flat], self.weights[flat]
+        counts, sel = expand_rows(self.indptr, vertices, self.base)
+        return np.repeat(vertices, counts), self.indices[sel], self.weights[sel]
 
 
 class ShardedCSR:

@@ -50,6 +50,7 @@ from repro.core.runtime import (
     PHASE_GATHER,
     PHASE_PULL,
     PHASE_PUSH,
+    expand_row_dsts,
     gather_block,
     new_telemetry_block,
     pull_apply_block,
@@ -664,7 +665,9 @@ class ShardStreamDispatch:
         parts = []
         for part, group in self._groups("out", ids):
             shard = self._stream.get("out", part)
-            parts.append(shard.expand_sources(group)[1])
+            parts.append(expand_row_dsts(
+                shard.indptr, shard.indices, group, shard.base
+            ))
         self._emit_shard_io("expand", "out")
         if not parts:
             return np.empty(0, dtype=np.int64)

@@ -105,6 +105,7 @@ from repro.core.runtime import (
     PHASE_NAMES_BY_ID,
     PHASE_PULL,
     PHASE_PUSH,
+    expand_row_dsts,
     new_telemetry_block,
     telemetry_advance,
     telemetry_begin,
@@ -545,6 +546,9 @@ class ParallelExecutor:
                     ("out_weights", out_csr.weights),
                 )
             }
+            # Filled: read-only from here (expand_out_dsts returns views).
+            for view in self._csr_views.values():
+                view.flags.writeable = False
             self.values = share("values", np.zeros(n, dtype=np.float64))
             self.result = share("result", np.zeros(n, dtype=np.float64))
             self.improved = share("improved", np.zeros(n, dtype=bool))
@@ -651,8 +655,6 @@ class ParallelExecutor:
     def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated out-neighbours of ``ids``, from the shared CSR
         views (no private copy of the adjacency in the parent)."""
-        from repro.core.runtime import expand_row_dsts
-
         return expand_row_dsts(
             self._csr_views["out_indptr"], self._csr_views["out_indices"], ids
         )
@@ -1204,46 +1206,6 @@ class ParallelExecutor:
     def detach_values(self) -> np.ndarray:
         """Copy the values out of shared memory, safe to own after close."""
         return np.array(self.values, copy=True)
-
-    # ------------------------------------------------------------------
-    # legacy per-call kernels (copy foreign values in; kept for callers
-    # that do not hold the resident views)
-    # ------------------------------------------------------------------
-    def _load_values(self, values: np.ndarray) -> None:
-        if values is not self.values:
-            self.values[...] = values
-
-    def pull_minmax(
-        self, values: np.ndarray, ids: np.ndarray, aggregation: str
-    ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
-        """Full gather+reduce over the in-edges of ``ids``.
-
-        On return, ``result[ids]`` holds each destination's min/max over
-        all its in-edge candidates (every id must have in-degree >= 1,
-        the same invariant the serial grouped reduce relies on).
-        Returns the shared result view and the per-worker stats.
-        """
-        self._load_values(values)
-        stats = self.pull_apply(np.asarray(ids, dtype=np.int64), aggregation)
-        return self.result, stats
-
-    def gather_sum(
-        self, values: np.ndarray, ids: np.ndarray
-    ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
-        """Arithmetic gather of ``ids`` against caller-owned ``values``."""
-        self._load_values(values)
-        stats = self.gather(np.asarray(ids, dtype=np.int64))
-        return self.result, stats
-
-    def push_candidates(
-        self, values: np.ndarray, ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, List[Dict[str, Any]]]:
-        """Per-edge push candidates against caller-owned ``values``."""
-        self._load_values(values)
-        dsts, candidates, _out_counts, stats = self.push(
-            np.asarray(ids, dtype=np.int64)
-        )
-        return dsts, candidates, stats
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from repro.bench import regression
+from tests.conftest import WALL_CLOCK_OFF
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_pr.json"
 
@@ -149,22 +150,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             regression.main(["--scale", "-5"])
 
-    def test_writes_and_gates_against_itself(self, tmp_path):
+    ARGS = [
+        "--scale", "16000", "--apps", "SSSP", "--graphs", "PK",
+        "--engines", "SLFE",
+    ]
+
+    def write_then_gate(self, tmp_path, extra):
         out = tmp_path / "bench.json"
-        assert regression.main([
-            "--out", str(out), "--scale", "16000",
-            "--apps", "SSSP", "--graphs", "PK", "--engines", "SLFE",
-        ]) == 0
+        assert regression.main(["--out", str(out)] + self.ARGS + extra) == 0
         written = json.loads(out.read_text())
         regression.validate(written)
         # A second identical run gated against the first must pass: the
         # metrics are deterministic.
         out2 = tmp_path / "bench2.json"
-        assert regression.main([
-            "--out", str(out2), "--scale", "16000",
-            "--apps", "SSSP", "--graphs", "PK", "--engines", "SLFE",
-            "--baseline", str(out),
-        ]) == 0
+        assert regression.main(
+            ["--out", str(out2), "--baseline", str(out)] + self.ARGS + extra
+        ) == 0
+
+    def test_writes_and_gates_against_itself(self, tmp_path):
+        self.write_then_gate(tmp_path, WALL_CLOCK_OFF)
+
+    @pytest.mark.bench
+    def test_wall_clock_gates_hold(self, tmp_path):
+        self.write_then_gate(tmp_path, [])
 
 
 class TestBaselineErrors:
@@ -210,9 +218,10 @@ class TestBaselineErrors:
         assert code == 2
         assert "does not match the BENCH schema" in err
 
-    def test_workload_set_differences_noted(self, tmp_path, capsys):
+    def note_workload_set_differences(self, tmp_path, capsys, extra):
+        args = self.ARGS + extra
         out = tmp_path / "bench.json"
-        assert regression.main(["--out", str(out)] + self.ARGS) == 0
+        assert regression.main(["--out", str(out)] + args) == 0
         baseline = json.loads(out.read_text())
         entry = next(iter(baseline["workloads"].values()))
         baseline["workloads"]["GONE/GONE/GONE"] = entry
@@ -221,10 +230,19 @@ class TestBaselineErrors:
         capsys.readouterr()
         code = regression.main(
             ["--out", str(tmp_path / "b2.json"), "--baseline", str(edited)]
-            + self.ARGS
+            + args
         )
         assert code == 0
         assert "GONE/GONE/GONE" in capsys.readouterr().out
+
+    def test_workload_set_differences_noted(self, tmp_path, capsys):
+        self.note_workload_set_differences(tmp_path, capsys, WALL_CLOCK_OFF)
+
+    @pytest.mark.bench
+    def test_workload_set_differences_noted_with_live_gate(
+        self, tmp_path, capsys
+    ):
+        self.note_workload_set_differences(tmp_path, capsys, [])
 
 
 class TestParallelScaling:
@@ -280,6 +298,7 @@ class TestLiveOverheadSection:
 
         assert entry["trustworthy"] == ((os.cpu_count() or 1) >= 2)
 
+    @pytest.mark.bench
     def test_budget_enforced_on_trustworthy_hosts(self, entry):
         # The acceptance gate: on a real multi-core host the plane must
         # stay within its 2% budget.  On one CPU the sampler shares the

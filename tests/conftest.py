@@ -1,10 +1,32 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and the tiered Hypothesis profiles for the test suite.
+
+Property tests that carry no ``@settings`` of their own run under the
+loaded profile.  Profiles trade coverage for wall clock: ``ci`` is the
+default, ``dev`` is a quick smoke, ``nightly``/``thorough`` widen the
+search.  Select with ``REPRO_HYPOTHESIS_PROFILE=nightly pytest ...``.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph.generators import figure1_graph
 from repro.graph.graph import Graph
+
+settings.register_profile("dev", max_examples=10, deadline=None)
+settings.register_profile("ci", max_examples=25, deadline=None)
+settings.register_profile("nightly", max_examples=100, deadline=None)
+settings.register_profile("thorough", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
+
+#: ``repro.bench.regression`` flags that switch off the sections whose
+#: gates read a stopwatch (live-plane overhead budget, parallel
+#: speedup).  Tier-1 CLI tests pass these and keep every deterministic
+#: assertion; their ``bench``-marked twins run the same flow with the
+#: gates armed (``pytest -m bench``).
+WALL_CLOCK_OFF = ["--no-live-overhead", "--no-parallel-scaling"]
 
 
 @pytest.fixture

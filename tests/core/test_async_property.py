@@ -1,8 +1,5 @@
-"""Property tests for the async engine (Hypothesis, tiered profiles).
-
-Profiles trade coverage for wall clock: ``ci`` is the default, ``dev``
-is a quick smoke, ``nightly``/``thorough`` widen the search.  Select
-with ``REPRO_HYPOTHESIS_PROFILE=nightly pytest ...``.
+"""Property tests for the async engine (Hypothesis, tiered profiles —
+see ``tests/conftest.py``).
 
 The central property is *scheduling-order invariance*: whatever order
 the async scheduler admits vertices in, the run must land on the same
@@ -10,11 +7,9 @@ fixed point — chaotic relaxation for min/max apps, the telescoping
 delta series for accumulative arithmetic.
 """
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import ConnectedComponents, PageRank, SSSP, TunkRank
@@ -22,12 +17,6 @@ from repro.core.async_engine import SCHEDULERS, AsyncEngine
 from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
 from repro.graph.graph import Graph
-
-settings.register_profile("dev", max_examples=10, deadline=None)
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.register_profile("nightly", max_examples=100, deadline=None)
-settings.register_profile("thorough", max_examples=500, deadline=None)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
 
 @st.composite

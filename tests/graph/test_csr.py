@@ -121,6 +121,47 @@ class TestExpandSources:
             assert srcs.size == dsts.size == weights.size == 0
 
 
+class TestReadOnlyStorage:
+    """Run expansion hands out views of CSR storage, so the storage is
+    read-only: a kernel that writes into what it was handed must raise,
+    never silently edit the graph."""
+
+    def test_kernel_writing_into_expansion_raises(self):
+        from repro.apps import SSSP
+        from repro.core.runtime import pull_apply_block
+
+        class Scribbler(SSSP):
+            def edge_candidates(self, values, srcs, weights):
+                weights += 1.0
+                srcs[...] = 0
+                return values[srcs] + weights
+
+        csr = simple_csr()
+        before = (csr.indices.copy(), csr.weights.copy())
+        ids = np.arange(csr.num_vertices)
+        with pytest.raises(ValueError, match="read-only"):
+            pull_apply_block(
+                Scribbler(), csr, csr.degrees(), np.zeros(3), ids, "min",
+                np.zeros(3), np.zeros(3, dtype=bool),
+            )
+        assert np.array_equal(csr.indices, before[0])
+        assert np.array_equal(csr.weights, before[1])
+
+    def test_arrays_are_frozen_views_not_the_callers_array(self):
+        indptr = np.array([0, 1, 2], dtype=np.int64)
+        indices = np.array([1, 0], dtype=np.int64)
+        weights = np.array([1.0, 2.0])
+        csr = CSR(indptr, indices, weights)
+        for mine, theirs in (
+            (csr.indptr, indptr), (csr.indices, indices), (csr.weights, weights)
+        ):
+            assert not mine.flags.writeable
+            assert theirs.flags.writeable
+            assert np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError, match="read-only"):
+            csr.expand_sources(np.array([0, 1]))[2][0] = 9.0
+
+
 class TestTranspose:
     def test_transpose_reverses_edges(self):
         csr = simple_csr()

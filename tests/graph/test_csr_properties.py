@@ -4,7 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSR
+from repro.apps import SSSP, PageRank, WidestPath
+from repro.core.runtime import expand_row_dsts, gather_block, pull_apply_block
+from repro.graph.csr import CSR, contiguous_run
+from repro.graph.graph import Graph
+from repro.graph.shards import ShardSlice
 
 
 @st.composite
@@ -78,3 +82,159 @@ def test_expand_sources_of_all_vertices_covers_every_edge(data):
     csr = CSR.from_edges(n, srcs, dsts, weights)
     s, d, w = csr.expand_sources(np.arange(n))
     assert sorted(zip(s.tolist(), d.tolist(), w.tolist())) == sorted(csr.iter_edges())
+
+
+# ----------------------------------------------------------------------
+# row expansion: one routine, two paths, one answer
+# ----------------------------------------------------------------------
+# These run under the tiered profiles loaded in tests/conftest.py.
+
+
+@st.composite
+def csr_and_ids(draw, max_vertices=24, max_edges=80):
+    """A CSR (possibly empty, usually with zero-degree rows) and row ids.
+
+    Sources are drawn below a ``hubs`` cut so the rows above it form
+    all-zero-degree runs; ids are arbitrary (unsorted, repeated, empty)
+    or one of the run shapes the slice path keys on.
+    """
+    n = draw(st.integers(0, max_vertices))
+    if n == 0:
+        return CSR.from_edges(0, [], []), np.empty(0, dtype=np.int64)
+    m = draw(st.integers(0, max_edges))
+    hubs = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    csr = CSR.from_edges(
+        n,
+        rng.integers(0, hubs, size=m),
+        rng.integers(0, n, size=m),
+        rng.uniform(0.1, 100.0, size=m),
+    )
+    shape = draw(st.sampled_from(
+        ["any", "run", "full", "from0", "to_end", "single"]
+    ))
+    if shape == "any":
+        ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    else:
+        a, b = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        lo, hi = {
+            "run": (a, b + 1), "full": (0, n), "from0": (0, b + 1),
+            "to_end": (a, n), "single": (a, a + 1),
+        }[shape]
+        ids = range(lo, hi)
+    return csr, np.asarray(list(ids), dtype=np.int64)
+
+
+def expansion_oracle(csr, ids):
+    """Per-row Python loop: (srcs, dsts, weights, positions)."""
+    srcs, dsts, weights, positions = [], [], [], []
+    for v in ids.tolist():
+        for e in range(int(csr.indptr[v]), int(csr.indptr[v + 1])):
+            srcs.append(v)
+            dsts.append(int(csr.indices[e]))
+            weights.append(float(csr.weights[e]))
+            positions.append(e)
+    return srcs, dsts, weights, positions
+
+
+@given(csr_and_ids())
+def test_expansion_matches_row_loop_oracle(data):
+    csr, ids = data
+    srcs, dsts, weights, positions = expansion_oracle(csr, ids)
+    got = csr.expand_sources(ids)
+    assert [a.tolist() for a in got] == [srcs, dsts, weights]
+    assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+    assert csr.expand_positions(ids).tolist() == positions
+    assert expand_row_dsts(csr.indptr, csr.indices, ids).tolist() == dsts
+
+
+@given(csr_and_ids())
+def test_run_path_returns_views_general_path_copies(data):
+    csr, ids = data
+    _, dsts, weights = csr.expand_sources(ids)
+    only_dsts = expand_row_dsts(csr.indptr, csr.indices, ids)
+    if dsts.size == 0:
+        return  # nothing to alias
+    is_run = contiguous_run(ids) is not None
+    assert np.shares_memory(dsts, csr.indices) == is_run
+    assert np.shares_memory(weights, csr.weights) == is_run
+    assert np.shares_memory(only_dsts, csr.indices) == is_run
+    if is_run:
+        assert not dsts.flags.writeable and not weights.flags.writeable
+
+
+@given(csr_and_ids(), st.data())
+def test_shard_slice_expansion_matches_full_csr(data, draw):
+    csr, _ = data
+    n = csr.num_vertices
+    if n == 0:
+        return
+    lo, hi = sorted(draw.draw(st.tuples(st.integers(0, n - 1), st.integers(1, n))))
+    hi = max(hi, lo + 1)
+    base, end = int(csr.indptr[lo]), int(csr.indptr[hi])
+    shard = ShardSlice(
+        lo, hi, base, csr.indptr,
+        csr.indices[base:end].copy(), csr.weights[base:end].copy(),
+    )
+    picks = draw.draw(st.sampled_from(["any", "whole", "first", "last"]))
+    ids = {
+        "any": draw.draw(st.lists(st.integers(lo, hi - 1), max_size=2 * (hi - lo))),
+        "whole": range(lo, hi), "first": [lo], "last": [hi - 1],
+    }[picks]
+    ids = np.asarray(list(ids), dtype=np.int64)
+    want = csr.expand_sources(ids)
+    got = shard.expand_sources(ids)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    only_dsts = expand_row_dsts(shard.indptr, shard.indices, ids, shard.base)
+    assert only_dsts.tolist() == want[1].tolist()
+    if got[1].size:
+        assert np.shares_memory(got[1], shard.indices) == (
+            contiguous_run(ids) is not None
+        )
+
+
+@st.composite
+def graph_and_run(draw):
+    csr, ids = draw(csr_and_ids().filter(
+        lambda d: d[1].size and contiguous_run(d[1]) is not None
+    ))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return csr, ids, np.random.default_rng(seed)
+
+
+@given(graph_and_run())
+def test_gather_block_run_equals_general_path(data):
+    out_csr, ids, rng = data
+    n = out_csr.num_vertices
+    graph = Graph(out_csr)
+    app = PageRank()
+    app.bind(graph)
+    in_csr = graph.in_csr
+    values = rng.uniform(0.0, 2.0, size=n)
+    shuffled = rng.permutation(ids)  # not ascending -> general path
+    results = []
+    for task in (ids, shuffled):
+        result = np.zeros(n)
+        edges = gather_block(app, in_csr, in_csr.degrees(), values, task, result)
+        results.append((edges, result.tobytes()))
+    assert results[0] == results[1]
+
+
+@given(graph_and_run(), st.sampled_from(["min", "max"]))
+def test_pull_apply_block_run_equals_general_path(data, aggregation):
+    out_csr, ids, rng = data
+    n = out_csr.num_vertices
+    in_csr = out_csr.transpose()
+    app = SSSP() if aggregation == "min" else WidestPath()
+    values = rng.uniform(0.0, 50.0, size=n)
+    shuffled = rng.permutation(ids)
+    results = []
+    for task in (ids, shuffled):
+        result = np.zeros(n)
+        improved = np.zeros(n, dtype=bool)
+        edges = pull_apply_block(
+            app, in_csr, in_csr.degrees(), values, task, aggregation,
+            result, improved,
+        )
+        results.append((edges, result.tobytes(), improved.tobytes()))
+    assert results[0] == results[1]

@@ -5,13 +5,14 @@ import json
 import pytest
 
 from repro.bench import regression
+from tests.conftest import WALL_CLOCK_OFF
 
 
 class TestRegressionHarness:
-    def test_writes_schema_valid_bench_file(self, tmp_path, capsys):
+    def write_schema_valid_bench_file(self, tmp_path, extra):
         out = tmp_path / "BENCH_pr.json"
         code = regression.main(
-            ["--out", str(out), "--scale", "4000", "--graphs", "PK"]
+            ["--out", str(out), "--scale", "4000", "--graphs", "PK"] + extra
         )
         assert code == 0
         payload = json.loads(out.read_text())
@@ -22,9 +23,9 @@ class TestRegressionHarness:
             assert entry["supersteps"] > 0
             assert entry["edge_ops"] > 0
 
-    def test_clean_baseline_comparison_passes(self, tmp_path):
+    def compare_against_clean_baseline(self, tmp_path, extra):
         out = tmp_path / "current.json"
-        args = ["--scale", "4000", "--graphs", "PK", "--apps", "SSSP"]
+        args = ["--scale", "4000", "--graphs", "PK", "--apps", "SSSP"] + extra
         assert regression.main(["--out", str(out)] + args) == 0
         rerun = tmp_path / "rerun.json"
         code = regression.main(
@@ -32,9 +33,26 @@ class TestRegressionHarness:
         )
         assert code == 0
 
+    def test_writes_schema_valid_bench_file(self, tmp_path):
+        self.write_schema_valid_bench_file(tmp_path, WALL_CLOCK_OFF)
+
+    def test_clean_baseline_comparison_passes(self, tmp_path):
+        self.compare_against_clean_baseline(tmp_path, WALL_CLOCK_OFF)
+
+    @pytest.mark.bench
+    def test_writes_bench_file_with_wall_clock_gates(self, tmp_path):
+        self.write_schema_valid_bench_file(tmp_path, [])
+
+    @pytest.mark.bench
+    def test_clean_baseline_comparison_with_wall_clock_gates(self, tmp_path):
+        self.compare_against_clean_baseline(tmp_path, [])
+
     def test_doctored_baseline_fails(self, tmp_path, capsys):
         out = tmp_path / "current.json"
-        args = ["--scale", "4000", "--graphs", "PK", "--apps", "SSSP"]
+        args = (
+            ["--scale", "4000", "--graphs", "PK", "--apps", "SSSP"]
+            + WALL_CLOCK_OFF
+        )
         assert regression.main(["--out", str(out)] + args) == 0
         baseline = json.loads(out.read_text())
         for entry in baseline["workloads"].values():
