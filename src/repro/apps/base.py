@@ -16,6 +16,14 @@ All hooks are vectorised: they receive aligned edge arrays and must
 return per-edge arrays, which is what lets a Python engine process
 hundred-thousand-edge supersteps in milliseconds while still counting
 every operation exactly.
+
+Arithmetic apps whose contribution depends on the edge's source alone
+(PageRank, TunkRank, HeatSimulation) additionally expose it per vertex
+through :meth:`ArithmeticApplication.source_terms` — source-only, pure,
+the same float expression as ``edge_contributions``, called once per
+gather phase — which is what the shared gather kernel reads;
+``edge_contributions`` stays the general contract every other engine
+(baselines, async, the scalar runtime) calls.
 """
 
 from __future__ import annotations
@@ -112,6 +120,11 @@ class ArithmeticApplication(abc.ABC):
     Subclasses may override :meth:`bind` to precompute per-vertex factors
     (degrees, levels) before the run; it is called exactly once with the
     run graph.
+
+    An app whose per-edge contribution depends on the edge's *source*
+    alone should also implement :meth:`source_terms`: the shared gather
+    kernel then reads one float per edge instead of calling
+    :meth:`edge_contributions` on per-edge ``srcs``/``dsts``/``weights``.
     """
 
     name: str = "arith"
@@ -175,6 +188,29 @@ class ArithmeticApplication(abc.ABC):
         weights: np.ndarray,
     ) -> np.ndarray:
         """Per-edge contribution summed into each destination."""
+
+    def source_terms(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Per-vertex array ``t`` with ``contribution(u -> v, w) == t[u]``,
+        or ``None`` (the default) when the contribution also reads the
+        weight or the destination.
+
+        Contract, for apps that return an array:
+
+        * **source-only** — ``t[u]`` is the contribution of *every*
+          out-edge of ``u``, whatever its destination and weight;
+        * **pure** — no side effects, ``values`` is not modified (it may
+          be returned as is), the result is only read;
+        * **the same float expression** as :meth:`edge_contributions`,
+          evaluated per vertex instead of per edge, so that
+          ``t[srcs]`` equals ``edge_contributions(values, srcs, ...)``
+          bit for bit — the engines that gather through terms and the
+          ones that call :meth:`edge_contributions` (baselines, async,
+          the scalar runtime) must not differ in a single ulp;
+        * called **once per gather phase** by whoever owns the phase
+          (a dispatch, or each pool worker), on that phase's read-only
+          ``values`` snapshot — never per block or per shard.
+        """
+        return None
 
     @abc.abstractmethod
     def apply(self, gathered: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -50,6 +50,9 @@ class HeatSimulation(ArithmeticApplication):
     ) -> np.ndarray:
         return values[srcs]
 
+    def source_terms(self, values: np.ndarray) -> np.ndarray:
+        return values
+
     def apply(self, gathered: np.ndarray, values: np.ndarray) -> np.ndarray:
         mean_in = np.where(
             self._has_in, gathered * self._inv_in_degree, values

@@ -57,6 +57,10 @@ class PageRank(ArithmeticApplication):
     ) -> np.ndarray:
         return values[srcs] * self._inv_out_degree[srcs]
 
+    def source_terms(self, values: np.ndarray) -> np.ndarray:
+        # The divide hoisted to the vertex phase (as Gemini writes it).
+        return values * self._inv_out_degree
+
     def apply(self, gathered: np.ndarray, values: np.ndarray) -> np.ndarray:
         return (1.0 - self.damping) + self.damping * gathered
 

@@ -53,5 +53,10 @@ class TunkRank(ArithmeticApplication):
             1.0 + self.retweet_probability * values[srcs]
         ) * self._inv_following[srcs]
 
+    def source_terms(self, values: np.ndarray) -> np.ndarray:
+        return (
+            1.0 + self.retweet_probability * values
+        ) * self._inv_following
+
     def apply(self, gathered: np.ndarray, values: np.ndarray) -> np.ndarray:
         return gathered

@@ -67,12 +67,14 @@ class SimulatedCluster:
         srcs, dsts, _ = self.graph.edge_arrays()
         if srcs.size == 0:
             return np.zeros(n, dtype=np.int64)
-        pair = srcs * self.num_nodes + self.owner[dsts]
-        unique_pairs = np.unique(pair)
-        pair_src = unique_pairs // self.num_nodes
-        pair_node = unique_pairs % self.num_nodes
-        remote = pair_node != self.owner[pair_src]
-        return np.bincount(pair_src[remote], minlength=n).astype(np.int64)
+        # One O(|E|) scatter marks which (vertex, node) pairs an edge
+        # reaches (no sort over the pairs); a vertex's own node is not
+        # remote, and the row sums are the distinct remote nodes.
+        nodes = self.num_nodes
+        reached = np.zeros(n * nodes, dtype=bool)
+        reached[srcs * nodes + self.owner[dsts]] = True
+        reached[np.arange(n, dtype=np.int64) * nodes + self.owner] = False
+        return reached.reshape(n, nodes).sum(axis=1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     @property

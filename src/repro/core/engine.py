@@ -894,10 +894,14 @@ class SLFEEngine:
         if store is not None:
             _snapshot()  # superstep-0 floor every rollback can reach
 
-        # RR off: every superstep gathers every vertex, so the task list,
-        # its in-degrees and the per-node (edge, vertex) op counts are
-        # loop invariants, recounted only when ownership moves.
-        live_mask, live, counts = None, np.arange(n, dtype=np.int64), in_deg
+        # While no vertex is EC (always, with RR off) every superstep
+        # gathers every vertex, so the task list and its in-degrees are
+        # loop invariants; they are re-derived only when the EC set
+        # moves (a freeze, a thaw, a rollback), and the per-node (edge,
+        # vertex) op counts only then or when ownership moves.
+        all_vertices = np.arange(n, dtype=np.int64)
+        live_mask, live, counts = None, all_vertices, in_deg
+        live_version = tracker.ec_version if tracker is not None else 0
         node_ops = None
 
         while iteration < max_iterations:
@@ -913,14 +917,19 @@ class SLFEEngine:
                     )
                     node_ops = None
                     continue
-            if tracker is not None:
-                live_mask = tracker.active_mask()
-                live = np.nonzero(live_mask)[0]
-                counts = in_deg[live]
+            if tracker is not None and tracker.ec_version != live_version:
+                live_version = tracker.ec_version
+                if tracker.num_ec:
+                    live_mask = tracker.active_mask()
+                    live = np.nonzero(live_mask)[0]
+                    counts = in_deg[live]
+                else:
+                    live_mask, live, counts = None, all_vertices, in_deg
+                node_ops = None
             if live.size == 0:
                 converged = True
                 break
-            if tracker is not None or node_ops is None:
+            if node_ops is None:
                 # Weighted owner bincount == bincount over the expanded
                 # per-edge rows (each live vertex repeats by its
                 # in-degree), without materialising them.
@@ -958,15 +967,7 @@ class SLFEEngine:
             if tracker is not None:
                 changed_mask = tracker.observe(new_values)
                 changed = np.nonzero(changed_mask)[0]
-                if changed.size and tracker.num_ec:
-                    # "Finish early" soundness: a frozen vertex whose
-                    # in-neighbour just moved would gather a different
-                    # value, so its freeze was premature (guidance can
-                    # underestimate information flow through cycles).
-                    # Thaw it; EC then only skips vertices with
-                    # quiescent inputs and results match the reference.
-                    thaw_dsts = dispatch.expand_out_dsts(changed)
-                    tracker.thaw(thaw_dsts)
+                _thaw_moved_inputs(tracker, dispatch, changed_mask, changed)
             else:
                 changed = live[delta > self.stability_epsilon]
             if rec.enabled:
@@ -980,9 +981,7 @@ class SLFEEngine:
                 # progression: how far the multi-ruler has advanced
                 # toward the deepest per-vertex stability threshold.
                 live_after = (
-                    int(tracker.active_mask().sum())
-                    if tracker is not None
-                    else n
+                    n - tracker.num_ec if tracker is not None else n
                 )
                 ec_skipped_ops = (
                     int(in_deg[~live_mask].sum())
@@ -1039,6 +1038,52 @@ class SLFEEngine:
             per_vertex_ops=per_vertex_ops,
             degraded=dispatch.degraded,
         )
+
+
+def _thaw_moved_inputs(
+    tracker: StabilityTracker,
+    dispatch,
+    changed_mask: np.ndarray,
+    changed: np.ndarray,
+) -> int:
+    """"Finish early" soundness; returns how many vertices it thawed.
+
+    A frozen vertex whose in-neighbour just moved would gather a
+    different value, so its freeze was premature (guidance can
+    underestimate information flow through cycles).  Thaw it; EC then
+    only skips vertices with quiescent inputs and results match the
+    reference.
+
+    The edges in question run from ``changed`` to the frozen set, and
+    either end finds them: expand whichever side has fewer edges to
+    look through — an exact count on both sides, Gemini's push/pull
+    choice applied to the thaw.
+    """
+    frozen = np.nonzero(tracker.ec_mask)[0]
+    if changed.size == 0 or frozen.size == 0:
+        return 0
+    frozen_edges = dispatch.in_degrees[frozen].sum()
+    if frozen_edges < dispatch.out_degrees[changed].sum():
+        return _thaw_from_frozen(tracker, dispatch, frozen, changed_mask)
+    return _thaw_from_changed(tracker, dispatch, changed)
+
+
+def _thaw_from_changed(
+    tracker: StabilityTracker, dispatch, changed: np.ndarray
+) -> int:
+    """Push side: thaw the frozen out-neighbours of ``changed``."""
+    return tracker.thaw(dispatch.expand_out_dsts(changed))
+
+
+def _thaw_from_frozen(
+    tracker: StabilityTracker,
+    dispatch,
+    frozen: np.ndarray,
+    changed_mask: np.ndarray,
+) -> int:
+    """Pull side: thaw the ``frozen`` vertices with a changed in-neighbour."""
+    moved = changed_mask[dispatch.expand_in_srcs(frozen)]
+    return tracker.thaw(np.repeat(frozen, dispatch.in_degrees[frozen])[moved])
 
 
 def _arith_guidance_roots(run_graph: Graph) -> np.ndarray:

@@ -430,6 +430,18 @@ def pull_apply_block(
     return int(srcs.size)
 
 
+def expand_row_dsts(
+    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray, base: int = 0
+) -> np.ndarray:
+    """The neighbour ids of rows ``ids`` alone — the ``dsts`` of
+    ``expand_sources(ids)`` with no ``srcs`` built and no weights
+    gathered — over raw arrays (``base`` as in
+    :func:`repro.graph.csr.expand_rows`): what the terms gather and every
+    backend's ``expand_out_dsts``/``expand_in_srcs`` serve from whatever
+    adjacency they have resident."""
+    return indices[expand_rows(indptr, ids, base)[1]]
+
+
 def gather_block(
     app,
     in_csr,
@@ -437,25 +449,41 @@ def gather_block(
     values: np.ndarray,
     ids: np.ndarray,
     result: np.ndarray,
+    terms: Optional[np.ndarray] = None,
 ) -> int:
     """Arithmetic gather over one block: per-destination contribution sums.
+
+    ``terms`` is ``app.source_terms(values)``, computed once per phase by
+    the phase's owner.  Given, the block reads only what the app reads —
+    the in-neighbour ids and one term per edge; no per-edge ``rows``, no
+    weights gather.  ``None`` takes the general contract,
+    ``app.edge_contributions`` over the expanded edges.  The per-edge
+    floats and the ``reduceat`` segments are the same either way.
 
     ``result`` must be pre-zeroed by the caller; ids with no in-edges
     are left untouched (``reduceat`` over the non-empty blocks only).
     Returns the number of edges gathered.
     """
-    rows, srcs, weights = in_csr.expand_sources(ids)
-    if srcs.size:
+    if terms is None:
+        rows, srcs, weights = in_csr.expand_sources(ids)
+        if srcs.size == 0:
+            return 0
         contributions = app.edge_contributions(values, srcs, rows, weights)
-        target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
-        nonempty = counts > 0
-        if nonempty.all():
-            result[target] = np.add.reduceat(contributions, boundaries)
-        else:
-            result[ids[nonempty]] = np.add.reduceat(
-                contributions, boundaries[nonempty]
-            )
-    return int(srcs.size)
+    else:
+        contributions = terms[
+            expand_row_dsts(in_csr.indptr, in_csr.indices, ids, in_csr.base)
+        ]
+        if contributions.size == 0:
+            return 0
+    target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
+    nonempty = counts > 0
+    if nonempty.all():
+        result[target] = np.add.reduceat(contributions, boundaries)
+    else:
+        result[ids[nonempty]] = np.add.reduceat(
+            contributions, boundaries[nonempty]
+        )
+    return int(contributions.size)
 
 
 def push_block(
@@ -481,16 +509,6 @@ def push_block(
     edge_dsts[base:end] = dsts
     edge_cands[base:end] = candidates
     return int(dsts.size)
-
-
-def expand_row_dsts(
-    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray, base: int = 0
-) -> np.ndarray:
-    """The ``dsts`` of ``expand_sources(ids)`` alone — no ``srcs`` built,
-    no weights gathered — over raw arrays (``base`` as in
-    :func:`repro.graph.csr.expand_rows`): what every backend's
-    ``expand_out_dsts`` serves from whatever adjacency it has resident."""
-    return indices[expand_rows(indptr, ids, base)[1]]
 
 
 class SerialDispatch:
@@ -564,7 +582,7 @@ class SerialDispatch:
         t0 = time.perf_counter_ns()
         edges = gather_block(
             self._app, self._in_csr, self._in_deg, self.values, ids,
-            self.result,
+            self.result, self._app.source_terms(self.values),
         )
         self._telemetry_phase(
             PHASE_GATHER, ids.size, edges, time.perf_counter_ns() - t0
@@ -591,6 +609,12 @@ class SerialDispatch:
         expansion) — the one remaining engine-side edge access, routed
         through the dispatch so out-of-core backends can stream it."""
         return expand_row_dsts(self._out_csr.indptr, self._out_csr.indices, ids)
+
+    def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
+        """Concatenated in-neighbours of ``ids`` — the pull side of the
+        EC thaw, for when the frozen set has fewer in-edges than the
+        changed set has out-edges."""
+        return expand_row_dsts(self._in_csr.indptr, self._in_csr.indices, ids)
 
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:

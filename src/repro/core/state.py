@@ -56,6 +56,10 @@ class StabilityTracker:
         self.stable_count = np.zeros(n, dtype=np.int64)
         self.stable_value = np.full(n, np.nan)
         self._ec = np.zeros(n, dtype=bool)
+        #: Bumped whenever the EC set changes (freeze, thaw, restore):
+        #: callers caching anything derived from the set — the engine's
+        #: live task list and per-node op counts — re-derive only then.
+        self.ec_version = 0
 
     # ------------------------------------------------------------------
     @property
@@ -89,7 +93,10 @@ class StabilityTracker:
         self.stable_count[stable_live] += 1
         self.stable_count[changed_live] = 0
         self.stable_value[live] = values[live]
-        self._ec |= live & (self.stable_count >= self.threshold)
+        newly_ec = live & (self.stable_count >= self.threshold)
+        if newly_ec.any():
+            self._ec |= newly_ec
+            self.ec_version += 1
         return changed_live
 
     def thaw(self, vertices: np.ndarray) -> int:
@@ -100,19 +107,28 @@ class StabilityTracker:
         guidance can underestimate how long information keeps arriving,
         so a frozen vertex may still have in-neighbours whose values
         move.  The engine calls this with the out-neighbours of every
-        changed vertex: any frozen vertex whose input just moved is put
+        changed vertex (or, expanding from the cheaper side, with the
+        frozen vertices that have a changed in-neighbour — the same
+        set): any frozen vertex whose input just moved is put
         back into computation with its stability count reset, which
         makes "finish early" an optimisation (skip vertices with
         provably quiescent inputs) instead of an approximation.
+        ``vertices`` may repeat and need not be sorted.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return 0
-        frozen = np.unique(vertices[self._ec[vertices]])
+        # A scatter into a mask dedupes and sorts in O(n) where
+        # np.unique would sort the (often |E|-sized) expanded list.
+        hit = np.zeros(self._ec.size, dtype=bool)
+        hit[vertices] = True
+        hit &= self._ec
+        frozen = np.nonzero(hit)[0]
         if frozen.size == 0:
             return 0
         self._ec[frozen] = False
         self.stable_count[frozen] = 0
+        self.ec_version += 1
         return int(frozen.size)
 
     # ------------------------------------------------------------------
@@ -134,6 +150,7 @@ class StabilityTracker:
         self.stable_count[:] = stable_count
         self.stable_value[:] = stable_value
         self._ec[:] = ec
+        self.ec_version += 1
 
     def __repr__(self) -> str:
         return "StabilityTracker(ec=%d / %d)" % (self.num_ec, self._ec.size)

@@ -82,6 +82,10 @@ class CSR:
 
     __slots__ = ("indptr", "indices", "weights")
 
+    #: Global edge index of ``indices[0]`` (the ``base`` of
+    #: :func:`expand_rows`): 0 for a whole CSR, a shard carries its own.
+    base = 0
+
     def __init__(
         self,
         indptr: np.ndarray,

@@ -618,11 +618,13 @@ class ShardStreamDispatch:
         self.result[...] = 0.0
         t0 = time.perf_counter_ns()
         edges = 0
+        # Once per phase, not per shard.
+        terms = self._app.source_terms(self.values)
         for part, group in self._groups("in", ids):
             shard = self._stream.get("in", part)
             edges += gather_block(
                 self._app, shard, self.in_degrees, self.values, group,
-                self.result,
+                self.result, terms,
             )
         self._telemetry_phase(
             PHASE_GATHER, ids.size, edges, time.perf_counter_ns() - t0
@@ -659,19 +661,30 @@ class ShardStreamDispatch:
         self._emit_shard_io("push", "out")
         return dsts, candidates, self.out_degrees[ids], []
 
-    def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated out-neighbours of ``ids``, streamed from the
-        out-shards (frontier touch sets and EC thaw expansion)."""
+    def _expand_neighbors(self, direction: str, ids: np.ndarray) -> np.ndarray:
+        """Concatenated ``direction``-neighbours of the sorted ``ids``,
+        streamed from the shards that hold them."""
         parts = []
-        for part, group in self._groups("out", ids):
-            shard = self._stream.get("out", part)
+        for part, group in self._groups(direction, ids):
+            shard = self._stream.get(direction, part)
             parts.append(expand_row_dsts(
                 shard.indptr, shard.indices, group, shard.base
             ))
-        self._emit_shard_io("expand", "out")
+        self._emit_shard_io("expand", direction)
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
+
+    def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
+        """Concatenated out-neighbours of ``ids``, streamed from the
+        out-shards (frontier touch sets and push-side EC thaw)."""
+        return self._expand_neighbors("out", ids)
+
+    def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
+        """Concatenated in-neighbours of ``ids``, streamed from the
+        in-shards (pull-side EC thaw): only the shards holding a frozen
+        vertex are read."""
+        return self._expand_neighbors("in", ids)
 
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:

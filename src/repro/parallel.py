@@ -659,6 +659,13 @@ class ParallelExecutor:
             self._csr_views["out_indptr"], self._csr_views["out_indices"], ids
         )
 
+    def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
+        """Concatenated in-neighbours of ``ids`` (pull-side EC thaw),
+        from the same shared CSR views."""
+        return expand_row_dsts(
+            self._csr_views["in_indptr"], self._csr_views["in_indices"], ids
+        )
+
     # ------------------------------------------------------------------
     # superstep clock + trace plumbing
     # ------------------------------------------------------------------
@@ -1107,6 +1114,7 @@ class ParallelExecutor:
                     self.values,
                     ids,
                     self.result,
+                    self._app.source_terms(self.values),
                 )
             elif phase_id == PHASE_PUSH:
                 edges = push_block(
@@ -1376,6 +1384,13 @@ def _worker_main(
             blocks = steals = tasks = edges = 0
             telemetry_begin(tel_row, epoch, phase)
             t0 = time.perf_counter()
+            # Once per phase, not per block: ``values`` is this phase's
+            # read-only snapshot, so every block reads the same terms.
+            terms = (
+                app.source_terms(values)
+                if phase == PHASE_GATHER and num_blocks
+                else None
+            )
             while True:
                 with counter.get_lock():
                     chunk = counter.value
@@ -1399,7 +1414,7 @@ def _worker_main(
                     )
                 elif phase == PHASE_GATHER:
                     block_edges = gather_block(
-                        app, in_csr, in_deg, values, ids, result
+                        app, in_csr, in_deg, values, ids, result, terms
                     )
                 elif phase == PHASE_PUSH:
                     block_edges = push_block(

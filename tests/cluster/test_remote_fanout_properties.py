@@ -1,0 +1,83 @@
+"""The O(|E|) scatter behind ``SimulatedCluster.remote_fanout`` equals the
+``np.unique``-over-pairs formulation it replaced (kept here as the
+oracle): same array, same dtype, for any graph, any ownership, any
+node count — at construction, after ``migrate`` and after ``fail_node``.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.cluster.cluster import SimulatedCluster
+from repro.cluster.config import ClusterConfig
+from repro.graph.graph import Graph
+from repro.partition.base import VertexPartition
+
+
+def unique_pairs_fanout(graph: Graph, owner: np.ndarray, num_nodes: int):
+    """remote_fanout as the parent commit computed it: sort the distinct
+    ``(src, owner[dst])`` pairs, drop the local ones, count per source."""
+    n = graph.num_vertices
+    srcs, dsts, _ = graph.edge_arrays()
+    if num_nodes == 1 or srcs.size == 0:
+        return np.zeros(n, dtype=np.int64)
+    unique_pairs = np.unique(srcs * num_nodes + owner[dsts])
+    pair_src = unique_pairs // num_nodes
+    remote = unique_pairs % num_nodes != owner[pair_src]
+    return np.bincount(pair_src[remote], minlength=n).astype(np.int64)
+
+
+def _assert_fanout(cluster: SimulatedCluster) -> None:
+    expected = unique_pairs_fanout(
+        cluster.graph, cluster.owner, cluster.num_nodes
+    )
+    assert cluster.remote_fanout.dtype == expected.dtype
+    assert cluster.remote_fanout.tobytes() == expected.tobytes()
+
+
+@st.composite
+def clusters(draw):
+    n = draw(st.integers(0, 24))
+    m = draw(st.integers(0, 90)) if n else 0
+    endpoint = st.integers(0, max(n - 1, 0))
+    # Self-loops and duplicate edges included.
+    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
+    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
+    graph = Graph.from_edges(
+        n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
+    )
+    # 1 and 2 nodes, the benchmark's 8, and one node per vertex.
+    num_nodes = draw(st.sampled_from(sorted({1, 2, 8, max(n, 1)})))
+    owner = draw(st.lists(st.integers(0, num_nodes - 1),
+                          min_size=n, max_size=n))
+    partition = VertexPartition(np.asarray(owner, dtype=np.int64), num_nodes)
+    return SimulatedCluster(
+        graph, partition, ClusterConfig(num_nodes=num_nodes)
+    )
+
+
+@given(clusters())
+def test_scatter_fanout_equals_unique_pairs(cluster):
+    _assert_fanout(cluster)
+
+
+@given(clusters(), st.data())
+def test_fanout_after_migrate_and_node_failure(cluster, data):
+    n, nodes = cluster.graph.num_vertices, cluster.num_nodes
+    moved = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                               max_size=n))
+    cluster.migrate(np.asarray(moved, dtype=np.int64),
+                    data.draw(st.integers(0, nodes - 1)))
+    _assert_fanout(cluster)
+    if nodes > 1:
+        cluster.fail_node(data.draw(st.integers(0, nodes - 1)))
+        _assert_fanout(cluster)
+
+
+def test_fanout_counts_each_remote_node_once():
+    # 0 -> {1, 2, 2, 3, 0}: nodes B, C, C, C and itself (A).
+    edges = np.array([[0, 1], [0, 2], [0, 2], [0, 3], [0, 0]], dtype=np.int64)
+    graph = Graph.from_edges(4, edges)
+    partition = VertexPartition(np.array([0, 1, 2, 2], dtype=np.int64), 3)
+    cluster = SimulatedCluster(graph, partition, ClusterConfig(num_nodes=3))
+    assert cluster.remote_fanout.tolist() == [2, 0, 0, 0]

@@ -153,7 +153,9 @@ class TestShardStore:
             digest, "in", 0, bytes(blob), manifest["shards"][0]
         )
         spilled = load_spilled(store, digest)
-        with ShardStreamDispatch(spilled, workloads.make_app("PR")) as d:
+        app = workloads.make_app("PR")
+        app.bind(spilled)  # dispatches take a bound app
+        with ShardStreamDispatch(spilled, app) as d:
             ids = np.arange(spilled.num_vertices, dtype=np.int64)
             with pytest.raises(StoreError):
                 d.gather(ids)
@@ -395,6 +397,8 @@ class TestExpandRowDsts:
 
     def test_unsorted_ids_rejected_by_dispatch(self, tiny_shards):
         graph = make_random_graph(num_vertices=40, num_edges=200, seed=14)
-        with ShardStreamDispatch(graph, workloads.make_app("PR")) as d:
+        app = workloads.make_app("PR")
+        app.bind(graph)  # dispatches take a bound app
+        with ShardStreamDispatch(graph, app) as d:
             with pytest.raises(EngineError, match="ascending"):
                 d.gather(np.array([5, 2], dtype=np.int64))
