@@ -1,25 +1,76 @@
-"""Fine-grained update accounting.
+"""The push reduce: aggregate, apply and count one batch of candidates.
 
 Real push-mode engines write destinations with per-edge atomic
 compare-and-swap loops (the paper's Algorithm 4 push:
 ``if newDist < dist[vdst]: dist[vdst] = newDist`` executed per edge), so
 one superstep can write the same destination several times as improving
 candidates stream in.  Table 2's "updates per vertex" counts those
-writes.  :func:`segmented_improvements` reproduces that count from the
-vectorised engine's edge arrays: for each destination's candidate
-sequence (in edge order), a candidate counts as a write when it improves
-on both the incumbent value and every earlier candidate in the sequence.
+writes: a candidate is a write when it improves on both the incumbent
+value and every earlier candidate for the same destination, in edge
+order.
+
+:func:`segmented_improvements` derives that count, the exact min/max
+per destination and the set of destinations it improves from **one**
+destination sort of the batch, so a push superstep costs what its
+frontier's out-edges cost — nothing in here is sized by |V|.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 __all__ = ["segmented_improvements"]
 
-# Stand-in for infinity inside the segmented-offset transform (the trick
-# below needs finite arithmetic).
-_HUGE = 1e300
+# Position sweeps before the still-undecided segments are handed to the
+# cumulative-min pass: a sweep costs a handful of numpy calls whatever
+# it retires, so a hub's long tail must not be walked one position at a
+# time.
+_SWEEP_ROUNDS = 8
+
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_EMPTY_VALUES = np.empty(0, dtype=np.float64)
+
+
+def _sort_by_destination(
+    dsts: np.ndarray, num_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted_dsts)`` of a stable destination sort.
+
+    Packing ``(dst, position)`` into one int64 turns the stable argsort
+    into a plain value sort (an order of magnitude cheaper at frontier
+    sizes); the key needs ``bits(|V|) + bits(m)`` bits, and a batch too
+    large for that takes the argsort it replaces.
+    """
+    m = dsts.size
+    shift = m.bit_length()
+    if int(num_vertices).bit_length() + shift > 62:
+        order = np.argsort(dsts, kind="stable")
+        return order, dsts[order]
+    keys = (dsts << shift) | np.arange(m, dtype=np.int64)
+    keys.sort()
+    return keys & ((1 << shift) - 1), keys >> shift
+
+
+def _tail_records(
+    tail: np.ndarray, segment: np.ndarray, bound: np.ndarray
+) -> int:
+    """Strict prefix minima of each segment's ``tail`` lying below its
+    ``bound``, for contiguous segments numbered by ``segment``.
+
+    Only the order of the values matters, so they are replaced by exact
+    integer rank codes; offsetting segment ``r`` by ``-r * spread`` puts
+    every later segment strictly below every earlier one, so one global
+    cumulative min is each segment's own running minimum — and each
+    segment's first element is a record without special-casing.
+    """
+    codes = np.unique(tail, return_inverse=True)[1].astype(np.int64)
+    shifted = codes - segment * (np.int64(codes.max()) + 2)
+    running = np.minimum.accumulate(shifted)
+    record = np.ones(tail.size, dtype=bool)
+    record[1:] = shifted[1:] < running[:-1]
+    return int(np.count_nonzero(record & (tail < bound[segment])))
 
 
 def segmented_improvements(
@@ -27,64 +78,89 @@ def segmented_improvements(
     candidates: np.ndarray,
     incumbents: np.ndarray,
     aggregation: str = "min",
-) -> int:
-    """Count sequential improving writes across all destinations.
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Reduce one push batch against the current values.
 
     Parameters
     ----------
     dsts:
-        Destination vertex per candidate (any order; a stable sort groups
-        them while preserving per-destination edge order).
+        Destination vertex per candidate, in edge order (any vertex
+        order; the sort is stable, so each destination keeps its
+        candidates in edge order).
     candidates:
         Proposed values, aligned with ``dsts``.
     incumbents:
-        Full per-vertex current values (indexed by ``dsts``).
+        Full per-vertex current values; only ``incumbents[dsts]`` is
+        read.
     aggregation:
         "min" (improve = strictly less) or "max".
 
-    Notes
-    -----
-    Vectorised via a segmented cumulative-min: with segments laid out
-    contiguously and values offset by ``rank * B`` for ``B`` larger than
-    the value range, a global cumulative min never leaks across segment
-    boundaries, so one ``np.minimum.accumulate`` yields every segment's
-    running minimum.
+    Returns
+    -------
+    ``(update_count, changed, new_values)``: the number of sequential
+    improving (CAS) writes the batch performs, the destinations whose
+    value it improves (ascending, unique), and the exact min/max it
+    leaves on each — ``incumbents[changed] = new_values`` is the whole
+    apply phase.
     """
-    if dsts.size == 0:
-        return 0
-    values = np.asarray(candidates, dtype=np.float64)
-    if aggregation == "max":
-        values = -values
-        incumbent_at = -np.asarray(incumbents, dtype=np.float64)[dsts]
+    m = dsts.size
+    if m == 0:
+        return 0, _EMPTY_IDS, _EMPTY_VALUES
+    if aggregation == "min":
+        reduce_at, beats = np.minimum.reduceat, np.less
     else:
-        incumbent_at = np.asarray(incumbents, dtype=np.float64)[dsts]
-    values = np.clip(values, -_HUGE, _HUGE)
-    incumbent_at = np.clip(incumbent_at, -_HUGE, _HUGE)
+        reduce_at, beats = np.maximum.reduceat, np.greater
+    order, sorted_dsts = _sort_by_destination(
+        np.asarray(dsts, dtype=np.int64), incumbents.size
+    )
+    sorted_cands = np.asarray(candidates, dtype=np.float64)[order]
+    is_start = np.ones(m, dtype=bool)
+    np.not_equal(sorted_dsts[1:], sorted_dsts[:-1], out=is_start[1:])
+    starts = is_start.nonzero()[0]
+    targets = sorted_dsts[starts]
+    distinct = starts.size == m
+    best = sorted_cands if distinct else reduce_at(sorted_cands, starts)
+    incumbent = incumbents[targets]
+    live = beats(best, incumbent).nonzero()[0]
+    changed = targets[live]
+    new_values = best[live]
+    if distinct:
+        # Every destination is written at most once.
+        return changed.size, changed, new_values
 
-    order = np.argsort(dsts, kind="stable")
-    seg_dst = dsts[order]
-    seg_val = values[order]
-    seg_inc = incumbent_at[order]
+    # CAS writes.  A segment that does not improve its incumbent writes
+    # nothing.  Walk the others one position at a time against a running
+    # best: a candidate that beats it is a write, and a segment retires
+    # once the running best reaches its final value (nothing later can
+    # beat that) or it runs out of candidates.
+    position = starts[live]
+    stop = np.concatenate((starts[1:], (m,)))[live]
+    final = new_values
+    running = incumbent[live]
+    update_count = 0
+    for _ in range(_SWEEP_ROUNDS):
+        here = sorted_cands[position]
+        wins = beats(here, running)
+        update_count += int(np.count_nonzero(wins))
+        running = np.where(wins, here, running)
+        position = position + 1
+        undecided = ((running != final) & (position < stop)).nonzero()[0]
+        if undecided.size == 0:
+            return update_count, changed, new_values
+        position, stop = position[undecided], stop[undecided]
+        running, final = running[undecided], final[undecided]
 
-    is_start = np.ones(seg_dst.size, dtype=bool)
-    is_start[1:] = seg_dst[1:] != seg_dst[:-1]
-    rank = np.cumsum(is_start) - 1
-
-    # Only the *order* of candidates matters for counting improving
-    # writes, so replace values by exact integer rank codes (equal
-    # values share a code) and run the segmented cumulative-min in
-    # int64 — immune to float cancellation between tiny values and
-    # large segment offsets.
-    codes = np.unique(seg_val, return_inverse=True)[1].astype(np.int64)
-    spread = np.int64(codes.max()) + 2
-    shifted = codes - rank * spread
-    running = np.minimum.accumulate(shifted)
-    # Beats-every-earlier-candidate test: within a segment both sides
-    # carry the same rank offset, so the comparison is exact.  Segment
-    # starts have no predecessor and pass vacuously.
-    beats_prefix = np.ones(seg_val.size, dtype=bool)
-    beats_prefix[1:] = shifted[1:] < running[:-1]
-    beats_prefix[is_start] = True
-
-    improves = beats_prefix & (seg_val < seg_inc)
-    return int(np.count_nonzero(improves))
+    # Long residual segments (a hub): one cumulative-min pass over what
+    # is left of them.  A remaining candidate is a write iff it beats
+    # the running best so far (hence the incumbent and every swept
+    # candidate) and every earlier remaining candidate.
+    lengths = stop - position
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    tail = sorted_cands[
+        np.arange(segment.size) + (position - offsets)[segment]
+    ]
+    if aggregation == "max":
+        tail, running = -tail, -running
+    update_count += _tail_records(tail, segment, running)
+    return update_count, changed, new_values

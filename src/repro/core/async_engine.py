@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.apps.base import ArithmeticApplication, MinMaxApplication
 from repro.cluster.metrics import ASYNC
+from repro.core.accounting import segmented_improvements
 from repro.core.engine import RunResult, SLFEEngine
 from repro.core.frontier import PendingSet
 from repro.core.policy import ExecutionPolicy
@@ -296,20 +297,16 @@ class AsyncPolicy(ExecutionPolicy):
                         ).astype(np.int64)
                     )
             if dsts.size:
-                agg = np.full(n, app.identity)
-                if app.aggregation == "min":
-                    np.minimum.at(agg, dsts, candidates)
-                else:
-                    np.maximum.at(agg, dsts, candidates)
+                _, changed, new_values = segmented_improvements(
+                    dsts, candidates, values, app.aggregation
+                )
                 with rec.phase("apply"):
-                    improved = app.better(agg, values)
-                    changed = np.nonzero(improved)[0]
                     if changed.size:
                         # Priority of a fresh improvement = how far the
                         # value moved (first touches move from the
                         # identity: infinite priority).
-                        magnitude = np.abs(values[changed] - agg[changed])
-                        values[changed] = agg[changed]
+                        magnitude = np.abs(values[changed] - new_values)
+                        values[changed] = new_values
                         pending.accumulate(changed, magnitude)
             with rec.phase("sync"):
                 msg_count, msg_bytes = cluster.messages_for_changed(changed)

@@ -473,6 +473,8 @@ class SLFEEngine:
         # backend they are derived from the resident indptr arrays and
         # the engine never touches an edge array directly.
         in_deg = dispatch.in_degrees
+        out_deg = dispatch.out_degrees
+        num_edges = run_graph.num_edges
         owner = cluster.owner
         has_in = in_deg > 0
         # "Start late" bookkeeping: a delayed destination performs one
@@ -489,6 +491,13 @@ class SLFEEngine:
         else:
             started = np.ones(n, dtype=bool)
             missed = None
+        # Counts of the two masks, moved where the masks move (pull
+        # supersteps, a full push, a rollback) so that no superstep
+        # scans |V| to learn them.  ``debt`` is the number of skipped
+        # destinations owing a catch-up pull: |missed & ~started|, and
+        # ``missed`` only ever holds unstarted vertices.
+        debt = 0
+        pending = n - int(np.count_nonzero(started))
 
         cap = max_iterations or self._default_iteration_cap(run_graph)
         per_vertex_ops: Optional[List] = (
@@ -498,10 +507,6 @@ class SLFEEngine:
         entered_pull = False
         iteration = 0
         injector, store = self._fault_setup(cluster, metrics)
-
-        def _has_debt() -> bool:
-            """True while some skipped destination owes a catch-up pull."""
-            return missed is not None and bool(np.any(missed & ~started))
 
         def _snapshot() -> None:
             arrays = {
@@ -532,14 +537,16 @@ class SLFEEngine:
             to, so replayed supersteps still reproduce the fault-free
             results bit for bit).
             """
-            nonlocal iteration, last_mode, entered_pull
+            nonlocal iteration, last_mode, entered_pull, debt, pending
             checkpoint = store.restore()
             arrays = checkpoint.restore_arrays()
             values[:] = arrays["values"]
             frontier.replace_with(np.flatnonzero(arrays["frontier"]))
             started[:] = arrays["started"]
+            pending = n - int(np.count_nonzero(started))
             if missed is not None:
                 missed[:] = arrays["missed"]
+                debt = int(np.count_nonzero(missed))
             iteration = checkpoint.scalars["iteration"]
             last_mode = checkpoint.scalars["last_mode"]
             entered_pull = checkpoint.scalars["entered_pull"]
@@ -550,7 +557,7 @@ class SLFEEngine:
 
         # The loop runs until no vertex is active AND every delayed
         # vertex that was passed by an update has had its catch-up pull.
-        while frontier or _has_debt():
+        while frontier or debt:
             iteration += 1
             if iteration > cap:
                 raise ConvergenceError(
@@ -567,10 +574,12 @@ class SLFEEngine:
                     )
                     continue
             ruler = iteration
-            mode = choose_mode(run_graph, frontier, self.dense_denominator)
+            mode = choose_mode(
+                frontier, out_deg, num_edges, self.dense_denominator
+            )
             if not frontier:
                 mode = PULL  # only delayed first pulls remain
-            if last_iter is not None and entered_pull and _has_debt():
+            if entered_pull and debt:
                 # RR-aware direction policy (the paper's Section 3.3
                 # phase structure: push kicks off execution, pull does
                 # the dense bulk, push finishes the tail).  The initial
@@ -584,7 +593,7 @@ class SLFEEngine:
                 mode = PULL
             if mode == PULL:
                 entered_pull = True
-            if mode == PUSH and last_mode == PULL and _has_debt():
+            if mode == PUSH and last_mode == PULL and debt:
                 # Algorithm 3 lines 2-4: while any destination is still
                 # delayed, a switch to push must re-deliver every value
                 # once, or updates hidden from skipped pulls are lost.
@@ -621,10 +630,12 @@ class SLFEEngine:
                     processed = (touched & started & has_in) | catch_ups
                     caught_up = int(np.count_nonzero(catch_ups))
                     started |= newly
+                    pending -= int(np.count_nonzero(newly))
                     missed[newly] = False
                     # Updates passing delayed destinations this superstep
                     # are owed a catch-up gather at their start level.
                     missed |= touched & ~started
+                    debt = int(np.count_nonzero(missed))
                 else:
                     processed = touched & has_in
                 proc_ids = np.nonzero(processed)[0]
@@ -666,29 +677,20 @@ class SLFEEngine:
                     np.empty(0, dtype=np.int64),
                 )
                 # Push applies per edge (atomic CAS semantics), which is
-                # order-sensitive, so the parent keeps the apply; the
+                # order-sensitive, so the parent keeps the reduce; the
                 # dispatch only expands candidates, at serial offsets.
-                agg = np.full(n, app.identity)
                 with rec.phase("scatter"):
                     dsts, candidates, out_counts, stats = dispatch.push(
                         frontier.ids
                     )
                     self._emit_dispatch(dispatch, stats, "push")
                     if dsts.size:
-                        edge_owners = np.bincount(
-                            owner[frontier.ids],
-                            weights=out_counts,
-                            minlength=cluster.num_nodes,
-                        ).astype(np.int64)
-                        if app.aggregation == "min":
-                            np.minimum.at(agg, dsts, candidates)
-                        else:
-                            np.maximum.at(agg, dsts, candidates)
-                        metrics.add_edge_ops(edge_owners)
-                        # Push writes destinations per edge (atomic CAS
-                        # semantics) — Table 2's redundancy signal.
-                        update_count = segmented_improvements(
-                            dsts, candidates, values, app.aggregation
+                        metrics.add_edge_ops(
+                            np.bincount(
+                                owner[frontier.ids],
+                                weights=out_counts,
+                                minlength=cluster.num_nodes,
+                            ).astype(np.int64)
                         )
                         if per_vertex_ops is not None or self.rebalancer is not None:
                             # frontier.ids is sorted and unique, so the
@@ -700,17 +702,22 @@ class SLFEEngine:
                                 frontier.ids[keep],
                                 out_counts[keep].astype(np.int64),
                             )
+                    # One destination sort yields the exact min/max per
+                    # destination, the destinations it improves and the
+                    # per-edge CAS writes — Table 2's redundancy signal.
+                    update_count, changed, new_values = segmented_improvements(
+                        dsts, candidates, values, app.aggregation
+                    )
                 if per_vertex_ops is not None:
                     per_vertex_ops.append(step_ops)
                 with rec.phase("apply"):
-                    improved = app.better(agg, values)
-                    changed = np.nonzero(improved)[0]
-                    values[changed] = agg[changed]
+                    values[changed] = new_values
                 skipped = 0
                 if frontier.count == n and missed is not None:
                     # A full (transition) push delivered every value to
                     # every successor: all catch-up debts are settled.
                     missed[:] = False
+                    debt = 0
 
             if rec.enabled:
                 # "Start late" visibility: both events are emitted every
@@ -724,35 +731,24 @@ class SLFEEngine:
                 # off, and the work happens only on traced runs.
                 skip_payload = {
                     "skipped": int(skipped),
-                    "debts": (
-                        int(np.count_nonzero(missed & ~started))
-                        if missed is not None
-                        else 0
-                    ),
+                    "debts": debt,
                     "ruler": int(ruler),
                     "max_last_iter": int(max_last_iter),
                     "skipped_edge_ops": 0,
+                    "pending": pending,
                 }
-                if last_iter is not None:
-                    skip_payload["pending"] = int(np.count_nonzero(~started))
-                    if mode == PULL and skipped:
-                        skipped_ids = np.nonzero(
-                            touched & ~started & has_in
-                        )[0]
-                        skipped_ops = in_deg[skipped_ids].astype(np.int64)
-                        skip_payload["skipped_edge_ops"] = int(
-                            skipped_ops.sum()
-                        )
-                        buckets = bucket_by_last_iter(
-                            last_iter[skipped_ids], weights=skipped_ops
-                        )
-                        skip_payload["last_iter_buckets"] = {
-                            label: int(total)
-                            for label, total in zip(bucket_labels(), buckets)
-                            if total
-                        }
-                else:
-                    skip_payload["pending"] = 0
+                if mode == PULL and skipped:
+                    skipped_ids = np.nonzero(touched & ~started & has_in)[0]
+                    skipped_ops = in_deg[skipped_ids].astype(np.int64)
+                    skip_payload["skipped_edge_ops"] = int(skipped_ops.sum())
+                    buckets = bucket_by_last_iter(
+                        last_iter[skipped_ids], weights=skipped_ops
+                    )
+                    skip_payload["last_iter_buckets"] = {
+                        label: int(total)
+                        for label, total in zip(bucket_labels(), buckets)
+                        if total
+                    }
                 rec.emit(trace_events.RR_SKIP, **skip_payload)
                 rec.emit(trace_events.CATCH_UP, started=caught_up)
             with rec.phase("sync"):

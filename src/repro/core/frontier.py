@@ -13,8 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.graph import Graph
-
 __all__ = [
     "Frontier",
     "PendingSet",
@@ -30,52 +28,47 @@ PULL = "pull"
 #: Gemini's dense/sparse threshold: pull when active out-edges > |E| / 20.
 DEFAULT_DENSE_DENOMINATOR = 20
 
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+
 
 class Frontier:
-    """A set of active vertices with O(1) emptiness and count checks.
+    """A set of active vertices, held as its ascending id list.
 
-    Internally a boolean mask; vertex-id views are materialised lazily
-    (engines mostly need the ids of small frontiers and the mask of large
-    ones, so both are first-class).
+    The ids (and so the count) are what a sparse superstep works from,
+    so they are the only state: :meth:`replace_with` adopts the list it
+    is handed, and a push superstep's frontier upkeep is proportional
+    to the frontier, not to |V|.  The boolean :attr:`mask` (what a
+    checkpoint stores) is built from the ids on demand.
     """
 
     def __init__(self, num_vertices: int, active: Optional[np.ndarray] = None) -> None:
-        self.mask = np.zeros(num_vertices, dtype=bool)
+        self.num_vertices = int(num_vertices)
+        self.ids = _EMPTY_IDS
         if active is not None:
-            self.mask[np.asarray(active, dtype=np.int64)] = True
-        self._ids: Optional[np.ndarray] = None
-        self._count: Optional[int] = None
+            self.replace_with(active)
 
     # ------------------------------------------------------------------
     @classmethod
     def all_vertices(cls, num_vertices: int) -> "Frontier":
         frontier = cls(num_vertices)
-        frontier.mask[:] = True
-        frontier._invalidate()
+        frontier.activate_all()
         return frontier
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "Frontier":
-        frontier = cls(mask.size)
-        frontier.mask = mask.astype(bool, copy=True)
-        return frontier
+        return cls(mask.size, np.flatnonzero(mask))
 
     # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        self._ids = None
-        self._count = None
-
     @property
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            self._ids = np.nonzero(self.mask)[0]
-        return self._ids
+    def mask(self) -> np.ndarray:
+        """A fresh boolean membership array."""
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[self.ids] = True
+        return mask
 
     @property
     def count(self) -> int:
-        if self._count is None:
-            self._count = int(self.mask.sum())
-        return self._count
+        return self.ids.size
 
     def __len__(self) -> int:
         return self.count
@@ -84,32 +77,44 @@ class Frontier:
         return self.count > 0
 
     def __contains__(self, vertex: int) -> bool:
-        return bool(self.mask[vertex])
+        at = np.searchsorted(self.ids, vertex)
+        return bool(at < self.count and self.ids[at] == vertex)
 
     # ------------------------------------------------------------------
     def activate(self, vertices: np.ndarray) -> None:
-        self.mask[np.asarray(vertices, dtype=np.int64)] = True
-        self._invalidate()
+        self.replace_with(
+            np.concatenate((self.ids, np.asarray(vertices, dtype=np.int64)))
+        )
 
     def activate_all(self) -> None:
-        self.mask[:] = True
-        self._invalidate()
+        self.ids = np.arange(self.num_vertices, dtype=np.int64)
 
     def clear(self) -> None:
-        self.mask[:] = False
-        self._invalidate()
+        self.ids = _EMPTY_IDS
 
     def replace_with(self, vertices: np.ndarray) -> None:
-        self.mask[:] = False
-        self.mask[np.asarray(vertices, dtype=np.int64)] = True
-        self._invalidate()
+        """Make ``vertices`` the active set.
 
-    def out_edge_count(self, graph: Graph) -> int:
+        A strictly ascending id array (what the engine's apply phase
+        produces) is adopted as is; anything else is sorted and
+        de-duplicated first, and ids outside the vertex range are
+        rejected.
+        """
+        ids = np.asarray(vertices, dtype=np.int64)
+        if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
+            ids = np.unique(ids)
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.num_vertices):
+            raise IndexError(
+                "frontier ids must lie in [0, %d)" % self.num_vertices
+            )
+        self.ids = ids
+
+    def out_edge_count(self, out_degrees: np.ndarray) -> int:
         """Total out-degree of the active set (the direction signal)."""
-        return int(graph.out_degrees()[self.mask].sum())
+        return int(out_degrees[self.ids].sum())
 
     def __repr__(self) -> str:
-        return "Frontier(%d / %d active)" % (self.count, self.mask.size)
+        return "Frontier(%d / %d active)" % (self.count, self.num_vertices)
 
 
 class PendingSet:
@@ -200,16 +205,20 @@ class PendingSet:
 
 
 def choose_mode(
-    graph: Graph,
     frontier: Frontier,
+    out_degrees: np.ndarray,
+    num_edges: int,
     dense_denominator: int = DEFAULT_DENSE_DENOMINATOR,
 ) -> str:
     """Pick push (sparse) or pull (dense) for the next superstep.
 
     Pull wins when the frontier's outgoing edges exceed
     ``|E| / dense_denominator``; an empty graph defaults to push.
+    ``out_degrees`` is the per-vertex out-degree array the caller keeps
+    for the run (the dispatch's), so the choice costs one gather over
+    the frontier's ids.
     """
-    if graph.num_edges == 0:
+    if num_edges == 0:
         return PUSH
-    threshold = graph.num_edges / dense_denominator
-    return PULL if frontier.out_edge_count(graph) > threshold else PUSH
+    threshold = num_edges / dense_denominator
+    return PULL if frontier.out_edge_count(out_degrees) > threshold else PUSH

@@ -142,15 +142,25 @@ class Graph:
         Used by connected-components style applications that treat the graph
         as undirected.  Parallel edges created by symmetrisation are kept;
         engines tolerate multi-edges.
+
+        E ∪ reverse(E) is its own transpose, so the view's ``in_csr`` *is*
+        its ``out_csr``: row ``v`` holds the same (neighbour, weight)
+        multiset either way, and no transpose is ever built.  Within a
+        row the in-view therefore lists sources in out-edge order, not in
+        the order ``out_csr.transpose()`` would — immaterial to an exact
+        min/max gather, but an order-sensitive (floating-point sum) pull
+        over a symmetrised graph would see its operands reordered.
         """
         srcs, dsts, w = self.edge_arrays()
         all_src = np.concatenate([srcs, dsts])
         all_dst = np.concatenate([dsts, srcs])
         all_w = np.concatenate([w, w])
-        return Graph(
+        view = Graph(
             CSR.from_edges(self.num_vertices, all_src, all_dst, all_w),
             name=self.name + "-sym" if self.name else "",
         )
+        view._in_csr = view.out_csr
+        return view
 
     def __repr__(self) -> str:
         label = self.name or "graph"

@@ -56,41 +56,45 @@ class TestFrontier:
 
     def test_out_edge_count(self, diamond):
         f = Frontier(4, active=[0, 1])
-        assert f.out_edge_count(diamond) == 3  # deg(0)=2, deg(1)=1
+        assert f.out_edge_count(diamond.out_degrees()) == 3  # deg(0)=2, deg(1)=1
 
     def test_repr(self):
         assert "2 / 5" in repr(Frontier(5, active=[0, 1]))
+
+
+def _mode(g, f, **kwargs):
+    return choose_mode(f, g.out_degrees(), g.num_edges, **kwargs)
 
 
 class TestChooseMode:
     def test_sparse_frontier_pushes(self):
         g = generators.star_graph(100)
         f = Frontier(101, active=[5])  # a leaf: no out-edges
-        assert choose_mode(g, f) == PUSH
+        assert _mode(g, f) == PUSH
 
     def test_dense_frontier_pulls(self):
         g = generators.star_graph(100)
         f = Frontier(101, active=[0])  # hub: all 100 out-edges active
-        assert choose_mode(g, f) == PULL
+        assert _mode(g, f) == PULL
 
     def test_threshold_boundary(self):
         # 20 edges; frontier with exactly |E|/20 = 1 active out-edge
         # does NOT exceed the threshold -> push.
         g = generators.path_graph(21)
         f = Frontier(21, active=[0])
-        assert choose_mode(g, f, dense_denominator=20) == PUSH
+        assert _mode(g, f, dense_denominator=20) == PUSH
         f2 = Frontier(21, active=[0, 1])
-        assert choose_mode(g, f2, dense_denominator=20) == PULL
+        assert _mode(g, f2, dense_denominator=20) == PULL
 
     def test_empty_graph_pushes(self):
         g = Graph.from_edges(3, [])
-        assert choose_mode(g, Frontier(3, active=[0])) == PUSH
+        assert _mode(g, Frontier(3, active=[0])) == PUSH
 
     def test_denominator_effect(self):
         g = generators.path_graph(100)
         f = Frontier(100, active=list(range(10)))
-        assert choose_mode(g, f, dense_denominator=20) == PULL
-        assert choose_mode(g, f, dense_denominator=5) == PUSH
+        assert _mode(g, f, dense_denominator=20) == PULL
+        assert _mode(g, f, dense_denominator=5) == PUSH
 
 
 class TestPendingSet:
