@@ -1027,7 +1027,7 @@ def _shard_workload(app_name: str, graph_key: str, scale: int,
     digest = spill_graph(graph, store, shard_mb=shard_mb,
                          spec_key=spec_key)
     manifest, _ = store.get_shard_manifest(digest, "in")
-    return digest, graph, len(manifest)
+    return digest, graph, len(manifest["shards"])
 
 
 def _cmd_cache(args) -> int:

@@ -53,9 +53,11 @@ __all__ = [
     "ShardedCSR",
 ]
 
-#: Bump when the blob layout or manifest schema changes; old shards then
-#: fail validation instead of decoding to garbage.
-SHARD_FORMAT_VERSION = 1
+#: Bump when the blob layout, the manifest schema or how the store files
+#: a part changes: the version is in every store key, so shards of
+#: another version read as a miss and are re-sharded cold.  v2: a part
+#: is the compressed blob itself (``.bin``), not an ``.npz`` around it.
+SHARD_FORMAT_VERSION = 2
 
 #: Default uncompressed shard payload target.  Small enough that the
 #: resident working set (one shard + a few cached neighbours) stays far
@@ -160,7 +162,8 @@ def decode_shard(blob: bytes, meta: Dict[str, object]) -> Tuple[np.ndarray, np.n
 
     Every failure mode — wrong length, flipped bit, truncated stream,
     raw size mismatch — is a typed :class:`StoreError` naming what
-    diverged.
+    diverged.  Both arrays are read-only views of the one decoded
+    buffer: nothing downstream writes through a shard.
     """
     expected_blob = int(meta.get("blob_bytes", -1))
     if len(blob) != expected_blob:
@@ -175,15 +178,14 @@ def decode_shard(blob: bytes, meta: Dict[str, object]) -> Tuple[np.ndarray, np.n
             % (meta.get("checksum"), digest)
         )
     edges = int(meta.get("edges", -1))
-    raw = _decompress(bytes(blob), str(meta.get("codec", "")), edges * EDGE_BYTES)
+    raw = _decompress(blob, str(meta.get("codec", "")), edges * EDGE_BYTES)
     if len(raw) != edges * EDGE_BYTES or len(raw) != int(meta.get("raw_bytes", -1)):
         raise StoreError(
             "shard decoded to %d bytes, expected %d"
             % (len(raw), edges * EDGE_BYTES)
         )
-    split = edges * 8
     indices = np.frombuffer(raw, dtype="<i8", count=edges).astype(np.int64, copy=False)
-    weights = np.frombuffer(raw[split:], dtype="<f8", count=edges).astype(np.float64, copy=False)
+    weights = np.frombuffer(raw, dtype="<f8", count=edges, offset=edges * 8).astype(np.float64, copy=False)
     return indices, weights
 
 
@@ -291,10 +293,6 @@ class ShardSlice:
         self.indices = indices
         self.weights = weights
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.indices.nbytes + self.weights.nbytes)
-
     def expand_sources(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`repro.graph.csr.CSR.expand_sources`, shard-local edges.
 
@@ -331,10 +329,6 @@ class ShardedCSR:
     @property
     def num_vertices(self) -> int:
         return self.indptr.size - 1
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.indptr[-1])
 
     @property
     def num_shards(self) -> int:

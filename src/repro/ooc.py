@@ -17,13 +17,18 @@ Bit-identity with serial is by construction, not by tolerance:
   full-CSR pass would hand it.
 * The engine's task id lists (``np.nonzero`` output, frontier ids) are
   sorted ascending; splitting a sorted list at shard row bounds with
-  ``searchsorted`` and running the fused kernels group-by-group visits
-  destinations in the same order, and push concatenation reproduces the
-  serial edge expansion order byte for byte.
+  ``searchsorted`` hands each shard the rows a full pass would.  Pull
+  and gather groups write disjoint result rows, so the order groups are
+  visited in is free; push and expansion output is concatenated by
+  ascending shard, reproducing the serial edge order byte for byte.
 
 A small LRU of decoded shards (``--shard-cache``) plus a read-ahead
-thread keep the stream from stalling on decode; every phase emits one
-``shard_io`` trace event (shards/bytes read, cache hits, read seconds,
+thread keep the stream from stalling on decode, and each phase sweeps
+its shards from whichever end the LRU still holds (serpentine: a cyclic
+sweep longer than the cache would never hit).  Every shard read from
+the store is verified by :func:`repro.graph.shards.decode_shard`; only
+a decoded shard sitting in the LRU is reused unchecked.  Every phase
+emits one ``shard_io`` trace event (shards/bytes read, cache hits, read seconds,
 peak RSS) that the metrics registry and the report's "Out-of-core I/O"
 section consume.
 
@@ -325,7 +330,8 @@ class _ShardStream:
     directions — the resident edge bytes are bounded by
     ``shard_cache × shard_mb`` regardless of phase mix.  A single
     daemon thread decodes the announced next shard while the kernels
-    chew the current one; all bookkeeping is under one lock.
+    chew the current one; all bookkeeping is under one lock.  A demand
+    for the shard that thread is decoding waits for it.
     """
 
     def __init__(
@@ -343,6 +349,8 @@ class _ShardStream:
         self.cache_hits = 0
         self.read_seconds = 0.0
         self._want: Optional[Tuple[str, int]] = None
+        # What the read-ahead thread is decoding right now.
+        self._inflight: Optional[Tuple[str, int]] = None
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
         self._thread = threading.Thread(
@@ -376,12 +384,22 @@ class _ShardStream:
         """The decoded shard, from cache or the store."""
         key = (direction, part)
         with self._lock:
+            while self._inflight == key:
+                self._wakeup.wait()
             shard = self._cache.get(key)
             if shard is not None:
                 self._cache.move_to_end(key)
                 self.cache_hits += 1
                 return shard
+            if self._want == key:
+                self._want = None  # the demand path got here first
+        # Also where a failed read-ahead resurfaces, as the typed error.
         return self._load(direction, part)
+
+    def resident(self, direction: str, part: int) -> bool:
+        """Whether the decoded shard sits in the LRU right now."""
+        with self._lock:
+            return (direction, part) in self._cache
 
     def announce(self, direction: str, part: Optional[int]) -> None:
         """Hint the next shard the phase loop will ask for."""
@@ -391,7 +409,7 @@ class _ShardStream:
             if self._closed or (direction, part) in self._cache:
                 return
             self._want = (direction, part)
-            self._wakeup.notify()
+            self._wakeup.notify_all()
 
     def _prefetch_loop(self) -> None:
         while True:
@@ -404,12 +422,17 @@ class _ShardStream:
                 self._want = None
                 if (direction, part) in self._cache:
                     continue
+                self._inflight = (direction, part)
             try:
                 self._load(direction, part)
             except Exception:
                 # Read-ahead is an optimisation; the demand path will
                 # re-raise the real (typed) error with full context.
                 pass
+            finally:
+                with self._lock:
+                    self._inflight = None
+                    self._wakeup.notify_all()
 
     def drain_counters(self) -> Tuple[int, int, int, float]:
         """Return and reset (shards, bytes, hits, seconds)."""
@@ -430,10 +453,17 @@ class _ShardStream:
         with self._lock:
             self._closed = True
             self._want = None
-            self._wakeup.notify()
+            self._wakeup.notify_all()
         self._thread.join(timeout=5.0)
         with self._lock:
             self._cache.clear()
+
+
+def _concat_by_part(pieces: Dict[int, np.ndarray], dtype) -> np.ndarray:
+    """Per-shard output joined in ascending shard (= row) order."""
+    if not pieces:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate([pieces[part] for part in sorted(pieces)])
 
 
 class ShardStreamDispatch:
@@ -489,18 +519,22 @@ class ShardStreamDispatch:
         self._store = store
 
         self.cold = False
+        opened = {}
         if isinstance(graph, SpilledGraph):
             digest = graph.shard_digest
         else:
             digest = str(graph_fingerprint(graph)["digest"])
-            if store.get_shard_manifest(digest, "in") is None:
+            opened["in"] = store.get_shard_manifest(digest, "in")
+            if opened["in"] is None:
                 self.cold = True
                 store.put_sharded_graph(graph, self._shard_mb)
-        self._digest = digest
 
         self._sharded: Dict[str, ShardedCSR] = {}
         for direction in ("in", "out"):
-            entry = store.get_shard_manifest(digest, direction)
+            # The warm path's existence probe is the "in" manifest.
+            entry = opened.get(direction) or store.get_shard_manifest(
+                digest, direction
+            )
             if entry is None:
                 raise StoreError(
                     "no %r shard manifest for digest %s" % (direction, digest)
@@ -573,9 +607,14 @@ class ShardStreamDispatch:
         """Yield ``(part, ids_in_part)`` for a sorted id list.
 
         The sortedness precondition is what makes a searchsorted split
-        order-preserving (and therefore the whole backend bit-identical
-        to serial); it is cheap to check against an O(|E|) phase, so
-        check it.
+        hand each shard the rows serial would (and therefore the whole
+        backend bit-identical to serial); it is cheap to check against
+        an O(|E|) phase, so check it.
+
+        Parts come from whichever end the stream still holds decoded
+        (a sweep of ``S`` behind a cache of ``c < S`` then reads
+        ``S - c``, not ``S``); callers whose output order matters key
+        it by ``part``.
         """
         if ids.size == 0:
             return
@@ -587,6 +626,9 @@ class ShardStreamDispatch:
         splits = np.searchsorted(ids, bounds[1:-1])
         groups = np.split(ids, splits)
         parts = [p for p, g in enumerate(groups) if g.size]
+        resident = self._stream.resident
+        if resident(direction, parts[-1]) and not resident(direction, parts[0]):
+            parts.reverse()
         for i, part in enumerate(parts):
             # Read-ahead: decode the next needed shard while the fused
             # kernel runs over this one.
@@ -635,26 +677,21 @@ class ShardStreamDispatch:
     def push(self, ids: np.ndarray):
         """Push candidates of ``ids`` in serial expansion order.
 
-        Groups are visited in ascending row order over a sorted id
-        list, so concatenating per-shard expansions reproduces the
-        full-CSR expansion byte for byte.
+        Each shard expands its slice of a sorted id list; concatenated
+        by ascending shard, whatever order they were visited in, the
+        expansions reproduce the full-CSR expansion byte for byte.
         """
         t0 = time.perf_counter_ns()
-        dst_parts = []
-        cand_parts = []
+        dst_parts = {}
+        cand_parts = {}
         for part, group in self._groups("out", ids):
             shard = self._stream.get("out", part)
-            srcs, dsts, weights = shard.expand_sources(group)
-            dst_parts.append(dsts)
-            cand_parts.append(
-                self._app.edge_candidates(self.values, srcs, weights)
+            srcs, dst_parts[part], weights = shard.expand_sources(group)
+            cand_parts[part] = self._app.edge_candidates(
+                self.values, srcs, weights
             )
-        if dst_parts:
-            dsts = np.concatenate(dst_parts)
-            candidates = np.concatenate(cand_parts)
-        else:
-            dsts = np.empty(0, dtype=np.int64)
-            candidates = np.empty(0, dtype=np.float64)
+        dsts = _concat_by_part(dst_parts, np.int64)
+        candidates = _concat_by_part(cand_parts, np.float64)
         self._telemetry_phase(
             PHASE_PUSH, ids.size, dsts.size, time.perf_counter_ns() - t0
         )
@@ -664,16 +701,14 @@ class ShardStreamDispatch:
     def _expand_neighbors(self, direction: str, ids: np.ndarray) -> np.ndarray:
         """Concatenated ``direction``-neighbours of the sorted ``ids``,
         streamed from the shards that hold them."""
-        parts = []
+        parts = {}
         for part, group in self._groups(direction, ids):
             shard = self._stream.get(direction, part)
-            parts.append(expand_row_dsts(
+            parts[part] = expand_row_dsts(
                 shard.indptr, shard.indices, group, shard.base
-            ))
+            )
         self._emit_shard_io("expand", direction)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        return _concat_by_part(parts, np.int64)
 
     def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated out-neighbours of ``ids``, streamed from the

@@ -29,7 +29,8 @@ generated once and *reused* by every subsequent job on the same graph.
   entry has a complete payload.
 * **Bounded size.**  A size-capped LRU policy (``max_bytes``) evicts
   the least-recently-used entries after each write, keeping the cache
-  directory bounded across arbitrarily many jobs.
+  directory bounded across arbitrarily many jobs.  Recency is the
+  sidecar's mtime: a hit costs one ``utime``, never a rewrite.
 
 An ambient store — :func:`install_store` / :func:`active_store`,
 mirroring the trace recorder and fault-plan installation — lets the
@@ -53,7 +54,7 @@ import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -162,6 +163,19 @@ def _filename_stem(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
 
 
+#: An entry is a ``.json`` sidecar plus one payload: arrays as a
+#: compressed ``.npz``, an already-compressed shard blob as itself.
+_PAYLOAD_SUFFIXES = (".npz", ".bin")
+
+
+def _entry_files(stem_path: str) -> List[str]:
+    """Every file ``<stem_path>``'s entry may own, sidecar first — the
+    order removal takes them in (the reverse of the publish order)."""
+    return [stem_path + ".json"] + [
+        stem_path + suffix for suffix in _PAYLOAD_SUFFIXES
+    ]
+
+
 # ----------------------------------------------------------------------
 # store
 # ----------------------------------------------------------------------
@@ -217,7 +231,8 @@ class ArtifactStore:
     ----------
     root:
         Cache directory (created on first write).  Entries live under
-        ``<root>/graphs`` and ``<root>/guidance`` as an ``.npz`` payload
+        ``<root>/graphs``, ``<root>/guidance`` and ``<root>/shards`` as
+        a payload (``.npz`` arrays, or a shard part's ``.bin`` blob)
         plus a ``.json`` metadata sidecar per entry.
     max_bytes:
         LRU size cap over all payloads and sidecars; ``None`` disables
@@ -266,38 +281,22 @@ class ArtifactStore:
                 kind=kind, outcome=outcome, key=key, bytes=int(nbytes),
             )
 
-    def _paths(self, kind: str, key: str) -> tuple:
-        stem = _filename_stem(key)
-        directory = os.path.join(self.root, self._DIRS[kind])
-        return (
-            os.path.join(directory, stem + ".npz"),
-            os.path.join(directory, stem + ".json"),
+    def _paths(self, kind: str, key: str, suffix: str = ".npz") -> tuple:
+        stem = os.path.join(
+            self.root, self._DIRS[kind], _filename_stem(key)
         )
+        return stem + suffix, stem + ".json"
 
     @staticmethod
-    def _atomic_write_bytes(path: str, data: bytes) -> None:
+    def _atomic_write(path: str, write) -> int:
+        """Publish what ``write(handle)`` produces at ``path`` (temp
+        file, fsync, rename); returns the file's size."""
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    @staticmethod
-    def _atomic_write_npz(path: str, arrays: Dict[str, np.ndarray]) -> int:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+                write(handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -353,16 +352,28 @@ class ArtifactStore:
         self,
         kind: str,
         key: str,
-        arrays: Dict[str, np.ndarray],
+        payload: Union[Dict[str, np.ndarray], bytes],
         extra: Dict[str, object],
     ) -> Dict[str, object]:
-        npz_path, meta_path = self._paths(kind, key)
+        """Publish one entry: ``payload`` is a dict of arrays (stored
+        as ``.npz``) or a ready-made blob (stored as ``.bin``)."""
+        is_blob = isinstance(payload, bytes)
+        payload_path, meta_path = self._paths(
+            kind, key, ".bin" if is_blob else ".npz"
+        )
+
+        def write_payload(handle) -> None:
+            if is_blob:
+                handle.write(payload)
+            else:
+                np.savez_compressed(handle, **payload)
+
         # Publish (payload, then metadata) and evict under the same
         # lock, in the same order the evictor takes it: an eviction can
         # then never interleave between the two renames and orphan a
         # half-published entry.
         with self._lock:
-            nbytes = self._atomic_write_npz(npz_path, arrays)
+            nbytes = self._atomic_write(payload_path, write_payload)
             now = time.time()
             meta = {
                 "format_version": FORMAT_VERSION,
@@ -371,28 +382,28 @@ class ArtifactStore:
                 "created": now,
                 "last_used": now,
                 "nbytes": nbytes,
-                "arrays": {
-                    name: {"shape": list(a.shape), "dtype": str(a.dtype)}
-                    for name, a in arrays.items()
-                },
             }
+            if not is_blob:
+                meta["arrays"] = {
+                    name: {"shape": list(a.shape), "dtype": str(a.dtype)}
+                    for name, a in payload.items()
+                }
             meta.update(extra)
-            self._atomic_write_bytes(
-                meta_path,
-                json.dumps(meta, indent=1, sort_keys=True).encode("utf-8"),
-            )
+            sidecar = json.dumps(meta, indent=1, sort_keys=True).encode("utf-8")
+            self._atomic_write(meta_path, lambda handle: handle.write(sidecar))
             self._emit(kind, "store", key, nbytes)
-            self._evict_over_cap(keep={os.path.basename(npz_path)})
+            self._evict_over_cap(keep=_filename_stem(key))
         return meta
 
-    def _touch(self, meta_path: str, meta: Dict[str, object]) -> None:
-        meta = dict(meta)
-        meta["last_used"] = time.time()
+    @staticmethod
+    def _touch(meta_path: str) -> None:
+        """Refresh LRU recency: a sidecar's mtime is its ``last_used``.
+        The time is passed explicitly because the kernel's own "now"
+        is a jiffy coarse and could order a hit before an earlier write.
+        """
+        now = time.time_ns()
         try:
-            self._atomic_write_bytes(
-                meta_path,
-                json.dumps(meta, indent=1, sort_keys=True).encode("utf-8"),
-            )
+            os.utime(meta_path, ns=(now, now))
         except OSError:
             pass  # LRU freshness is best-effort; the hit still stands
 
@@ -423,7 +434,7 @@ class ArtifactStore:
                 % (meta_path, npz_path)
             )
         arrays = self._load_arrays(npz_path, meta)
-        self._touch(meta_path, meta)
+        self._touch(meta_path)
         return arrays, meta
 
     # ------------------------------------------------------------------
@@ -648,11 +659,12 @@ class ArtifactStore:
         blob: bytes,
         shard_meta: Dict[str, object],
     ) -> Dict[str, object]:
-        """Store one compressed shard payload."""
+        """Store one compressed shard payload, as itself: it is already
+        compressed and the manifest carries its length and checksum."""
         return self._write_entry(
             "shard",
             self._shard_part_key(digest, direction, part),
-            {"blob": np.frombuffer(blob, dtype=np.uint8)},
+            bytes(blob),
             {"shard": shard_meta, "digest": digest, "direction": direction},
         )
 
@@ -662,18 +674,24 @@ class ArtifactStore:
         Unlike the graph/guidance getters this never returns ``None``:
         a caller only asks for a part after loading the manifest that
         promises it, so a missing or evicted part is a hole in the
-        sharded graph — a typed :class:`StoreError`.
+        sharded graph — a typed :class:`StoreError`.  The bytes are
+        returned as read: :func:`repro.graph.shards.decode_shard`
+        checks every one of them against the validated manifest.
         """
         key = self._shard_part_key(digest, direction, part)
-        entry = self._open_entry("shard", key)
-        if entry is None:
+        blob_path, meta_path = self._paths("shard", key, ".bin")
+        try:
+            with open(blob_path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            self._emit("shard", "miss", key)
             raise StoreError(
-                "shard part %r is missing from the store (evicted or "
-                "never written); re-shard with `repro cache shard`" % key
-            )
-        arrays, meta = entry
-        self._emit("shard", "hit", key, int(meta.get("nbytes", 0)))
-        return np.asarray(arrays["blob"], np.uint8).tobytes()
+                "shard part %r is missing from the store (evicted or never "
+                "written); re-shard with `repro cache shard` [%s]" % (key, exc)
+            ) from exc
+        self._touch(meta_path)
+        self._emit("shard", "hit", key, len(blob))
+        return blob
 
     def put_shard_alias(self, spec_key: str, digest: str) -> Dict[str, object]:
         """Map a dataset spec key to a sharded graph's content digest,
@@ -834,20 +852,24 @@ class ArtifactStore:
                     continue
                 if meta is None or meta.get("kind") != kind:
                     continue
-                npz_path = meta_path[: -len(".json")] + ".npz"
-                payload_bytes = (
-                    os.path.getsize(npz_path)
-                    if os.path.exists(npz_path)
-                    else 0
+                # A hit moves the sidecar's mtime; the JSON field still
+                # counts for entries whose hits older code wrote into it.
+                meta["last_used"] = max(
+                    os.path.getmtime(meta_path),
+                    float(meta.get("last_used", 0.0)),
                 )
                 found.append(
                     EntryInfo(
                         kind=kind,
                         key=str(meta.get("key", "")),
                         stem=name[: -len(".json")],
-                        nbytes=payload_bytes + os.path.getsize(meta_path),
+                        nbytes=sum(
+                            os.path.getsize(path)
+                            for path in _entry_files(meta_path[: -len(".json")])
+                            if os.path.exists(path)
+                        ),
                         created=float(meta.get("created", 0.0)),
-                        last_used=float(meta.get("last_used", 0.0)),
+                        last_used=meta["last_used"],
                         meta=meta,
                     )
                 )
@@ -898,11 +920,11 @@ class ArtifactStore:
                     continue
                 for name in sorted(os.listdir(directory)):
                     path = os.path.join(directory, name)
-                    orphan = name.endswith(".npz") and not os.path.exists(
-                        path[: -len(".npz")] + ".json"
+                    stem_path, suffix = os.path.splitext(path)
+                    orphan = suffix in _PAYLOAD_SUFFIXES and not (
+                        os.path.exists(stem_path + ".json")
                     )
-                    stale_tmp = name.endswith(".tmp")
-                    if not (orphan or stale_tmp):
+                    if not (orphan or suffix == ".tmp"):
                         continue
                     try:
                         os.unlink(path)
@@ -918,8 +940,7 @@ class ArtifactStore:
         # entry stops being observable before its payload disappears,
         # so no reader can ever see a sidecar whose payload is gone.
         with self._lock:
-            for suffix in (".json", ".npz"):
-                path = os.path.join(directory, entry.stem + suffix)
+            for path in _entry_files(os.path.join(directory, entry.stem)):
                 try:
                     os.unlink(path)
                     removed = True
@@ -927,10 +948,10 @@ class ArtifactStore:
                     pass
         return removed
 
-    def _evict_over_cap(self, keep=()) -> int:
+    def _evict_over_cap(self, keep: Optional[str] = None) -> int:
         """LRU eviction down to ``max_bytes``; returns entries evicted.
 
-        The just-written entry (``keep``) is only evicted when it alone
+        The just-written entry (stem ``keep``) is only evicted when it alone
         exceeds the cap — the cap is a hard bound, not a suggestion.
         Runs under the store lock (the same one writers hold across
         their publish renames), so eviction can never observe — or
@@ -947,7 +968,7 @@ class ArtifactStore:
             for entry in reversed(entries):
                 if total <= self.max_bytes:
                     return evicted
-                if entry.stem + ".npz" in keep:
+                if entry.stem == keep:
                     continue
                 if self._remove_entry(entry):
                     total -= entry.nbytes

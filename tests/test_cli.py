@@ -523,6 +523,47 @@ class TestCacheCommands:
         assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out
 
+    def test_shard_then_stream_from_the_store(self, capsys, tmp_path):
+        import os
+        import re
+
+        cache_dir = str(tmp_path / "cache")
+        assert main([
+            "cache", "shard", "pr", "--graph", "PK", "--scale", "16000",
+            "--shard-mb", "0.001", "--cache-dir", cache_dir,
+        ]) == 0
+        out = capsys.readouterr().out
+        shards = int(re.search(r"(\d+) shard\(s\) per direction", out).group(1))
+        assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
+        listing = capsys.readouterr().out
+        assert listing.count("/in/part/") == shards >= 3
+        # One .bin payload per listed part, and ls counts their bytes.
+        names = os.listdir(os.path.join(cache_dir, "shards"))
+        assert sum(n.endswith(".bin") for n in names) == listing.count("/part/")
+        on_disk = sum(
+            os.path.getsize(os.path.join(cache_dir, "shards", n))
+            for n in names
+        )
+        assert "%d bytes" % on_disk in listing
+
+        def values_line(extra):
+            assert main([
+                "run", "pr", "--graph", "PK", "--scale", "16000", *extra,
+            ]) == 0
+            out = capsys.readouterr().out
+            return [x for x in out.splitlines() if x.startswith("values")], out
+
+        streamed, out = values_line([
+            "--backend", "ooc", "--shard-mb", "0.001", "--shard-cache", "2",
+            "--cache-dir", cache_dir,
+        ])
+        # Warm: every part was fetched from the store, none re-sharded.
+        assert int(re.search(r"(\d+) hit\(s\)", out).group(1)) > shards
+        assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
+        after = capsys.readouterr().out
+        assert after.count("/part/") == listing.count("/part/")
+        assert streamed == values_line([])[0]
+
     def test_env_default_and_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         code = main([

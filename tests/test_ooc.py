@@ -5,7 +5,8 @@ make: because shards never split a destination's in-edge block and the
 fused kernels see the same (sources, weights) expansion a resident CSR
 would produce, the ooc backend is *bit-identical* to the serial
 reference — not approximately equal — for every application, with and
-without redundancy reduction, at any shard size and any cache capacity.
+without redundancy reduction, at any shard size and any cache capacity —
+and therefore whatever order the serpentine scan visits the shards in.
 """
 
 import os
@@ -19,6 +20,7 @@ from repro.bench.runner import run_workload
 from repro.errors import EngineError, GraphIOError, StoreError
 from repro.graph import io as graph_io
 from repro.graph.graph import Graph
+from repro.graph.shards import plan_shards
 from repro.ooc import (
     DEFAULT_SHARD_CACHE,
     ShardStreamDispatch,
@@ -36,14 +38,20 @@ from repro.store import ArtifactStore, install_store
 from tests.conftest import make_random_graph
 
 GRAPH_KEY = "PK"
+#: ~10 KiB shards: 24-48 per direction on the PK stand-in.
+TINY_SHARD_MB = 0.01
 
 
 @pytest.fixture
 def tiny_shards():
-    """Force many small shards so every phase really streams."""
-    previous = install_ooc(0.01, 2)
+    """Force many small shards so every phase really streams.
+
+    The cache holds two of them; the yielded setter picks another
+    capacity for the rest of the test.
+    """
+    previous = install_ooc(TINY_SHARD_MB, 2)
     try:
-        yield
+        yield lambda capacity: install_ooc(TINY_SHARD_MB, capacity)
     finally:
         install_ooc(*previous)
 
@@ -62,11 +70,20 @@ def ambient_store(store):
         install_store(previous)
 
 
-def _run(app_name, engine_name, backend):
+def _run(app_name, engine_name, backend, **engine_kwargs):
     outcome = run_workload(
-        engine_name, app_name, GRAPH_KEY, backend=backend
+        engine_name, app_name, GRAPH_KEY, backend=backend, **engine_kwargs
     )
     return outcome.result
+
+
+def _assert_identical(ooc, serial):
+    assert ooc.iterations == serial.iterations
+    # Byte-for-byte, not allclose: the ooc kernels must perform the
+    # same float operations in the same order as the serial ones.
+    assert np.array_equal(ooc.values, serial.values, equal_nan=True)
+    for total in ("total_edge_ops", "total_messages", "total_updates"):
+        assert getattr(ooc.metrics, total) == getattr(serial.metrics, total)
 
 
 # ----------------------------------------------------------------------
@@ -79,22 +96,70 @@ class TestBitIdentity:
         self, app_name, engine_name, tiny_shards
     ):
         serial = _run(app_name, engine_name, "serial")
-        ooc = _run(app_name, engine_name, "ooc")
-        assert ooc.iterations == serial.iterations
-        # Byte-for-byte, not allclose: the ooc kernels must perform the
-        # same float operations in the same order as the serial ones.
-        assert np.array_equal(
-            ooc.values, serial.values, equal_nan=True
-        )
+        # A cache of one, the streaming minimum, exactly the sweep and
+        # one to spare: the scan reverses at every turn-around, at some
+        # of them, and (everything resident) never.
+        shards = len(plan_shards(serial.graph.in_csr.indptr, TINY_SHARD_MB))
+        assert shards >= 3
+        for capacity in (1, 2, shards, shards + 1):
+            tiny_shards(capacity)
+            _assert_identical(_run(app_name, engine_name, "ooc"), serial)
 
-    def test_cache_capacity_one_still_identical(self):
-        previous = install_ooc(0.01, 1)
-        try:
-            serial = _run("PR", "SLFE", "serial")
-            ooc = _run("PR", "SLFE", "ooc")
-        finally:
-            install_ooc(*previous)
-        assert np.array_equal(ooc.values, serial.values, equal_nan=True)
+    def test_crash_rollback_matches_serial_exactly(self, tiny_shards):
+        """A rollback replays supersteps against whatever the LRU holds
+        by then, so the replay sweeps in a different order than the
+        first attempt did — and must not show it."""
+        from repro.cluster.faults import FaultPlan
+
+        runs = [
+            _run(
+                "PR", "SLFE", backend,
+                fault_plan=FaultPlan.parse("crash@7:1", num_nodes=8),
+                checkpoint_every=3,
+            )
+            for backend in ("serial", "ooc")
+        ]
+        assert [r.metrics.rollbacks for r in runs] == [1, 1]
+        _assert_identical(runs[1], runs[0])
+        # The replay's work is accounted; the answer is the clean run's.
+        clean = _run("PR", "SLFE", "serial")
+        assert runs[1].values.tobytes() == clean.values.tobytes()
+        assert runs[1].iterations == clean.iterations
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_turn_around_reads_only_what_fell_out_of_the_cache(
+        self, monkeypatch, spare
+    ):
+        """Two full-range gathers over S shards behind c of cache, with
+        read-ahead off: the second one starts at the end the first one
+        left resident and reads S - c (a same-direction scan: S)."""
+        from repro.ooc import _ShardStream
+        from repro.trace import recorder as trace_events
+        from repro.trace.recorder import TraceRecorder
+
+        monkeypatch.setattr(
+            _ShardStream, "announce", lambda self, direction, part: None
+        )
+        graph = make_random_graph(num_vertices=200, num_edges=3000, seed=6)
+        app = workloads.make_app("PR")
+        app.bind(graph)
+        ids = np.arange(graph.num_vertices, dtype=np.int64)
+        shards = len(plan_shards(graph.in_csr.indptr, TINY_SHARD_MB))
+        capacity = 2 if spare else shards - 1
+        assert 2 <= capacity < shards
+        recorder = TraceRecorder()
+        with ShardStreamDispatch(
+            graph, app, recorder=recorder,
+            shard_mb=TINY_SHARD_MB, shard_cache=capacity,
+        ) as d:
+            d.values[...] = 1.0
+            for _ in range(3):
+                d.gather(ids)
+        reads = [
+            event.payload["shards"]
+            for event in recorder.events_named(trace_events.SHARD_IO)
+        ]
+        assert reads == [shards, shards - capacity, shards - capacity]
 
     def test_spilled_graph_identical_without_resident_edges(
         self, store, ambient_store, tiny_shards

@@ -246,3 +246,86 @@ class TestEvictionAndManagement:
         assert outcomes == [
             ("graph", "miss"), ("graph", "store"), ("graph", "hit")
         ]
+
+
+class TestRecencyAndBlobPayloads:
+    """A hit refreshes recency with one ``utime``; shard parts are
+    ``.bin`` payloads that every management path accounts for."""
+
+    @staticmethod
+    def _put_parts(store, count, size=4000):
+        for part in range(count):
+            store.put_shard_blob(
+                "d" * 8, "in", part, bytes([part]) * size, {"part": part}
+            )
+
+    @staticmethod
+    def _sidecar(store, entry):
+        path = os.path.join(
+            store.root, store._DIRS[entry.kind], entry.stem + ".json"
+        )
+        with open(path, "rb") as handle:
+            return path, handle.read(), os.stat(path)
+
+    def test_fetch_touches_the_sidecar_without_rewriting_it(
+        self, store, weighted_graph
+    ):
+        key = graph_spec_key("A", 1, True)
+        store.put_graph(key, weighted_graph)
+        self._put_parts(store, 1)
+        fetches = {
+            "graph": lambda: store.get_graph(key),
+            "shard": lambda: store.get_shard_blob("d" * 8, "in", 0),
+        }
+        for entry in store.entries():
+            path, content, before = self._sidecar(store, entry)
+            os.utime(path, ns=(10**18, 10**18))  # 2001: any hit is later
+            assert fetches[entry.kind]() is not None
+            _, after_content, after = self._sidecar(store, entry)
+            assert after_content == content
+            assert after.st_ino == before.st_ino
+            assert after.st_mtime_ns > 10**18
+            (listed,) = store.find(entry.key)
+            assert listed.last_used == pytest.approx(after.st_mtime)
+            assert listed.meta["last_used"] == listed.last_used
+
+    def test_fetched_part_outlives_an_older_unfetched_one(self, tmp_path):
+        store = ArtifactStore(str(tmp_path), max_bytes=None)
+        self._put_parts(store, 2)
+        store = ArtifactStore(
+            str(tmp_path), max_bytes=int(store.total_bytes() * 1.25)
+        )
+        assert store.get_shard_blob("d" * 8, "in", 0) == b"\x00" * 4000
+        store.put_shard_blob("d" * 8, "in", 2, b"\x02" * 4000, {"part": 2})
+        assert store.stats.evictions == 1
+        with pytest.raises(StoreError, match="evicted or never written"):
+            store.get_shard_blob("d" * 8, "in", 1)
+        assert store.get_shard_blob("d" * 8, "in", 0) == b"\x00" * 4000
+        assert store.get_shard_blob("d" * 8, "in", 2) == b"\x02" * 4000
+
+    def test_byte_totals_sweep_and_clear_are_exact_with_bin_payloads(
+        self, store, weighted_graph
+    ):
+        store.put_graph(graph_spec_key("A", 1, True), weighted_graph)
+        self._put_parts(store, 3)
+
+        def on_disk():
+            return {
+                os.path.join(directory, name): os.path.getsize(
+                    os.path.join(directory, name)
+                )
+                for directory, _, names in os.walk(store.root)
+                for name in names
+            }
+
+        files = on_disk()
+        assert sum(name.endswith(".bin") for name in files) == 3
+        assert store.total_bytes() == sum(files.values())
+        orphan = os.path.join(store.root, "shards", "no-sidecar.bin")
+        with open(orphan, "wb") as handle:
+            handle.write(b"x" * 10)
+        assert store.total_bytes() == sum(files.values())  # not an entry
+        assert store.sweep_orphans() == 1
+        assert on_disk() == files
+        assert store.clear() == 4
+        assert on_disk() == {} and store.total_bytes() == 0
