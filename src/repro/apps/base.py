@@ -17,13 +17,14 @@ return per-edge arrays, which is what lets a Python engine process
 hundred-thousand-edge supersteps in milliseconds while still counting
 every operation exactly.
 
-Arithmetic apps whose contribution depends on the edge's source alone
-(PageRank, TunkRank, HeatSimulation) additionally expose it per vertex
-through :meth:`ArithmeticApplication.source_terms` — source-only, pure,
-the same float expression as ``edge_contributions``, called once per
-gather phase — which is what the shared gather kernel reads;
-``edge_contributions`` stays the general contract every other engine
-(baselines, async, the scalar runtime) calls.
+Apps whose per-edge value depends on the edge's source alone (PageRank,
+TunkRank, HeatSimulation; ConnectedComponents on the min/max side)
+additionally expose it per vertex through ``source_terms`` — source-only,
+pure, the same float expression as ``edge_contributions`` /
+``edge_candidates``, called once per gather or pull phase — which is
+what the shared gather and pull kernels read; ``edge_contributions`` and
+``edge_candidates`` stay the general contract every other path (push,
+baselines, async, the scalar runtime) calls.
 """
 
 from __future__ import annotations
@@ -100,6 +101,17 @@ class MinMaxApplication(abc.ABC):
         ``srcs``/``weights`` are aligned per-edge arrays; the result must
         align with them.  E.g. SSSP returns ``values[srcs] + weights``.
         """
+
+    def source_terms(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Per-vertex array ``t`` with ``candidate(u -> v, w) == t[u]``,
+        or ``None`` (the default) when the candidate also reads the
+        weight.  Same contract as
+        :meth:`ArithmeticApplication.source_terms` — source-only, pure,
+        ``t[srcs]`` bit-equal to :meth:`edge_candidates` — called once
+        per pull phase by the phase's owner; the shared pull kernel then
+        gathers one float per edge and no weights.
+        """
+        return None
 
     def guidance_roots(self, graph: Graph, root: Optional[int]) -> np.ndarray:
         """Roots Algorithm 1 should propagate from for this app.

@@ -37,3 +37,6 @@ class ConnectedComponents(MinMaxApplication):
     ) -> np.ndarray:
         # Labels travel unchanged; weights are irrelevant to CC.
         return values[srcs]
+
+    def source_terms(self, values: np.ndarray) -> np.ndarray:
+        return values

@@ -587,6 +587,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "sweep (informational, never gated)")
     args = parser.parse_args(argv)
 
+    # A broken baseline is diagnosed before the matrix runs, not after.
+    baseline = None
+    if args.baseline:
+        baseline = _load_baseline(args.baseline)
+        if baseline is None:
+            return 2
+
     payload = run_matrix(
         apps=args.apps,
         graphs=args.graphs,
@@ -664,10 +671,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         )
 
-    if args.baseline:
-        baseline = _load_baseline(args.baseline)
-        if baseline is None:
-            return 2
+    if baseline is not None:
         missing = sorted(
             set(baseline.get("workloads", {}))
             - set(payload.get("workloads", {}))

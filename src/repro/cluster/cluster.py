@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector
+from repro.graph.csr import expand_rows
 from repro.graph.graph import Graph
 from repro.partition.base import VertexPartition
 from repro.trace import recorder as trace_events
@@ -64,16 +65,19 @@ class SimulatedCluster:
             # No remote edges exist — and on a spilled (out-of-core)
             # graph the edge arrays are not resident to expand anyway.
             return np.zeros(n, dtype=np.int64)
-        srcs, dsts, _ = self.graph.edge_arrays()
-        if srcs.size == 0:
+        out = self.graph.out_csr
+        if out.num_edges == 0:
             return np.zeros(n, dtype=np.int64)
         # One O(|E|) scatter marks which (vertex, node) pairs an edge
         # reaches (no sort over the pairs); a vertex's own node is not
         # remote, and the row sums are the distinct remote nodes.
         nodes = self.num_nodes
+        own = np.arange(n, dtype=np.int64) * nodes
+        pairs = self.owner[out.indices]
+        pairs += np.repeat(own, out.degrees())
         reached = np.zeros(n * nodes, dtype=bool)
-        reached[srcs * nodes + self.owner[dsts]] = True
-        reached[np.arange(n, dtype=np.int64) * nodes + self.owner] = False
+        reached[pairs] = True
+        reached[own + self.owner] = False
         return reached.reshape(n, nodes).sum(axis=1, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -190,9 +194,12 @@ class SimulatedCluster:
         on_src = changed_vertices[self.owner[changed_vertices] == src_node]
         if on_src.size == 0:
             return 0
-        srcs, dsts, _ = self.graph.edge_arrays()
-        mask = np.isin(srcs, on_src) & (self.owner[dsts] == dst_node)
-        return int(np.unique(srcs[mask]).size)
+        # Only the rows of ``on_src`` are expanded; a vertex counts once
+        # however many of its edges (or repeats of its id) reach the node.
+        out = self.graph.out_csr
+        counts, sel = expand_rows(out.indptr, on_src)
+        hit = self.owner[out.indices[sel]] == dst_node
+        return int(np.unique(np.repeat(on_src, counts)[hit]).size)
 
     def messages_for_changed(
         self, changed_vertices: np.ndarray

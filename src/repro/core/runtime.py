@@ -408,6 +408,7 @@ def pull_apply_block(
     aggregation: str,
     result: np.ndarray,
     improved: np.ndarray,
+    terms: Optional[np.ndarray] = None,
 ) -> int:
     """Fused pullFunc + improvement test over one block of destinations.
 
@@ -419,10 +420,21 @@ def pull_apply_block(
     against the incumbent, and the identity never wins (``inf < v`` and
     ``-inf > v`` are both false), so those entries were always false —
     exactly what a pre-zeroed ``improved`` already holds.
+
+    ``terms`` is ``app.source_terms(values)``, computed once per phase by
+    the phase's owner.  Given, a candidate is one term per edge and no
+    weights are gathered; ``None`` takes the general contract,
+    ``app.edge_candidates`` over the in-neighbours and their weights.
+    Neither builds per-edge destination ``rows``; the candidates and the
+    ``reduceat`` segments are the same either way.
     Returns the number of edges relaxed.
     """
-    _, srcs, weights = in_csr.expand_sources(ids)
-    candidates = app.edge_candidates(values, srcs, weights)
+    sel = expand_rows(in_csr.indptr, ids, in_csr.base)[1]
+    srcs = in_csr.indices[sel]
+    if terms is None:
+        candidates = app.edge_candidates(values, srcs, in_csr.weights[sel])
+    else:
+        candidates = terms[srcs]
     target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
     reduced = grouped_reduce(aggregation, candidates, counts, boundaries)
     result[target] = reduced
@@ -570,6 +582,7 @@ class SerialDispatch:
         edges = pull_apply_block(
             self._app, self._in_csr, self._in_deg, self.values, ids,
             aggregation, self.result, self.improved,
+            self._app.source_terms(self.values),
         )
         self._telemetry_phase(
             PHASE_PULL, ids.size, edges, time.perf_counter_ns() - t0

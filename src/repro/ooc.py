@@ -281,6 +281,7 @@ class SpilledGraph(Graph):
     ) -> None:
         self.out_csr = SpilledCSR(out_indptr)
         self._in_csr = SpilledCSR(in_indptr)
+        self._undirected = None
         self.name = name
         self.shard_digest = str(shard_digest)
 
@@ -643,11 +644,13 @@ class ShardStreamDispatch:
         self.improved[...] = False
         t0 = time.perf_counter_ns()
         edges = 0
+        # Once per phase, not per shard.
+        terms = self._app.source_terms(self.values)
         for part, group in self._groups("in", ids):
             shard = self._stream.get("in", part)
             edges += pull_apply_block(
                 self._app, shard, self.in_degrees, self.values, group,
-                aggregation, self.result, self.improved,
+                aggregation, self.result, self.improved, terms,
             )
         self._telemetry_phase(
             PHASE_PULL, ids.size, edges, time.perf_counter_ns() - t0

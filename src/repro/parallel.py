@@ -1105,6 +1105,7 @@ class ParallelExecutor:
                     AGGREGATION_BY_CODE[aggregation_code],
                     self.result,
                     self.improved,
+                    self._app.source_terms(self.values),
                 )
             elif phase_id == PHASE_GATHER:
                 edges = gather_block(
@@ -1388,7 +1389,7 @@ def _worker_main(
             # read-only snapshot, so every block reads the same terms.
             terms = (
                 app.source_terms(values)
-                if phase == PHASE_GATHER and num_blocks
+                if phase != PHASE_PUSH and num_blocks
                 else None
             )
             while True:
@@ -1411,6 +1412,7 @@ def _worker_main(
                         AGGREGATION_BY_CODE[int(control[_CTRL_AGG])],
                         result,
                         improved,
+                        terms,
                     )
                 elif phase == PHASE_GATHER:
                     block_edges = gather_block(

@@ -2,6 +2,10 @@
 ``np.unique``-over-pairs formulation it replaced (kept here as the
 oracle): same array, same dtype, for any graph, any ownership, any
 node count — at construction, after ``migrate`` and after ``fail_node``.
+
+Likewise ``messages_on_pair``: expanding only the changed vertices' rows
+returns the integer the all-edges ``np.isin`` formulation (the oracle
+below) did, for any changed list and any node pair.
 """
 
 import numpy as np
@@ -25,6 +29,19 @@ def unique_pairs_fanout(graph: Graph, owner: np.ndarray, num_nodes: int):
     pair_src = unique_pairs // num_nodes
     remote = unique_pairs % num_nodes != owner[pair_src]
     return np.bincount(pair_src[remote], minlength=n).astype(np.int64)
+
+
+def all_edges_messages_on_pair(cluster, changed_vertices, src_node, dst_node):
+    """messages_on_pair as the parent commit computed it: mask every
+    edge of the graph by source membership and destination owner."""
+    if changed_vertices.size == 0 or src_node == dst_node:
+        return 0
+    on_src = changed_vertices[cluster.owner[changed_vertices] == src_node]
+    if on_src.size == 0:
+        return 0
+    srcs, dsts, _ = cluster.graph.edge_arrays()
+    mask = np.isin(srcs, on_src) & (cluster.owner[dsts] == dst_node)
+    return int(np.unique(srcs[mask]).size)
 
 
 def _assert_fanout(cluster: SimulatedCluster) -> None:
@@ -72,6 +89,38 @@ def test_fanout_after_migrate_and_node_failure(cluster, data):
     if nodes > 1:
         cluster.fail_node(data.draw(st.integers(0, nodes - 1)))
         _assert_fanout(cluster)
+
+
+def _assert_pair_counts(cluster, changed):
+    nodes = range(cluster.num_nodes)
+    pairs = {(src, dst): cluster.messages_on_pair(changed, src, dst)
+             for src in nodes for dst in nodes}
+    assert pairs == {
+        pair: all_edges_messages_on_pair(cluster, changed, *pair)
+        for pair in pairs
+    }
+    assert all(type(count) is int for count in pairs.values())
+    # Each changed vertex sends one message per distinct remote node.
+    distinct = np.unique(changed)
+    assert sum(pairs.values()) == cluster.messages_for_changed(distinct)[0]
+
+
+@given(clusters(), st.data())
+def test_messages_on_pair_equals_the_all_edges_mask(cluster, data):
+    n, nodes = cluster.graph.num_vertices, cluster.num_nodes
+    vertex = st.integers(0, max(n - 1, 0))
+    # Unsorted, repeated, possibly empty.
+    changed = np.asarray(
+        data.draw(st.lists(vertex, max_size=2 * n)), dtype=np.int64
+    )
+    _assert_pair_counts(cluster, changed)
+    moved = data.draw(st.lists(vertex, unique=True, max_size=n))
+    cluster.migrate(np.asarray(moved, dtype=np.int64),
+                    data.draw(st.integers(0, nodes - 1)))
+    _assert_pair_counts(cluster, changed)
+    if nodes > 1:
+        cluster.fail_node(data.draw(st.integers(0, nodes - 1)))
+        _assert_pair_counts(cluster, changed)
 
 
 def test_fanout_counts_each_remote_node_once():

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import figure1_graph
 from repro.graph.graph import Graph
@@ -60,3 +61,37 @@ def make_random_graph(num_vertices=50, num_edges=200, seed=0, weighted=True):
     srcs, dsts = srcs[keep], dsts[keep]
     weights = rng.uniform(1.0, 10.0, size=srcs.size) if weighted else None
     return Graph.from_edges(num_vertices, (srcs, dsts), weights, name="random")
+
+
+@st.composite
+def kernel_cases(draw):
+    """``(graph, ids, seed)`` for the fused-kernel property files: a graph
+    with self-loops, duplicate and weighted edges, dangling sources,
+    zero-in-degree rows, possibly no edges at all; a task list of every
+    shape a dispatch hands a kernel; a seed for the values."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 90))
+    endpoint = st.integers(0, n - 1)
+    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
+    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
+    weights = draw(st.lists(st.floats(0.1, 100.0), min_size=m, max_size=m))
+    graph = Graph.from_edges(
+        n,
+        (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)),
+        np.asarray(weights, dtype=np.float64),
+        name="kernel-case",
+    )
+    kind = draw(st.sampled_from(["any", "full", "run", "single", "empty"]))
+    if kind == "any":  # unsorted, duplicated
+        ids = draw(st.lists(endpoint, max_size=2 * n))
+    elif kind == "full":
+        ids = list(range(n))
+    elif kind == "run":
+        lo = draw(endpoint)
+        ids = list(range(lo, draw(st.integers(lo, n - 1)) + 1))
+    elif kind == "single":
+        ids = [draw(endpoint)]
+    else:
+        ids = []
+    seed = draw(st.integers(0, 2**32 - 1))
+    return graph, np.asarray(ids, dtype=np.int64), seed

@@ -28,6 +28,8 @@ from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.graph.shards import ShardSlice
 
+from tests.conftest import kernel_cases
+
 #: name -> factory(graph, rng); bound by :func:`_bound_app`.
 TERMS_APPS = {
     "PR": lambda graph, rng: PageRank(),
@@ -56,40 +58,8 @@ def _gather(app, adjacency, graph, values, ids, terms):
     return result.tobytes(), edges
 
 
-@st.composite
-def gather_cases(draw):
-    """Graph (self-loops, duplicate and weighted edges, dangling sources,
-    zero-in-degree rows, possibly no edges at all), values, task ids."""
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(0, 90))
-    endpoint = st.integers(0, n - 1)
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    weights = draw(st.lists(st.floats(0.1, 100.0), min_size=m, max_size=m))
-    graph = Graph.from_edges(
-        n,
-        (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)),
-        np.asarray(weights, dtype=np.float64),
-        name="gather-case",
-    )
-    kind = draw(st.sampled_from(["any", "full", "run", "single", "empty"]))
-    if kind == "any":  # unsorted, duplicated
-        ids = draw(st.lists(endpoint, max_size=2 * n))
-    elif kind == "full":
-        ids = list(range(n))
-    elif kind == "run":
-        lo = draw(endpoint)
-        ids = list(range(lo, draw(st.integers(lo, n - 1)) + 1))
-    elif kind == "single":
-        ids = [draw(endpoint)]
-    else:
-        ids = []
-    seed = draw(st.integers(0, 2**32 - 1))
-    return graph, np.asarray(ids, dtype=np.int64), seed
-
-
 @pytest.mark.parametrize("name", sorted(TERMS_APPS))
-@given(case=gather_cases())
+@given(case=kernel_cases())
 def test_terms_path_is_byte_equal_to_edge_contributions(name, case):
     graph, ids, seed = case
     rng = np.random.default_rng(seed)
@@ -106,7 +76,7 @@ def test_terms_path_is_byte_equal_to_edge_contributions(name, case):
 
 
 @pytest.mark.parametrize("name", sorted(TERMS_APPS))
-@given(case=gather_cases(), cut=st.integers(0, 24))
+@given(case=kernel_cases(), cut=st.integers(0, 24))
 def test_terms_path_across_a_shard_boundary(name, case, cut):
     """Sorted ids split at a row bound and gathered shard by shard (what
     the ooc dispatch does, one terms array for the whole phase) fill the

@@ -6,19 +6,28 @@ job pays the |E'| transpose sort.  What that must preserve: the in-view
 describes the same ``(dst, src, weight)`` multiset as
 ``out_csr.transpose()`` would, and ConnectedComponents — the only app
 that runs on the view — computes the reference labels on every backend.
+
+The view is assembled row-wise (out-row then in-row, two scatters, no
+sort) and memoised on the graph; the stable sort of ``E ++ reverse(E)``
+it replaced is kept here as the oracle it must equal byte for byte.
 """
 
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import ConnectedComponents, reference
+from repro import parallel
+from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
 from repro.bench.workloads import experiment_cluster
+from repro.cluster.faults import FaultPlan
 from repro.core.engine import SLFEEngine
+from repro.errors import EngineError
+from repro.graph.csr import CSR
 from repro.graph.graph import Graph
-from repro.ooc import install_ooc
+from repro.ooc import SpilledGraph, install_ooc
 
 
 def _incoming_edges(in_csr):
@@ -60,6 +69,65 @@ def test_shared_csr_is_the_transpose_up_to_row_order(graph):
     assert graph.in_csr is not graph.out_csr
 
 
+def sorted_symmetrise(graph):
+    """The view's CSR as the parent commit built it: a stable sort of
+    ``E ++ reverse(E)`` by source."""
+    srcs, dsts, w = graph.edge_arrays()
+    return CSR.from_edges(
+        graph.num_vertices,
+        np.concatenate([srcs, dsts]),
+        np.concatenate([dsts, srcs]),
+        np.concatenate([w, w]),
+    )
+
+
+def _assert_byte_equal(csr, expected):
+    for name in ("indptr", "indices", "weights"):
+        got, want = getattr(csr, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@given(graphs())
+def test_sort_free_view_is_byte_equal_to_the_stable_sort(graph):
+    _assert_byte_equal(graph.undirected_view().out_csr,
+                       sorted_symmetrise(graph))
+
+
+def test_sort_free_view_of_a_single_vertex():
+    loops = np.zeros(3, dtype=np.int64)
+    for edges in ((loops, loops), (loops[:0], loops[:0])):
+        graph = Graph.from_edges(1, edges)
+        _assert_byte_equal(graph.undirected_view().out_csr,
+                           sorted_symmetrise(graph))
+
+
+@given(graphs())
+def test_view_is_built_once_per_graph_and_is_read_only(graph):
+    view = graph.undirected_view()
+    assert graph.undirected_view() is view
+    for array in (view.out_csr.indptr, view.out_csr.indices,
+                  view.out_csr.weights):
+        assert not array.flags.writeable
+    # Same topology under new weights is a new graph with its own memo.
+    doubled = graph.out_csr.weights * 2.0
+    reweighted = graph.with_weights(doubled)
+    assert reweighted.undirected_view() is not view
+    _assert_byte_equal(reweighted.undirected_view().out_csr,
+                       sorted_symmetrise(reweighted))
+    assert graph.undirected_view() is view
+    assert graph.with_unit_weights().undirected_view() is not view
+
+
+def test_spilled_graph_refuses_the_view_and_keeps_no_partial_memo():
+    indptr = np.array([0, 2, 3, 3], dtype=np.int64)
+    spilled = SpilledGraph(indptr, indptr, "0" * 64)
+    for _ in range(2):  # the second call must not find a half-built view
+        with pytest.raises(EngineError, match="edge arrays are not resident"
+                           ".*backend='ooc'"):
+            spilled.undirected_view()
+
+
 @given(graphs())
 def test_cc_on_the_shared_csr_matches_the_reference(graph):
     for enable_rr in (True, False):
@@ -86,29 +154,60 @@ def _awkward_graph():
     dsts = np.concatenate([dsts, srcs[:200], dsts[:100], np.arange(30),
                            tail + 1])
     #                      ^ antiparallel   ^ duplicates  ^ self-loops
-    return Graph.from_edges(n, (srcs, dsts), name="awkward")
+    weights = rng.uniform(1.0, 10.0, srcs.size)
+    return Graph.from_edges(n, (srcs, dsts), weights, name="awkward")
 
 
-def _cc(graph, backend, workers=None):
+#: app -> (factory, root, reference); CC pulls through ``source_terms``,
+#: SSSP and WidestPath through ``edge_candidates``.
+MINMAX_APPS = {
+    "CC": (ConnectedComponents, None,
+           lambda graph, root: reference.connected_components(graph)),
+    "SSSP": (SSSP, 7, reference.dijkstra),
+    "WP": (WidestPath, 7, reference.widest_path),
+}
+
+
+def _run(graph, name, backend, workers=None, spec=None):
+    factory, root, _ = MINMAX_APPS[name]
+    plan = FaultPlan.parse(spec, num_nodes=4) if spec else None
     return SLFEEngine(
         graph, config=experiment_cluster(num_nodes=4), backend=backend,
-        num_workers=workers,
-    ).run_minmax(ConnectedComponents())
+        num_workers=workers, fault_plan=plan,
+    ).run_minmax(factory(), root=root)
 
 
 def test_cc_is_bit_identical_on_serial_pool_and_ooc():
+    # (SSSP and WidestPath too; the name is the one CI history knows.)
+    for name in sorted(MINMAX_APPS):
+        _assert_bit_identical_on_every_backend(name)
+
+
+def _assert_bit_identical_on_every_backend(name):
     graph = _awkward_graph()
-    expected = reference.connected_components(graph).astype(np.float64)
-    serial = _cc(graph, "serial")
+    _, root, oracle = MINMAX_APPS[name]
+    expected = oracle(graph, root).astype(np.float64)
+    serial = _run(graph, name, "serial")
     assert serial.values.tobytes() == expected.tobytes()
     modes = serial.metrics.mode_counts()
     assert modes.get("pull", 0) and modes.get("push", 0)
     runs = []
     if os.path.isdir("/dev/shm"):
-        runs.append(_cc(graph, "parallel", 2))
+        runs.append(_run(graph, name, "parallel", 2))
+        # Respawn budget 0: the first phase loses a worker and every
+        # later one runs on the parent's inline kernels.
+        first = "pull" if name == "CC" else "push"
+        previous = parallel.install_recovery(max_respawns=0)
+        try:
+            degraded = _run(graph, name, "parallel", 2,
+                            spec="worker-crash@1:%s-0" % first)
+        finally:
+            parallel.install_recovery(*previous)
+        assert degraded.degraded is True
+        runs.append(degraded)
     previous = install_ooc(0.01, 2)  # ~10 KiB shards: every phase streams
     try:
-        runs.append(_cc(graph, "ooc"))
+        runs.append(_run(graph, name, "ooc"))
     finally:
         install_ooc(*previous)
     for result in runs:
