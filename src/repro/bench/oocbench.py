@@ -3,12 +3,13 @@
 The claim the ooc backend makes is a *memory* claim: vertex state is
 O(|V|) resident, edges stream from the artifact store, so peak RSS
 should stay flat while |E| grows.  Wall clock inside one process cannot
-witness that — ``ru_maxrss`` is a high-water mark for the whole process
-lifetime, and a parent that ever materialised the in-memory graph has
-already spoiled it.  So every measured run happens in a fresh child
-interpreter (``python -m repro.bench.oocbench --child ...``) and reports
-its own ``ru_maxrss`` plus a checksum of the converged values; the
-parent only orchestrates and asserts the checksums agree.
+witness that — a high-water mark covers the whole process lifetime, and
+a parent that ever materialised the in-memory graph has already spoiled
+it.  So every measured run happens in a fresh child interpreter
+(``python -m repro.bench.oocbench --child ...``) and reports its own
+peak RSS (``VmHWM``, see :func:`_peak_rss_bytes`) plus a checksum of the
+converged values; the parent only orchestrates and asserts the
+checksums agree.
 
 Three child modes per scale point:
 
@@ -22,8 +23,8 @@ Three child modes per scale point:
 ``run-mem``
     Build the same graph in memory and run the serial reference.
 
-Used by :func:`repro.bench.regression.run_matrix` for the ungated
-``ooc_scaling`` BENCH section.
+``python -m repro.bench.oocbench`` prints the sweep; CI's ``ooc`` job
+asserts on it (peak RSS below in-memory at 10x scale).
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ GRAPH_KEY = "LJ"
 
 
 def _peak_rss_bytes() -> int:
+    """This child's own high-water RSS.
+
+    ``ru_maxrss`` survives ``exec``, so a child spawned from a large
+    parent would report the parent's peak; ``VmHWM`` belongs to the
+    address space and starts fresh after ``exec``.
+    """
+    try:
+        with open("/proc/self/status", "r", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     from repro.ooc import peak_rss_bytes
 
     return peak_rss_bytes()

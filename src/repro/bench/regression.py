@@ -11,7 +11,6 @@ headline numbers::
       "num_nodes": 8,
       "workloads": {
         "SSSP/LJ/SLFE": {
-          "wall_seconds": 0.012,       # measured, NOT gated (noisy)
           "modeled_seconds": 0.0031,   # cost-model execution seconds
           "edge_ops": 76931,
           "messages": 10694,
@@ -25,28 +24,22 @@ When ``--baseline`` points at a previous file (typically the committed
 ``BENCH_pr.json`` from the last PR), the deterministic metrics —
 ``modeled_seconds``, ``edge_ops``, ``messages``, ``supersteps`` — are
 compared within ``--tolerance`` (relative, default 10%) and the process
-exits non-zero if any workload regressed.  ``wall_seconds`` is recorded
-for orientation but never gated: CI wall clocks are noise.
+exits 1 if any workload regressed (2 for an unusable baseline).  Nothing
+in the file comes from a clock, so it regenerates byte for byte; wall
+clock is judged by ``perfbench`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-import time
 from typing import Dict, List, Optional
 
 from repro.bench import workloads
 from repro.bench.runner import run_workload
-# Re-exported: the scaling section moved to repro.bench.scaling.
-from repro.bench.scaling import (  # noqa: F401
-    SCALING_SCALE_DIVISOR,
-    SCALING_WORKER_COUNTS,
-)
-from repro.bench.scaling import GATE_WORKERS as _GATE_WORKERS
-from repro.bench.scaling import gate as _scaling_gate
-from repro.bench.scaling import measure as _measure_scaling
+from repro.graph.datasets import DATASETS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,9 +47,6 @@ __all__ = [
     "DEFAULT_APPS",
     "DEFAULT_GRAPHS",
     "DEFAULT_ENGINES",
-    "SCALING_WORKER_COUNTS",
-    "LIVE_OVERHEAD_BUDGET",
-    "measure_live_overhead",
     "run_matrix",
     "validate",
     "compare",
@@ -66,7 +56,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: Metrics compared against the baseline; all are deterministic
-#: functions of the workload (wall_seconds deliberately excluded).
+#: functions of the workload.
 GATED_METRICS = ("modeled_seconds", "edge_ops", "messages", "supersteps")
 
 DEFAULT_APPS = ["SSSP", "PR"]
@@ -96,14 +86,6 @@ FAULTS_MIN_NODES = 4
 #: updates-to-convergence.
 ASYNC_SCHEDULING_APP = "PR"
 ASYNC_SCHEDULING_GRAPH = "PK"
-
-#: Relative wall-clock growth the live telemetry plane (sampler thread
-#: + /metrics endpoint) is allowed to add to a run.
-LIVE_OVERHEAD_BUDGET = 0.02
-LIVE_OVERHEAD_REPEATS = 3
-#: The matrix scale is too small to time (single-digit milliseconds);
-#: the overhead probe uses a bigger stand-in so the ratio is signal.
-LIVE_OVERHEAD_SCALE = 500
 
 
 def _registry_snapshot(recorder) -> dict:
@@ -166,7 +148,6 @@ def _faults_entry(scale_divisor: int, num_nodes: int) -> dict:
     num_nodes = max(num_nodes, FAULTS_MIN_NODES)
     plan = FaultPlan.parse(FAULTS_PLAN_SPEC, num_nodes=num_nodes)
     recorder = TraceRecorder()
-    t0 = time.perf_counter()
     outcome = run_workload(
         "SLFE",
         "SSSP",
@@ -177,10 +158,8 @@ def _faults_entry(scale_divisor: int, num_nodes: int) -> dict:
         checkpoint_every=FAULTS_CHECKPOINT_EVERY,
         recorder=recorder,
     )
-    wall = time.perf_counter() - t0
     metrics = outcome.result.metrics
     return {
-        "wall_seconds": wall,
         "modeled_seconds": outcome.runtime.execution_seconds,
         "edge_ops": metrics.total_edge_ops,
         "messages": metrics.total_messages,
@@ -245,44 +224,6 @@ def _cache_amortization_entry(scale_divisor: int, num_nodes: int) -> dict:
     }
 
 
-def _ooc_scaling_entry() -> dict:
-    """In-memory vs out-of-core peak RSS as |E| grows 100x.
-
-    Recorded at the top level, outside ``workloads`` — informational,
-    never gated (child-process RSS and wall clock are host noise; the
-    deterministic property it witnesses — bit-identical values — is
-    asserted per row via ``identical`` and by the ooc test suite).
-    Runs at its own scale points: the claim needs |E| spanning orders
-    of magnitude, which the matrix scale does not.
-    """
-    from repro.bench.oocbench import measure
-
-    return measure()
-
-
-def _measured_recovery_entry(scale_divisor: int) -> dict:
-    """Measured pool self-healing under real worker kill/stop faults.
-
-    Recorded at the top level, outside ``workloads`` — informational,
-    never gated (wall-clock recovery latency is CI noise; the
-    deterministic properties it witnesses — fault applied, answer
-    bit-identical, no degradation — are asserted by the chaos test
-    suite).  Runs on a 2-worker pool regardless of CPU count: recovery
-    correctness does not need real parallelism.
-    """
-    from repro.bench.experiments.recovery_overhead import (
-        measured_pool_recovery,
-    )
-    from repro.parallel import backend_installed
-
-    with backend_installed("parallel", 2):
-        table = measured_pool_recovery(scale_divisor=scale_divisor)
-    return {
-        "workers": 2,
-        "rows": [dict(zip(table.columns, row)) for row in table.rows],
-    }
-
-
 def _async_scheduling_entry(scale_divisor: int, num_nodes: int) -> dict:
     """One row per async round scheduler on the same PR workload.
 
@@ -340,87 +281,14 @@ def _async_scheduling_entry(scale_divisor: int, num_nodes: int) -> dict:
     }
 
 
-def measure_live_overhead(num_nodes: int = 8) -> dict:
-    """Measured wall-clock cost of the live telemetry plane.
-
-    Runs the canonical SSSP/LJ/SLFE workload with the plane fully on
-    (ambient :class:`~repro.obs.live.LiveTelemetryPlane` sampling an
-    attached dispatch and serving ``/metrics`` on an ephemeral port)
-    and fully off, min-of-repeats each way.  The section is recorded in
-    the BENCH payload but never baseline-gated; the ≤ ``budget``
-    assertion is applied by :func:`main` only when the measurement is
-    trustworthy (``cpu_count >= 2`` — on one CPU the sampler thread
-    competes with the workload for the single core, so the ratio
-    overstates the cost every parallel deployment would see).
-    """
-    import os
-
-    from repro.obs.live import LiveTelemetryPlane, install_live_plane
-    from repro.trace.recorder import TraceRecorder
-
-    def best_wall(plane_on: bool) -> float:
-        best = float("inf")
-        for _ in range(LIVE_OVERHEAD_REPEATS):
-            plane = previous = None
-            if plane_on:
-                plane = LiveTelemetryPlane(
-                    recorder=TraceRecorder(), serve_port=0
-                )
-                previous = install_live_plane(plane)
-            try:
-                t0 = time.perf_counter()
-                run_workload(
-                    "SLFE", "SSSP", "LJ",
-                    num_nodes=num_nodes,
-                    scale_divisor=LIVE_OVERHEAD_SCALE,
-                )
-                best = min(best, time.perf_counter() - t0)
-            finally:
-                if plane is not None:
-                    plane.close()
-                    install_live_plane(previous)
-        return best
-
-    off = best_wall(False)
-    on = best_wall(True)
-    overhead = max(0.0, (on - off) / off) if off > 0 else 0.0
-    cpu_count = os.cpu_count() or 1
-    return {
-        "workload": "SSSP/LJ/SLFE",
-        "scale_divisor": LIVE_OVERHEAD_SCALE,
-        "repeats": LIVE_OVERHEAD_REPEATS,
-        "off_seconds": off,
-        "on_seconds": on,
-        "overhead": overhead,
-        "budget": LIVE_OVERHEAD_BUDGET,
-        "cpu_count": cpu_count,
-        "trustworthy": cpu_count >= 2,
-        "within_budget": overhead <= LIVE_OVERHEAD_BUDGET,
-    }
-
-
 def run_matrix(
     apps: Optional[List[str]] = None,
     graphs: Optional[List[str]] = None,
     engines: Optional[List[str]] = None,
     scale_divisor: int = DEFAULT_SCALE,
     num_nodes: int = 8,
-    parallel_scaling: bool = False,
-    live_overhead: bool = False,
-    ooc_scaling: bool = False,
 ) -> dict:
-    """Run the workload matrix and return the BENCH payload.
-
-    ``parallel_scaling`` additionally measures the shared-memory backend
-    at 1/2/4/8 workers (see :func:`repro.bench.scaling.measure`);
-    ``live_overhead`` additionally measures the telemetry plane's
-    wall-clock cost (see :func:`measure_live_overhead`);
-    ``ooc_scaling`` additionally measures in-memory vs out-of-core
-    peak RSS across a 100x |E| sweep (see
-    :func:`repro.bench.oocbench.measure`).  The CLI enables all three,
-    library callers (and the tier-1 regression test, which only
-    compares the ``workloads`` section) default them off.
-    """
+    """Run the workload matrix and return the BENCH payload."""
     apps = apps or DEFAULT_APPS
     graphs = graphs or DEFAULT_GRAPHS
     engines = engines or DEFAULT_ENGINES
@@ -431,7 +299,6 @@ def run_matrix(
         for graph_key in graphs:
             for engine_name in engines:
                 recorder = TraceRecorder()
-                t0 = time.perf_counter()
                 outcome = run_workload(
                     engine_name,
                     app_name,
@@ -440,11 +307,9 @@ def run_matrix(
                     scale_divisor=scale_divisor,
                     recorder=recorder,
                 )
-                wall = time.perf_counter() - t0
                 key = "%s/%s/%s" % (app_name, graph_key, engine_name)
                 metrics = outcome.result.metrics
                 entries[key] = {
-                    "wall_seconds": wall,
                     "modeled_seconds": outcome.runtime.execution_seconds,
                     "edge_ops": metrics.total_edge_ops,
                     "messages": metrics.total_messages,
@@ -452,7 +317,7 @@ def run_matrix(
                     "registry": _registry_snapshot(recorder),
                 }
     entries[FAULTS_KEY] = _faults_entry(scale_divisor, num_nodes)
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "scale_divisor": scale_divisor,
         "num_nodes": num_nodes,
@@ -461,20 +326,10 @@ def run_matrix(
         "cache_amortization": _cache_amortization_entry(
             scale_divisor, num_nodes
         ),
-        "measured_recovery": _measured_recovery_entry(scale_divisor),
         "async_scheduling": _async_scheduling_entry(
             scale_divisor, num_nodes
         ),
     }
-    if parallel_scaling:
-        # The matrix scale is too small to measure (serial runs are
-        # single-digit milliseconds); the scaling module uses its own.
-        payload["parallel_scaling"] = _measure_scaling(num_nodes=num_nodes)
-    if live_overhead:
-        payload["live_overhead"] = measure_live_overhead(num_nodes=num_nodes)
-    if ooc_scaling:
-        payload["ooc_scaling"] = _ooc_scaling_entry()
-    return payload
 
 
 def validate(payload: dict) -> None:
@@ -495,7 +350,7 @@ def validate(payload: dict) -> None:
     for key, entry in workloads_obj.items():
         if not isinstance(entry, dict):
             raise ValueError("workload %r is not an object" % key)
-        for metric in ("wall_seconds",) + GATED_METRICS:
+        for metric in GATED_METRICS:
             if not isinstance(entry.get(metric), (int, float)):
                 raise ValueError(
                     "workload %r is missing numeric metric %r" % (key, metric)
@@ -510,8 +365,10 @@ def compare(
     Only *increases* count: doing less modeled work / sending fewer
     messages than the baseline is an improvement, not a regression.
     Workloads present in only one of the two files are skipped (the
-    matrix is configurable) but noted.
+    matrix is configurable) but noted.  Raises ``ValueError`` for a
+    NaN, infinite or negative ``tolerance``.
     """
+    _check_tolerance(tolerance)
     problems: List[str] = []
     base_workloads = baseline.get("workloads", {})
     for key, entry in current.get("workloads", {}).items():
@@ -552,6 +409,22 @@ def _positive_int(name: str):
     return parse
 
 
+def _check_tolerance(value: float) -> float:
+    # `new > old * (1 + nan)` is never true: a non-finite or negative
+    # tolerance would switch the gate off without saying so.
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("tolerance must be finite and >= 0 (got %r)" % value)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """Argparse type: the values :func:`compare` accepts."""
+    try:
+        return _check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regression",
@@ -561,7 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output JSON path (default: BENCH_pr.json)")
     parser.add_argument("--baseline", default=None,
                         help="previous BENCH_pr.json to compare against")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    parser.add_argument("--tolerance", type=_tolerance,
+                        default=DEFAULT_TOLERANCE,
                         help="relative growth allowed per gated metric "
                         "(default: 0.10)")
     parser.add_argument("--scale", type=_positive_int("scale"),
@@ -571,20 +445,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="cluster size (default: 8)")
     parser.add_argument("--apps", nargs="+", default=None,
                         choices=workloads.APP_ORDER, metavar="APP")
-    parser.add_argument("--graphs", nargs="+", default=None, metavar="GRAPH")
+    parser.add_argument("--graphs", nargs="+", default=None,
+                        choices=sorted(DATASETS), metavar="GRAPH")
     parser.add_argument("--engines", nargs="+", default=None,
                         choices=workloads.ENGINE_NAMES + ["SLFE-noRR"],
                         metavar="ENGINE")
-    parser.add_argument("--no-parallel-scaling", action="store_true",
-                        help="skip the measured 1/2/4/8-worker scaling "
-                        "section (informational, never gated)")
-    parser.add_argument("--no-live-overhead", action="store_true",
-                        help="skip the measured telemetry-plane overhead "
-                        "section (recorded, gated at %.0f%% only on "
-                        "multi-CPU hosts)" % (LIVE_OVERHEAD_BUDGET * 100))
-    parser.add_argument("--no-ooc-scaling", action="store_true",
-                        help="skip the in-memory vs out-of-core peak-RSS "
-                        "sweep (informational, never gated)")
     args = parser.parse_args(argv)
 
     # A broken baseline is diagnosed before the matrix runs, not after.
@@ -600,60 +465,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         engines=args.engines,
         scale_divisor=args.scale,
         num_nodes=args.nodes,
-        parallel_scaling=not args.no_parallel_scaling,
-        live_overhead=not args.no_live_overhead,
-        ooc_scaling=not args.no_ooc_scaling,
     )
     validate(payload)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("wrote %s (%d workloads)" % (args.out, len(payload["workloads"])))
-
-    scaling_problems: List[str] = []
-    section = payload.get("parallel_scaling")
-    if section is not None:
-        status, scaling_problems = _scaling_gate(section)
-        if status == "advisory":
-            print(
-                "parallel_scaling: advisory (cpu_count %d < %d workers) "
-                "— speedups recorded, not gated"
-                % (section.get("cpu_count", 1), _GATE_WORKERS)
-            )
-        for line in scaling_problems:
-            print("REGRESSION parallel_scaling: %s" % line, file=sys.stderr)
-
-    live_problems: List[str] = []
-    live = payload.get("live_overhead")
-    if live is not None:
-        summary = (
-            "live_overhead: %.2f%% (plane on %.4fs vs off %.4fs, "
-            "budget %.0f%%)"
-            % (live["overhead"] * 100, live["on_seconds"],
-               live["off_seconds"], live["budget"] * 100)
-        )
-        if not live["trustworthy"]:
-            print("%s — advisory (cpu_count %d < 2, sampler shares the "
-                  "only core)" % (summary, live["cpu_count"]))
-        elif not live["within_budget"]:
-            live_problems.append(summary)
-            print("REGRESSION %s" % summary, file=sys.stderr)
-        else:
-            print(summary)
-
-    ooc_section = payload.get("ooc_scaling")
-    if ooc_section is not None:
-        for row in ooc_section["rows"]:
-            print(
-                "ooc_scaling |E|=%d: peak RSS %.1f MiB in-memory vs "
-                "%.1f MiB ooc, identical=%s"
-                % (
-                    row["num_edges"],
-                    row["in_memory"]["peak_rss_bytes"] / 2**20,
-                    row["ooc"]["peak_rss_bytes"] / 2**20,
-                    row["identical"],
-                )
-            )
 
     async_section = payload.get("async_scheduling")
     if async_section is not None:
@@ -692,7 +509,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("REGRESSION %s" % line, file=sys.stderr)
             return 1
         print("no regressions against %s" % args.baseline)
-    return 1 if (scaling_problems or live_problems) else 0
+    return 0
 
 
 def _load_baseline(path: str) -> Optional[dict]:

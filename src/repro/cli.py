@@ -407,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="PATH", help="HTML output path")
     report.add_argument("--md-out", default=None, metavar="PATH",
                         help="also write the report as markdown")
-    report.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="BENCH_pr.json whose live_overhead section is surfaced in "
-        "the report (default: ./BENCH_pr.json when present)",
-    )
     _add_workload_arguments(report, positional_app=False)
 
     top = sub.add_parser(
@@ -912,17 +907,7 @@ def _cmd_report(args) -> int:
             "or a workload to replay (--app/--graph)"
         )
 
-    bench_payload = None
-    bench_path = args.bench_json
-    if bench_path is None and os.path.exists("BENCH_pr.json"):
-        bench_path = "BENCH_pr.json"
-    if bench_path and os.path.exists(bench_path):
-        import json
-
-        with open(bench_path, "r", encoding="utf-8") as handle:
-            bench_payload = json.load(handle)
-
-    report = build_report(recorder, bench=bench_payload)
+    report = build_report(recorder)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_html(report))
     print("report      : HTML -> %s" % args.out)
@@ -930,15 +915,6 @@ def _cmd_report(args) -> int:
         with open(args.md_out, "w", encoding="utf-8") as handle:
             handle.write(render_markdown(report))
         print("report      : markdown -> %s" % args.md_out)
-    overhead = (report.get("live") or {}).get("overhead")
-    if isinstance(overhead, dict) and overhead.get("overhead") is not None:
-        print("live ovh.   : %.2f%% telemetry-plane overhead "
-              "(budget %.0f%%, %s)"
-              % (float(overhead["overhead"]) * 100.0,
-                 float(overhead.get("budget", 0.02)) * 100.0,
-                 "within budget"
-                 if overhead.get("within_budget", True)
-                 else "OVER BUDGET"))
     print("RR          : %s" % report["rr"]["verdict"])
     return 0
 

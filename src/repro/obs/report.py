@@ -78,7 +78,6 @@ def build_report(
     recorder: TraceRecorder,
     config: Optional[ClusterConfig] = None,
     title: str = "repro run report",
-    bench: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Compute every report section from one trace.
 
@@ -86,9 +85,7 @@ def build_report(
     :func:`render_html` format it.  ``config`` supplies the cost-model
     constants for the RR counterfactual; when omitted it is rebuilt
     from the trace's ``run_begin`` payload (harness defaults if the
-    trace has none).  ``bench`` optionally carries a ``BENCH_pr.json``
-    payload whose ``live_overhead`` section is surfaced in the live
-    observability section.
+    trace has none).
     """
     if config is None:
         config = _cluster_from_trace(recorder)
@@ -253,7 +250,7 @@ def build_report(
             ev.GUIDANCE_REUSED, ev.PARALLEL_RECOVERY, ev.PARALLEL_STALL)
     ]
 
-    # -- live observability (sampler stalls + measured plane overhead) -
+    # -- live observability (sampler stalls) ---------------------------
     stall_rows: Dict[tuple, Dict[str, Any]] = {}
     for event in recorder.events_named(ev.PARALLEL_STALL):
         p = event.payload
@@ -271,7 +268,6 @@ def build_report(
             for (worker, phase), row in sorted(stall_rows.items())
         ],
         "wall_epoch": getattr(recorder, "wall_epoch", None),
-        "overhead": (bench or {}).get("live_overhead"),
     }
 
     # -- async execution (delta-accumulative rounds) -------------------
@@ -578,37 +574,17 @@ def _sections(report: Dict[str, Any]):
                 "- run completed on the parallel pool (no degradation)"
             )
         yield "Measured fault tolerance", "\n".join(recovery_lines)
-    live = report.get("live") or {}
-    if live.get("stalls") or live.get("overhead"):
+    stalls = (report.get("live") or {}).get("stalls")
+    if stalls:
         # What the live telemetry plane itself observed: heartbeat
-        # stall episodes per worker/phase, and the measured cost of
-        # running the plane at all (from the bench payload, if given).
-        live_lines = []
-        if live.get("stalls"):
-            live_lines.append(_md_table(
-                ["worker", "phase", "stall episodes", "longest stall s"],
-                [
-                    [s["worker"], s["phase"], s["episodes"],
-                     s["max_seconds"]]
-                    for s in live["stalls"]
-                ],
-            ))
-        else:
-            live_lines.append("- no stall episodes detected")
-        overhead = live.get("overhead")
-        if isinstance(overhead, dict) and overhead.get("overhead") is not None:
-            live_lines.append("")
-            live_lines.append(
-                "- measured plane overhead: %.2f%% (budget %.0f%%, %s)"
-                % (
-                    float(overhead["overhead"]) * 100.0,
-                    float(overhead.get("budget", 0.02)) * 100.0,
-                    "within budget"
-                    if overhead.get("within_budget", True)
-                    else "OVER BUDGET",
-                )
-            )
-        yield "Live observability", "\n".join(live_lines)
+        # stall episodes per worker/phase.
+        yield "Live observability", _md_table(
+            ["worker", "phase", "stall episodes", "longest stall s"],
+            [
+                [s["worker"], s["phase"], s["episodes"], s["max_seconds"]]
+                for s in stalls
+            ],
+        )
     async_exec = report.get("async")
     if async_exec:
         # The async engine has no supersteps; its unit of progress is

@@ -2,10 +2,9 @@
 
 Running ``python -m repro.bench.regression`` in CI is one option; this
 file makes the same gate part of the ordinary test suite: the matrix is
-re-run at the committed scale and compared against the committed
-``BENCH_pr.json`` with a wide tolerance (the metrics are deterministic,
-so the slack only covers intentional drift between regenerations — a
-real regression blows far past it).
+re-run at the committed scale and must *equal* the committed
+``BENCH_pr.json`` — nothing in the file comes from a clock, and
+``compare`` alone would never flag a decrease.
 """
 
 import copy
@@ -15,13 +14,13 @@ import pathlib
 import pytest
 
 from repro.bench import regression
-from tests.conftest import WALL_CLOCK_OFF
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_pr.json"
 
-#: Wide on purpose: the gate here is "same order of work", the tight
-#: 10% gate stays with the standalone CLI run against a baseline.
-TOLERANCE = 0.25
+#: Sections a clock used to fill; a legacy baseline may still carry them.
+CLOCK_SECTIONS = (
+    "parallel_scaling", "live_overhead", "ooc_scaling", "measured_recovery",
+)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +33,17 @@ def payload():
     return current, baseline
 
 
+def assert_equal(new, old, path):
+    if isinstance(old, dict):
+        assert set(new) == set(old), path
+        for key in old:
+            assert_equal(new[key], old[key], "%s.%s" % (path, key))
+    elif isinstance(old, float):
+        assert new == pytest.approx(old, rel=1e-9, abs=0), path
+    else:
+        assert new == old and type(new) is type(old), path
+
+
 class TestMatrixAgainstCommittedBaseline:
     def test_committed_file_is_valid(self, payload):
         _, baseline = payload
@@ -43,14 +53,34 @@ class TestMatrixAgainstCommittedBaseline:
         current, _ = payload
         regression.validate(current)
 
-    def test_no_regressions_at_wide_tolerance(self, payload):
+    def test_fresh_matrix_equals_the_committed_file(self, payload):
+        # Integers (metrics, registry counters) exactly; the floats are
+        # sums of products in a fixed order, so 1e-9 is libm slack only.
         current, baseline = payload
-        problems = regression.compare(current, baseline, tolerance=TOLERANCE)
-        assert problems == []
+        assert set(current) == set(baseline)
+        assert regression.compare(current, baseline, tolerance=0) == []
+        for section in ("workloads", "cache_amortization",
+                        "async_scheduling"):
+            assert_equal(current[section], baseline[section], section)
 
     def test_matrix_covers_the_committed_workloads(self, payload):
         current, baseline = payload
         assert set(current["workloads"]) == set(baseline["workloads"])
+
+    def test_nothing_in_the_payload_came_from_a_clock(self, payload):
+        current, _ = payload
+        assert not set(CLOCK_SECTIONS) & set(current)
+        for entry in current["workloads"].values():
+            assert "wall_seconds" not in entry
+
+    def test_default_matrix_rows_did_work(self, payload):
+        # SSSP/PR x PK x SLFE/Gemini = 4 of the default rows.
+        current, _ = payload
+        on_pk = [k for k in current["workloads"] if "/PK/" in k]
+        assert len(on_pk) >= 4
+        for entry in current["workloads"].values():
+            assert entry["supersteps"] > 0
+            assert entry["edge_ops"] > 0
 
     def test_faults_row_present_with_recovery_metrics(self, payload):
         current, _ = payload
@@ -68,7 +98,6 @@ class TestValidate:
             "num_nodes": 8,
             "workloads": {
                 "SSSP/PK/SLFE": {
-                    "wall_seconds": 0.1,
                     "modeled_seconds": 0.001,
                     "edge_ops": 10,
                     "messages": 5,
@@ -140,54 +169,120 @@ class TestCompare:
         current["workloads"]["NEW"] = current["workloads"]["W"]
         assert regression.compare(current, self.base(), tolerance=0.10) == []
 
+    def test_zero_tolerance_flags_any_growth(self):
+        current = copy.deepcopy(self.base())
+        assert regression.compare(current, self.base(), tolerance=0) == []
+        current["workloads"]["W"]["edge_ops"] = 101
+        assert len(regression.compare(current, self.base(), tolerance=0)) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_tolerance_that_would_disable_the_gate_is_an_error(self, bad):
+        # `new > old * (1 + nan)` is never true: halved baselines passed.
+        current = copy.deepcopy(self.base())
+        current["workloads"]["W"]["edge_ops"] = 200
+        with pytest.raises(ValueError, match="tolerance"):
+            regression.compare(current, self.base(), tolerance=bad)
+
+
+#: A one-cell matrix: the CLI tests exercise flags and exit codes, not
+#: workloads.
+ARGS = [
+    "--scale", "16000", "--apps", "SSSP", "--graphs", "PK",
+    "--engines", "SLFE",
+]
+
+
+def gate_against_edited_self(tmp_path, capsys, *edits):
+    """Write a BENCH file, doctor it with ``edits``, gate a rerun on it."""
+    out = tmp_path / "bench.json"
+    assert regression.main(["--out", str(out)] + ARGS) == 0
+    baseline = json.loads(out.read_text())
+    for edit in edits:
+        edit(baseline)
+    regression.validate(baseline)
+    out.write_text(json.dumps(baseline))
+    capsys.readouterr()
+    code = regression.main(
+        ["--out", str(tmp_path / "rerun.json"), "--baseline", str(out)]
+        + ARGS
+    )
+    return code, capsys.readouterr()
+
+
+def halve(metric):
+    def edit(baseline):
+        for entry in baseline["workloads"].values():
+            entry[metric] = max(1, entry[metric] // 2)
+    return edit
+
+
+def add_gone_workload(baseline):
+    rows = baseline["workloads"]
+    rows["GONE/GONE/GONE"] = next(iter(rows.values()))
+
+
+def make_legacy(baseline):
+    """The shape written before the clock sections were retired."""
+    for entry in baseline["workloads"].values():
+        entry["wall_seconds"] = 0.012
+    for section in CLOCK_SECTIONS:
+        baseline[section] = {"advisory": True, "rows": []}
+
 
 class TestCli:
-    def test_nodes_zero_rejected(self):
-        with pytest.raises(SystemExit):
-            regression.main(["--nodes", "0"])
+    def usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            regression.main(argv)
+        assert info.value.code == 2
+        return capsys.readouterr().err
 
-    def test_scale_negative_rejected(self):
-        with pytest.raises(SystemExit):
-            regression.main(["--scale", "-5"])
+    def test_nodes_zero_rejected(self, capsys):
+        self.usage_error(["--nodes", "0"], capsys)
 
-    ARGS = [
-        "--scale", "16000", "--apps", "SSSP", "--graphs", "PK",
-        "--engines", "SLFE",
-    ]
+    def test_scale_negative_rejected(self, capsys):
+        self.usage_error(["--scale", "-5"], capsys)
 
-    def write_then_gate(self, tmp_path, extra):
-        out = tmp_path / "bench.json"
-        assert regression.main(["--out", str(out)] + self.ARGS + extra) == 0
-        written = json.loads(out.read_text())
-        regression.validate(written)
-        # A second identical run gated against the first must pass: the
-        # metrics are deterministic.
-        out2 = tmp_path / "bench2.json"
-        assert regression.main(
-            ["--out", str(out2), "--baseline", str(out)] + self.ARGS + extra
-        ) == 0
+    def test_unknown_graph_rejected_before_anything_runs(self, capsys):
+        err = self.usage_error(["--graphs", "NOPE"], capsys)
+        assert "invalid choice: 'NOPE'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.1", "ten"])
+    def test_tolerance_that_would_disable_the_gate_rejected(
+        self, bad, capsys
+    ):
+        err = self.usage_error(["--tolerance=%s" % bad], capsys)
+        assert "--tolerance" in err
 
     def test_writes_and_gates_against_itself(self, tmp_path):
-        self.write_then_gate(tmp_path, WALL_CLOCK_OFF)
+        out = tmp_path / "bench.json"
+        assert regression.main(["--out", str(out)] + ARGS) == 0
+        regression.validate(json.loads(out.read_text()))
+        # A second identical run writes the same bytes, and gated
+        # against the first it passes even at zero tolerance.
+        out2 = tmp_path / "bench2.json"
+        assert regression.main(
+            ["--out", str(out2), "--baseline", str(out), "--tolerance", "0"]
+            + ARGS
+        ) == 0
+        assert out2.read_bytes() == out.read_bytes()
 
-    @pytest.mark.bench
-    def test_wall_clock_gates_hold(self, tmp_path):
-        self.write_then_gate(tmp_path, [])
+    def test_doctored_baseline_fails(self, tmp_path, capsys):
+        code, captured = gate_against_edited_self(
+            tmp_path, capsys, halve("edge_ops")
+        )
+        assert code == 1
+        assert "REGRESSION" in captured.err
 
 
 class TestBaselineErrors:
     """A broken --baseline is an operator mistake: the harness must say
     what is wrong in one line and exit 2, never dump a traceback."""
 
-    ARGS = [
-        "--scale", "16000", "--apps", "SSSP", "--graphs", "PK",
-        "--engines", "SLFE", "--no-parallel-scaling",
-    ]
-
     def run_main(self, tmp_path, baseline, capsys):
         out = tmp_path / "bench.json"
         code = regression.main(
-            ["--out", str(out), "--baseline", str(baseline)] + self.ARGS
+            ["--out", str(out), "--baseline", str(baseline)] + ARGS
         )
         return code, capsys.readouterr().err
 
@@ -218,117 +313,45 @@ class TestBaselineErrors:
         assert code == 2
         assert "does not match the BENCH schema" in err
 
-    def note_workload_set_differences(self, tmp_path, capsys, extra):
-        args = self.ARGS + extra
-        out = tmp_path / "bench.json"
-        assert regression.main(["--out", str(out)] + args) == 0
-        baseline = json.loads(out.read_text())
-        entry = next(iter(baseline["workloads"].values()))
-        baseline["workloads"]["GONE/GONE/GONE"] = entry
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(baseline))
-        capsys.readouterr()
-        code = regression.main(
-            ["--out", str(tmp_path / "b2.json"), "--baseline", str(edited)]
-            + args
+    def test_workload_set_differences_noted(self, tmp_path, capsys):
+        code, captured = gate_against_edited_self(
+            tmp_path, capsys, add_gone_workload
         )
         assert code == 0
-        assert "GONE/GONE/GONE" in capsys.readouterr().out
+        assert "GONE/GONE/GONE" in captured.out
 
-    def test_workload_set_differences_noted(self, tmp_path, capsys):
-        self.note_workload_set_differences(tmp_path, capsys, WALL_CLOCK_OFF)
 
-    @pytest.mark.bench
-    def test_workload_set_differences_noted_with_live_gate(
+class TestLegacyBaseline:
+    """A file that still carries ``wall_seconds`` per row and the
+    measured sections is a usable baseline: ``validate`` requires and
+    ``compare`` reads only the gated metrics."""
+
+    def test_gates_clean_and_notes_workload_set_differences(
         self, tmp_path, capsys
     ):
-        self.note_workload_set_differences(tmp_path, capsys, [])
-
-
-class TestParallelScaling:
-    def test_off_by_default(self):
-        payload = regression.run_matrix(
-            apps=["SSSP"], graphs=["PK"], engines=["SLFE"],
-            scale_divisor=16000, num_nodes=2,
+        code, captured = gate_against_edited_self(
+            tmp_path, capsys, make_legacy, add_gone_workload
         )
-        assert "parallel_scaling" not in payload
+        assert code == 0
+        assert "no regressions" in captured.out
+        assert "GONE/GONE/GONE" in captured.out
 
-    def test_section_shape_and_bit_identity(self):
-        payload = regression.run_matrix(
-            apps=["SSSP"], graphs=["PK"], engines=["SLFE"],
-            scale_divisor=16000, num_nodes=2, parallel_scaling=True,
+    def test_still_catches_a_regression(self, tmp_path, capsys):
+        code, captured = gate_against_edited_self(
+            tmp_path, capsys, make_legacy, halve("messages")
         )
-        section = payload["parallel_scaling"]
-        assert section["cpu_count"] >= 1
-        assert section["serial_wall_seconds"] > 0
-        workers = [run["workers"] for run in section["parallel"]]
-        assert workers == list(regression.SCALING_WORKER_COUNTS)
-        for run in section["parallel"]:
-            assert run["wall_seconds"] > 0
-            assert run["speedup"] > 0
-            assert run["bit_identical"] is True
-        # The section is informational: validate() and compare() must
-        # both tolerate its presence (and its absence in baselines).
-        regression.validate(payload)
-        assert regression.compare(payload, payload) == []
-
-
-class TestLiveOverheadSection:
-    """The telemetry-plane overhead probe: recorded, budgeted, honest."""
-
-    @pytest.fixture(scope="class")
-    def entry(self):
-        return regression.measure_live_overhead()
-
-    def test_entry_schema(self, entry):
-        assert entry["workload"] == "SSSP/LJ/SLFE"
-        assert entry["off_seconds"] > 0
-        assert entry["on_seconds"] > 0
-        assert entry["overhead"] >= 0.0
-        assert entry["budget"] == regression.LIVE_OVERHEAD_BUDGET
-        assert entry["repeats"] == regression.LIVE_OVERHEAD_REPEATS
-
-    def test_budget_verdict_matches_the_numbers(self, entry):
-        assert entry["within_budget"] == (
-            entry["overhead"] <= entry["budget"]
-        )
-
-    def test_trustworthiness_reflects_cpu_count(self, entry):
-        import os
-
-        assert entry["trustworthy"] == ((os.cpu_count() or 1) >= 2)
-
-    @pytest.mark.bench
-    def test_budget_enforced_on_trustworthy_hosts(self, entry):
-        # The acceptance gate: on a real multi-core host the plane must
-        # stay within its 2% budget.  On one CPU the sampler shares the
-        # only core with the workload, so the ratio is advisory there.
-        if not entry["trustworthy"]:
-            pytest.skip("cpu_count < 2: overhead ratio is advisory")
-        assert entry["within_budget"], (
-            "live telemetry plane overhead %.2f%% exceeds %.0f%% budget"
-            % (entry["overhead"] * 100, entry["budget"] * 100)
-        )
-
-    def test_section_joins_the_payload_only_on_request(self):
-        payload = regression.run_matrix(
-            apps=["SSSP"], graphs=["PK"], engines=["SLFE"],
-            scale_divisor=16000, live_overhead=False,
-        )
-        assert "live_overhead" not in payload
+        assert code == 1
+        assert "REGRESSION" in captured.err
 
 
 class TestAsyncSchedulingSection:
     """The RR-composition experiment rides the matrix, ungated."""
 
-    def test_section_shape_and_ungated(self):
+    def test_section_shape_and_ungated(self, payload):
         from repro.core.async_engine import SCHEDULERS
 
-        payload = regression.run_matrix(
-            apps=["SSSP"], graphs=["PK"], engines=["SLFE"],
-            scale_divisor=16000, num_nodes=2,
-        )
-        section = payload["async_scheduling"]
+        current, _ = payload
+        section = current["async_scheduling"]
         assert section["app"] == regression.ASYNC_SCHEDULING_APP
         assert section["graph"] == regression.ASYNC_SCHEDULING_GRAPH
         assert set(section["schedulers"]) == set(SCHEDULERS)
@@ -338,7 +361,5 @@ class TestAsyncSchedulingSection:
             assert row["scheduled_vertices"] > 0
             assert row["final_delta_mass"] >= 0.0
         assert section["fewest_updates"] in section["schedulers"]
-        # Informational only: schema validation and the gate both
-        # tolerate the section (compare() reads just "workloads").
-        regression.validate(payload)
-        assert regression.compare(payload, payload) == []
+        # Informational only: the gate reads just "workloads".
+        assert regression.compare(current, current) == []

@@ -22,13 +22,6 @@ settings.register_profile("nightly", max_examples=100, deadline=None)
 settings.register_profile("thorough", max_examples=500, deadline=None)
 settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
-#: ``repro.bench.regression`` flags that switch off the sections whose
-#: gates read a stopwatch (live-plane overhead budget, parallel
-#: speedup).  Tier-1 CLI tests pass these and keep every deterministic
-#: assertion; their ``bench``-marked twins run the same flow with the
-#: gates armed (``pytest -m bench``).
-WALL_CLOCK_OFF = ["--no-live-overhead", "--no-parallel-scaling"]
-
 
 @pytest.fixture
 def figure1():

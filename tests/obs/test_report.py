@@ -118,6 +118,17 @@ class TestMarkdown:
         assert "## Fault -> recovery timeline" in markdown
         assert "guidance_reused" in markdown
 
+    def test_live_section_only_when_a_stall_was_seen(self, sssp_report):
+        from repro.trace import recorder as ev
+
+        assert "## Live observability" not in render_markdown(sssp_report[0])
+        rec = TraceRecorder(clock=lambda: 0.0)
+        rec.emit(ev.PARALLEL_STALL, worker=1, phase="push", epoch=2,
+                 seconds=1.5, threshold=1.0)
+        markdown = render_markdown(build_report(rec))
+        assert "## Live observability" in markdown
+        assert "| 1 | push | 1 | 1.5 |" in markdown
+
 
 class TestHtml:
     def test_self_contained(self, sssp_report):

@@ -175,6 +175,25 @@ class TestFaultCommands:
         assert "Recovery overhead" in out
         assert "ft_seconds" in out
 
+    def test_bench_recovery_measured_pool_table(self, capsys):
+        code = main([
+            "bench", "recovery", "--backend", "parallel", "--workers", "2",
+            "--scale", "16000",
+        ])
+        assert code == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("worker-")
+        ]
+        assert [row[0] for row in rows] == [
+            "worker-crash@1:push-0", "worker-hang@1:push-0",
+        ]
+        # recovery_s is a stopwatch reading: displayed, never judged.
+        for _fault, applied, _respawns, _s, degraded, identical in rows:
+            assert (applied, degraded, identical) == (
+                "True", "False", "True",
+            )
+
 
 class TestTraceCommands:
     def test_trace_writes_parseable_jsonl(self, capsys, tmp_path):
@@ -799,28 +818,3 @@ class TestLiveTelemetryCLI:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_report_surfaces_live_overhead_from_bench_json(
-        self, capsys, tmp_path
-    ):
-        trace = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "sssp", "--graph", "PK", "--scale", "16000",
-            "--out", str(trace),
-        ]) == 0
-        bench = tmp_path / "bench.json"
-        bench.write_text(json.dumps({
-            "live_overhead": {
-                "overhead": 0.013, "budget": 0.02, "within_budget": True,
-            },
-        }))
-        capsys.readouterr()
-        code = main([
-            "report", str(trace), "-o", str(tmp_path / "r.html"),
-            "--md-out", str(tmp_path / "r.md"),
-            "--bench-json", str(bench),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "live ovh.   : 1.30%" in out
-        assert "Live observability" in (tmp_path / "r.md").read_text()
