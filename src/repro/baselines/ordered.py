@@ -33,6 +33,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector, PULL
 from repro.core.engine import RunResult
 from repro.errors import EngineError
+from repro.graph.analysis import bfs_sweep
 from repro.graph.graph import Graph
 from repro.trace.recorder import NULL_RECORDER, Recorder
 
@@ -154,24 +155,17 @@ class OrderedEngine:
             for seed in range(n):
                 if assigned[seed]:
                     continue
-                frontier = np.array([seed], dtype=np.int64)
                 assigned[seed] = True
                 values[seed] = seed
                 updates += 1
-                while frontier.size:
-                    depth += 1
-                    _, dsts, _ = out.expand_sources(frontier)
+                depth += 1
+                frontier = np.array([seed], dtype=np.int64)
+                for dsts, fresh in bfs_sweep(out, frontier, assigned):
                     edge_ops += int(dsts.size)
-                    fresh = (
-                        np.unique(dsts[~assigned[dsts]])
-                        if dsts.size
-                        else dsts
-                    )
-                    if fresh.size:
-                        assigned[fresh] = True
-                        values[fresh] = seed
-                        updates += int(fresh.size)
-                    frontier = fresh
+                    values[fresh] = seed
+                    updates += int(fresh.size)
+                    if fresh.size:  # one settle step per non-empty frontier
+                        depth += 1
         metrics.add_edge_ops(np.array([edge_ops], dtype=np.int64))
         metrics.add_updates(updates)
         metrics.set_frontier(active=depth)

@@ -17,6 +17,10 @@ roots and records, per vertex:
 Unreached vertices keep ``last_iter = 0``: they are never delayed and
 never declared early-converged ahead of time — the safe default the
 engine relies on for correctness on disconnected or cyclic inputs.
+
+The pass is one :func:`repro.graph.analysis.bfs_sweep` over ``out_csr``
+— per level a destinations-only expansion, a direct ``last_iter``
+stamp, and a sort-free dedupe of the newly reached vertices.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Iterable, Optional, Type
 import numpy as np
 
 from repro.errors import GraphIOError
+from repro.graph.analysis import bfs_sweep, resolve_ids
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -207,14 +212,44 @@ def default_roots(graph: Graph) -> np.ndarray:
     return roots.astype(np.int64)
 
 
-def _ambient_store(store):
-    """Resolve the artifact store a generation pass should consult."""
-    if store is not None:
-        return store
-    # Imported lazily: repro.store imports this module at load time.
-    from repro.store import active_store
+def _generate(graph: Graph, roots, store, variant: str, propagate) -> RRGuidance:
+    """What both variants share: resolve the roots, consult the store,
+    ``propagate(out_csr, roots, last_iter, visited, bfs_dist) ->
+    (iterations, edge_ops)`` over root-initialised arrays, offer back."""
+    n = graph.num_vertices
+    if roots is None:
+        roots = default_roots(graph)
+    else:
+        roots = resolve_ids(roots, n, "guidance root")
+    if store is None:
+        # Imported lazily: repro.store imports this module at load time.
+        from repro.store import active_store
 
-    return active_store()
+        store = active_store()
+    if store is not None:
+        cached = store.consult_guidance(graph, roots, variant=variant)
+        if cached is not None:
+            return cached
+    last_iter = np.zeros(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    bfs_dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    visited[roots] = True
+    bfs_dist[roots] = 0
+    iterations, edge_ops = propagate(graph.out_csr, roots, last_iter, visited, bfs_dist)
+    guidance = RRGuidance(last_iter, visited, bfs_dist, iterations, edge_ops, roots)
+    if store is not None:
+        store.offer_guidance(graph, guidance, variant=variant)
+    return guidance
+
+
+def _unit_propagate(out, roots, last_iter, visited, bfs_dist):
+    iteration = edge_ops = 0
+    for dsts, fresh in bfs_sweep(out, roots, visited):
+        iteration += 1
+        edge_ops += dsts.size
+        last_iter[dsts] = iteration
+        bfs_dist[fresh] = iteration
+    return iteration, edge_ops
 
 
 def generate_guidance(
@@ -229,7 +264,7 @@ def generate_guidance(
         what makes the guidance cheap and reusable across applications.
     roots:
         Source vertices (the app's root for rooted traversals, or
-        :func:`default_roots` when omitted).
+        :func:`default_roots` when omitted); non-integer ids are refused.
     store:
         Optional :class:`repro.store.ArtifactStore`; defaults to the
         ambient installed store (``--cache-dir``).  On a validated hit
@@ -240,59 +275,43 @@ def generate_guidance(
 
     Notes
     -----
-    Vectorised equivalent of the paper's per-edge pseudo-code: iteration
-    ``t`` scans the out-edges of the frontier (vertices first visited at
-    ``t - 1``), stamps ``last_iter = t`` on every touched destination,
-    and admits unvisited destinations to the next frontier.  Because
-    ``t`` only grows, stamping is a plain store — no max() needed.
+    Vectorised equivalent of the paper's per-edge pseudo-code, one
+    :func:`~repro.graph.analysis.bfs_sweep`: iteration ``t`` scans the
+    out-edges of the frontier (vertices first visited at ``t - 1``),
+    stamps ``last_iter = t`` on every scanned destination, and the
+    unvisited ones become the next frontier.  Because ``t`` only grows,
+    stamping is a plain store — no max() needed — and because every
+    duplicate of a destination carries the same ``t``, no dedupe (no
+    sort over the scanned edges) precedes it.
     """
-    n = graph.num_vertices
-    if roots is None:
-        root_arr = default_roots(graph)
-    else:
-        root_arr = np.unique(np.fromiter(roots, dtype=np.int64))
-        if root_arr.size and (root_arr.min() < 0 or root_arr.max() >= n):
-            raise IndexError("guidance root out of range")
-    store = _ambient_store(store)
-    if store is not None:
-        cached = store.consult_guidance(graph, root_arr, variant="unit")
-        if cached is not None:
-            return cached
-    last_iter = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    bfs_dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    visited[root_arr] = True
-    bfs_dist[root_arr] = 0
-    frontier = root_arr
-    out = graph.out_csr
-    iteration = 0
-    edge_ops = 0
+    return _generate(graph, roots, store, "unit", _unit_propagate)
+
+
+def _weighted_propagate(out, roots, last_iter, visited, bfs_dist):
+    dist = np.full(visited.size, np.inf)
+    dist[roots] = 0.0
+    frontier = roots
+    iteration = edge_ops = 0
     while frontier.size:
-        srcs, dsts, _ = out.expand_sources(frontier)
+        srcs, dsts, weights = out.expand_sources(frontier)
         edge_ops += dsts.size
         if dsts.size == 0:
             break
         iteration += 1
-        touched = np.unique(dsts)
-        last_iter[touched] = iteration
-        fresh = touched[~visited[touched]]
-        if fresh.size:
-            visited[fresh] = True
-            bfs_dist[fresh] = iteration
-            frontier = fresh
-        else:
-            frontier = fresh
-    guidance = RRGuidance(
-        last_iter=last_iter,
-        visited=visited,
-        bfs_dist=bfs_dist,
-        num_iterations=iteration,
-        edge_ops=edge_ops,
-        roots=root_arr,
-    )
-    if store is not None:
-        store.offer_guidance(graph, guidance, variant="unit")
-    return guidance
+        candidates = dist[srcs] + weights
+        proposal = np.full(visited.size, np.inf)
+        np.minimum.at(proposal, dsts, candidates)
+        improved = proposal < dist
+        changed = np.nonzero(improved)[0]
+        if changed.size == 0:
+            break
+        dist[changed] = proposal[changed]
+        last_iter[changed] = iteration
+        fresh = changed[~visited[changed]]
+        visited[fresh] = True
+        bfs_dist[fresh] = iteration
+        frontier = changed
+    return iteration, edge_ops
 
 
 def generate_weighted_guidance(
@@ -310,59 +329,7 @@ def generate_weighted_guidance(
     amortised) and is root-specific; it exists to *measure* the gap the
     unit-weight approximation leaves (see the ablation benchmark).
     """
-    n = graph.num_vertices
-    if roots is None:
-        root_arr = default_roots(graph)
-    else:
-        root_arr = np.unique(np.fromiter(roots, dtype=np.int64))
-        if root_arr.size and (root_arr.min() < 0 or root_arr.max() >= n):
-            raise IndexError("guidance root out of range")
-    store = _ambient_store(store)
-    if store is not None:
-        cached = store.consult_guidance(graph, root_arr, variant="weighted")
-        if cached is not None:
-            return cached
-    dist = np.full(n, np.inf)
-    dist[root_arr] = 0.0
-    last_iter = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[root_arr] = True
-    bfs_dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    bfs_dist[root_arr] = 0
-    out = graph.out_csr
-    frontier = root_arr
-    iteration = 0
-    edge_ops = 0
-    while frontier.size:
-        srcs, dsts, weights = out.expand_sources(frontier)
-        edge_ops += dsts.size
-        if dsts.size == 0:
-            break
-        iteration += 1
-        candidates = dist[srcs] + weights
-        proposal = np.full(n, np.inf)
-        np.minimum.at(proposal, dsts, candidates)
-        improved = proposal < dist
-        changed = np.nonzero(improved)[0]
-        if changed.size == 0:
-            break
-        dist[changed] = proposal[changed]
-        last_iter[changed] = iteration
-        fresh = changed[~visited[changed]]
-        visited[fresh] = True
-        bfs_dist[fresh] = iteration
-        frontier = changed
-    guidance = RRGuidance(
-        last_iter=last_iter,
-        visited=visited,
-        bfs_dist=bfs_dist,
-        num_iterations=iteration,
-        edge_ops=edge_ops,
-        roots=root_arr,
-    )
-    if store is not None:
-        store.offer_guidance(graph, guidance, variant="weighted")
-    return guidance
+    return _generate(graph, roots, store, "weighted", _weighted_propagate)
 
 
 def save_guidance(guidance: RRGuidance, path: str) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.frontier import DEFAULT_DENSE_DENOMINATOR
 from repro.core.rrg import RRGuidance
 from repro.errors import EngineError
-from repro.graph.csr import contiguous_run, expand_rows
+from repro.graph.csr import contiguous_run, expand_row_dsts, expand_rows
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import NULL_RECORDER, Recorder
@@ -440,18 +440,6 @@ def pull_apply_block(
     result[target] = reduced
     improved[target] = app.better(reduced, values[target])
     return int(srcs.size)
-
-
-def expand_row_dsts(
-    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray, base: int = 0
-) -> np.ndarray:
-    """The neighbour ids of rows ``ids`` alone — the ``dsts`` of
-    ``expand_sources(ids)`` with no ``srcs`` built and no weights
-    gathered — over raw arrays (``base`` as in
-    :func:`repro.graph.csr.expand_rows`): what the terms gather and every
-    backend's ``expand_out_dsts``/``expand_in_srcs`` serve from whatever
-    adjacency they have resident."""
-    return indices[expand_rows(indptr, ids, base)[1]]
 
 
 def gather_block(

@@ -3,19 +3,24 @@
 Sequential, obviously-correct utilities used for dataset characterisation
 and as oracles in tests: BFS levels, reachability, weakly connected
 components, and degree statistics.  Engines never call these on the hot
-path.
+path; guidance generation shares the BFS sweep and root validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.graph.csr import expand_row_dsts
 from repro.graph.graph import Graph
 
 __all__ = [
+    "resolve_ids",
+    "distinct_ids",
+    "bfs_sweep",
     "bfs_levels",
     "reachable_from",
     "weakly_connected_components",
@@ -31,27 +36,69 @@ __all__ = [
 UNREACHED = -1
 
 
+def resolve_ids(ids: Iterable[int], num_vertices: int, what: str) -> np.ndarray:
+    """The sorted distinct ``int64`` ids of a vertex set.  ``TypeError``
+    for anything but integers — bools, fractional floats and strings are
+    never truncated or parsed; ``IndexError`` for ids outside the graph."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = [ids] if isinstance(ids, (str, bytes)) else list(ids)
+        for item in ids:
+            # bool is Integral; np.bool_ and str are not Real; nan/inf fail
+            # the floor test like any fractional float.
+            integral = isinstance(item, Real) and item // 1 == item
+            if isinstance(item, bool) or not integral:
+                raise TypeError("%s must be an integer, got %r" % (what, item))
+    ids = np.unique(np.asarray(ids, dtype=np.int64))
+    if ids.size and (ids[0] < 0 or ids[-1] >= num_vertices):
+        raise IndexError("%s out of range" % what)
+    return ids
+
+
+def distinct_ids(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Each id of ``ids`` exactly once, unsorted, without a sort.
+
+    Every position writes itself to ``scratch[id]`` and survives iff it
+    reads itself back (numpy keeps the last value of a repeated index).
+    ``scratch`` is ``int64`` over the id range; only ``scratch[ids]`` is
+    read, after being overwritten, so its old contents cannot leak.
+    """
+    positions = np.arange(ids.size, dtype=np.int64)
+    scratch[ids] = positions
+    return ids[scratch[ids] == positions]
+
+
+def bfs_sweep(csr, frontier: np.ndarray, visited: np.ndarray):
+    """Level-synchronous BFS: yields ``(dsts, fresh)`` per level.
+
+    ``frontier`` holds distinct ids already marked in ``visited``
+    (updated in place).  A level that scans an edge yields all scanned
+    destinations, duplicates included, and the distinct ones reached
+    first — the next frontier.  It costs its edges only: no ``srcs``,
+    no weights, no sort, nothing |V|-sized.
+    """
+    scratch = np.empty(visited.size, dtype=np.int64)
+    while frontier.size:
+        dsts = expand_row_dsts(csr.indptr, csr.indices, frontier, csr.base)
+        if dsts.size == 0:
+            return
+        frontier = distinct_ids(dsts[~visited[dsts]], scratch)
+        visited[frontier] = True
+        yield dsts, frontier
+
+
 def bfs_levels(graph: Graph, roots: Iterable[int]) -> np.ndarray:
     """Unit-weight BFS levels from a set of roots.
 
     Returns an ``int64`` array where roots have level 0 and unreachable
-    vertices have :data:`UNREACHED`.  This is the reference for the RRG
-    preprocessing pass (every vertex's first-visit iteration).
+    vertices have :data:`UNREACHED` — every vertex's first-visit
+    iteration in the RRG preprocessing pass, off the same sweep.
     """
-    n = graph.num_vertices
-    levels = np.full(n, UNREACHED, dtype=np.int64)
-    frontier = np.unique(np.fromiter(roots, dtype=np.int64))
-    if frontier.size and (frontier.min() < 0 or frontier.max() >= n):
-        raise IndexError("root out of range")
+    levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
+    frontier = resolve_ids(roots, graph.num_vertices, "root")
     levels[frontier] = 0
-    depth = 0
-    out = graph.out_csr
-    while frontier.size:
-        depth += 1
-        _, dsts, _ = out.expand_sources(frontier)
-        fresh = np.unique(dsts[levels[dsts] == UNREACHED])
+    sweep = bfs_sweep(graph.out_csr, frontier, levels != UNREACHED)
+    for depth, (_, fresh) in enumerate(sweep, start=1):
         levels[fresh] = depth
-        frontier = fresh
     return levels
 
 
@@ -154,11 +201,7 @@ def induced_subgraph(graph: Graph, vertices) -> Graph:
     Vertex ``vertices[i]`` becomes id ``i``; only edges with both
     endpoints selected survive, weights carried along.
     """
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    if vertices.size and (
-        vertices.min() < 0 or vertices.max() >= graph.num_vertices
-    ):
-        raise IndexError("subgraph vertex out of range")
+    vertices = resolve_ids(vertices, graph.num_vertices, "subgraph vertex")
     remap = np.full(graph.num_vertices, -1, dtype=np.int64)
     remap[vertices] = np.arange(vertices.size, dtype=np.int64)
     srcs, dsts, weights = graph.edge_arrays()
@@ -231,10 +274,5 @@ def estimate_diameter(
         return 0
     rng = np.random.default_rng(seed)
     roots = rng.integers(0, n, size=min(num_samples, n))
-    best = 0
-    for root in np.unique(roots):
-        levels = bfs_levels(graph, [int(root)])
-        reached = levels[levels != UNREACHED]
-        if reached.size:
-            best = max(best, int(reached.max()))
-    return best
+    # Every root is at level 0 of its own sweep and UNREACHED is negative.
+    return max(int(bfs_levels(graph, [root]).max()) for root in np.unique(roots))

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR", "contiguous_run", "expand_rows"]
+__all__ = ["CSR", "contiguous_run", "expand_rows", "expand_row_dsts"]
 
 
 def contiguous_run(ids: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -63,6 +63,18 @@ def expand_rows(
     positions = np.repeat(starts, counts)
     positions += np.arange(total, dtype=np.int64)
     return counts, positions
+
+
+def expand_row_dsts(
+    indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray, base: int = 0
+) -> np.ndarray:
+    """The neighbour ids of rows ``ids`` alone — the ``dsts`` of
+    ``expand_sources(ids)`` with no ``srcs`` built and no weights
+    gathered — over raw arrays (``base`` as in :func:`expand_rows`):
+    what the BFS sweep, the terms gather and every backend's
+    ``expand_out_dsts``/``expand_in_srcs`` serve from whatever adjacency
+    they have resident."""
+    return indices[expand_rows(indptr, ids, base)[1]]
 
 
 class CSR:

@@ -8,6 +8,7 @@ from repro.baselines import GeminiEngine, OrderedEngine
 from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
 from repro.graph import datasets
+from repro.graph.graph import Graph
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,17 @@ class TestCorrectness:
             result.values.astype(np.int64),
             reference.connected_components(social),
         )
+
+    def test_cc_depth_and_work_per_component(self):
+        # 0 - 1 - 2 and the isolated 3: one settle step per non-empty
+        # BFS frontier ({0}, {1}, {2}, then {3}); every symmetrised edge
+        # is scanned once from each end.
+        graph = Graph.from_edges(4, [[0, 1], [1, 2]])
+        result = OrderedEngine(graph).run_minmax(ConnectedComponents())
+        assert result.values.tolist() == [0.0, 0.0, 0.0, 3.0]
+        assert result.iterations == 4
+        assert result.metrics.total_edge_ops == 4
+        assert result.metrics.total_updates == 4
 
     def test_root_required(self, social):
         with pytest.raises(EngineError):

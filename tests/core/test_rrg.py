@@ -1,5 +1,7 @@
 """Unit and property tests for RR guidance generation (Algorithm 1)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.rrg import default_roots, generate_guidance
 from repro.graph import generators
-from repro.graph.analysis import UNREACHED, bfs_levels
+from repro.graph.analysis import UNREACHED
 from repro.graph.graph import Graph
 
 
@@ -103,12 +105,27 @@ def random_graphs(draw):
     return Graph.from_edges(n, (srcs[keep], dsts[keep]))
 
 
+def queue_bfs_levels(graph, root):
+    """Textbook one-vertex-at-a-time BFS: shares nothing with the sweep
+    ``generate_guidance`` and ``bfs_levels`` both run on."""
+    levels = np.full(graph.num_vertices, UNREACHED, dtype=np.int64)
+    levels[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in graph.out_csr.neighbors(u).tolist():
+            if levels[v] == UNREACHED:
+                levels[v] = levels[u] + 1
+                queue.append(v)
+    return levels
+
+
 @given(random_graphs(), st.integers(0, 39))
 @settings(max_examples=60, deadline=None)
 def test_last_iter_bounds(graph, root_pick):
     root = root_pick % graph.num_vertices
     guid = generate_guidance(graph, [root])
-    levels = bfs_levels(graph, [root])
+    levels = queue_bfs_levels(graph, root)
     reached = levels != UNREACHED
     # Visited set matches BFS reachability (the root itself is visited
     # but gets last_iter only if it has a reachable in-neighbour).
