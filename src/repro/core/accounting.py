@@ -21,6 +21,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.graph.csr import stable_group_order
+
 __all__ = ["segmented_improvements"]
 
 # Position sweeps before the still-undecided segments are handed to the
@@ -31,26 +33,6 @@ _SWEEP_ROUNDS = 8
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_VALUES = np.empty(0, dtype=np.float64)
-
-
-def _sort_by_destination(
-    dsts: np.ndarray, num_vertices: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(order, sorted_dsts)`` of a stable destination sort.
-
-    Packing ``(dst, position)`` into one int64 turns the stable argsort
-    into a plain value sort (an order of magnitude cheaper at frontier
-    sizes); the key needs ``bits(|V|) + bits(m)`` bits, and a batch too
-    large for that takes the argsort it replaces.
-    """
-    m = dsts.size
-    shift = m.bit_length()
-    if int(num_vertices).bit_length() + shift > 62:
-        order = np.argsort(dsts, kind="stable")
-        return order, dsts[order]
-    keys = (dsts << shift) | np.arange(m, dtype=np.int64)
-    keys.sort()
-    return keys & ((1 << shift) - 1), keys >> shift
 
 
 def _tail_records(
@@ -110,7 +92,7 @@ def segmented_improvements(
         reduce_at, beats = np.minimum.reduceat, np.less
     else:
         reduce_at, beats = np.maximum.reduceat, np.greater
-    order, sorted_dsts = _sort_by_destination(
+    order, sorted_dsts = stable_group_order(
         np.asarray(dsts, dtype=np.int64), incumbents.size
     )
     sorted_cands = np.asarray(candidates, dtype=np.float64)[order]

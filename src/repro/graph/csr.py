@@ -8,7 +8,9 @@ edge weights ``weights[indptr[u]:indptr[u + 1]]``.
 The structure is immutable after construction: its arrays are read-only
 views, because row expansion (:func:`expand_rows`, the one routine
 behind :meth:`CSR.expand_sources` and every backend's edge access) hands
-out views of them.
+out views of them.  Every grouping of edges by vertex (by source in
+:meth:`CSR.from_edges`, by destination in :meth:`CSR.transpose` and the
+push reduce) is the one stable order :func:`stable_group_order`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,37 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR", "contiguous_run", "expand_rows", "expand_row_dsts"]
+__all__ = ["CSR", "contiguous_run", "expand_rows", "expand_row_dsts", "stable_group_order"]
+
+
+def stable_group_order(
+    keys: np.ndarray, num_keys: int
+) -> Tuple[Union[slice, np.ndarray], np.ndarray]:
+    """``(order, keys[order])``, ``order`` being ``argsort(keys,
+    kind="stable")`` for ``int64`` keys in ``[0, num_keys)``.
+
+    A selector, as in :func:`expand_rows`: ``slice(0, m)`` (no sort, no
+    copy) when one comparison pass finds the keys non-decreasing, else
+    positions.  A plain value sort of the packed ``(key << bits(m)) |
+    position`` replaces numpy's stable argsort (a timsort); keys too wide
+    to pack (``bits(num_keys) + bits(m) > 62``) take that argsort.
+    """
+    m = keys.size
+    if not (keys[1:] < keys[:-1]).any():
+        return slice(0, m), keys
+    shift = m.bit_length()
+    if int(num_keys).bit_length() + shift > 62:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    # Two m-sized arrays in all (each fresh one costs page faults): the
+    # shifted keys are reused to receive the sorted keys.
+    sorted_keys = keys << shift
+    packed = np.arange(m, dtype=np.int64)
+    packed |= sorted_keys
+    packed.sort()
+    np.right_shift(packed, shift, out=sorted_keys)
+    packed &= (1 << shift) - 1
+    return packed, sorted_keys
 
 
 def contiguous_run(ids: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -216,14 +248,15 @@ class CSR:
         ``transpose_permutation()[i]`` — used to carry edge-aligned side
         arrays (weights, partition owners) into the transposed view.
         """
-        return np.argsort(self.indices, kind="stable")
+        order = stable_group_order(self.indices, self.num_vertices)[0]
+        return np.arange(self.num_edges, dtype=np.int64) if isinstance(order, slice) else order
 
     def transpose(self) -> "CSR":
         """Reverse every edge, producing the incoming-adjacency CSR.
 
         The result's rows are destinations of this CSR; row contents are the
-        original sources, with weights carried along.  Stable counting sort
-        keeps construction at O(V + E).
+        original sources in row order, with weights carried along: the
+        edges' :func:`stable_group_order` by destination.
         """
         n = self.num_vertices
         counts = np.bincount(self.indices, minlength=n)
@@ -233,17 +266,6 @@ class CSR:
         indices = self.row_of_edge()[order]
         weights = self.weights[order]
         return CSR(indptr, indices, weights)
-
-    def sorted_rows(self) -> "CSR":
-        """Return an equivalent CSR with each row's neighbours sorted."""
-        indices = self.indices.copy()
-        weights = self.weights.copy()
-        for v in range(self.num_vertices):
-            sl = self.edge_slice(v)
-            order = np.argsort(indices[sl], kind="stable")
-            indices[sl] = indices[sl][order]
-            weights[sl] = weights[sl][order]
-        return CSR(self.indptr.copy(), indices, weights)
 
     # ------------------------------------------------------------------
     # construction
@@ -258,8 +280,9 @@ class CSR:
     ) -> "CSR":
         """Build a CSR from parallel ``(srcs, dsts, weights)`` arrays.
 
-        Edges are grouped by source with a stable counting sort, preserving
-        the relative input order of each vertex's out-edges.
+        Edges are grouped by source with :func:`stable_group_order`,
+        preserving the relative input order of each vertex's out-edges;
+        input already so grouped is copied (never aliased), not gathered.
         """
         if num_vertices < 0:
             raise GraphFormatError("num_vertices must be non-negative")
@@ -274,17 +297,17 @@ class CSR:
                 raise GraphFormatError(
                     "edge endpoints must lie in [0, %d)" % num_vertices
                 )
-        if weights is None:
-            weights = np.ones(srcs.size, dtype=np.float64)
-        else:
+        if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != srcs.shape:
                 raise GraphFormatError("weights must align with srcs/dsts")
         counts = np.bincount(srcs, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(srcs, kind="stable")
-        return cls(indptr, dsts[order], weights[order])
+        order = stable_group_order(srcs, num_vertices)[0]
+        take = np.copy if isinstance(order, slice) else lambda a: a[order]
+        # ``None`` weights become ``CSR``'s own ones: nothing to gather.
+        return cls(indptr, take(dsts), None if weights is None else take(weights))
 
     # ------------------------------------------------------------------
     # iteration / dunder

@@ -244,34 +244,20 @@ def grid_2d(
     """Rows x cols lattice (road-network-like: low degree, high diameter).
 
     Vertex ``(r, c)`` has id ``r * cols + c`` with edges to its right and
-    down neighbours (and back, when ``bidirectional``).
+    down neighbours (and back, when ``bidirectional``).  Each vertex's
+    out-edges are listed together, in the order right, down, left, up, so
+    the edge list is already grouped by source and ``from_edges`` copies
+    it instead of sorting it.
     """
     if rows < 0 or cols < 0:
         raise GraphFormatError("rows and cols must be non-negative")
     n = rows * cols
-    srcs = []
-    dsts = []
-    ids = np.arange(n, dtype=np.int64).reshape(rows, cols) if n else None
-    if n:
-        if cols > 1:
-            right_src = ids[:, :-1].ravel()
-            right_dst = ids[:, 1:].ravel()
-            srcs.append(right_src)
-            dsts.append(right_dst)
-        if rows > 1:
-            down_src = ids[:-1, :].ravel()
-            down_dst = ids[1:, :].ravel()
-            srcs.append(down_src)
-            dsts.append(down_dst)
-    if srcs:
-        s = np.concatenate(srcs)
-        t = np.concatenate(dsts)
-    else:
-        s = np.empty(0, dtype=np.int64)
-        t = np.empty(0, dtype=np.int64)
-    if bidirectional:
-        s, t = np.concatenate([s, t]), np.concatenate([t, s])
-    return Graph.from_edges(n, (s, t), name=name)
+    ids = np.arange(n, dtype=np.int64)
+    col = ids % max(cols, 1)
+    steps = np.array([1, cols, -1, -cols][: 4 if bidirectional else 2])
+    keep = np.stack([col < cols - 1, ids < n - cols, col > 0, ids >= cols][: steps.size], axis=1)
+    srcs = np.broadcast_to(ids[:, None], keep.shape)[keep]
+    return Graph.from_edges(n, (srcs, (ids[:, None] + steps)[keep]), name=name)
 
 
 def path_graph(num_vertices: int, name: str = "") -> Graph:

@@ -27,7 +27,7 @@ from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
 from repro.bench.workloads import experiment_cluster
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.faults import FaultPlan
-from repro.core.accounting import _sort_by_destination, segmented_improvements
+from repro.core.accounting import segmented_improvements
 from repro.core.engine import SLFEEngine
 from repro.core.frontier import Frontier
 from repro.graph import generators
@@ -212,23 +212,6 @@ def test_signed_zeros():
                           bitwise=False)
     assert_same_as_parent(dsts, candidates, [-0.0, 0.0, 1.0, -1.0],
                           bitwise=False)
-
-
-def test_overflow_guard_takes_the_argsort_it_replaces():
-    """``bits(|V|) + bits(m)`` past an int64: same order either way."""
-    rng = np.random.default_rng(8)
-    dsts = rng.integers(0, 50, 400)
-    packed = _sort_by_destination(dsts, 50)
-    guarded = _sort_by_destination(dsts, 2**60)
-    stable = np.argsort(dsts, kind="stable")
-    for order, sorted_dsts in (packed, guarded):
-        assert order.tolist() == stable.tolist()
-        assert sorted_dsts.tolist() == dsts[stable].tolist()
-    # The largest key the packed form builds still fits.
-    big = np.array([2**40 - 1, 0, 2**40 - 1], dtype=np.int64)
-    order, sorted_dsts = _sort_by_destination(big, 2**40)
-    assert order.tolist() == [1, 0, 2]
-    assert sorted_dsts.tolist() == [0, 2**40 - 1, 2**40 - 1]
 
 
 # ----------------------------------------------------------------------

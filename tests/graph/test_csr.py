@@ -191,13 +191,5 @@ class TestMisc:
         other = CSR.from_edges(3, np.array([0]), np.array([1]))
         assert simple_csr() != other
 
-    def test_sorted_rows(self):
-        csr = CSR.from_edges(
-            2, np.array([0, 0, 0]), np.array([1, 0, 1]), np.array([3.0, 1.0, 2.0])
-        )
-        s = csr.sorted_rows()
-        assert s.neighbors(0).tolist() == [0, 1, 1]
-        assert s.neighbor_weights(0).tolist() == [1.0, 3.0, 2.0]
-
     def test_repr(self):
         assert "num_vertices=3" in repr(simple_csr())
