@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.frontier import DEFAULT_DENSE_DENOMINATOR
 from repro.core.rrg import RRGuidance
 from repro.errors import EngineError
-from repro.graph.csr import contiguous_run, expand_row_dsts, expand_rows
+from repro.graph.csr import covering_span, expand_row_dsts, expand_rows
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import NULL_RECORDER, Recorder
@@ -348,19 +348,34 @@ def telemetry_end(row: np.ndarray) -> None:
     row[TEL_HEARTBEAT] += 1
 
 
-def _row_segments(indptr: np.ndarray, degrees: np.ndarray, ids: np.ndarray):
-    """``(target, counts, boundaries)`` of ``expand_sources(ids)``: row
-    ``ids[i]`` owns ``counts[i]`` edges from ``boundaries[i]`` on, and
-    ``target`` indexes per-vertex arrays at ``ids``.  On a contiguous run
-    all three come straight off the CSR (``target`` a slice, so results
-    are written through a view) instead of being gathered and re-summed.
+def _row_segments(csr, degrees: np.ndarray, ids: np.ndarray):
+    """``(sel, rows, counts, boundaries, pick, edges)``: ``csr.indices[sel]``
+    holds the in-edges of ``rows``, row ``i``'s ``counts[i]`` from
+    ``boundaries[i]`` on; ``edges`` counts those of ``ids``.  ``rows`` is
+    ``ids`` (``sel`` :func:`expand_rows`' positions) unless
+    :func:`covering_span` takes ``slice(lo, hi)`` (``sel`` a slice: views,
+    read in order); if that span has holes, ``pick`` selects ``ids``'
+    entries of a per-row output.  Per row, edges and order are the same.
     """
-    run = contiguous_run(ids)
-    if run is None:
-        counts = degrees[ids]
-        return ids, counts, np.cumsum(counts) - counts
-    lo, hi = run
-    return slice(lo, hi), degrees[lo:hi], indptr[lo:hi] - indptr[lo]
+    span = covering_span(csr.indptr, degrees, ids)
+    if span is None:
+        counts, sel = expand_rows(csr.indptr, ids, csr.base)
+        return sel, ids, counts, np.cumsum(counts) - counts, None, int(counts.sum())
+    lo, hi, edges = span
+    ptr = csr.indptr[lo : hi + 1]
+    sel = slice(int(ptr[0]) - csr.base, int(ptr[-1]) - csr.base)
+    pick = None if hi - lo == ids.size else ids - lo
+    return sel, slice(lo, hi), degrees[lo:hi], ptr[:-1] - ptr[0], pick, edges
+
+
+def _reduce_rows(ufunc, identity, per_edge, counts, boundaries):
+    """``ufunc.reduceat`` per segment; empty segments get ``identity``."""
+    nonempty = counts > 0
+    if nonempty.all():
+        return ufunc.reduceat(per_edge, boundaries)
+    out = np.full(counts.size, identity)
+    out[nonempty] = ufunc.reduceat(per_edge, boundaries[nonempty])
+    return out
 
 
 def grouped_reduce(
@@ -372,7 +387,7 @@ def grouped_reduce(
     """Reduce contiguous per-group blocks; empty groups get the identity.
 
     ``boundaries`` is the exclusive prefix sum of ``group_counts``; pass
-    it when already at hand (:func:`_row_segments` on a contiguous run).
+    it when already at hand (:func:`_row_segments` always has it).
 
     ``reduceat`` repeats the boundary element for a zero-width segment
     (the next group's first edge), which would silently hand an empty
@@ -388,15 +403,9 @@ def grouped_reduce(
     """
     if boundaries is None:
         boundaries = np.cumsum(group_counts) - group_counts
-    ufunc = np.minimum if aggregation == "min" else np.maximum
-    nonempty = group_counts > 0
-    if nonempty.all():
-        return ufunc.reduceat(per_edge, boundaries)
-    identity = np.inf if aggregation == "min" else -np.inf
-    out = np.full(group_counts.size, identity)
-    if nonempty.any():
-        out[nonempty] = ufunc.reduceat(per_edge, boundaries[nonempty])
-    return out
+    if aggregation == "min":
+        return _reduce_rows(np.minimum, np.inf, per_edge, group_counts, boundaries)
+    return _reduce_rows(np.maximum, -np.inf, per_edge, group_counts, boundaries)
 
 
 def pull_apply_block(
@@ -426,20 +435,21 @@ def pull_apply_block(
     weights are gathered; ``None`` takes the general contract,
     ``app.edge_candidates`` over the in-neighbours and their weights.
     Neither builds per-edge destination ``rows``; the candidates and the
-    ``reduceat`` segments are the same either way.
-    Returns the number of edges relaxed.
+    ``reduceat`` segments are the same either way.  Only ``ids``' entries
+    are written, and only their edges (those relaxed) are returned.
     """
-    sel = expand_rows(in_csr.indptr, ids, in_csr.base)[1]
+    sel, rows, counts, boundaries, pick, edges = _row_segments(in_csr, in_deg, ids)
     srcs = in_csr.indices[sel]
     if terms is None:
         candidates = app.edge_candidates(values, srcs, in_csr.weights[sel])
     else:
         candidates = terms[srcs]
-    target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
     reduced = grouped_reduce(aggregation, candidates, counts, boundaries)
-    result[target] = reduced
-    improved[target] = app.better(reduced, values[target])
-    return int(srcs.size)
+    if pick is not None:
+        rows, reduced = ids, reduced[pick]
+    result[rows] = reduced
+    improved[rows] = app.better(reduced, values[rows])
+    return edges
 
 
 def gather_block(
@@ -460,30 +470,24 @@ def gather_block(
     ``app.edge_contributions`` over the expanded edges.  The per-edge
     floats and the ``reduceat`` segments are the same either way.
 
-    ``result`` must be pre-zeroed by the caller; ids with no in-edges
-    are left untouched (``reduceat`` over the non-empty blocks only).
-    Returns the number of edges gathered.
+    Only ``result[ids]`` is written (0.0 for ids with no in-edges), and
+    only their edges (those gathered) are returned.
     """
+    sel, rows, counts, boundaries, pick, edges = _row_segments(in_csr, in_deg, ids)
+    srcs = in_csr.indices[sel]
     if terms is None:
-        rows, srcs, weights = in_csr.expand_sources(ids)
-        if srcs.size == 0:
-            return 0
-        contributions = app.edge_contributions(values, srcs, rows, weights)
-    else:
-        contributions = terms[
-            expand_row_dsts(in_csr.indptr, in_csr.indices, ids, in_csr.base)
-        ]
-        if contributions.size == 0:
-            return 0
-    target, counts, boundaries = _row_segments(in_csr.indptr, in_deg, ids)
-    nonempty = counts > 0
-    if nonempty.all():
-        result[target] = np.add.reduceat(contributions, boundaries)
-    else:
-        result[ids[nonempty]] = np.add.reduceat(
-            contributions, boundaries[nonempty]
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop, dtype=np.int64)
+        contributions = app.edge_contributions(
+            values, srcs, np.repeat(rows, counts), in_csr.weights[sel]
         )
-    return int(contributions.size)
+    else:
+        contributions = terms[srcs]
+    sums = _reduce_rows(np.add, 0.0, contributions, counts, boundaries)
+    if pick is not None:
+        rows, sums = ids, sums[pick]
+    result[rows] = sums
+    return edges
 
 
 def push_block(

@@ -87,12 +87,14 @@ class StabilityTracker:
         """
         live = ~self._ec
         with np.errstate(invalid="ignore"):
-            unchanged = np.abs(values - self.stable_value) <= self.epsilon
-        changed_live = live & ~unchanged
-        stable_live = live & unchanged
-        self.stable_count[stable_live] += 1
-        self.stable_count[changed_live] = 0
-        self.stable_value[live] = values[live]
+            stable_live = np.abs(values - self.stable_value) <= self.epsilon
+        stable_live &= live
+        changed_live = live ^ stable_live
+        # Branch-free full passes (no boolean fancy indexing, no where=):
+        # +1 where stable, *0 where changed.
+        self.stable_count += stable_live
+        self.stable_count *= ~changed_live
+        np.putmask(self.stable_value, live, values)
         newly_ec = live & (self.stable_count >= self.threshold)
         if newly_ec.any():
             self._ec |= newly_ec

@@ -6,11 +6,12 @@ neighbour ids ``indices[indptr[u]:indptr[u + 1]]`` and, in parallel, the
 edge weights ``weights[indptr[u]:indptr[u + 1]]``.
 
 The structure is immutable after construction: its arrays are read-only
-views, because row expansion (:func:`expand_rows`, the one routine
-behind :meth:`CSR.expand_sources` and every backend's edge access) hands
-out views of them.  Every grouping of edges by vertex (by source in
-:meth:`CSR.from_edges`, by destination in :meth:`CSR.transpose` and the
-push reduce) is the one stable order :func:`stable_group_order`.
+views, because the edge selectors (:func:`expand_rows`, behind
+:meth:`CSR.expand_sources` and every backend's edge access, and the
+fused kernels' :func:`covering_span`) hand out views of them.  Every
+grouping of edges by vertex (by source in :meth:`CSR.from_edges`, by
+destination in :meth:`CSR.transpose` and the push reduce) is the one
+stable order :func:`stable_group_order`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR", "contiguous_run", "expand_rows", "expand_row_dsts", "stable_group_order"]
+__all__ = ["CSR", "contiguous_run", "covering_span", "expand_rows",
+           "expand_row_dsts", "stable_group_order"]
 
 
 def stable_group_order(
@@ -68,6 +70,28 @@ def contiguous_run(ids: np.ndarray) -> Optional[Tuple[int, int]]:
     return lo, hi
 
 
+#: A gathered edge read costs this many sliced ones (measured on
+#: PageRank's live sets, DESIGN.md §5 "Covering span").
+_SPAN_COST = 2.5
+
+
+def covering_span(indptr: np.ndarray, degrees: np.ndarray,
+                  ids: np.ndarray) -> Optional[Tuple[int, int, int]]:
+    """``(lo, hi, edges)`` if reading every row of ``[lo, hi) = [ids[0],
+    ids[-1] + 1)`` beats gathering those of strictly ascending ``ids``:
+    the span holds at most ``_SPAN_COST`` times their ``edges``
+    (``degrees`` is ``np.diff(indptr)``).  A run is a span with no holes.
+    """
+    if ids.size == 0:
+        return None
+    lo, hi = int(ids[0]), int(ids[-1]) + 1
+    if hi - lo < ids.size or not (ids[1:] > ids[:-1]).all():
+        return None
+    span_edges = int(indptr[hi] - indptr[lo])
+    edges = span_edges if hi - lo == ids.size else int(degrees[ids].sum())
+    return None if span_edges > _SPAN_COST * edges else (lo, hi, edges)
+
+
 def expand_rows(
     indptr: np.ndarray, ids: np.ndarray, base: int = 0
 ) -> Tuple[np.ndarray, Union[slice, np.ndarray]]:
@@ -78,7 +102,7 @@ def expand_rows(
     run it is a ``slice`` — indexing yields views, no per-edge index is
     built — otherwise the flat ``int64`` positions, rows concatenated in
     ``ids`` order (unsorted, repeated ids welcome).  Same values, same
-    order either way.
+    order either way, and no row outside ``ids`` (cf. :func:`covering_span`).
     """
     run = contiguous_run(ids)
     if run is not None:

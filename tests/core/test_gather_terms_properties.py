@@ -26,9 +26,14 @@ from repro.core.engine import SLFEEngine
 from repro.core.runtime import SerialDispatch, gather_block
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.graph.shards import ShardSlice
 
-from tests.conftest import kernel_cases
+from tests.conftest import (
+    each_span_cost,
+    kernel_cases,
+    ragged_pool_blocks,
+    shard_blocks,
+    span_cases,
+)
 
 #: name -> factory(graph, rng); bound by :func:`_bound_app`.
 TERMS_APPS = {
@@ -51,10 +56,20 @@ def _bound_app(factory, graph, rng):
 
 def _gather(app, adjacency, graph, values, ids, terms):
     """One kernel call into a zeroed result; ``(bytes, edges)``."""
-    result = np.zeros(graph.num_vertices)
-    edges = gather_block(
-        app, adjacency, graph.in_degrees(), values, ids, result, terms
-    )
+    return _gather_blocks(app, graph, values, [(adjacency, ids)], terms)
+
+
+def _gather_blocks(app, graph, values, blocks, terms, sentinel=None):
+    """Gather ``blocks`` one after another into one result (a copy of
+    ``sentinel``, zeros by default); ``(bytes, edges)``."""
+    result = np.zeros(graph.num_vertices) if sentinel is None else sentinel.copy()
+    # inf + -inf sums are NaN on every path alike.
+    with np.errstate(invalid="ignore"):
+        edges = sum(
+            gather_block(app, adjacency, graph.in_degrees(), values, ids,
+                         result, terms)
+            for adjacency, ids in blocks
+        )
     return result.tobytes(), edges
 
 
@@ -85,27 +100,67 @@ def test_terms_path_across_a_shard_boundary(name, case, cut):
     rng = np.random.default_rng(seed)
     app = _bound_app(TERMS_APPS[name], graph, rng)
     values = rng.uniform(-3.0, 3.0, graph.num_vertices)
-    terms = app.source_terms(values)
     ids = np.unique(ids)
-    n, in_csr = graph.num_vertices, graph.in_csr
-    cut = min(cut, n)
-    base = int(in_csr.indptr[cut])
-    shards = [
-        ShardSlice(0, cut, 0, in_csr.indptr, in_csr.indices[:base],
-                   in_csr.weights[:base]),
-        ShardSlice(cut, n, base, in_csr.indptr, in_csr.indices[base:],
-                   in_csr.weights[base:]),
-    ]
-    result = np.zeros(n)
-    edges = 0
-    for shard in shards:
-        group = ids[(ids >= shard.lo) & (ids < shard.hi)]
-        edges += gather_block(
-            app, shard, graph.in_degrees(), values, group, result, terms
-        )
-    assert (result.tobytes(), edges) == _gather(
-        app, in_csr, graph, values, ids, None
+    assert _gather_blocks(
+        app, graph, values, shard_blocks(graph, ids, cut),
+        app.source_terms(values),
+    ) == _gather(app, graph.in_csr, graph, values, ids, None)
+
+
+# ----------------------------------------------------------------------
+# covering span against per-row positions
+# ----------------------------------------------------------------------
+def _edge_values(graph, seed):
+    """Values whose terms include -0.0 and both infinities."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-3.0, 3.0, graph.num_vertices)
+    for special, share in ((-0.0, 0.15), (np.inf, 0.1), (-np.inf, 0.05)):
+        values[rng.random(graph.num_vertices) < share] = special
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(TERMS_APPS) + ["SpMV"])
+@given(case=span_cases(), cut=st.one_of(st.none(), st.integers(0, 24)))
+def test_span_path_is_byte_equal_to_positions(name, case, cut):
+    """Ascending ids with holes, on the whole CSR or split across a shard
+    boundary, with terms and without (SpMV reads the weights): the span
+    path writes the positions path's bytes into ``result[ids]``, leaves
+    every other entry alone and counts only the edges of ``ids``."""
+    graph, ids, seed = case
+    rng = np.random.default_rng(seed)
+    app = _bound_app({**TERMS_APPS, **GENERAL_APPS}[name], graph, rng)
+    values = _edge_values(graph, seed)
+    sentinel = rng.uniform(10.0, 20.0, graph.num_vertices)
+    blocks = shard_blocks(graph, ids, cut)
+    terms = app.source_terms(values)
+    outcomes = {
+        _gather_blocks(app, graph, values, blocks, terms, sentinel)
+        for _ in each_span_cost()
+    }
+    assert len(outcomes) == 1
+    (result, edges), = outcomes
+    assert edges == int(graph.in_degrees()[ids].sum())
+    outside = np.ones(graph.num_vertices, dtype=bool)
+    outside[ids] = False
+    assert np.frombuffer(result)[outside].tobytes() == sentinel[outside].tobytes()
+
+
+@pytest.mark.parametrize("name", ["PR", "SpMV"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_span_path_in_pool_blocks(name, seed):
+    """A ragged live list cut into the pool's 256-task blocks: per block,
+    whichever path the selector takes, the bytes match positions."""
+    graph = _social(seed, n=2000)
+    app = _bound_app(
+        {**TERMS_APPS, **GENERAL_APPS}[name], graph, np.random.default_rng(seed)
     )
+    values = _edge_values(graph, seed)
+    blocks = ragged_pool_blocks(graph, seed)
+    terms = app.source_terms(values)
+    assert len({
+        _gather_blocks(app, graph, values, blocks, terms)
+        for _ in each_span_cost()
+    }) == 1
 
 
 def test_terms_path_on_the_empty_graph():
@@ -148,9 +203,9 @@ class CountingSpMV(SpMV):
         return super().edge_contributions(values, srcs, dsts, weights)
 
 
-def _social(seed=3):
+def _social(seed=3, n=300):
     return generators.social_network(
-        300, avg_degree=10, shortcut_density=0.05, hub_bias=1.5, seed=seed
+        n, avg_degree=10, shortcut_density=0.05, hub_bias=1.5, seed=seed
     )
 
 

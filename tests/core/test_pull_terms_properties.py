@@ -24,10 +24,15 @@ from repro.core.runtime import (
 )
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.graph.shards import ShardSlice
 from repro.ooc import ShardStreamDispatch
 
-from tests.conftest import kernel_cases
+from tests.conftest import (
+    each_span_cost,
+    kernel_cases,
+    ragged_pool_blocks,
+    shard_blocks,
+    span_cases,
+)
 
 needs_shm = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="the pool needs /dev/shm"
@@ -73,9 +78,10 @@ def _pull(kernel, app, adjacency, graph, values, ids, *extra):
 
 
 def _values(graph, seed):
-    """Mostly finite, some still at either identity."""
+    """Mostly finite, some -0.0, some still at either identity."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(-3.0, 3.0, graph.num_vertices)
+    values[rng.random(graph.num_vertices) < 0.1] = -0.0
     values[rng.random(graph.num_vertices) < 0.2] = np.inf
     values[rng.random(graph.num_vertices) < 0.1] = -np.inf
     return values
@@ -116,6 +122,22 @@ def test_apps_without_terms_are_byte_equal_to_the_parent(name, case):
     )
 
 
+def _pull_blocks(app, graph, values, blocks, sentinel=None):
+    """Pull ``blocks`` one after another into fresh scratch (``result`` a
+    copy of ``sentinel``, zeros by default) with one terms array for the
+    whole phase; ``(result, improved, edges)`` with the arrays as bytes."""
+    n = graph.num_vertices
+    result = np.zeros(n) if sentinel is None else sentinel.copy()
+    improved = np.zeros(n, dtype=bool)
+    terms = app.source_terms(values)
+    edges = sum(
+        pull_apply_block(app, adjacency, graph.in_degrees(), values, ids,
+                         app.aggregation, result, improved, terms)
+        for adjacency, ids in blocks
+    )
+    return result.tobytes(), improved.tobytes(), edges
+
+
 @pytest.mark.parametrize("name", sorted(ALL_APPS))
 @given(case=kernel_cases(), cut=st.integers(0, 24))
 def test_pull_across_a_shard_boundary(name, case, cut):
@@ -125,29 +147,58 @@ def test_pull_across_a_shard_boundary(name, case, cut):
     graph, ids, seed = case
     app = ALL_APPS[name]()
     values = _values(graph, seed)
-    terms = app.source_terms(values)
     ids = np.unique(ids)
-    n, in_csr = graph.num_vertices, graph.in_csr
-    cut = min(cut, n)
-    base = int(in_csr.indptr[cut])
-    shards = [
-        ShardSlice(0, cut, 0, in_csr.indptr, in_csr.indices[:base],
-                   in_csr.weights[:base]),
-        ShardSlice(cut, n, base, in_csr.indptr, in_csr.indices[base:],
-                   in_csr.weights[base:]),
-    ]
-    result = np.zeros(n)
-    improved = np.zeros(n, dtype=bool)
-    edges = 0
-    for shard in shards:
-        group = ids[(ids >= shard.lo) & (ids < shard.hi)]
-        edges += pull_apply_block(
-            app, shard, graph.in_degrees(), values, group, app.aggregation,
-            result, improved, terms,
-        )
-    assert (result.tobytes(), improved.tobytes(), edges) == _pull(
-        parent_pull_apply_block, app, in_csr, graph, values, ids
+    assert _pull_blocks(
+        app, graph, values, shard_blocks(graph, ids, cut)
+    ) == _pull(parent_pull_apply_block, app, graph.in_csr, graph, values, ids)
+
+
+# ----------------------------------------------------------------------
+# covering span against per-row positions
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+@given(case=span_cases(), cut=st.one_of(st.none(), st.integers(0, 24)))
+def test_span_path_is_byte_equal_to_positions_and_the_parent(name, case, cut):
+    """Ascending ids with holes, on the whole CSR or split across a shard
+    boundary, ``min`` and ``max``, with and without terms: the span path
+    writes the parent's bytes into ``result[ids]`` / ``improved[ids]``,
+    leaves every other entry alone and counts only the edges of ``ids``."""
+    graph, ids, seed = case
+    app = ALL_APPS[name]()
+    values = _values(graph, seed)
+    n = graph.num_vertices
+    sentinel = np.random.default_rng(seed).uniform(10.0, 20.0, n)
+    result, improved = sentinel.copy(), np.zeros(n, dtype=bool)
+    edges = parent_pull_apply_block(
+        app, graph.in_csr, graph.in_degrees(), values, ids, app.aggregation,
+        result, improved,
     )
+    blocks = shard_blocks(graph, ids, cut)
+    assert {
+        _pull_blocks(app, graph, values, blocks, sentinel)
+        for _ in each_span_cost()
+    } == {(result.tobytes(), improved.tobytes(), edges)}
+    assert edges == int(graph.in_degrees()[ids].sum())
+    outside = np.ones(n, dtype=bool)
+    outside[ids] = False
+    assert result[outside].tobytes() == sentinel[outside].tobytes()
+    assert not improved[outside].any()
+
+
+@pytest.mark.parametrize("name", ["CC", "SSSP"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_span_path_in_pool_blocks(name, seed):
+    """A ragged live list cut into the pool's 256-task blocks: per block,
+    whichever path the selector takes, the bytes match positions."""
+    app = ALL_APPS[name]()
+    graph = app.prepare(
+        generators.random_weights(_social(seed=seed), 1.0, 10.0, seed=seed)
+    )
+    values = _values(graph, seed)
+    blocks = ragged_pool_blocks(graph, seed)
+    assert len({
+        _pull_blocks(app, graph, values, blocks) for _ in each_span_cost()
+    }) == 1
 
 
 def test_pull_on_the_empty_graph():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.state import StabilityTracker
 
@@ -80,6 +82,55 @@ class TestStabilityTracker:
     def test_repr(self):
         tracker = StabilityTracker(np.array([1, 1]))
         assert "0 / 2" in repr(tracker)
+
+
+class ParentTracker(StabilityTracker):
+    """``observe`` as the parent commit wrote it, with boolean fancy
+    indexing: the oracle the masked-pass form must match byte for byte."""
+
+    def observe(self, values):
+        live = ~self._ec
+        with np.errstate(invalid="ignore"):
+            unchanged = np.abs(values - self.stable_value) <= self.epsilon
+        changed_live = live & ~unchanged
+        stable_live = live & unchanged
+        self.stable_count[stable_live] += 1
+        self.stable_count[changed_live] = 0
+        self.stable_value[live] = values[live]
+        newly_ec = live & (self.stable_count >= self.threshold)
+        if newly_ec.any():
+            self._ec |= newly_ec
+            self.ec_version += 1
+        return changed_live
+
+
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(1, 12),
+    epsilon=st.sampled_from([0.0, 1e-7, 1e-3]),
+)
+def test_observe_is_byte_equal_to_the_parent(n, seed, rounds, epsilon):
+    """Values that hold, creep under epsilon, jump, turn NaN, -0.0 or
+    infinite; frozen vertices whose input moves anyway; thaws between
+    rounds: state, changed masks and ``ec_version`` all match."""
+    rng = np.random.default_rng(seed)
+    last_iter = rng.integers(0, 4, n)
+    new = StabilityTracker(last_iter, epsilon)
+    parent = ParentTracker(last_iter, epsilon)
+    values = rng.uniform(-2.0, 2.0, n)
+    for _ in range(rounds):
+        values = values.copy()
+        moves = rng.integers(0, 6, n)
+        values[moves == 1] += 1e-8
+        values[moves == 2] += rng.normal(0.0, 1.0, int((moves == 2).sum()))
+        values[moves == 3] = rng.choice([np.nan, -0.0, 0.0, np.inf, -np.inf])
+        assert new.observe(values).tobytes() == parent.observe(values).tobytes()
+        for a, b in zip(new.state_arrays().values(), parent.state_arrays().values()):
+            assert a.tobytes() == b.tobytes()
+        assert new.ec_version == parent.ec_version
+        thawed = rng.integers(0, n, rng.integers(0, 4))
+        assert new.thaw(thawed) == parent.thaw(thawed)
 
 
 class TestProgressMonitor:

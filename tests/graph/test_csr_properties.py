@@ -1,12 +1,14 @@
 """Property-based tests for CSR invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import SSSP, PageRank, WidestPath
 from repro.core.runtime import expand_row_dsts, gather_block, pull_apply_block
-from repro.graph.csr import CSR, contiguous_run
+from repro.graph import csr as csr_module
+from repro.graph.csr import CSR, contiguous_run, covering_span
 from repro.graph.graph import Graph
 from repro.graph.shards import ShardSlice
 
@@ -111,10 +113,12 @@ def csr_and_ids(draw, max_vertices=24, max_edges=80):
         rng.uniform(0.1, 100.0, size=m),
     )
     shape = draw(st.sampled_from(
-        ["any", "run", "full", "from0", "to_end", "single"]
+        ["any", "ascending", "run", "full", "from0", "to_end", "single"]
     ))
     if shape == "any":
         ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    elif shape == "ascending":  # holes, no repeats
+        ids = sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
     else:
         a, b = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
         lo, hi = {
@@ -238,3 +242,43 @@ def test_pull_apply_block_run_equals_general_path(data, aggregation):
         )
         results.append((edges, result.tobytes(), improved.tobytes()))
     assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# the covering-span selector of the fused kernels
+# ----------------------------------------------------------------------
+@given(csr_and_ids())
+def test_covering_span_contract(data):
+    """A span is taken only for strictly ascending ids, always on a run,
+    otherwise exactly while it holds at most ``_SPAN_COST`` times the
+    ids' own edges; ``edges`` is always the ids' own count."""
+    csr, ids = data
+    degrees = csr.degrees()
+    got = covering_span(csr.indptr, degrees, ids)
+    ascending = ids.size > 0 and bool(np.all(ids[1:] > ids[:-1]))
+    if not ascending:
+        assert got is None
+        return
+    lo, hi = int(ids[0]), int(ids[-1]) + 1
+    own = int(degrees[ids].sum())
+    span_edges = int(csr.indptr[hi] - csr.indptr[lo])
+    if contiguous_run(ids) is not None:
+        assert got == (lo, hi, own)
+    elif span_edges <= csr_module._SPAN_COST * own:
+        assert got == (lo, hi, own)
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_covering_span_at_the_cost_bound(k, offset):
+    """Rows 0 and 2 own 2k edges, the hole between them the span's rest:
+    one edge more than ``_SPAN_COST`` allows and the span is refused."""
+    in_hole = int((csr_module._SPAN_COST - 1) * 2 * k)
+    assert in_hole == (csr_module._SPAN_COST - 1) * 2 * k  # exactly at it
+    in_hole += offset
+    rows = [0] * k + [1] * in_hole + [2] * k
+    csr = CSR.from_edges(3, rows, np.zeros(len(rows), dtype=np.int64))
+    got = covering_span(csr.indptr, csr.degrees(), np.array([0, 2]))
+    assert got == ((0, 3, 2 * k) if offset <= 0 else None)
