@@ -3,7 +3,10 @@
 :class:`CSR` is the core adjacency structure used by every engine in the
 package.  It stores, for each source vertex ``u``, a contiguous slice of
 neighbour ids ``indices[indptr[u]:indptr[u + 1]]`` and, in parallel, the
-edge weights ``weights[indptr[u]:indptr[u + 1]]``.
+edge weights ``weights[indptr[u]:indptr[u + 1]]``.  Unit weights (none
+given, or exactly 1.0 on every edge) are not data: they are stored as
+:func:`unit_view`, one read-only stride-0 1.0 that slices and gathers
+like the all-ones array it stands for (:attr:`CSR.unit_weights`).
 
 The structure is immutable after construction: its arrays are read-only
 views, because the edge selectors (:func:`expand_rows`, behind
@@ -23,7 +26,19 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 __all__ = ["CSR", "contiguous_run", "covering_span", "expand_rows",
-           "expand_row_dsts", "stable_group_order"]
+           "expand_row_dsts", "is_unit", "stable_group_order", "unit_view"]
+
+
+def unit_view(m: int) -> np.ndarray:
+    """The weights of ``m`` unit edges: a read-only stride-0 1.0."""
+    return np.broadcast_to(np.float64(1.0), (m,))
+
+
+def is_unit(weights: np.ndarray) -> bool:
+    """Every weight is exactly 1.0 (vacuously so for none): bitwise, as
+    1.0 has one encoding.  The first edge rejects nearly every weighted
+    input before the full pass."""
+    return not weights.size or bool(weights[0] == 1.0 and (weights == 1.0).all())
 
 
 def stable_group_order(
@@ -145,7 +160,8 @@ class CSR:
         ``int64`` array of neighbour ids, length ``num_edges``.
     weights:
         ``float64`` array of edge weights, length ``num_edges``.  Pass
-        ``None`` for an unweighted view (all weights are one).
+        ``None`` for an unweighted view; either way unit weights are
+        stored as :func:`unit_view`.
     """
 
     __slots__ = ("indptr", "indices", "weights")
@@ -178,12 +194,14 @@ class CSR:
         num_vertices = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= num_vertices):
             raise GraphFormatError("neighbour ids must lie in [0, num_vertices)")
-        if weights is None:
-            weights = np.ones(indices.size, dtype=np.float64)
-        else:
-            weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != indices.shape:
                 raise GraphFormatError("weights must align with indices")
+        if weights is None or is_unit(weights):
+            weights = unit_view(indices.size)
+        else:
+            weights = np.ascontiguousarray(weights)
         # Freeze our own views (never the caller's array): expansion
         # hands out views of them and nothing may write through one.
         for name, array in zip(self.__slots__, (indptr, indices, weights)):
@@ -203,6 +221,11 @@ class CSR:
     def num_edges(self) -> int:
         """Number of stored (directed) edges."""
         return self.indices.size
+
+    @property
+    def unit_weights(self) -> bool:
+        """Every weight is 1.0, stored as :func:`unit_view` (stride 0)."""
+        return self.weights.strides == (0,)
 
     def degrees(self) -> np.ndarray:
         """Out-degree (row length) of every vertex as ``int64``."""
@@ -279,8 +302,9 @@ class CSR:
         """Reverse every edge, producing the incoming-adjacency CSR.
 
         The result's rows are destinations of this CSR; row contents are the
-        original sources in row order, with weights carried along: the
-        edges' :func:`stable_group_order` by destination.
+        original sources in row order, with weights carried along (unit
+        ones need no gather): the edges' :func:`stable_group_order` by
+        destination.
         """
         n = self.num_vertices
         counts = np.bincount(self.indices, minlength=n)
@@ -288,8 +312,7 @@ class CSR:
         np.cumsum(counts, out=indptr[1:])
         order = self.transpose_permutation()
         indices = self.row_of_edge()[order]
-        weights = self.weights[order]
-        return CSR(indptr, indices, weights)
+        return CSR(indptr, indices, None if self.unit_weights else self.weights[order])
 
     # ------------------------------------------------------------------
     # construction
@@ -330,7 +353,7 @@ class CSR:
         np.cumsum(counts, out=indptr[1:])
         order = stable_group_order(srcs, num_vertices)[0]
         take = np.copy if isinstance(order, slice) else lambda a: a[order]
-        # ``None`` weights become ``CSR``'s own ones: nothing to gather.
+        # ``None`` weights become ``CSR``'s unit view: nothing to gather.
         return cls(indptr, take(dsts), None if weights is None else take(weights))
 
     # ------------------------------------------------------------------

@@ -146,9 +146,10 @@ class Graph:
 
         Row ``v`` of the view is ``out_csr`` row ``v`` followed by
         ``in_csr`` row ``v`` — what a stable sort of ``E ++ reverse(E)``
-        by source yields — so it is assembled with two O(|E|) position
-        scatters and no sort.  It is built once per graph and shared by
-        every caller (its arrays are read-only, like any CSR's).
+        by source yields — so it is assembled with O(|E|) position
+        scatters and no sort (of no weights at all when they are unit).
+        It is built once per graph and shared by every caller (its arrays
+        are read-only, like any CSR's).
 
         E ∪ reverse(E) is its own transpose, so the view's ``in_csr`` *is*
         its ``out_csr``: row ``v`` holds the same (neighbour, weight)
@@ -168,12 +169,13 @@ class Graph:
             # before v precede it); edge e of in-row v lands out.indptr[v+1]
             # past e (the out-rows up to and including v precede it).
             indices = np.empty(2 * m, dtype=np.int64)
-            weights = np.empty(2 * m, dtype=np.float64)
+            weights = None if out.unit_weights else np.empty(2 * m)
             for half, before in ((out, inc.indptr[:-1]), (inc, out.indptr[1:])):
                 at = np.repeat(before, half.degrees())
                 at += edge
                 indices[at] = half.indices
-                weights[at] = half.weights
+                if weights is not None:
+                    weights[at] = half.weights
             view = Graph(
                 CSR(out.indptr + inc.indptr, indices, weights),
                 name=self.name + "-sym" if self.name else "",

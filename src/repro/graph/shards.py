@@ -14,11 +14,12 @@ format that makes that possible here:
   every per-destination grouped reduction sees exactly the edge block it
   would see in one full-CSR pass.
 * Each shard's edge payload (``indices`` then ``weights``, raw
-  little-endian bytes) is compressed — zstandard when the optional
-  module is importable, zlib otherwise — and carries a SHA-256 checksum
-  of the compressed blob plus its exact decoded size, so truncation and
-  bit-flips surface as typed :class:`repro.errors.StoreError`\\ s, never
-  as a silently different graph.
+  little-endian bytes; ``indices`` alone if every weight is 1.0) is
+  compressed — zstandard when the optional module is importable, zlib
+  otherwise — and carries a SHA-256 checksum of the compressed blob
+  plus its exact decoded size, so truncation and bit-flips surface as
+  typed :class:`repro.errors.StoreError`\\ s, never as a silently
+  different graph.
 * A JSON-able **manifest** records the shard table (row range, global
   edge base, edge count, checksum, codec, sizes); the ``indptr`` array
   (O(|V|+1), the only per-vertex edge metadata) travels beside it.
@@ -37,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.csr import CSR, expand_rows
+from repro.graph.csr import CSR, expand_rows, is_unit, unit_view
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -57,7 +58,8 @@ __all__ = [
 #: a part changes: the version is in every store key, so shards of
 #: another version read as a miss and are re-sharded cold.  v2: a part
 #: is the compressed blob itself (``.bin``), not an ``.npz`` around it.
-SHARD_FORMAT_VERSION = 2
+#: v3: a shard of unit weights stores no weights (``unit_weights``).
+SHARD_FORMAT_VERSION = 3
 
 #: Default uncompressed shard payload target.  Small enough that the
 #: resident working set (one shard + a few cached neighbours) stays far
@@ -65,7 +67,7 @@ SHARD_FORMAT_VERSION = 2
 #: decompression overhead is negligible next to the kernels.
 DEFAULT_SHARD_MB = 8.0
 
-#: Raw bytes per edge in a shard payload: int64 neighbour + float64 weight.
+#: Raw bytes per edge a shard is planned at: int64 neighbour + float64 weight.
 EDGE_BYTES = 16
 
 try:  # optional, never installed here — gate, don't require
@@ -138,19 +140,22 @@ def encode_shard(indices: np.ndarray, weights: np.ndarray, codec: Optional[str] 
     """Compress one shard's edge arrays; returns ``(blob, meta)``.
 
     ``meta`` carries everything :func:`decode_shard` needs to validate:
-    the codec, edge count, raw and compressed byte sizes, and the
-    SHA-256 of the compressed blob.
+    the codec, edge count, whether the weights are unit (then not
+    stored), raw and compressed byte sizes, and the SHA-256 of the
+    compressed blob.
     """
     codec = codec or available_codec()
     indices = np.ascontiguousarray(indices, dtype="<i8")
-    weights = np.ascontiguousarray(weights, dtype="<f8")
+    weights = np.asarray(weights, dtype="<f8")
     if indices.shape != weights.shape:
         raise StoreError("shard indices and weights must align")
-    raw = indices.tobytes() + weights.tobytes()
+    unit = is_unit(weights)
+    raw = indices.tobytes() + (b"" if unit else weights.tobytes())
     blob = _compress(raw, codec)
     return blob, {
         "codec": codec,
         "edges": int(indices.size),
+        "unit_weights": unit,
         "raw_bytes": len(raw),
         "blob_bytes": len(blob),
         "checksum": hashlib.sha256(blob).hexdigest(),
@@ -163,7 +168,8 @@ def decode_shard(blob: bytes, meta: Dict[str, object]) -> Tuple[np.ndarray, np.n
     Every failure mode — wrong length, flipped bit, truncated stream,
     raw size mismatch — is a typed :class:`StoreError` naming what
     diverged.  Both arrays are read-only views of the one decoded
-    buffer: nothing downstream writes through a shard.
+    buffer (unit weights: :func:`~repro.graph.csr.unit_view`): nothing
+    downstream writes through a shard.
     """
     expected_blob = int(meta.get("blob_bytes", -1))
     if len(blob) != expected_blob:
@@ -178,13 +184,16 @@ def decode_shard(blob: bytes, meta: Dict[str, object]) -> Tuple[np.ndarray, np.n
             % (meta.get("checksum"), digest)
         )
     edges = int(meta.get("edges", -1))
-    raw = _decompress(blob, str(meta.get("codec", "")), edges * EDGE_BYTES)
-    if len(raw) != edges * EDGE_BYTES or len(raw) != int(meta.get("raw_bytes", -1)):
+    unit = meta.get("unit_weights") is True
+    expected = edges * (8 if unit else EDGE_BYTES)
+    raw = _decompress(blob, str(meta.get("codec", "")), expected)
+    if len(raw) != expected or len(raw) != int(meta.get("raw_bytes", -1)):
         raise StoreError(
-            "shard decoded to %d bytes, expected %d"
-            % (len(raw), edges * EDGE_BYTES)
+            "shard decoded to %d bytes, expected %d" % (len(raw), expected)
         )
     indices = np.frombuffer(raw, dtype="<i8", count=edges).astype(np.int64, copy=False)
+    if unit:
+        return indices, unit_view(edges)
     weights = np.frombuffer(raw, dtype="<f8", count=edges, offset=edges * 8).astype(np.float64, copy=False)
     return indices, weights
 

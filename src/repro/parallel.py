@@ -5,7 +5,9 @@ stealing (makespans in op units), this module *runs* it: supersteps
 execute across a **persistent pool** of worker processes that share the
 graph and all per-superstep scratch state through
 ``multiprocessing.shared_memory`` blocks — zero-copy numpy views on
-every side — for the whole lifetime of one engine run.
+every side — for the whole lifetime of one engine run.  Scratch blocks
+are used as created (zero-filled), never copied into, and a direction
+with unit weights shares no weights block at all.
 
 Control protocol
 ----------------
@@ -105,13 +107,14 @@ from repro.core.runtime import (
     PHASE_NAMES_BY_ID,
     PHASE_PULL,
     PHASE_PUSH,
+    TEL_COLS,
     expand_row_dsts,
-    new_telemetry_block,
     telemetry_advance,
     telemetry_begin,
     telemetry_end,
 )
 from repro.errors import EngineError
+from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -526,46 +529,39 @@ class ParallelExecutor:
 
         spec: Dict[str, Tuple[str, tuple, str]] = {}
 
-        def share(key: str, source: np.ndarray) -> np.ndarray:
-            view, entry = self._create_block(source)
-            spec[key] = entry
+        def share(key: str, shape: Any, dtype: Any, source: Any = None) -> np.ndarray:
+            view, spec[key] = self._create_block(shape, dtype, source)
             return view
 
         try:
             # The CSR views are kept: the degraded (inline) execution
             # path runs the fused kernels in the parent over these same
-            # shared blocks.
+            # shared blocks.  Unit weights are not data: no block.
             self._csr_views = {
-                key: share(key, source)
+                key: share(key, source.shape, source.dtype, source)
                 for key, source in (
                     ("in_indptr", in_csr.indptr),
                     ("in_indices", in_csr.indices),
-                    ("in_weights", in_csr.weights),
+                    ("in_weights", None if in_csr.unit_weights else in_csr.weights),
                     ("out_indptr", out_csr.indptr),
                     ("out_indices", out_csr.indices),
-                    ("out_weights", out_csr.weights),
+                    ("out_weights", None if out_csr.unit_weights else out_csr.weights),
                 )
+                if source is not None
             }
             # Filled: read-only from here (expand_out_dsts returns views).
             for view in self._csr_views.values():
                 view.flags.writeable = False
-            self.values = share("values", np.zeros(n, dtype=np.float64))
-            self.result = share("result", np.zeros(n, dtype=np.float64))
-            self.improved = share("improved", np.zeros(n, dtype=bool))
-            self._task_ids = share("task_ids", np.zeros(n, dtype=np.int64))
-            self._task_offsets = share(
-                "task_offsets", np.zeros(n + 1, dtype=np.int64)
-            )
-            self._edge_dsts = share("edge_dsts", np.zeros(m, dtype=np.int64))
-            self._edge_cands = share(
-                "edge_cands", np.zeros(m, dtype=np.float64)
-            )
-            self._control = share(
-                "control", np.zeros(_CTRL_SLOTS, dtype=np.int64)
-            )
+            self.values = share("values", n, np.float64)
+            self.result = share("result", n, np.float64)
+            self.improved = share("improved", n, bool)
+            self._task_ids = share("task_ids", n, np.int64)
+            self._task_offsets = share("task_offsets", n + 1, np.int64)
+            self._edge_dsts = share("edge_dsts", m, np.int64)
+            self._edge_cands = share("edge_cands", m, np.float64)
+            self._control = share("control", _CTRL_SLOTS, np.int64)
             self._stats = share(
-                "stats",
-                np.zeros((self.num_workers, _STAT_COLS), dtype=np.float64),
+                "stats", (self.num_workers, _STAT_COLS), np.float64
             )
             # Live telemetry segment: one 128-byte padded int64 slot per
             # worker, written lock-free by its owner between kernel
@@ -573,7 +569,7 @@ class ParallelExecutor:
             # sampled read-only by the parent's TelemetrySampler thread
             # — zero pipe traffic, the O(1)-IPC invariant untouched.
             self.telemetry = share(
-                "telemetry", new_telemetry_block(self.num_workers)
+                "telemetry", (self.num_workers, TEL_COLS), np.int64
             )
 
             if start_method is None:
@@ -634,18 +630,22 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
     def _create_block(
-        self, source: np.ndarray
+        self, shape: Any, dtype: Any, source: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, Tuple[str, tuple, str]]:
+        """A new shared ``(shape, dtype)`` block, filled from ``source``
+        or left as created: POSIX shared memory is zero-filled at
+        ``ftruncate``, so scratch is never copied in."""
         from multiprocessing import shared_memory
 
-        source = np.ascontiguousarray(source)
+        dtype = np.dtype(dtype)
         shm = shared_memory.SharedMemory(
-            create=True, size=max(1, source.nbytes)
+            create=True, size=max(1, int(np.prod(shape)) * dtype.itemsize)
         )
         self._shms.append(shm)
-        view = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
-        view[...] = source
-        return view, (shm.name, source.shape, source.dtype.str)
+        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        if source is not None:
+            view[...] = source
+        return view, (shm.name, view.shape, dtype.str)
 
     @property
     def current_epoch(self) -> int:
@@ -900,15 +900,7 @@ class ParallelExecutor:
                 pass
         self._procs = []
         self._conns = []
-        from repro.graph.csr import CSR
-
-        views = self._csr_views
-        self._inline_in_csr = CSR(
-            views["in_indptr"], views["in_indices"], views["in_weights"]
-        )
-        self._inline_out_csr = CSR(
-            views["out_indptr"], views["out_indices"], views["out_weights"]
-        )
+        self._inline_in_csr, self._inline_out_csr = _shared_csrs(self._csr_views)
         self._inline_in_deg = self._inline_in_csr.degrees()
 
     def _recover(self, failure: _WorkerFailure, phase_id: int) -> None:
@@ -1288,6 +1280,16 @@ class ParallelExecutor:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
+def _shared_csrs(arrays: Dict[str, np.ndarray]) -> Tuple[Any, ...]:
+    """The ``(in, out)`` CSRs over the shared blocks, as every worker and
+    the degraded inline path build them: a direction with no
+    ``*_weights`` block has unit weights."""
+    return tuple(
+        CSR(arrays[d + "_indptr"], arrays[d + "_indices"], arrays.get(d + "_weights"))
+        for d in ("in", "out")
+    )
+
+
 def _worker_main(
     worker_id: int,
     num_workers: int,
@@ -1311,7 +1313,6 @@ def _worker_main(
             telemetry_begin,
             telemetry_end,
         )
-        from repro.graph.csr import CSR
 
         shms: Dict[str, Any] = {}
         arrays: Dict[str, np.ndarray] = {}
@@ -1321,14 +1322,7 @@ def _worker_main(
             arrays[key] = np.ndarray(
                 shape, dtype=np.dtype(dtype), buffer=shm.buf
             )
-        in_csr = CSR(
-            arrays["in_indptr"], arrays["in_indices"], arrays["in_weights"]
-        )
-        out_csr = CSR(
-            arrays["out_indptr"],
-            arrays["out_indices"],
-            arrays["out_weights"],
-        )
+        in_csr, out_csr = _shared_csrs(arrays)
         in_deg = in_csr.degrees()
         values = arrays["values"]
         result = arrays["result"]

@@ -96,14 +96,14 @@ def _hash_array(digest, array: np.ndarray) -> None:
     """Feed one array into ``digest``: dtype, shape, then raw bytes.
 
     The bytes are streamed in fixed chunks so fingerprinting a large CSR
-    never materialises a second copy of it.
+    (or its stride-0 unit weights) never materialises a copy of it.
     """
-    arr = np.ascontiguousarray(array)
+    arr = np.asarray(array)
     digest.update(str(arr.dtype).encode("utf-8"))
     digest.update(str(arr.shape).encode("utf-8"))
-    flat = arr.reshape(-1).view(np.uint8)
-    for offset in range(0, flat.size, _HASH_CHUNK):
-        digest.update(flat[offset:offset + _HASH_CHUNK].tobytes())
+    flat, step = arr.reshape(-1), max(1, _HASH_CHUNK // arr.itemsize)
+    for offset in range(0, flat.size, step):
+        digest.update(flat[offset:offset + step].tobytes())
 
 
 def graph_fingerprint(graph: Graph) -> Dict[str, object]:

@@ -13,7 +13,10 @@ cache capacity, phase and kind of damage:
 * reads from the store and verifications are the same count;
 * the read-ahead thread neither masks an error nor decodes a shard the
   demand path is already waiting for, and a demand never hangs on it;
-* parts written by the v1 (``.npz``-wrapped) format read as a miss.
+* a shard of unit weights stores its indices alone and is checked just
+  the same;
+* parts written by an older format (v1 ``.npz``-wrapped, v2 with every
+  weight stored) read as a miss.
 """
 
 import hashlib
@@ -22,11 +25,12 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.apps import SSSP, PageRank
@@ -71,6 +75,7 @@ graphs = st.builds(
     num_vertices=st.integers(8, 40),
     num_edges=st.integers(100, 300),
     seed=st.integers(0, 2**16),
+    weighted=st.booleans(),  # False: every shard is unit, indices only
 )
 
 
@@ -152,6 +157,8 @@ def test_damaged_part_is_a_typed_error_once_it_must_be_read(
         store = CountingStore(root)
         digest = store.put_sharded_graph(graph, SHARD_MB)
         table = store.get_shard_manifest(digest, direction)[0]["shards"]
+        unit = graph.out_csr.unit_weights
+        assert all(entry["unit_weights"] is unit for entry in table)
         assume(len(table) > capacity)  # room to push the victim out
         victim %= len(table)
         lo, hi = table[victim]["lo"], table[victim]["hi"]
@@ -220,11 +227,11 @@ def test_read_ahead_that_hit_the_damage_first_does_not_mask_it():
 # reads == verifications
 # ----------------------------------------------------------------------
 def test_every_read_from_the_store_is_verified(monkeypatch):
-    """One PageRank job: part reads, SHA-256 computations, inflates and
-    decodes are the same number, and it is the number the trace reports.
-    A decoded shard reused from the LRU is the only unverified reuse —
-    and it is not a read."""
-    checks = {"sha256": 0, "inflate": 0, "decode": 0}
+    """One PageRank job per kind of shard (weighted, unit): part reads,
+    SHA-256 computations, inflates and decodes are the same number, and
+    it is the number the trace reports.  A decoded shard reused from the
+    LRU is the only unverified reuse — and it is not a read."""
+    checks = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -233,56 +240,71 @@ def test_every_read_from_the_store_is_verified(monkeypatch):
 
         return wrapper
 
-    graph = make_random_graph(num_vertices=60, num_edges=400, seed=8)
-    with tempfile.TemporaryDirectory() as root:
-        store = CountingStore(root)
-        store.put_sharded_graph(graph, SHARD_MB)
-        monkeypatch.setattr(
-            shards_mod, "hashlib",
-            SimpleNamespace(sha256=counting("sha256", hashlib.sha256)),
+    monkeypatch.setattr(
+        shards_mod, "hashlib",
+        SimpleNamespace(sha256=counting("sha256", hashlib.sha256)),
+    )
+    monkeypatch.setattr(
+        shards_mod, "_decompress", counting("inflate", shards_mod._decompress)
+    )
+    monkeypatch.setattr(
+        shards_mod, "decode_shard", counting("decode", shards_mod.decode_shard)
+    )
+    for weighted in (True, False):
+        checks.update(sha256=0, inflate=0, decode=0)
+        graph = make_random_graph(
+            num_vertices=60, num_edges=400, seed=8, weighted=weighted
         )
-        monkeypatch.setattr(
-            shards_mod, "_decompress",
-            counting("inflate", shards_mod._decompress),
-        )
-        monkeypatch.setattr(
-            shards_mod, "decode_shard",
-            counting("decode", shards_mod.decode_shard),
-        )
-        recorder = TraceRecorder()
-        previous_store = install_store(store)
-        previous_ooc = install_ooc(SHARD_MB, 2)
-        try:
-            result = SLFEEngine(
-                graph, config=experiment_cluster(num_nodes=2),
-                backend="ooc", recorder=recorder,
-            ).run_arithmetic(PageRank(), tolerance=ARITH_TOLERANCE)
-        finally:
-            install_ooc(*previous_ooc)
-            install_store(previous_store)
-    assert result.iterations > 2
-    reads = len(store.reads)
-    assert reads > 0
-    assert checks == {"sha256": reads, "inflate": reads, "decode": reads}
-    events = recorder.events_named(trace_events.SHARD_IO)
-    assert sum(e.payload["shards"] for e in events) == reads
-    assert sum(e.payload["cache_hits"] for e in events) > 0
+        with tempfile.TemporaryDirectory() as root:
+            store = CountingStore(root)
+            store.put_sharded_graph(graph, SHARD_MB)
+            checks.update(sha256=0)  # encoding hashed each blob once
+            recorder = TraceRecorder()
+            previous_store = install_store(store)
+            previous_ooc = install_ooc(SHARD_MB, 2)
+            try:
+                result = SLFEEngine(
+                    graph, config=experiment_cluster(num_nodes=2),
+                    backend="ooc", recorder=recorder,
+                ).run_arithmetic(PageRank(), tolerance=ARITH_TOLERANCE)
+            finally:
+                install_ooc(*previous_ooc)
+                install_store(previous_store)
+        assert result.iterations > 2
+        reads = len(store.reads)
+        assert reads > 0
+        assert checks == {"sha256": reads, "inflate": reads, "decode": reads}
+        events = recorder.events_named(trace_events.SHARD_IO)
+        assert sum(e.payload["shards"] for e in events) == reads
+        assert sum(e.payload["cache_hits"] for e in events) > 0
 
 
 # ----------------------------------------------------------------------
-# decode: two read-only views of one buffer
+# decode: read-only views of one buffer, unit weights of none
 # ----------------------------------------------------------------------
+PAYLOADS = {
+    "weighted": lambda rng, m: rng.uniform(-5.0, 5.0, m),
+    "unit": lambda rng, m: np.ones(m),
+}
+
+
 @given(
+    payload=st.sampled_from(sorted(PAYLOADS)),
     edges=st.integers(0, 200),
     seed=st.integers(0, 2**16),
 )
-def test_decode_returns_read_only_views_of_one_buffer(edges, seed):
+@example(payload="weighted", edges=17, seed=1)
+@example(payload="unit", edges=17, seed=1)
+@example(payload="weighted", edges=0, seed=1)  # empty: vacuously unit
+def test_decode_returns_read_only_views_of_one_buffer(payload, edges, seed):
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, 1 << 40, size=edges, dtype=np.int64)
-    weights = rng.uniform(-5.0, 5.0, size=edges)
-    got_indices, got_weights = shards_mod.decode_shard(
-        *shards_mod.encode_shard(indices, weights)
-    )
+    weights = PAYLOADS[payload](rng, edges)
+    blob, meta = shards_mod.encode_shard(indices, weights)
+    unit = payload == "unit" or edges == 0
+    assert meta["unit_weights"] is unit
+    assert meta["raw_bytes"] == edges * (8 if unit else 16)
+    got_indices, got_weights = shards_mod.decode_shard(blob, meta)
     assert got_indices.tobytes() == indices.tobytes()
     assert got_weights.tobytes() == weights.tobytes()
     assert got_indices.dtype == np.int64 and got_weights.dtype == np.float64
@@ -290,9 +312,23 @@ def test_decode_returns_read_only_views_of_one_buffer(edges, seed):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
-    # No half-payload copy: both are windows on the inflated bytes.
-    assert got_indices.base is got_weights.base
+    # No half-payload copy: indices are a window on the inflated bytes,
+    # and so are weighted weights; unit ones are no bytes at all.
     assert isinstance(got_indices.base, bytes)
+    if unit:
+        assert got_weights.strides == (0,)
+    else:
+        assert got_weights.base is got_indices.base
+
+
+def test_a_unit_shard_decoded_as_weighted_is_refused():
+    """The unit flag sits under the size check: a manifest entry whose
+    flag was flipped either way decodes to the wrong size, typed."""
+    for weights in (np.ones(50), np.full(50, 2.0)):
+        blob, meta = shards_mod.encode_shard(np.arange(50), weights)
+        meta["unit_weights"] = not meta["unit_weights"]
+        with pytest.raises(StoreError, match="decoded to"):
+            shards_mod.decode_shard(blob, meta)
 
 
 # ----------------------------------------------------------------------
@@ -430,47 +466,71 @@ def test_hand_off_under_a_hostile_scheduler():
 # ----------------------------------------------------------------------
 # format bump
 # ----------------------------------------------------------------------
-def test_v1_npz_parts_read_as_a_miss_and_reshard_cold(monkeypatch):
-    """A store written by the v1 code — manifest and parts under
-    ``.../v1`` keys, each part an ``.npz`` around its blob — is not an
-    error and not a hit: the dispatch re-shards cold beside it."""
-    graph = make_random_graph(num_vertices=30, num_edges=200, seed=13)
+def _old_shards(csr, version):
+    """``(manifest, payloads)`` as the v1/v2 code wrote them: every shard
+    stores ``indices ++ weights``; a v1 part is an ``.npz`` around it."""
+    manifest, _ = build_shards(csr, SHARD_MB)
+    manifest["format_version"] = version
+    payloads = []
+    for entry in manifest["shards"]:
+        del entry["unit_weights"]
+        edges = slice(entry["base"], entry["base"] + entry["edges"])
+        raw = csr.indices[edges].tobytes() + csr.weights[edges].tobytes()
+        blob = zlib.compress(raw, 6)
+        entry.update(codec="zlib", raw_bytes=len(raw), blob_bytes=len(blob),
+                     checksum=hashlib.sha256(blob).hexdigest())
+        payloads.append(
+            {"blob": np.frombuffer(blob, dtype=np.uint8)} if version == 1 else blob
+        )
+    return manifest, payloads
+
+
+def test_older_format_parts_read_as_a_miss_and_reshard_cold(monkeypatch):
+    """A store written by older code — manifest and parts under
+    ``.../v1`` or ``.../v2`` keys, unit weights stored like any others —
+    is not an error and not a hit: the dispatch re-shards cold beside
+    it."""
+    assert shards_mod.SHARD_FORMAT_VERSION == 3
+    graph = make_random_graph(num_vertices=30, num_edges=200, seed=13, weighted=False)
     app = PageRank()
     app.bind(graph)
-    with tempfile.TemporaryDirectory() as root:
-        store = CountingStore(root)
-        with monkeypatch.context() as old:
-            old.setattr(shards_mod, "SHARD_FORMAT_VERSION", 1)
-            digest = str(graph_fingerprint(graph)["digest"])
-            for direction, csr in (("in", graph.in_csr), ("out", graph.out_csr)):
-                manifest, blobs = build_shards(csr, SHARD_MB)
-                for entry, blob in zip(manifest["shards"], blobs):
-                    store._write_entry(
-                        "shard",
-                        store._shard_part_key(digest, direction, entry["part"]),
-                        {"blob": np.frombuffer(blob, dtype=np.uint8)},
-                        {"shard": entry, "digest": digest,
-                         "direction": direction},
-                    )
-                store.put_shard_manifest(digest, direction, manifest, csr.indptr)
-        old_entries = {entry.key for entry in store.entries()}
-        assert old_entries and all(k.endswith("/v1") for k in old_entries)
+    ids = np.arange(graph.num_vertices, dtype=np.int64)
+    serial = SerialDispatch(graph, app)
+    serial.values[...] = 1.0
+    serial.gather(ids)
+    digest = str(graph_fingerprint(graph)["digest"])
+    for version in (1, 2):
+        with tempfile.TemporaryDirectory() as root:
+            store = CountingStore(root)
+            with monkeypatch.context() as old:
+                old.setattr(shards_mod, "SHARD_FORMAT_VERSION", version)
+                for direction, csr in (("in", graph.in_csr), ("out", graph.out_csr)):
+                    manifest, payloads = _old_shards(csr, version)
+                    for entry, payload in zip(manifest["shards"], payloads):
+                        store._write_entry(
+                            "shard",
+                            store._shard_part_key(digest, direction, entry["part"]),
+                            payload,
+                            {"shard": entry, "digest": digest,
+                             "direction": direction},
+                        )
+                    store.put_shard_manifest(digest, direction, manifest, csr.indptr)
+            old_entries = {entry.key for entry in store.entries()}
+            assert old_entries and all(
+                k.endswith("/v%d" % version) for k in old_entries
+            )
 
-        with pytest.raises(StoreError, match="no 'in' shard manifest"):
-            load_spilled(store, digest)
-        with pytest.raises(StoreError, match="repro cache shard"):
-            store.get_shard_blob(digest, "in", 0)
-        ids = np.arange(graph.num_vertices, dtype=np.int64)
-        with ShardStreamDispatch(
-            graph, app, store=store, shard_mb=SHARD_MB, shard_cache=2
-        ) as d:
-            assert d.cold
-            d.values[...] = 1.0
-            d.gather(ids)
-            streamed = d.result.copy()
-        serial = SerialDispatch(graph, app)
-        serial.values[...] = 1.0
-        serial.gather(ids)
-        assert streamed.tobytes() == serial.result.tobytes()
-        # The old generation is still listed (and evictable), untouched.
-        assert old_entries < {entry.key for entry in store.entries()}
+            with pytest.raises(StoreError, match="no 'in' shard manifest"):
+                load_spilled(store, digest)
+            with pytest.raises(StoreError, match="repro cache shard"):
+                store.get_shard_blob(digest, "in", 0)
+            with ShardStreamDispatch(
+                graph, app, store=store, shard_mb=SHARD_MB, shard_cache=2
+            ) as d:
+                assert d.cold
+                d.values[...] = 1.0
+                d.gather(ids)
+                streamed = d.result.copy()
+            assert streamed.tobytes() == serial.result.tobytes()
+            # The old generation is still listed (and evictable), untouched.
+            assert old_entries < {entry.key for entry in store.entries()}
