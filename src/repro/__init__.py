@@ -49,10 +49,6 @@ def __getattr__(name):
         from repro.store import ArtifactStore
 
         return ArtifactStore
-    if name == "install_store":
-        from repro.store import install_store
-
-        return install_store
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
@@ -64,7 +60,6 @@ __all__ = [
     "RunResult",
     "generate_guidance",
     "ArtifactStore",
-    "install_store",
     "ReproError",
     "StoreError",
     "GraphFormatError",

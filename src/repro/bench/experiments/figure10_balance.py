@@ -23,7 +23,7 @@ from repro.bench import workloads
 from repro.bench.reporting import Table
 from repro.bench.runner import run_workload
 from repro.cluster import worksteal
-from repro.trace.recorder import active_recorder
+from repro.runconfig import current
 
 __all__ = ["stealing_ratio", "run_intra", "run_inter", "main"]
 
@@ -59,7 +59,7 @@ def stealing_ratio(
         per_vertex[ids] = ops
         report = worksteal.simulate(
             per_vertex, num_threads=num_threads,
-            chunk_vertices=chunk_vertices, recorder=active_recorder(),
+            chunk_vertices=chunk_vertices, recorder=current().recorder,
         )
         static_total += report.static_makespan
         stealing_total += report.stealing_makespan

@@ -68,7 +68,7 @@ def measured_pool_recovery(
 ) -> Table:
     """Measured pool-recovery latency under real worker kill/stop faults.
 
-    Only meaningful with the parallel backend installed ambiently (the
+    Only meaningful with the parallel backend configured for the run (the
     CLI's ``--backend parallel``): the faults target actual pool worker
     processes.  Each row injects one fault, lets the executor recover,
     and compares the answer bit-for-bit against a fault-free serial run.
@@ -76,11 +76,11 @@ def measured_pool_recovery(
     import numpy as np
 
     from repro.cluster.faults import WorkerFault
-    from repro.parallel import active_backend, install_recovery
+    from repro.runconfig import configured, resolve
     from repro.trace import recorder as ev
     from repro.trace.recorder import TraceRecorder
 
-    _backend, pool_workers = active_backend()
+    pool_workers = resolve("num_workers")
     table = Table(
         "Measured pool recovery: SSSP/%s, worker 0 killed or stopped "
         "during the first push (%d workers, wall-clock seconds)"
@@ -103,15 +103,12 @@ def measured_pool_recovery(
             ),
         ))
         recorder = TraceRecorder()
-        previous = install_recovery(reply_timeout=MEASURED_HANG_TIMEOUT)
-        try:
+        with configured(reply_timeout=MEASURED_HANG_TIMEOUT):
             outcome = run_workload(
                 "SLFE", "SSSP", graph,
                 num_nodes=num_nodes, scale_divisor=scale_divisor,
                 recorder=recorder, fault_plan=plan,
             )
-        finally:
-            install_recovery(*previous)
         applied = any(
             bool(event.payload.get("applied"))
             for event in recorder.events_named(ev.FAULT)
@@ -147,7 +144,7 @@ def run(
 ) -> Union[Table, List[Table]]:
     """Regenerate the recovery-overhead table (modeled seconds).
 
-    With the parallel backend installed ambiently, a second table of
+    With the parallel backend configured for the run, a second table of
     *measured* pool-recovery latency (see :func:`measured_pool_recovery`)
     is appended — ``repro bench recovery --backend parallel``.
     """
@@ -190,9 +187,9 @@ def run(
             crashed.runtime.fault_tolerance_seconds,
             crashed.result.metrics.supersteps_replayed,
         )
-    from repro.parallel import active_backend
+    from repro.runconfig import resolve
 
-    if active_backend()[0] == "parallel":
+    if resolve("backend") == "parallel":
         return [table, measured_pool_recovery(scale_divisor=scale_divisor)]
     return table
 

@@ -107,17 +107,15 @@ def _child_prep(store_dir: str, scale_divisor: int, shard_mb: float) -> dict:
 
 def _child_run_ooc(store_dir: str, digest: str, shard_mb: float,
                    shard_cache: int) -> dict:
-    from repro.ooc import install_ooc, load_spilled
-    from repro.store import ArtifactStore, install_store
+    from repro.ooc import load_spilled
+    from repro.runconfig import configured
+    from repro.store import ArtifactStore
 
     store = ArtifactStore(store_dir, max_bytes=None)
     spilled = load_spilled(store, digest)
-    install_store(store)
-    install_ooc(shard_mb, shard_cache)
-    from repro.parallel import install_backend
-
-    install_backend("ooc", 1)
-    result, wall = _run_pagerank(spilled)
+    with configured(store=store, backend="ooc", shard_mb=shard_mb,
+                    shard_cache=shard_cache):
+        result, wall = _run_pagerank(spilled)
     return {
         "wall_seconds": wall,
         "peak_rss_bytes": _peak_rss_bytes(),

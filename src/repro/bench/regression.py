@@ -185,7 +185,8 @@ def _cache_amortization_entry(scale_divisor: int, num_nodes: int) -> dict:
     """
     import tempfile
 
-    from repro.store import ArtifactStore, install_store
+    from repro.runconfig import configured
+    from repro.store import ArtifactStore
     from repro.trace.recorder import TraceRecorder
 
     def one_run() -> dict:
@@ -208,12 +209,9 @@ def _cache_amortization_entry(scale_divisor: int, num_nodes: int) -> dict:
 
     with tempfile.TemporaryDirectory() as root:
         store = ArtifactStore(root)
-        previous = install_store(store)
-        try:
+        with configured(store=store):
             cold = one_run()
             warm = one_run()
-        finally:
-            install_store(previous)
     guidance = store.stats.by_kind.get("guidance", {})
     return {
         "workload": "SSSP/LJ/SLFE",

@@ -19,7 +19,8 @@ from repro.core.engine import RunResult
 from repro.errors import EngineError
 from repro.trace import recorder as trace_events
 from repro.trace.export import attach_modeled
-from repro.trace.recorder import Recorder, active_recorder
+from repro.runconfig import current, resolve
+from repro.trace.recorder import Recorder
 
 __all__ = ["ExperimentResult", "run_workload", "PARALLEL_CAPABLE_ENGINES"]
 
@@ -88,19 +89,19 @@ def run_workload(
     same workload definitions.
 
     ``recorder`` attaches a trace recorder to the engine; when omitted,
-    the ambient recorder set by :func:`repro.trace.install` is used (the
-    shared no-op unless a caller such as ``bench --trace-out`` installed
-    one).  The run is bracketed by ``run_begin``/``run_end`` events and
-    the modeled per-superstep costs are attached to the trace.
+    the run configuration's recorder is used (the shared no-op unless a
+    caller such as ``bench --trace-out`` configured one).  The run is
+    bracketed by ``run_begin``/``run_end`` events and the modeled
+    per-superstep costs are attached to the trace.
 
     ``backend``/``workers`` select the execution backend for SLFE-family
-    engines (see :mod:`repro.parallel`); omitted, the ambient installed
-    backend applies.  Requesting them explicitly for a GAS or out-of-core
+    engines (see :mod:`repro.parallel`); omitted, the configured backend
+    applies.  Requesting them explicitly for a GAS or out-of-core
     baseline raises :class:`EngineError` — those engines model different
     systems and run serially.
     """
     if recorder is None:
-        recorder = active_recorder()
+        recorder = current().recorder
     if backend is not None or workers is not None:
         if engine_name not in PARALLEL_CAPABLE_ENGINES:
             raise EngineError(
@@ -111,9 +112,8 @@ def run_workload(
         # Validate at the entry point, before any graph is loaded: a bad
         # worker count (0, negative, bool, float) fails in one line here
         # instead of deep inside engine construction.
-        from repro.parallel import resolve_backend
-
-        resolve_backend(backend, workers)
+        resolve("backend", backend)
+        resolve("num_workers", workers)
         if backend is not None:
             engine_kwargs.setdefault("backend", backend)
         if workers is not None:

@@ -70,6 +70,15 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.errors import EngineError
+from repro.runconfig import (
+    BACKENDS,
+    KNOBS,
+    configured,
+    integer_at_least,
+    resolve,
+)
+
 __all__ = ["main", "build_parser"]
 
 _BENCH_CHOICES = [
@@ -88,72 +97,21 @@ _BENCH_CHOICES = [
 ]
 
 
-def _scale_divisor(text: str) -> int:
-    """Argparse type for ``--scale``: a positive integer.
+def _flag(validate, name: str):
+    """Argparse ``type=`` from a run-config validator; errors name the flag."""
 
-    A dedicated type (rather than ``args.scale or DEFAULT``) means 0 is
-    rejected up front instead of being silently replaced by the default.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("scale must be an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "scale must be >= 1 (got %d)" % value
-        )
-    return value
-
-
-def _positive_int(name: str):
-    """Argparse type factory: integer >= 1, with the flag name in errors."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("%s must be an integer" % name)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                "%s must be >= 1 (got %d)" % (name, value)
-            )
-        return value
+            return validate(text, name)
+        except EngineError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
     return parse
 
 
-def _positive_float(name: str):
-    """Argparse type factory: finite float > 0."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("%s must be a number" % name)
-        if not np.isfinite(value) or value <= 0:
-            raise argparse.ArgumentTypeError(
-                "%s must be > 0 (got %s)" % (name, text)
-            )
-        return value
-
-    return parse
-
-
-def _non_negative_int(name: str):
-    """Argparse type factory: integer >= 0 (0 disables the feature)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("%s must be an integer" % name)
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                "%s must be >= 0 (got %d)" % (name, value)
-            )
-        return value
-
-    return parse
+#: ``--scale``: a dedicated type (rather than ``args.scale or DEFAULT``)
+#: rejects 0 up front instead of silently replacing it by the default.
+_SCALE = _flag(integer_at_least(1), "scale")
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -166,7 +124,8 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend parallel)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=_non_negative_int("checkpoint-every"),
+        "--checkpoint-every",
+        type=_flag(KNOBS["checkpoint_every"].validate, "checkpoint-every"),
         default=0, metavar="N",
         help="snapshot engine state every N supersteps (0: only the "
         "superstep-0 snapshot fault-tolerant runs always take)",
@@ -175,43 +134,44 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", choices=("serial", "parallel", "ooc"), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="execution backend: serial (default), parallel — "
         "shared-memory worker processes with mini-chunk work stealing — "
         "or ooc — out-of-core shard streaming with only vertex state "
         "resident; SLFE-family engines only, results are bit-identical",
     )
     parser.add_argument(
-        "--workers", type=_positive_int("workers"), default=None,
-        metavar="N",
+        "--workers", type=_flag(KNOBS["num_workers"].validate, "workers"),
+        default=None, metavar="N",
         help="worker processes for --backend parallel (default 1)",
     )
-    # Validation lives in repro.parallel (install_recovery) so the CLI,
-    # the environment variables, and direct constructor calls all reject
-    # bad values with the same one-line typed error.
+    # Validation is the knob table's (repro.runconfig), so the CLI, the
+    # environment variables, and direct constructor calls all reject bad
+    # values with the same one-line message.
     parser.add_argument(
         "--parallel-timeout", default=None, metavar="SECONDS",
+        type=_flag(KNOBS["reply_timeout"].validate, "parallel-timeout"),
         help="seconds a parallel pool worker may stay silent before it "
         "is declared hung and recovered (default: "
         "$REPRO_PARALLEL_TIMEOUT, else 120)",
     )
     parser.add_argument(
         "--parallel-max-respawns", default=None, metavar="N",
+        type=_flag(KNOBS["max_respawns"].validate, "parallel-max-respawns"),
         help="worker respawns allowed per run before the pool degrades "
         "to inline serial-semantics execution (default: "
         "$REPRO_PARALLEL_MAX_RESPAWNS, else 2)",
     )
-    # Validation lives in repro.ooc (install_ooc), same contract as the
-    # recovery knobs above.
     parser.add_argument(
-        "--shard-mb", type=_positive_float("shard-mb"), default=None,
-        metavar="MB",
+        "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
+        default=None, metavar="MB",
         help="target uncompressed edge-shard size for --backend ooc "
         "(default: $REPRO_SHARD_MB, else 8)",
     )
     parser.add_argument(
-        "--shard-cache", type=_positive_int("shard-cache"), default=None,
-        metavar="N",
+        "--shard-cache",
+        type=_flag(KNOBS["shard_cache"].validate, "shard-cache"),
+        default=None, metavar="N",
         help="decoded shards kept resident by the ooc LRU "
         "(default: $REPRO_SHARD_CACHE, else 4)",
     )
@@ -233,7 +193,7 @@ def _add_cache_arguments(
             "is set",
         )
     parser.add_argument(
-        "--cache-max-mb", type=_positive_int("cache-max-mb"),
+        "--cache-max-mb", type=_flag(integer_at_least(1), "cache-max-mb"),
         default=None, metavar="MB",
         help="store size cap before LRU eviction (default: 1024)",
     )
@@ -301,8 +261,9 @@ def _add_workload_arguments(
         "activation order, delta = largest pending delta first "
         "(default), lastiter = RR guidance as priority",
     )
-    parser.add_argument("--nodes", type=_positive_int("nodes"), default=8)
-    parser.add_argument("--scale", type=_scale_divisor, default=None,
+    parser.add_argument("--nodes", type=_flag(integer_at_least(1), "nodes"),
+                        default=8)
+    parser.add_argument("--scale", type=_SCALE, default=None,
                         help="scale divisor for the stand-in (default 2000)")
     _add_backend_arguments(parser)
     _add_fault_arguments(parser)
@@ -337,7 +298,7 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "chrome_trace.json, speedscope.json, metrics.txt) into DIR",
     )
     parser.add_argument(
-        "--serve-metrics", type=_non_negative_int("serve-metrics"),
+        "--serve-metrics", type=_flag(integer_at_least(0), "serve-metrics"),
         default=None, metavar="PORT",
         help="serve /metrics (OpenMetrics) and /healthz over HTTP on "
         "127.0.0.1:PORT for the duration of the run, refreshed live "
@@ -379,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="regenerate a paper artifact")
     bench.add_argument("artifact", choices=_BENCH_CHOICES)
-    bench.add_argument("--scale", type=_scale_divisor, default=None)
+    bench.add_argument("--scale", type=_SCALE, default=None)
     _add_backend_arguments(bench)
     _add_fault_arguments(bench)
     bench.add_argument(
@@ -453,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_warm.add_argument("--graph", default="LJ",
                             help="dataset key (default: LJ)")
-    cache_warm.add_argument("--scale", type=_scale_divisor, default=None,
+    cache_warm.add_argument("--scale", type=_SCALE, default=None,
                             help="scale divisor (default 2000)")
     cache_shard = cache_sub.add_parser(
         "shard",
@@ -466,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_shard.add_argument("--graph", default="LJ",
                              help="dataset key (default: LJ)")
-    cache_shard.add_argument("--scale", type=_scale_divisor, default=None,
+    cache_shard.add_argument("--scale", type=_SCALE, default=None,
                              help="scale divisor (default 2000)")
     cache_shard.add_argument(
-        "--shard-mb", type=_positive_float("shard-mb"), default=None,
-        metavar="MB",
+        "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
+        default=None, metavar="MB",
         help="target uncompressed shard size "
         "(default: $REPRO_SHARD_MB, else 8)",
     )
@@ -498,60 +459,51 @@ def _parse_fault_plan(args, num_nodes: int):
     return plan, getattr(args, "checkpoint_every", 0) or 0
 
 
-def _run_traced_workload(args, recorder, store=None):
+def _run_config(args, recorder, store, num_nodes: int) -> dict:
+    """The run-config overrides one command's flags describe.
+
+    Built before the command's live session starts, so a bad fault spec
+    or ``REPRO_*`` variable is a usage error that leaves no flight dump:
+    every environment-backed knob is resolved here, once.
+    """
+    plan, checkpoint_every = _parse_fault_plan(args, num_nodes)
+    overrides = dict(
+        recorder=recorder, fault_plan=plan, checkpoint_every=checkpoint_every
+    )
+    for name, flag in (
+        ("reply_timeout", "parallel_timeout"),
+        ("max_respawns", "parallel_max_respawns"),
+        ("shard_mb", "shard_mb"),
+        ("shard_cache", "shard_cache"),
+    ):
+        overrides[name] = resolve(name, getattr(args, flag, None))
+    for name, value in (
+        ("store", store),
+        ("backend", args.backend),
+        ("num_workers", args.workers),
+    ):
+        if value is not None:
+            overrides[name] = value
+    return overrides
+
+
+def _run_traced_workload(args, recorder):
     from repro.bench import workloads
     from repro.bench.runner import run_workload
-    from repro.cluster.faults import install_plan, uninstall_plan
-    from repro.store import install_store
 
     scale = (
         args.scale if args.scale is not None
         else workloads.DEFAULT_SCALE_DIVISOR
     )
-    plan, checkpoint_every = _parse_fault_plan(args, args.nodes)
-    # Ambient installs (mirroring the trace recorder) so the engine and
-    # dataset loader run_workload drives pick the fault plan and the
-    # artifact store up without new plumbing.
-    install_plan(plan, checkpoint_every)
-    previous_store = install_store(store) if store is not None else None
-    previous_recovery = None
-    timeout = getattr(args, "parallel_timeout", None)
-    respawns = getattr(args, "parallel_max_respawns", None)
-    if timeout is not None or respawns is not None:
-        from repro.parallel import install_recovery
-
-        previous_recovery = install_recovery(timeout, respawns)
-    previous_ooc = None
-    shard_mb = getattr(args, "shard_mb", None)
-    shard_cache = getattr(args, "shard_cache", None)
-    if shard_mb is not None or shard_cache is not None:
-        from repro.ooc import install_ooc
-
-        previous_ooc = install_ooc(shard_mb, shard_cache)
     engine_kwargs = {}
     scheduler = getattr(args, "scheduler", None)
     if scheduler is not None:
         engine_kwargs["scheduler"] = scheduler
-    try:
-        return run_workload(
-            args.engine, args.app, args.graph,
-            num_nodes=args.nodes, scale_divisor=scale, recorder=recorder,
-            backend=getattr(args, "backend", None),
-            workers=getattr(args, "workers", None),
-            **engine_kwargs,
-        )
-    finally:
-        if previous_ooc is not None:
-            from repro.ooc import install_ooc
-
-            install_ooc(*previous_ooc)
-        if previous_recovery is not None:
-            from repro.parallel import install_recovery
-
-            install_recovery(*previous_recovery)
-        if store is not None:
-            install_store(previous_store)
-        uninstall_plan()
+    return run_workload(
+        args.engine, args.app, args.graph,
+        num_nodes=args.nodes, scale_divisor=scale, recorder=recorder,
+        backend=args.backend, workers=args.workers, **engine_kwargs,
+    )
 
 
 def _print_cache_summary(store) -> None:
@@ -606,31 +558,26 @@ def _make_live_recorder(args, full_trace: bool = False):
 
 
 @contextlib.contextmanager
-def _live_session(args, recorder):
-    """Install the live telemetry plane around one command's workloads.
+def _live_session(args, recorder, overrides: dict):
+    """Run one command's workloads under its run config and live plane.
 
     Starts the ``/metrics`` endpoint when ``--serve-metrics`` is given,
-    installs the plane ambiently (the engine attaches every dispatch it
-    builds — serial or pool), and arms the crash flight recorder: the
-    ring is dumped to ``flight-<stamp>-<pid>.jsonl`` on EngineError, on
-    pool degradation, and on SIGTERM/SIGINT (the original signal
-    disposition is restored and the signal re-raised, so exit codes are
-    unchanged).  At most one dump per run.
+    configures the plane with ``overrides`` for the session (the engine
+    attaches every dispatch it builds — serial or pool), and arms the
+    crash flight recorder: the ring is dumped to
+    ``flight-<stamp>-<pid>.jsonl`` on EngineError, on pool degradation,
+    and on SIGTERM/SIGINT (the original signal disposition is restored
+    and the signal re-raised, so exit codes are unchanged).  At most one
+    dump per run.
     """
     import signal
 
-    from repro.errors import EngineError
-    from repro.obs.live import (
-        LiveTelemetryPlane,
-        default_flight_path,
-        install_live_plane,
-    )
+    from repro.obs.live import LiveTelemetryPlane, default_flight_path
 
     plane = LiveTelemetryPlane(
         recorder=recorder,
         serve_port=getattr(args, "serve_metrics", None),
     )
-    previous_plane = install_live_plane(plane)
     if plane.server is not None:
         print("metrics     : live at %s/metrics (and /healthz)"
               % plane.server.url)
@@ -661,7 +608,8 @@ def _live_session(args, recorder):
         except ValueError:
             break
     try:
-        yield plane
+        with configured(live_plane=plane, **overrides):
+            yield plane
         if plane.degraded:
             dump("degraded")
     except EngineError:
@@ -676,7 +624,6 @@ def _live_session(args, recorder):
         plane.close(
             linger=getattr(args, "serve_metrics_linger", 0.0) or 0.0
         )
-        install_live_plane(previous_plane)
 
 
 def _cmd_run(args) -> int:
@@ -684,8 +631,9 @@ def _cmd_run(args) -> int:
 
     recorder = _make_live_recorder(args, full_trace=bool(args.trace_out))
     store = _make_store(args, recorder)
-    with _live_session(args, recorder):
-        outcome = _run_traced_workload(args, recorder, store)
+    overrides = _run_config(args, recorder, store, args.nodes)
+    with _live_session(args, recorder, overrides):
+        outcome = _run_traced_workload(args, recorder)
     result = outcome.result
     metrics = result.metrics
     print("engine      : %s" % args.engine)
@@ -734,8 +682,9 @@ def _cmd_trace(args) -> int:
 
     recorder = _make_live_recorder(args, full_trace=True)
     store = _make_store(args, recorder)
-    with _live_session(args, recorder):
-        outcome = _run_traced_workload(args, recorder, store)
+    overrides = _run_config(args, recorder, store, args.nodes)
+    with _live_session(args, recorder, overrides):
+        outcome = _run_traced_workload(args, recorder)
     write_jsonl(recorder, args.out)
     print("%s %s on %s: %d supersteps (%.6f s wall), %d events -> %s"
           % (args.engine, args.app, args.graph,
@@ -754,9 +703,7 @@ def _cmd_trace(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.bench import workloads
     from repro.bench import experiments as exp
-    from repro.cluster.faults import install_plan, uninstall_plan
-    from repro.store import install_store
-    from repro.trace import install, uninstall, write_jsonl
+    from repro.trace import write_jsonl
 
     scale = (
         args.scale if args.scale is not None
@@ -780,86 +727,35 @@ def _cmd_bench(args) -> int:
         if args.artifact == "all"
         else [(args.artifact, modules[args.artifact])]
     )
-    # The experiment drivers do not thread a recorder or fault plan;
-    # installing them ambiently makes run_workload / the engines pick
-    # both up for every workload the artifacts build.
+    # The experiment drivers do not thread a recorder, store, fault plan
+    # or backend; the run config carries them to every engine, store and
+    # run_workload call the artifacts make.
     recorder = _make_live_recorder(args, full_trace=bool(args.trace_out))
-    install(recorder)
     store = _make_store(args, recorder)
-    previous_store = install_store(store) if store is not None else None
-    plan, checkpoint_every = _parse_fault_plan(args, num_nodes=8)
-    if plan is not None or checkpoint_every:
-        install_plan(plan, checkpoint_every)
-    previous_backend = None
-    if args.backend is not None or args.workers is not None:
-        # Ambient, like the fault plan: experiment drivers build their
-        # own engines, which resolve against the installed backend.
-        # install_backend returns the prior state so the finally block
-        # restores it instead of blindly resetting to serial — nested
-        # callers (tests, scripted drivers) keep their own setting.
-        from repro.parallel import install_backend
+    overrides = _run_config(args, recorder, store, num_nodes=8)
+    with _live_session(args, recorder, overrides):
+        for name, module in chosen:
+            if hasattr(module, "run"):
+                output = module.run(scale_divisor=scale)
+                artifacts = output if isinstance(output, list) else [output]
+            else:  # figure10 exposes run_intra / run_inter
+                artifacts = [
+                    module.run_intra(scale_divisor=scale),
+                    module.run_inter(scale_divisor=scale),
+                ]
+            for index, artifact in enumerate(artifacts):
+                print(artifact.render())
+                if args.csv_dir:
+                    import os
 
-        previous_backend = install_backend(
-            args.backend or "serial", args.workers or 1
-        )
-    previous_recovery = None
-    bench_timeout = getattr(args, "parallel_timeout", None)
-    bench_respawns = getattr(args, "parallel_max_respawns", None)
-    if bench_timeout is not None or bench_respawns is not None:
-        from repro.parallel import install_recovery
-
-        previous_recovery = install_recovery(bench_timeout, bench_respawns)
-    previous_ooc = None
-    bench_shard_mb = getattr(args, "shard_mb", None)
-    bench_shard_cache = getattr(args, "shard_cache", None)
-    if bench_shard_mb is not None or bench_shard_cache is not None:
-        from repro.ooc import install_ooc
-
-        previous_ooc = install_ooc(bench_shard_mb, bench_shard_cache)
-    try:
-        with _live_session(args, recorder):
-            for name, module in chosen:
-                if hasattr(module, "run"):
-                    output = module.run(scale_divisor=scale)
-                    artifacts = (
-                        output if isinstance(output, list) else [output]
+                    os.makedirs(args.csv_dir, exist_ok=True)
+                    suffix = "" if len(artifacts) == 1 else "_%d" % index
+                    path = os.path.join(
+                        args.csv_dir, "%s%s.csv" % (name, suffix)
                     )
-                else:  # figure10 exposes run_intra / run_inter
-                    artifacts = [
-                        module.run_intra(scale_divisor=scale),
-                        module.run_inter(scale_divisor=scale),
-                    ]
-                for index, artifact in enumerate(artifacts):
-                    print(artifact.render())
-                    if args.csv_dir:
-                        import os
-
-                        os.makedirs(args.csv_dir, exist_ok=True)
-                        suffix = "" if len(artifacts) == 1 else "_%d" % index
-                        path = os.path.join(
-                            args.csv_dir, "%s%s.csv" % (name, suffix)
-                        )
-                        with open(path, "w", encoding="utf-8") as handle:
-                            handle.write(artifact.to_csv())
-                        print("[csv written to %s]" % path)
-    finally:
-        if previous_ooc is not None:
-            from repro.ooc import install_ooc
-
-            install_ooc(*previous_ooc)
-        if previous_recovery is not None:
-            from repro.parallel import install_recovery
-
-            install_recovery(*previous_recovery)
-        if previous_backend is not None:
-            from repro.parallel import install_backend
-
-            install_backend(*previous_backend)
-        if plan is not None or checkpoint_every:
-            uninstall_plan()
-        if store is not None:
-            install_store(previous_store)
-        uninstall()
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(artifact.to_csv())
+                    print("[csv written to %s]" % path)
     _print_cache_summary(store)
     if recorder is not None and args.trace_out:
         write_jsonl(recorder, args.trace_out)
@@ -897,7 +793,8 @@ def _cmd_report(args) -> int:
         from repro.trace import TraceRecorder
 
         recorder = TraceRecorder()
-        outcome = _run_traced_workload(args, recorder)
+        with configured(**_run_config(args, recorder, None, args.nodes)):
+            outcome = _run_traced_workload(args, recorder)
         print("report      : replayed %s %s on %s (%d supersteps)"
               % (args.engine, args.app, args.graph,
                  outcome.result.iterations))
@@ -949,7 +846,7 @@ def _warm_workload(app_name: str, graph_key: str, scale: int):
     ``app.prepare(graph)`` with the app's guidance roots (the default
     root for rooted traversals, topological roots for CC), arithmetic
     apps on the loaded graph with the generic topological roots.  The
-    ambient store — installed by the caller — picks the artifacts up
+    store the caller configured picks the artifacts up
     via the same ``datasets.load`` / ``generate_guidance`` paths a run
     uses, so the keys match by construction.
     """
@@ -1007,7 +904,7 @@ def _shard_workload(app_name: str, graph_key: str, scale: int,
 
 
 def _cmd_cache(args) -> int:
-    from repro.store import StoreError, install_store
+    from repro.store import StoreError
 
     store = _make_store(args)
     if store is None:
@@ -1060,16 +957,13 @@ def _cmd_cache(args) -> int:
         _print_cache_summary(store)
         return 0
     # warm
-    previous = install_store(store)
-    try:
+    with configured(store=store):
         for app_name in args.apps:
             guidance = _warm_workload(app_name, args.graph, scale)
             print("warmed %s on %s: guidance for %d vertices "
                   "(%d iteration level(s), %d edge ops)"
                   % (app_name, args.graph, guidance.num_vertices,
                      guidance.num_iterations, guidance.edge_ops))
-    finally:
-        install_store(previous)
     _print_cache_summary(store)
     return 0
 

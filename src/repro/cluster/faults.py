@@ -38,11 +38,10 @@ straggler windows are pure functions of the superstep index, so they
 re-apply if a rollback re-executes their superstep — deterministic
 either way.
 
-An ambient plan can be installed process-wide (mirroring
-``repro.trace.install``) so CLI flags reach engines built deep inside
-experiment drivers: :func:`install_plan` sets it and every
-:class:`~repro.core.engine.SLFEEngine`-family constructor picks it up
-when no explicit plan is passed.
+A plan configured for the run (``repro.runconfig.configured(
+fault_plan=...)``) reaches engines built deep inside experiment
+drivers: every :class:`~repro.core.engine.SLFEEngine`-family
+constructor picks it up when no explicit plan is passed.
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ __all__ = [
     "WORKER_PHASES",
     "FaultPlan",
     "FaultInjector",
-    "install_plan",
-    "uninstall_plan",
-    "active_plan",
 ]
 
 
@@ -402,39 +398,6 @@ class FaultPlan:
             for _ in range(num_stragglers)
         )
         return cls(crashes, tuple(losses), stragglers, seed=seed)
-
-
-# ----------------------------------------------------------------------
-# ambient (installed) plan — mirrors repro.trace.install
-# ----------------------------------------------------------------------
-_INSTALLED: Optional[FaultPlan] = None
-_INSTALLED_INTERVAL: int = 0
-
-
-def install_plan(
-    plan: Optional[FaultPlan], checkpoint_every: int = 0
-) -> Tuple[Optional[FaultPlan], int]:
-    """Set the ambient fault plan; returns the previous (plan, interval).
-
-    Engines built without an explicit ``fault_plan`` pick the ambient
-    one up, which is how ``--inject-faults`` reaches workloads built
-    deep inside experiment drivers.
-    """
-    global _INSTALLED, _INSTALLED_INTERVAL
-    previous = (_INSTALLED, _INSTALLED_INTERVAL)
-    _INSTALLED = plan
-    _INSTALLED_INTERVAL = int(checkpoint_every)
-    return previous
-
-
-def uninstall_plan() -> None:
-    """Clear the ambient fault plan."""
-    install_plan(None, 0)
-
-
-def active_plan() -> Tuple[Optional[FaultPlan], int]:
-    """The ambient (plan, checkpoint_every) pair; (None, 0) by default."""
-    return _INSTALLED, _INSTALLED_INTERVAL
 
 
 class FaultInjector:

@@ -456,8 +456,8 @@ class AsyncEngine(SLFEEngine):
     Serial-only: the pending set mutates on every round, so there is no
     phase boundary at which worker processes could share it coherently
     (the parallel pool's shared-memory protocol is superstep-shaped).
-    An explicit ``backend="parallel"`` is rejected; the ambient backend
-    installation is deliberately ignored rather than inherited.
+    An explicit ``backend="parallel"`` is rejected; the configured
+    backend is deliberately ignored rather than inherited.
     """
 
     name = "Async"

@@ -42,7 +42,6 @@ from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.faults import FaultInjector, FaultPlan
-from repro.cluster.faults import active_plan as active_fault_plan
 from repro.cluster.metrics import MetricsCollector
 from repro.core.accounting import segmented_improvements
 from repro.core.frontier import (
@@ -68,6 +67,7 @@ from repro.errors import ConvergenceError, EngineError
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioner, VertexPartition
 from repro.partition.chunking import ChunkingPartitioner
+from repro.runconfig import current, resolve
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import NULL_RECORDER, Recorder
 
@@ -135,29 +135,27 @@ class SLFEEngine:
         is retried with backoff; stragglers stretch that node's modeled
         compute.  Results are bit-identical to the fault-free run — only
         the accounting (modeled seconds, retries, replayed supersteps)
-        changes.  Defaults to the ambient installed plan
-        (:func:`repro.cluster.faults.install_plan`), which is how the
-        ``--inject-faults`` CLI flag reaches engines built inside
-        experiment drivers.
+        changes.  Defaults to the run configuration's plan
+        (:mod:`repro.runconfig`), which is how the ``--inject-faults``
+        CLI flag reaches engines built inside experiment drivers.
     checkpoint_every:
         Take a state snapshot every this many supersteps (0 keeps only
         the mandatory superstep-0 snapshot a fault-tolerant run needs as
-        its rollback floor).  Defaults to the ambient installed
-        interval.  Checkpoints cover the vertex properties, frontier,
-        start-late/RulerS bookkeeping, and the ownership map; restore is
-        checksum-verified bit-identical.
+        its rollback floor).  Resolved like every run knob
+        (:func:`repro.runconfig.resolve`).  Checkpoints cover the
+        vertex properties, frontier, start-late/RulerS bookkeeping, and
+        the ownership map; restore is checksum-verified bit-identical.
     backend:
         ``"serial"`` executes supersteps in-process; ``"parallel"``
         runs the gather/scatter kernels on a shared-memory worker pool
         (:class:`repro.parallel.ParallelExecutor`) with mini-chunk work
         stealing — measured multicore execution, bit-identical results.
-        Defaults to the ambient installed backend
-        (:func:`repro.parallel.install_backend`), which is how the
-        ``--backend``/``--workers`` CLI flags reach engines built
-        inside experiment drivers.
+        Defaults to the configured backend (:mod:`repro.runconfig`),
+        which is how the ``--backend``/``--workers`` CLI flags reach
+        engines built inside experiment drivers.
     num_workers:
         Worker processes for the parallel backend (ignored by serial).
-        Defaults to the ambient installed count.
+        Defaults to the configured count.
     policy:
         The :class:`repro.core.policy.ExecutionPolicy` deciding the
         run's iteration structure.  Defaults to
@@ -201,19 +199,12 @@ class SLFEEngine:
         self.rebalancer = rebalancer
         self.record_per_vertex_ops = record_per_vertex_ops
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        ambient_plan, ambient_interval = active_fault_plan()
-        self.fault_plan = fault_plan if fault_plan is not None else ambient_plan
-        if checkpoint_every is None:
-            checkpoint_every = ambient_interval
-        if checkpoint_every < 0:
-            raise EngineError("checkpoint_every must be >= 0")
-        self.checkpoint_every = int(checkpoint_every)
-        # Imported here, not at module top: repro.parallel sits between
-        # repro.core.runtime and this module in the layering (it imports
-        # the phase vocabulary), so a top-level import would be a cycle.
-        from repro.parallel import resolve_backend
-
-        self.backend, self.num_workers = resolve_backend(backend, num_workers)
+        self.fault_plan = (
+            fault_plan if fault_plan is not None else current().fault_plan
+        )
+        self.checkpoint_every = resolve("checkpoint_every", checkpoint_every)
+        self.backend = resolve("backend", backend)
+        self.num_workers = resolve("num_workers", num_workers)
         self.policy = resolve_policy(policy)
 
     # ------------------------------------------------------------------
@@ -362,16 +353,14 @@ class SLFEEngine:
 
     @staticmethod
     def _attach_live_plane(dispatch):
-        """Hand the dispatch to the ambient live telemetry plane.
+        """Hand the dispatch to the configured live telemetry plane.
 
         The plane (``repro.obs.live``) samples the dispatch's shared
         telemetry segment from a parent thread — a pure observer: it
         never writes execution state, so results are bit-identical with
         the plane installed or not.
         """
-        from repro.obs.live import active_live_plane
-
-        plane = active_live_plane()
+        plane = current().live_plane
         if plane is not None:
             plane.attach_dispatch(dispatch)
         return dispatch

@@ -37,6 +37,7 @@ import numpy as np
 from repro.errors import GraphIOError
 from repro.graph.analysis import bfs_sweep, resolve_ids
 from repro.graph.graph import Graph
+from repro.runconfig import current
 
 __all__ = [
     "RRGuidance",
@@ -222,10 +223,7 @@ def _generate(graph: Graph, roots, store, variant: str, propagate) -> RRGuidance
     else:
         roots = resolve_ids(roots, n, "guidance root")
     if store is None:
-        # Imported lazily: repro.store imports this module at load time.
-        from repro.store import active_store
-
-        store = active_store()
+        store = current().store
     if store is not None:
         cached = store.consult_guidance(graph, roots, variant=variant)
         if cached is not None:
@@ -267,7 +265,7 @@ def generate_guidance(
         :func:`default_roots` when omitted); non-integer ids are refused.
     store:
         Optional :class:`repro.store.ArtifactStore`; defaults to the
-        ambient installed store (``--cache-dir``).  On a validated hit
+        run configuration's store (``--cache-dir``).  On a validated hit
         the propagation is skipped entirely and the returned guidance
         reports ``edge_ops == 0`` — no edge was scanned *in this job*,
         which is the amortisation the paper's Figure 8 argues for.

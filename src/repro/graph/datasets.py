@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import GraphFormatError
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.runconfig import current
 
 __all__ = ["DatasetSpec", "DATASETS", "PAPER_ORDER", "load", "load_all", "paper_table4"]
 
@@ -141,8 +142,8 @@ def load(
 
     Notes
     -----
-    When an artifact store is installed
-    (:func:`repro.store.install_store`, the CLI's ``--cache-dir``),
+    When an artifact store is configured for the run
+    (:mod:`repro.runconfig`, the CLI's ``--cache-dir``),
     the formatted graph is looked up on disk before being rebuilt and
     offered back after a build — the "formatting" preprocessing step
     then runs once per (dataset, scale, weighted) tuple across *jobs*,
@@ -160,9 +161,9 @@ def load(
     cache_key = (key, scale_divisor, weighted)
     if use_cache and cache_key in _cache:
         return _cache[cache_key]
-    from repro.store import active_store, graph_spec_key
+    from repro.store import graph_spec_key
 
-    store = active_store()
+    store = current().store
     spec_key = graph_spec_key(key, scale_divisor, weighted)
     graph = store.consult_graph(spec_key) if store is not None else None
     if graph is None:

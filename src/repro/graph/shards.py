@@ -42,7 +42,6 @@ from repro.graph.csr import CSR, expand_rows, is_unit, unit_view
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
-    "DEFAULT_SHARD_MB",
     "EDGE_BYTES",
     "available_codec",
     "plan_shards",
@@ -60,12 +59,6 @@ __all__ = [
 #: is the compressed blob itself (``.bin``), not an ``.npz`` around it.
 #: v3: a shard of unit weights stores no weights (``unit_weights``).
 SHARD_FORMAT_VERSION = 3
-
-#: Default uncompressed shard payload target.  Small enough that the
-#: resident working set (one shard + a few cached neighbours) stays far
-#: below any real graph's edge arrays, large enough that per-shard
-#: decompression overhead is negligible next to the kernels.
-DEFAULT_SHARD_MB = 8.0
 
 #: Raw bytes per edge a shard is planned at: int64 neighbour + float64 weight.
 EDGE_BYTES = 16
@@ -112,7 +105,7 @@ def _decompress(blob: bytes, codec: str, expected: int) -> bytes:
     raise StoreError("unknown shard codec %r" % (codec,))
 
 
-def plan_shards(indptr: np.ndarray, shard_mb: float = DEFAULT_SHARD_MB) -> List[Tuple[int, int]]:
+def plan_shards(indptr: np.ndarray, shard_mb: float) -> List[Tuple[int, int]]:
     """Contiguous ``[lo, hi)`` row ranges of ~``shard_mb`` MiB of edges.
 
     Cuts land only on row boundaries: a row's whole edge run always sits
@@ -198,7 +191,7 @@ def decode_shard(blob: bytes, meta: Dict[str, object]) -> Tuple[np.ndarray, np.n
     return indices, weights
 
 
-def build_shards(csr: CSR, shard_mb: float = DEFAULT_SHARD_MB, codec: Optional[str] = None) -> Tuple[Dict[str, object], List[bytes]]:
+def build_shards(csr: CSR, shard_mb: float, codec: Optional[str] = None) -> Tuple[Dict[str, object], List[bytes]]:
     """Split ``csr`` into shards; returns ``(manifest, blobs)`` aligned.
 
     The manifest is JSON-ready; ``blobs[i]`` is the compressed payload

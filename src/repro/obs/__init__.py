@@ -33,13 +33,10 @@ from repro.obs.live import (
     LiveTelemetryPlane,
     MetricsHTTPServer,
     TelemetrySampler,
-    active_live_plane,
     default_flight_path,
-    install_live_plane,
     render_top,
     scrape,
     top_loop,
-    uninstall_live_plane,
 )
 from repro.obs.metrics import (
     Counter,
@@ -68,13 +65,10 @@ __all__ = [
     "LiveTelemetryPlane",
     "MetricsHTTPServer",
     "TelemetrySampler",
-    "active_live_plane",
     "default_flight_path",
-    "install_live_plane",
     "render_top",
     "scrape",
     "top_loop",
-    "uninstall_live_plane",
     "Counter",
     "Gauge",
     "Histogram",

@@ -41,9 +41,10 @@ observable **while it is alive**, with four cooperating pieces:
   without anyone having passed ``--trace-out``.
 
 * :class:`LiveTelemetryPlane` — the lifecycle owner tying the three
-  together, installed ambiently (:func:`install_live_plane`) so the
-  engine can hand each dispatch it builds to the plane without
-  threading a parameter through every driver.
+  together, configured for the run
+  (``repro.runconfig.configured(live_plane=...)``) so the engine can
+  hand each dispatch it builds to the plane without threading a
+  parameter through every driver.
 
 Telemetry is a **pure side channel**: workers write their own slot and
 nothing in the execution path ever reads it back, so results are
@@ -94,9 +95,6 @@ __all__ = [
     "MetricsHTTPServer",
     "FlightRecorder",
     "LiveTelemetryPlane",
-    "install_live_plane",
-    "uninstall_live_plane",
-    "active_live_plane",
     "default_flight_path",
     "scrape",
     "render_top",
@@ -638,13 +636,13 @@ def default_flight_path(directory: str = ".") -> str:
 
 
 # ----------------------------------------------------------------------
-# the plane: lifecycle owner + ambient install
+# the plane: lifecycle owner
 # ----------------------------------------------------------------------
 class LiveTelemetryPlane:
     """Owns the sampler and (optionally) the HTTP endpoint for one run.
 
-    The CLI builds one plane per command, installs it ambiently, and
-    the engine hands every dispatch it constructs to
+    The CLI builds one plane per command and configures it for the
+    run (``configured(live_plane=...)``), and the engine hands every dispatch it constructs to
     :meth:`attach_dispatch` — serial or pool, healthy or respawned.
     ``serve_port=None`` keeps the endpoint off (the sampler still runs,
     feeding the flight recorder and ``parallel_stall`` detection).
@@ -727,35 +725,6 @@ class LiveTelemetryPlane:
                 time.sleep(linger)
             self.server.stop()
             self.server = None
-
-
-_PLANE: Optional[LiveTelemetryPlane] = None
-
-
-def install_live_plane(
-    plane: Optional[LiveTelemetryPlane],
-) -> Optional[LiveTelemetryPlane]:
-    """Set the ambient live plane; returns the previous one.
-
-    Mirrors ``install_backend`` / ``trace.install``: the engine resolves
-    the ambient plane when building a dispatch, which is how one
-    ``--serve-metrics`` flag reaches executors built deep inside
-    experiment drivers.
-    """
-    global _PLANE
-    previous = _PLANE
-    _PLANE = plane
-    return previous
-
-
-def uninstall_live_plane() -> None:
-    """Clear the ambient live plane."""
-    install_live_plane(None)
-
-
-def active_live_plane() -> Optional[LiveTelemetryPlane]:
-    """The ambient plane, or None when live telemetry is off."""
-    return _PLANE
 
 
 # ----------------------------------------------------------------------

@@ -67,33 +67,19 @@ from repro.errors import EngineError, StoreError
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 from repro.graph.shards import ShardedCSR, ShardSlice
-from repro.store import ArtifactStore, active_store, graph_fingerprint
+from repro.runconfig import current, install, resolve
+from repro.store import ArtifactStore, graph_fingerprint
 from repro.trace import recorder as trace_events
 
 __all__ = [
-    "DEFAULT_SHARD_CACHE",
     "ShardStreamDispatch",
     "SpilledCSR",
     "SpilledGraph",
     "spill_graph",
     "load_spilled",
     "install_ooc",
-    "uninstall_ooc",
-    "active_ooc",
-    "resolve_shard_mb",
-    "resolve_shard_cache",
     "peak_rss_bytes",
 ]
-
-#: Decoded shards kept resident per direction stream.  Two is the
-#: working-set minimum (current + read-ahead); four absorbs the pull
-#: loop re-touching a recent destination range without re-decoding.
-DEFAULT_SHARD_CACHE = 4
-
-#: Environment overrides, lowest-priority source (explicit argument
-#: beats ambient install beats environment beats default).
-SHARD_MB_ENV = "REPRO_SHARD_MB"
-SHARD_CACHE_ENV = "REPRO_SHARD_CACHE"
 
 
 def peak_rss_bytes() -> int:
@@ -113,109 +99,11 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-def _validate_shard_mb(value, source: str) -> float:
-    bad = EngineError(
-        "%s must be a positive number of MiB (got %r)" % (source, value)
-    )
-    if isinstance(value, bool):
-        raise bad
-    try:
-        shard_mb = float(value)
-    except (TypeError, ValueError):
-        raise bad
-    if not np.isfinite(shard_mb) or shard_mb <= 0:
-        raise bad
-    return shard_mb
-
-
-def _validate_shard_cache(value, source: str) -> int:
-    bad = EngineError(
-        "%s must be an integer >= 1 (got %r)" % (source, value)
-    )
-    if isinstance(value, bool):
-        raise bad
-    if isinstance(value, str):
-        try:
-            value = int(value.strip())
-        except ValueError:
-            raise bad
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise bad
-    return int(value)
-
-
-# ----------------------------------------------------------------------
-# ambient knobs (mirror repro.parallel.install_recovery)
-# ----------------------------------------------------------------------
-_OOC_AMBIENT: Tuple[Optional[float], Optional[int]] = (None, None)
-
-
-def install_ooc(
-    shard_mb: Optional[float] = None,
-    shard_cache: Optional[int] = None,
-) -> Tuple[Optional[float], Optional[int]]:
-    """Set the ambient ooc overrides; returns the previous pair.
-
-    ``None`` means "no override" for that knob.  This is how
-    ``--shard-mb`` / ``--shard-cache`` reach dispatches built deep
-    inside experiment drivers, mirroring ``install_recovery``.
-    Validation happens before the ambient state is touched.
-    """
-    global _OOC_AMBIENT
-    pair = (
-        None
-        if shard_mb is None
-        else _validate_shard_mb(shard_mb, "shard size"),
-        None
-        if shard_cache is None
-        else _validate_shard_cache(shard_cache, "shard cache"),
-    )
-    previous = _OOC_AMBIENT
-    _OOC_AMBIENT = pair
-    return previous
-
-
-def uninstall_ooc() -> None:
-    """Clear the ambient ooc overrides."""
-    global _OOC_AMBIENT
-    _OOC_AMBIENT = (None, None)
-
-
-def active_ooc() -> Tuple[Optional[float], Optional[int]]:
-    """The ambient ``(shard_mb, shard_cache)`` override pair."""
-    return _OOC_AMBIENT
-
-
-def resolve_shard_mb(explicit: Optional[float] = None) -> float:
-    """Explicit argument beats ambient install beats environment."""
-    from repro.graph.shards import DEFAULT_SHARD_MB
-
-    if explicit is not None:
-        return _validate_shard_mb(explicit, "shard size")
-    ambient = _OOC_AMBIENT[0]
-    if ambient is not None:
-        return ambient
-    import os
-
-    env = os.environ.get(SHARD_MB_ENV)
-    if env is not None and env.strip():
-        return _validate_shard_mb(env, SHARD_MB_ENV)
-    return DEFAULT_SHARD_MB
-
-
-def resolve_shard_cache(explicit: Optional[int] = None) -> int:
-    """Explicit argument beats ambient install beats environment."""
-    if explicit is not None:
-        return _validate_shard_cache(explicit, "shard cache")
-    ambient = _OOC_AMBIENT[1]
-    if ambient is not None:
-        return ambient
-    import os
-
-    env = os.environ.get(SHARD_CACHE_ENV)
-    if env is not None and env.strip():
-        return _validate_shard_cache(env, SHARD_CACHE_ENV)
-    return DEFAULT_SHARD_CACHE
+# Kept for perfbench/workloads.py; new code uses repro.runconfig.configured.
+def install_ooc(shard_mb=None, shard_cache=None):
+    """Set the configured shard knobs; returns the previous pair."""
+    previous = install(shard_mb=shard_mb, shard_cache=shard_cache)
+    return previous.shard_mb, previous.shard_cache
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +183,7 @@ def spill_graph(
     """Shard ``graph`` (both directions) into ``store``; returns its
     content digest — the handle :func:`load_spilled` reopens."""
     return store.put_sharded_graph(
-        graph, resolve_shard_mb(shard_mb), spec_key=spec_key
+        graph, resolve("shard_mb", shard_mb), spec_key=spec_key
     )
 
 
@@ -482,7 +370,7 @@ class ShardStreamDispatch:
     2. an in-memory graph consults the store by content fingerprint
        (the ``repro cache shard`` warm path);
     3. on a miss the graph is sharded now and offered back — into the
-       ambient store when one is installed, else into a private
+       configured store when there is one, else into a private
        temporary store that :meth:`close` deletes.
 
     ``cold`` records which path ran (False only for path 1/2), so
@@ -506,14 +394,14 @@ class ShardStreamDispatch:
     ) -> None:
         self._app = app
         self._recorder = recorder
-        self._shard_mb = resolve_shard_mb(shard_mb)
-        self._capacity = resolve_shard_cache(shard_cache)
+        self._shard_mb = resolve("shard_mb", shard_mb)
+        self._capacity = resolve("shard_cache", shard_cache)
         self._superstep = 0
         self._tmp_root: Optional[str] = None
 
-        store = store if store is not None else active_store()
+        store = store if store is not None else current().store
         if store is None:
-            # No ambient cache: stream through a private spill directory
+            # No configured cache: stream through a private spill directory
             # (the point of ooc is bounded memory, not persistence).
             self._tmp_root = tempfile.mkdtemp(prefix="repro-ooc-")
             store = ArtifactStore(self._tmp_root, max_bytes=None)

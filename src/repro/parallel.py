@@ -95,7 +95,6 @@ import os
 import signal
 import time
 import traceback
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -116,46 +115,9 @@ from repro.core.runtime import (
 from repro.errors import EngineError
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
+from repro.runconfig import integer_at_least, resolve
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "DEFAULT_REPLY_TIMEOUT",
-    "DEFAULT_MAX_RESPAWNS",
-    "REPLY_TIMEOUT_ENV",
-    "MAX_RESPAWNS_ENV",
-    "ParallelExecutor",
-    "install_backend",
-    "uninstall_backend",
-    "active_backend",
-    "resolve_backend",
-    "backend_installed",
-    "install_recovery",
-    "uninstall_recovery",
-    "active_recovery",
-    "resolve_reply_timeout",
-    "resolve_max_respawns",
-]
-
-#: Recognised execution backends for the SLFE engine family.
-BACKENDS = ("serial", "parallel", "ooc")
-DEFAULT_BACKEND = "serial"
-
-#: How long the parent waits for one worker reply before declaring the
-#: worker hung.  Generous: a reply only lags while a worker still holds
-#: unfinished blocks of the current superstep.  Override per run with
-#: ``--parallel-timeout`` / ``REPRO_PARALLEL_TIMEOUT``.
-DEFAULT_REPLY_TIMEOUT = 120.0
-
-#: Worker respawns allowed per run before the pool gives up and
-#: degrades to inline (serial-semantics) execution.  Override per run
-#: with ``--parallel-max-respawns`` / ``REPRO_PARALLEL_MAX_RESPAWNS``.
-DEFAULT_MAX_RESPAWNS = 2
-
-#: Environment overrides for the two recovery knobs (lowest-priority
-#: source: explicit argument beats ambient install beats environment).
-REPLY_TIMEOUT_ENV = "REPRO_PARALLEL_TIMEOUT"
-MAX_RESPAWNS_ENV = "REPRO_PARALLEL_MAX_RESPAWNS"
+__all__ = ["ParallelExecutor"]
 
 #: Base of the doubling backoff slept before the 2nd, 3rd, ... respawn
 #: (the first respawn is immediate), capped at one second.
@@ -186,191 +148,6 @@ _STAT_STEALS = 2
 _STAT_TASKS = 3
 _STAT_EDGES = 4
 _STAT_COLS = 5
-
-
-def _validate_timeout(value: Any, source: str) -> float:
-    """A positive, finite number of seconds, or a one-line typed error."""
-    bad = EngineError(
-        "%s must be a positive number of seconds (got %r)" % (source, value)
-    )
-    if isinstance(value, bool):
-        raise bad
-    try:
-        timeout = float(value)
-    except (TypeError, ValueError):
-        raise bad
-    if not np.isfinite(timeout) or timeout <= 0:
-        raise bad
-    return timeout
-
-
-def _validate_respawns(value: Any, source: str) -> int:
-    """A non-negative integer respawn budget, or a one-line typed error."""
-    bad = EngineError(
-        "%s must be an integer >= 0 (got %r)" % (source, value)
-    )
-    if isinstance(value, bool):
-        raise bad
-    if isinstance(value, str):
-        try:
-            value = int(value.strip())
-        except ValueError:
-            raise bad
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise bad
-    return int(value)
-
-
-def _validate(backend: str, num_workers: int) -> Tuple[str, int]:
-    if backend not in BACKENDS:
-        raise EngineError(
-            "unknown backend %r (choose from %s)"
-            % (backend, ", ".join(BACKENDS))
-        )
-    if (
-        isinstance(num_workers, bool)
-        or not isinstance(num_workers, (int, np.integer))
-        or num_workers < 1
-    ):
-        raise EngineError(
-            "num_workers must be an integer >= 1 (got %r)" % (num_workers,)
-        )
-    return str(backend), int(num_workers)
-
-
-# ----------------------------------------------------------------------
-# ambient backend (mirrors the fault-plan / recorder installs)
-# ----------------------------------------------------------------------
-_AMBIENT: Tuple[str, int] = (DEFAULT_BACKEND, 1)
-
-
-def install_backend(backend: str, num_workers: int = 1) -> Tuple[str, int]:
-    """Set the ambient backend choice; returns the previous pair.
-
-    This is how ``--backend parallel --workers N`` reaches engines built
-    deep inside experiment drivers (``repro bench``) without threading a
-    parameter through every driver: :class:`repro.core.engine.SLFEEngine`
-    resolves its backend against the ambient pair when the caller does
-    not pass one explicitly.
-
-    Validation happens *before* the ambient state is touched, so a
-    rejected install leaves the previous pair in force.  Prefer
-    :func:`backend_installed` in tests and drivers: it restores the
-    previous pair even when the body raises.
-    """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = _validate(backend, num_workers)
-    return previous
-
-
-def uninstall_backend() -> None:
-    """Reset the ambient backend to serial."""
-    global _AMBIENT
-    _AMBIENT = (DEFAULT_BACKEND, 1)
-
-
-def active_backend() -> Tuple[str, int]:
-    """The ambient ``(backend, num_workers)`` pair."""
-    return _AMBIENT
-
-
-def resolve_backend(
-    backend: Optional[str] = None, num_workers: Optional[int] = None
-) -> Tuple[str, int]:
-    """Explicit choice beats the ambient install; both are validated."""
-    ambient_backend, ambient_workers = _AMBIENT
-    return _validate(
-        ambient_backend if backend is None else backend,
-        ambient_workers if num_workers is None else num_workers,
-    )
-
-
-# ----------------------------------------------------------------------
-# ambient recovery knobs (reply timeout + respawn budget)
-# ----------------------------------------------------------------------
-_RECOVERY_AMBIENT: Tuple[Optional[float], Optional[int]] = (None, None)
-
-
-def install_recovery(
-    reply_timeout: Optional[float] = None,
-    max_respawns: Optional[int] = None,
-) -> Tuple[Optional[float], Optional[int]]:
-    """Set the ambient recovery overrides; returns the previous pair.
-
-    ``None`` means "no override" for that knob (the environment variable
-    or the built-in default applies).  This is how ``--parallel-timeout``
-    and ``--parallel-max-respawns`` reach executors built deep inside
-    experiment drivers, mirroring :func:`install_backend`.  Validation
-    happens before the ambient state is touched.
-    """
-    global _RECOVERY_AMBIENT
-    pair = (
-        None
-        if reply_timeout is None
-        else _validate_timeout(reply_timeout, "parallel reply timeout"),
-        None
-        if max_respawns is None
-        else _validate_respawns(max_respawns, "parallel respawn budget"),
-    )
-    previous = _RECOVERY_AMBIENT
-    _RECOVERY_AMBIENT = pair
-    return previous
-
-
-def uninstall_recovery() -> None:
-    """Clear the ambient recovery overrides."""
-    global _RECOVERY_AMBIENT
-    _RECOVERY_AMBIENT = (None, None)
-
-
-def active_recovery() -> Tuple[Optional[float], Optional[int]]:
-    """The ambient ``(reply_timeout, max_respawns)`` override pair."""
-    return _RECOVERY_AMBIENT
-
-
-def resolve_reply_timeout(explicit: Optional[float] = None) -> float:
-    """Explicit argument beats ambient install beats environment."""
-    if explicit is not None:
-        return _validate_timeout(explicit, "parallel reply timeout")
-    ambient = _RECOVERY_AMBIENT[0]
-    if ambient is not None:
-        return ambient
-    env = os.environ.get(REPLY_TIMEOUT_ENV)
-    if env is not None and env.strip():
-        return _validate_timeout(env, REPLY_TIMEOUT_ENV)
-    return DEFAULT_REPLY_TIMEOUT
-
-
-def resolve_max_respawns(explicit: Optional[int] = None) -> int:
-    """Explicit argument beats ambient install beats environment."""
-    if explicit is not None:
-        return _validate_respawns(explicit, "parallel respawn budget")
-    ambient = _RECOVERY_AMBIENT[1]
-    if ambient is not None:
-        return ambient
-    env = os.environ.get(MAX_RESPAWNS_ENV)
-    if env is not None and env.strip():
-        return _validate_respawns(env, MAX_RESPAWNS_ENV)
-    return DEFAULT_MAX_RESPAWNS
-
-
-@contextmanager
-def backend_installed(backend: str, num_workers: int = 1):
-    """Install the ambient backend for a ``with`` body, then restore.
-
-    Unlike a bare :func:`install_backend` / :func:`uninstall_backend`
-    pair, the previous ambient state is restored *exactly* — not reset
-    to the default — and restored even when the body raises, so nested
-    installs and exception paths cannot leak backend state across
-    tests or drivers.
-    """
-    global _AMBIENT
-    previous = install_backend(backend, num_workers)
-    try:
-        yield _AMBIENT
-    finally:
-        _AMBIENT = previous
 
 
 # ----------------------------------------------------------------------
@@ -447,8 +224,8 @@ class ParallelExecutor:
         travels through the named shared-memory blocks.
     reply_timeout:
         Seconds to wait for one worker ack before declaring the worker
-        hung; ``None`` resolves ambient install -> environment ->
-        :data:`DEFAULT_REPLY_TIMEOUT`.
+        hung; ``None`` resolves the ``reply_timeout`` knob
+        (:func:`repro.runconfig.resolve`).
     max_respawns:
         Worker respawns allowed for this run before the pool degrades
         (or, with ``allow_degrade=False``, fails); ``None`` resolves
@@ -484,20 +261,12 @@ class ParallelExecutor:
         recorder: Optional[Any] = None,
         worker_faults: Sequence[Any] = (),
     ) -> None:
-        _validate("parallel", num_workers)
-        if (
-            isinstance(chunk_vertices, bool)
-            or not isinstance(chunk_vertices, (int, np.integer))
-            or chunk_vertices < 1
-        ):
-            raise EngineError(
-                "chunk_vertices must be an integer >= 1 (got %r)"
-                % (chunk_vertices,)
-            )
-        self.num_workers = int(num_workers)
-        self.chunk_vertices = int(chunk_vertices)
-        self._timeout = resolve_reply_timeout(reply_timeout)
-        self._max_respawns = resolve_max_respawns(max_respawns)
+        self.num_workers = resolve("num_workers", num_workers)
+        self.chunk_vertices = integer_at_least(1)(
+            chunk_vertices, "chunk_vertices"
+        )
+        self._timeout = resolve("reply_timeout", reply_timeout)
+        self._max_respawns = resolve("max_respawns", max_respawns)
         self._allow_degrade = bool(allow_degrade)
         self._recorder = recorder
         self._worker_faults = tuple(worker_faults)

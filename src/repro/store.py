@@ -32,9 +32,8 @@ generated once and *reused* by every subsequent job on the same graph.
   directory bounded across arbitrarily many jobs.  Recency is the
   sidecar's mtime: a hit costs one ``utime``, never a rewrite.
 
-An ambient store — :func:`install_store` / :func:`active_store`,
-mirroring the trace recorder and fault-plan installation — lets the
-CLI's ``--cache-dir`` flag reach :func:`repro.graph.datasets.load` and
+The configured store (``repro.runconfig.configured(store=...)``) lets
+the CLI's ``--cache-dir`` flag reach :func:`repro.graph.datasets.load` and
 :func:`repro.core.rrg.generate_guidance` without threading a parameter
 through every experiment driver.  Cache traffic is observable: every
 request emits a ``cache`` trace event (kind, outcome, bytes) that
@@ -63,7 +62,8 @@ from repro.errors import StoreError
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
-from repro.trace.recorder import Recorder, active_recorder
+from repro.runconfig import current, install
+from repro.trace.recorder import Recorder
 
 __all__ = [
     "FORMAT_VERSION",
@@ -74,7 +74,6 @@ __all__ = [
     "graph_fingerprint",
     "graph_spec_key",
     "install_store",
-    "uninstall_store",
     "active_store",
 ]
 
@@ -238,8 +237,8 @@ class ArtifactStore:
         LRU size cap over all payloads and sidecars; ``None`` disables
         eviction.
     recorder:
-        Trace sink for ``cache`` events.  When omitted, the ambient
-        recorder (:func:`repro.trace.recorder.active_recorder`) is used
+        Trace sink for ``cache`` events.  When omitted, the configured
+        recorder (``repro.runconfig.current().recorder``) is used
         at emit time, which is how CLI runs get cache traffic into
         their ``--metrics-out`` registry.
     """
@@ -270,7 +269,7 @@ class ArtifactStore:
     # plumbing
     # ------------------------------------------------------------------
     def _rec(self) -> Recorder:
-        return self._recorder if self._recorder is not None else active_recorder()
+        return self._recorder if self._recorder is not None else current().recorder
 
     def _emit(self, kind: str, outcome: str, key: str, nbytes: int = 0) -> None:
         self.stats.count(kind, outcome)
@@ -986,32 +985,12 @@ class ArtifactStore:
             return evicted
 
 
-# ----------------------------------------------------------------------
-# ambient installation (mirrors repro.trace.recorder.install)
-# ----------------------------------------------------------------------
-_INSTALLED: Optional[ArtifactStore] = None
-
-
+# Kept for perfbench/workloads.py; new code uses repro.runconfig.configured.
 def install_store(store: Optional[ArtifactStore]) -> Optional[ArtifactStore]:
-    """Set the ambient artifact store; returns the previous one.
-
-    :func:`repro.graph.datasets.load` and
-    :func:`repro.core.rrg.generate_guidance` consult the installed
-    store when the caller passes none, which is how the CLI's
-    ``--cache-dir`` flag reaches code built deep inside experiment
-    drivers without new plumbing.
-    """
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = store
-    return previous
-
-
-def uninstall_store() -> None:
-    """Remove the ambient store (back to cache-off behaviour)."""
-    install_store(None)
+    """Set the configured artifact store; returns the previous one."""
+    return install(store=store).store
 
 
 def active_store() -> Optional[ArtifactStore]:
-    """The ambient store, or ``None`` when caching is off."""
-    return _INSTALLED
+    """The configured store, or ``None`` when caching is off."""
+    return current().store

@@ -3,7 +3,7 @@
 ``repro.trace`` defines the shared per-superstep event vocabulary
 (:mod:`repro.trace.recorder`) and its exporters
 (:mod:`repro.trace.export`).  Pass a :class:`TraceRecorder` to any
-engine (or install one ambiently) to capture typed events — superstep
+engine (or configure one for the run) to capture typed events — superstep
 spans, mode choices, RR skips and catch-up debts, EC transitions,
 migrations, per-node op counts, messages/bytes — with wall-clock and
 modeled-cost timings.  The default :class:`NullRecorder` keeps the hot
@@ -27,9 +27,6 @@ from repro.trace.recorder import (
     Recorder,
     TraceEvent,
     TraceRecorder,
-    active_recorder,
-    install,
-    uninstall,
 )
 
 __all__ = [
@@ -39,9 +36,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "VOCABULARY",
-    "install",
-    "uninstall",
-    "active_recorder",
     "write_jsonl",
     "dumps_jsonl",
     "loads_jsonl",

@@ -20,11 +20,11 @@ one consumer of the same vocabulary the exporters read; engines emit
 the execution-structure events (mode choice, RR skips, catch-up debts,
 EC transitions, migrations, phase spans) directly.
 
-A module-level *installed* recorder lets callers trace code that does
-not thread a recorder through explicitly (``python -m repro bench
---trace-out``): :func:`install` sets it, :func:`active_recorder` reads
-it, and :func:`repro.bench.runner.run_workload` picks it up when no
-recorder is passed.
+The run configuration's recorder (``repro.runconfig.configured(
+recorder=...)``) traces code that does not thread a recorder through
+explicitly (``python -m repro bench --trace-out``):
+:func:`repro.bench.runner.run_workload` picks it up when no recorder
+is passed.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "TraceRecorder",
     "NULL_RECORDER",
     "VOCABULARY",
-    "install",
-    "uninstall",
-    "active_recorder",
     "SUPERSTEP_BEGIN",
     "SUPERSTEP_END",
     "RUN_BEGIN",
@@ -387,33 +384,3 @@ class TraceRecorder(NullRecorder):
 
     def total(self, counter: str) -> int:
         return sum(self.superstep_totals(counter).values())
-
-
-# ----------------------------------------------------------------------
-# installed (ambient) recorder
-# ----------------------------------------------------------------------
-_INSTALLED: Recorder = NULL_RECORDER
-
-
-def install(recorder: Optional[Recorder]) -> Recorder:
-    """Set the ambient recorder; returns the previous one.
-
-    ``run_workload`` attaches the installed recorder to engines it
-    builds when no explicit recorder is supplied, which is how
-    ``python -m repro bench --trace-out`` traces experiment drivers
-    that do not thread a recorder themselves.
-    """
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = recorder if recorder is not None else NULL_RECORDER
-    return previous
-
-
-def uninstall() -> None:
-    """Reset the ambient recorder to the shared no-op."""
-    install(NULL_RECORDER)
-
-
-def active_recorder() -> Recorder:
-    """The ambient recorder (the no-op unless one was installed)."""
-    return _INSTALLED

@@ -11,12 +11,10 @@ from repro.cluster.faults import (
     MessageLoss,
     NodeCrash,
     Straggler,
-    active_plan,
-    install_plan,
-    uninstall_plan,
 )
 from repro.errors import FaultError, FaultSpecError
 from repro.partition.base import VertexPartition
+from repro.runconfig import configured, current, resolve
 from repro.trace.recorder import NULL_RECORDER, TraceRecorder
 
 
@@ -181,13 +179,11 @@ class TestPlanQueries:
 class TestAmbientPlan:
     def test_install_uninstall_round_trip(self):
         plan = FaultPlan.parse("crash@2:0")
-        previous = install_plan(plan, checkpoint_every=3)
-        try:
-            assert previous == (None, 0)
-            assert active_plan() == (plan, 3)
-        finally:
-            uninstall_plan()
-        assert active_plan() == (None, 0)
+        assert (current().fault_plan, resolve("checkpoint_every")) == (None, 0)
+        with configured(fault_plan=plan, checkpoint_every=3):
+            assert (current().fault_plan, resolve("checkpoint_every")) == (
+                plan, 3)
+        assert (current().fault_plan, resolve("checkpoint_every")) == (None, 0)
 
 
 def make_injector(graph, owner, plan, recorder=None):

@@ -31,7 +31,7 @@ from repro.core.accounting import segmented_improvements
 from repro.core.engine import SLFEEngine
 from repro.core.frontier import Frontier
 from repro.graph import generators
-from repro.ooc import install_ooc
+from repro.runconfig import configured
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
@@ -408,11 +408,9 @@ def test_debt_counter_is_the_scan_on_the_pool(
 def test_debt_counter_is_the_scan_on_ooc(
     monkeypatch, weighted_social, app_name
 ):
-    previous = install_ooc(0.01, 2)  # ~10 KiB shards: every phase streams
-    try:
+    # ~10 KiB shards: every phase streams.
+    with configured(shard_mb=0.01, shard_cache=2):
         _assert_counters_are_scans(
             monkeypatch, weighted_social, app_name, True, "ooc",
             spec="crash@6:1",
         )
-    finally:
-        install_ooc(*previous)

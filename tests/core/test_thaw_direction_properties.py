@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import parallel
 from repro.apps import PageRank
 from repro.bench.workloads import ARITH_TOLERANCE, experiment_cluster
 from repro.cluster.costmodel import CostModel
@@ -40,7 +39,7 @@ from repro.core.runtime import SerialDispatch
 from repro.core.state import StabilityTracker
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.ooc import install_ooc
+from repro.runconfig import configured
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
@@ -307,13 +306,10 @@ def test_matrix_serial_pool_ooc_match_the_parent_algorithm(matrix_case):
     }
     # ~10 KiB shards behind a two-shard cache: every phase streams.
     recorder = TraceRecorder()
-    previous = install_ooc(0.01, 2)
-    try:
+    with configured(shard_mb=0.01, shard_cache=2):
         modeled["ooc"] = _assert_matches_parent(
             _engine_run(matrix_case, "ooc", recorder=recorder), matrix_case
         )
-    finally:
-        install_ooc(*previous)
     assert len(set(modeled.values())) == 1, modeled
     # The thaw streams the side it expands: out-shards when it pushes
     # from the changed set, in-shards when it pulls from the frozen set
@@ -331,12 +327,9 @@ def test_matrix_serial_pool_ooc_match_the_parent_algorithm(matrix_case):
 def test_matrix_degraded_inline_matches_the_parent_algorithm(matrix_case):
     # Past the first freeze, so the inline path gathers a general
     # (non-contiguous) task list through the terms kernel too.
-    previous = parallel.install_recovery(max_respawns=0)
-    try:
+    with configured(max_respawns=0):
         result = _engine_run(matrix_case, "parallel", 2,
                              spec="worker-crash@60:gather-1")
-    finally:
-        parallel.install_recovery(*previous)
     assert result.degraded is True
     _assert_matches_parent(result, matrix_case)
 

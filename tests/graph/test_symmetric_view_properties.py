@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import parallel
 from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
 from repro.bench.workloads import experiment_cluster
 from repro.cluster.faults import FaultPlan
@@ -27,7 +26,8 @@ from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
-from repro.ooc import SpilledGraph, install_ooc
+from repro.ooc import SpilledGraph
+from repro.runconfig import configured
 
 
 def _incoming_edges(in_csr):
@@ -197,19 +197,14 @@ def _assert_bit_identical_on_every_backend(name):
         # Respawn budget 0: the first phase loses a worker and every
         # later one runs on the parent's inline kernels.
         first = "pull" if name == "CC" else "push"
-        previous = parallel.install_recovery(max_respawns=0)
-        try:
+        with configured(max_respawns=0):
             degraded = _run(graph, name, "parallel", 2,
                             spec="worker-crash@1:%s-0" % first)
-        finally:
-            parallel.install_recovery(*previous)
         assert degraded.degraded is True
         runs.append(degraded)
-    previous = install_ooc(0.01, 2)  # ~10 KiB shards: every phase streams
-    try:
+    # ~10 KiB shards: every phase streams.
+    with configured(shard_mb=0.01, shard_cache=2):
         runs.append(_run(graph, name, "ooc"))
-    finally:
-        install_ooc(*previous)
     for result in runs:
         assert result.values.tobytes() == expected.tobytes()
         assert result.iterations == serial.iterations

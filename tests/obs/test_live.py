@@ -40,15 +40,13 @@ from repro.obs.live import (
     LiveTelemetryPlane,
     MetricsHTTPServer,
     TelemetrySampler,
-    active_live_plane,
     default_flight_path,
-    install_live_plane,
     render_top,
     scrape,
     top_loop,
-    uninstall_live_plane,
 )
 from repro.obs.metrics import parse_openmetrics
+from repro.runconfig import configured, current
 from repro.trace import recorder as trace_events
 from repro.trace.export import loads_jsonl, read_jsonl
 from repro.trace.recorder import TraceRecorder
@@ -488,12 +486,11 @@ class TestPureProjection:
         plane = LiveTelemetryPlane(
             recorder=FlightRecorder(capacity=None), serve_port=0
         )
-        previous = install_live_plane(plane)
         try:
-            live = _run_workload().result.values
+            with configured(live_plane=plane):
+                live = _run_workload().result.values
         finally:
             plane.close()
-            install_live_plane(previous)
         assert np.array_equal(live, reference)
 
     @needs_shm
@@ -502,23 +499,20 @@ class TestPureProjection:
         plane = LiveTelemetryPlane(
             recorder=FlightRecorder(capacity=None), serve_port=0
         )
-        previous = install_live_plane(plane)
         try:
-            live = _run_workload(backend="parallel", workers=2)
+            with configured(live_plane=plane):
+                live = _run_workload(backend="parallel", workers=2)
         finally:
             plane.close()
-            install_live_plane(previous)
         assert live.result.degraded is False
         assert np.array_equal(live.result.values, reference)
 
     def test_install_is_reversible(self):
-        assert active_live_plane() is None
+        assert current().live_plane is None
         plane = LiveTelemetryPlane()
-        previous = install_live_plane(plane)
-        assert active_live_plane() is plane
-        install_live_plane(previous)
-        assert active_live_plane() is None
-        uninstall_live_plane()
+        with configured(live_plane=plane):
+            assert current().live_plane is plane
+        assert current().live_plane is None
 
 
 class TestTop:

@@ -1,62 +1,69 @@
-"""Ambient backend state and worker-count validation at every entry point.
+"""Configured backend state and worker-count validation at every entry point.
 
-The ambient ``(backend, num_workers)`` pair is process-global, so any
-code path that installs it and fails to restore the *previous* value
-leaks state into unrelated tests and drivers.  These tests pin the
-restore-exactly semantics of :func:`repro.parallel.backend_installed`
-and assert that every entry point — CLI flags, :class:`SLFEEngine`,
-:func:`run_workload`, :class:`ParallelExecutor` — rejects a bad worker
-count (zero, negative, bool, float) with a one-line typed error before
-any work starts.
+The configured ``(backend, num_workers)`` pair is process-global, so any
+code path that sets it and fails to restore the *previous* value leaks
+state into unrelated tests and drivers.  These tests pin the
+restore-exactly semantics of :func:`repro.runconfig.configured` for the
+backend pair and assert that every entry point — CLI flags,
+:class:`SLFEEngine`, :func:`run_workload`, :class:`ParallelExecutor` —
+rejects a bad worker count (zero, negative, bool, float) with a
+one-line typed error before any work starts.
 """
 
 import pytest
 
 from repro import parallel
 from repro.errors import EngineError
+from repro.runconfig import configured, current, install, resolve
+
+
+def _pair():
+    return resolve("backend"), resolve("num_workers")
 
 
 @pytest.fixture(autouse=True)
-def _reset_ambient():
-    yield
-    parallel.uninstall_backend()
+def _restore_config():
+    with configured():
+        yield
 
 
 class TestBackendInstalled:
     def test_restores_previous_state(self):
-        parallel.install_backend("parallel", 3)
-        with parallel.backend_installed("serial", 1):
-            assert parallel.active_backend() == ("serial", 1)
-        assert parallel.active_backend() == ("parallel", 3)
+        install(backend="parallel", num_workers=3)
+        with configured(backend="serial", num_workers=1):
+            assert _pair() == ("serial", 1)
+        assert _pair() == ("parallel", 3)
 
     def test_restores_on_exception(self):
-        parallel.install_backend("parallel", 2)
+        install(backend="parallel", num_workers=2)
         with pytest.raises(RuntimeError):
-            with parallel.backend_installed("serial", 1):
+            with configured(backend="serial", num_workers=1):
                 raise RuntimeError("body failed")
-        assert parallel.active_backend() == ("parallel", 2)
+        assert _pair() == ("parallel", 2)
 
     def test_nested_installs_unwind_in_order(self):
-        with parallel.backend_installed("parallel", 2):
-            with parallel.backend_installed("parallel", 4):
-                assert parallel.active_backend() == ("parallel", 4)
-            assert parallel.active_backend() == ("parallel", 2)
-        assert parallel.active_backend() == ("serial", 1)
+        with configured(backend="parallel", num_workers=2):
+            with configured(backend="parallel", num_workers=4):
+                assert _pair() == ("parallel", 4)
+            assert _pair() == ("parallel", 2)
+        assert _pair() == ("serial", 1)
 
     def test_install_backend_returns_previous_pair(self):
-        previous = parallel.install_backend("parallel", 2)
-        assert previous == ("serial", 1)
-        assert parallel.install_backend("serial", 1) == ("parallel", 2)
+        previous = install(backend="parallel", num_workers=2)
+        assert (previous.backend, previous.num_workers) == (None, None)
+        previous = install(backend="serial", num_workers=1)
+        assert (previous.backend, previous.num_workers) == ("parallel", 2)
 
     def test_rejected_install_leaves_state_untouched(self):
-        parallel.install_backend("parallel", 2)
+        install(backend="parallel", num_workers=2)
+        before = current()
         for bad in (0, -1, 1.5, True):
             with pytest.raises(EngineError):
-                parallel.install_backend("parallel", bad)
-            assert parallel.active_backend() == ("parallel", 2)
+                install(backend="parallel", num_workers=bad)
+            assert current() == before
         with pytest.raises(EngineError):
-            parallel.install_backend("threads", 2)
-        assert parallel.active_backend() == ("parallel", 2)
+            install(backend="threads", num_workers=2)
+        assert current() == before
 
 
 BAD_WORKER_COUNTS = (0, -1, -8, 1.5, True, False)
@@ -66,7 +73,7 @@ class TestWorkerCountValidation:
     @pytest.mark.parametrize("bad", BAD_WORKER_COUNTS)
     def test_resolve_backend_rejects(self, bad):
         with pytest.raises(EngineError):
-            parallel.resolve_backend("parallel", bad)
+            resolve("num_workers", bad)
 
     @pytest.mark.parametrize("bad", BAD_WORKER_COUNTS)
     def test_engine_rejects(self, bad):

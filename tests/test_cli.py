@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runconfig import configured, current
 
 
 class TestParser:
@@ -160,13 +161,12 @@ class TestFaultCommands:
         assert "error:" in capsys.readouterr().err
 
     def test_ambient_plan_uninstalled_after_run(self):
-        from repro.cluster.faults import active_plan
-
+        before = current()
         assert main([
             "run", "--app", "SSSP", "--graph", "PK", "--scale", "16000",
             "--inject-faults", "crash@3:1",
         ]) == 0
-        assert active_plan() == (None, 0)
+        assert current() == before
 
     def test_bench_recovery_artifact(self, capsys):
         code = main(["bench", "recovery", "--scale", "16000"])
@@ -240,16 +240,15 @@ class TestTraceCommands:
         assert "trace" not in capsys.readouterr().out
 
     def test_bench_trace_out(self, capsys, tmp_path):
-        from repro.trace.recorder import NULL_RECORDER, active_recorder
-
         out = tmp_path / "bench.jsonl"
+        before = current()
         code = main([
             "bench", "figure8", "--scale", "16000",
             "--trace-out", str(out),
         ])
         assert code == 0
-        # The ambient recorder must be uninstalled afterwards.
-        assert active_recorder() is NULL_RECORDER
+        # The run config, recorder included, is what it was before.
+        assert current() == before
         events = [
             json.loads(line) for line in out.read_text().splitlines()
         ]
@@ -599,13 +598,11 @@ class TestCacheCommands:
         assert "cache       :" not in capsys.readouterr().out
 
     def test_store_uninstalled_after_run(self, tmp_path):
-        from repro.store import active_store
-
         assert main([
             "run", "sssp", "--graph", "PK", "--nodes", "2",
             "--scale", "16000", "--cache-dir", str(tmp_path / "c"),
         ]) == 0
-        assert active_store() is None
+        assert current().store is None
 
 
 class TestBackendFlags:
@@ -618,8 +615,8 @@ class TestBackendFlags:
         assert args.workers == 4
 
     def test_backend_defaults_to_none(self):
-        # None means "inherit the ambient/installed backend", which the
-        # engine resolves to serial unless something installed parallel.
+        # None means "inherit the configured backend", which the engine
+        # resolves to serial unless something configured parallel.
         args = build_parser().parse_args(
             ["run", "--app", "SSSP", "--graph", "PK"]
         )
@@ -679,12 +676,10 @@ class TestBackendFlags:
         assert model_lines(serial) == model_lines(par)
 
     def test_bench_restores_ambient_backend(self):
-        from repro.parallel import active_backend
-
-        before = active_backend()
+        before = current()
         assert main(["bench", "figure8", "--scale", "16000",
                      "--backend", "parallel", "--workers", "2"]) == 0
-        assert active_backend() == before
+        assert current() == before
 
 
 class TestLiveTelemetryCLI:
@@ -789,25 +784,20 @@ class TestLiveTelemetryCLI:
 
     def test_top_once_renders_a_live_frame(self, capsys):
         from repro.bench.runner import run_workload
-        from repro.obs.live import (
-            FlightRecorder,
-            LiveTelemetryPlane,
-            install_live_plane,
-        )
+        from repro.obs.live import FlightRecorder, LiveTelemetryPlane
 
         plane = LiveTelemetryPlane(
             recorder=FlightRecorder(capacity=None), serve_port=0
         )
-        previous = install_live_plane(plane)
         try:
-            run_workload("SLFE", "SSSP", "PK", num_nodes=2,
-                         scale_divisor=16000)
-            code = main([
-                "top", "127.0.0.1:%d" % plane.server.port, "--once",
-            ])
+            with configured(live_plane=plane):
+                run_workload("SLFE", "SSSP", "PK", num_nodes=2,
+                             scale_divisor=16000)
+                code = main([
+                    "top", "127.0.0.1:%d" % plane.server.port, "--once",
+                ])
         finally:
             plane.close()
-            install_live_plane(previous)
         assert code == 0
         out = capsys.readouterr().out
         assert "repro top" in out
@@ -818,3 +808,60 @@ class TestLiveTelemetryCLI:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main()'s exit status, whether argparse or main() reports it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRunConfigBoundaries:
+    """Usage errors stay usage errors; main() leaves the config as found."""
+
+    RUN = ["run", "sssp", "--graph", "PK", "--scale", "16000"]
+
+    @pytest.mark.parametrize("argv,env,named", [
+        (RUN + ["--parallel-timeout", "0"], {}, "parallel-timeout"),
+        (RUN + ["--parallel-max-respawns=-1"], {}, "parallel-max-respawns"),
+        (["run", "pr", "--graph", "PK", "--scale", "16000",
+          "--backend", "ooc"], {"REPRO_SHARD_MB": "abc"}, "REPRO_SHARD_MB"),
+    ])
+    def test_bad_knob_exits_2_without_a_flight_dump(
+        self, argv, env, named, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _exit_code(argv) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.glob("flight-*.jsonl")) == []
+
+    @pytest.mark.parametrize("argv,code", [
+        (RUN, 0),
+        (["trace", "sssp", "--graph", "PK", "--scale", "16000",
+          "--out", "t.jsonl"], 0),
+        (["bench", "figure8", "--scale", "16000"], 0),
+        (["cache", "warm", "sssp", "--graph", "PK", "--scale", "16000",
+          "--cache-dir", "cache"], 0),
+        (["run", "sssp", "--graph", "NOPE", "--scale", "16000"], 2),
+    ], ids=["run", "trace", "bench", "cache-warm", "failing"])
+    def test_main_restores_the_callers_config(
+        self, argv, code, capsys, tmp_path, monkeypatch
+    ):
+        from repro.cluster.faults import FaultPlan
+        from repro.store import ArtifactStore
+        from repro.trace.recorder import TraceRecorder
+
+        monkeypatch.chdir(tmp_path)
+        with configured(
+            fault_plan=FaultPlan.parse("crash@3:1", num_nodes=8),
+            checkpoint_every=3,
+            recorder=TraceRecorder(),
+            store=ArtifactStore(str(tmp_path / "outer")),
+        ):
+            before = current()
+            assert _exit_code(argv) == code
+            assert current() == before

@@ -22,18 +22,14 @@ from repro.graph import io as graph_io
 from repro.graph.graph import Graph
 from repro.graph.shards import plan_shards
 from repro.ooc import (
-    DEFAULT_SHARD_CACHE,
     ShardStreamDispatch,
     SpilledGraph,
-    install_ooc,
     load_spilled,
     peak_rss_bytes,
-    resolve_shard_cache,
-    resolve_shard_mb,
     spill_graph,
-    uninstall_ooc,
 )
-from repro.store import ArtifactStore, install_store
+from repro.runconfig import KNOBS, configured, install, resolve
+from repro.store import ArtifactStore
 
 from tests.conftest import make_random_graph
 
@@ -49,11 +45,8 @@ def tiny_shards():
     The cache holds two of them; the yielded setter picks another
     capacity for the rest of the test.
     """
-    previous = install_ooc(TINY_SHARD_MB, 2)
-    try:
-        yield lambda capacity: install_ooc(TINY_SHARD_MB, capacity)
-    finally:
-        install_ooc(*previous)
+    with configured(shard_mb=TINY_SHARD_MB, shard_cache=2):
+        yield lambda capacity: install(shard_cache=capacity)
 
 
 @pytest.fixture
@@ -63,11 +56,8 @@ def store(tmp_path):
 
 @pytest.fixture
 def ambient_store(store):
-    previous = install_store(store)
-    try:
+    with configured(store=store):
         yield store
-    finally:
-        install_store(previous)
 
 
 def _run(app_name, engine_name, backend, **engine_kwargs):
@@ -244,34 +234,31 @@ class TestShardStore:
 
 class TestKnobs:
     def test_ambient_resolution_and_restore(self):
-        previous = install_ooc(2.5, 7)
-        try:
-            assert resolve_shard_mb(None) == 2.5
-            assert resolve_shard_cache(None) == 7
-            # Explicit beats ambient.
-            assert resolve_shard_mb(1.0) == 1.0
-            assert resolve_shard_cache(3) == 3
-        finally:
-            install_ooc(*previous)
-        uninstall_ooc()
-        assert resolve_shard_cache(None) == DEFAULT_SHARD_CACHE
+        with configured(shard_mb=2.5, shard_cache=7):
+            assert resolve("shard_mb") == 2.5
+            assert resolve("shard_cache") == 7
+            # Explicit beats configured.
+            assert resolve("shard_mb", 1.0) == 1.0
+            assert resolve("shard_cache", 3) == 3
+        assert resolve("shard_cache") == KNOBS["shard_cache"].default
 
     def test_env_fallback(self, monkeypatch):
-        uninstall_ooc()
         monkeypatch.setenv("REPRO_SHARD_MB", "0.5")
         monkeypatch.setenv("REPRO_SHARD_CACHE", "9")
-        assert resolve_shard_mb(None) == 0.5
-        assert resolve_shard_cache(None) == 9
+        assert resolve("shard_mb") == 0.5
+        assert resolve("shard_cache") == 9
 
     @pytest.mark.parametrize("bad", [0, -1, "x", float("nan"), True])
     def test_bad_shard_mb_rejected(self, bad):
         with pytest.raises(EngineError):
-            install_ooc(bad, None)
+            with configured(shard_mb=bad):
+                pass
 
     @pytest.mark.parametrize("bad", [0, -3, "x", 1.5])
     def test_bad_shard_cache_rejected(self, bad):
         with pytest.raises(EngineError):
-            install_ooc(None, bad)
+            with configured(shard_cache=bad):
+                pass
 
     def test_peak_rss_positive_on_linux(self):
         assert peak_rss_bytes() >= 0

@@ -43,10 +43,10 @@ from repro.graph.shards import ShardedCSR, build_shards
 from repro.ooc import (
     ShardStreamDispatch,
     _ShardStream,
-    install_ooc,
     load_spilled,
 )
-from repro.store import ArtifactStore, graph_fingerprint, install_store
+from repro.runconfig import configured
+from repro.store import ArtifactStore, graph_fingerprint
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
@@ -260,16 +260,11 @@ def test_every_read_from_the_store_is_verified(monkeypatch):
             store.put_sharded_graph(graph, SHARD_MB)
             checks.update(sha256=0)  # encoding hashed each blob once
             recorder = TraceRecorder()
-            previous_store = install_store(store)
-            previous_ooc = install_ooc(SHARD_MB, 2)
-            try:
+            with configured(store=store, shard_mb=SHARD_MB, shard_cache=2):
                 result = SLFEEngine(
                     graph, config=experiment_cluster(num_nodes=2),
                     backend="ooc", recorder=recorder,
                 ).run_arithmetic(PageRank(), tolerance=ARITH_TOLERANCE)
-            finally:
-                install_ooc(*previous_ooc)
-                install_store(previous_store)
         assert result.iterations > 2
         reads = len(store.reads)
         assert reads > 0

@@ -18,6 +18,7 @@ from repro import parallel
 from repro.bench.regression import _registry_snapshot
 from repro.bench.runner import run_workload
 from repro.errors import EngineError
+from repro.runconfig import configured, current, resolve
 from repro.trace.recorder import TraceRecorder
 
 SCALE = 16000  # tiny stand-in graphs: differential runs stay fast
@@ -88,16 +89,13 @@ class TestDifferential:
         _assert_identical(serial, par)
 
     def test_with_warm_artifact_store(self):
-        from repro.store import ArtifactStore, install_store
+        from repro.store import ArtifactStore
 
         with tempfile.TemporaryDirectory() as root:
-            previous = install_store(ArtifactStore(root))
-            try:
+            with configured(store=ArtifactStore(root)):
                 _run("SSSP")  # cold: populates the guidance artifact
                 serial = _run("SSSP")
                 par = _run("SSSP", backend="parallel", workers=2)
-            finally:
-                install_store(previous)
         _assert_identical(serial, par)
 
     def test_parallel_worker_events_recorded(self):
@@ -106,37 +104,39 @@ class TestDifferential:
         assert "parallel_worker" in kinds
 
 
+def _backend(backend=None, workers=None):
+    return resolve("backend", backend), resolve("num_workers", workers)
+
+
 class TestBackendResolution:
     def test_defaults_serial(self):
-        assert parallel.resolve_backend() == ("serial", 1)
+        assert _backend() == ("serial", 1)
 
     def test_explicit_wins(self):
-        assert parallel.resolve_backend("parallel", 3) == ("parallel", 3)
+        assert _backend("parallel", 3) == ("parallel", 3)
 
     def test_ambient_install(self):
-        previous = parallel.install_backend("parallel", 2)
-        try:
-            assert parallel.active_backend() == ("parallel", 2)
-            assert parallel.resolve_backend() == ("parallel", 2)
-            # Explicit arguments beat the ambient install per field:
+        before = current()
+        with configured(backend="parallel", num_workers=2):
+            assert _backend() == ("parallel", 2)
+            # Explicit arguments beat the configured pair per field:
             # the backend is overridden, the worker count persists.
-            assert parallel.resolve_backend("serial") == ("serial", 2)
-            assert parallel.resolve_backend("serial", 1) == ("serial", 1)
-        finally:
-            parallel.uninstall_backend()
-        assert parallel.active_backend() == previous
+            assert _backend("serial") == ("serial", 2)
+            assert _backend("serial", 1) == ("serial", 1)
+        assert current() == before
 
     @pytest.mark.parametrize("backend", ["threads", "", None])
     def test_unknown_backend_rejected(self, backend):
         if backend is None:
             pytest.skip("None means 'inherit', not a backend name")
         with pytest.raises(EngineError):
-            parallel.install_backend(backend)
+            with configured(backend=backend):
+                pass
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
     def test_bad_worker_counts_rejected(self, workers):
         with pytest.raises(EngineError):
-            parallel.resolve_backend("parallel", workers)
+            _backend("parallel", workers)
 
     def test_non_capable_engine_rejected(self):
         with pytest.raises(EngineError):

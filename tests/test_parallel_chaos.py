@@ -32,6 +32,7 @@ from repro.bench import workloads
 from repro.bench.runner import run_workload
 from repro.cluster.faults import FaultPlan
 from repro.errors import EngineError
+from repro.runconfig import KNOBS, configured, current, resolve
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
@@ -117,13 +118,10 @@ class TestChaosDifferential:
         before = _shm_segments()
         reference = _run("SSSP").result.values
         recorder = TraceRecorder()
-        previous = parallel.install_recovery(reply_timeout=1.0)
-        try:
+        with configured(reply_timeout=1.0):
             outcome = _run("SSSP", spec="worker-hang@1:push-0",
                            backend="parallel", workers=2,
                            recorder=recorder)
-        finally:
-            parallel.install_recovery(*previous)
         assert not (_shm_segments() - before)
         assert [e.payload["applied"]
                 for e in _worker_fault_events(recorder)] == [True]
@@ -137,13 +135,10 @@ class TestChaosDifferential:
         before = _shm_segments()
         reference = _run("SSSP").result.values
         recorder = TraceRecorder()
-        previous = parallel.install_recovery(max_respawns=0)
-        try:
+        with configured(max_respawns=0):
             outcome = _run("SSSP", spec="worker-crash@1:push-0",
                            backend="parallel", workers=2,
                            recorder=recorder)
-        finally:
-            parallel.install_recovery(*previous)
         assert not (_shm_segments() - before)
         assert outcome.result.degraded is True
         actions = [e.payload["action"] for e in _recovery_events(recorder)]
@@ -210,12 +205,9 @@ class TestRegistryReconciliation:
         from repro.obs import registry_from_trace
 
         recorder = TraceRecorder()
-        previous = parallel.install_recovery(max_respawns=0)
-        try:
+        with configured(max_respawns=0):
             _run("SSSP", spec="worker-crash@1:push-0", backend="parallel",
                  workers=2, recorder=recorder)
-        finally:
-            parallel.install_recovery(*previous)
         registry = registry_from_trace(recorder)
         family = registry.get("repro_parallel_recovery_degraded_runs")
         assert family is not None
@@ -223,7 +215,10 @@ class TestRegistryReconciliation:
 
 
 class TestRecoveryConfig:
-    """The timeout / budget knobs: validation and resolution order."""
+    """The timeout / budget knobs: every bad value is one typed line."""
+
+    TIMEOUT_ENV = KNOBS["reply_timeout"].env
+    RESPAWNS_ENV = KNOBS["max_respawns"].env
 
     @pytest.mark.parametrize("bad", [0, -1, "0", "abc", float("nan"),
                                      float("inf"), True, None])
@@ -232,57 +227,49 @@ class TestRecoveryConfig:
             return  # None means "no override", never an error
         with pytest.raises(EngineError,
                            match="positive number of seconds"):
-            parallel.install_recovery(reply_timeout=bad)
+            with configured(reply_timeout=bad):
+                pass
 
     @pytest.mark.parametrize("bad", [-1, "-2", "no", 1.5, True])
     def test_bad_respawn_budget_is_one_typed_line(self, bad):
         with pytest.raises(EngineError, match="integer >= 0"):
-            parallel.install_recovery(max_respawns=bad)
+            with configured(max_respawns=bad):
+                pass
 
     def test_failed_install_leaves_ambient_untouched(self):
-        previous = parallel.install_recovery(reply_timeout=7.0)
-        try:
+        with configured(reply_timeout=7.0):
             with pytest.raises(EngineError):
-                parallel.install_recovery(reply_timeout=7.0,
-                                          max_respawns="broken")
-            assert parallel.active_recovery() == (7.0, None)
-        finally:
-            parallel.install_recovery(*previous)
+                with configured(reply_timeout=7.0, max_respawns="broken"):
+                    pass
+            assert (current().reply_timeout, current().max_respawns) == (
+                7.0, None)
 
     def test_environment_resolution_and_precedence(self, monkeypatch):
-        monkeypatch.setenv(parallel.REPLY_TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(parallel.MAX_RESPAWNS_ENV, "3")
-        assert parallel.resolve_reply_timeout() == 2.5
-        assert parallel.resolve_max_respawns() == 3
-        # Explicit beats ambient beats environment.
-        previous = parallel.install_recovery(reply_timeout=9.0,
-                                             max_respawns=1)
-        try:
-            assert parallel.resolve_reply_timeout() == 9.0
-            assert parallel.resolve_reply_timeout(4.0) == 4.0
-            assert parallel.resolve_max_respawns() == 1
-            assert parallel.resolve_max_respawns(5) == 5
-        finally:
-            parallel.install_recovery(*previous)
+        monkeypatch.setenv(self.TIMEOUT_ENV, "2.5")
+        monkeypatch.setenv(self.RESPAWNS_ENV, "3")
+        assert resolve("reply_timeout") == 2.5
+        assert resolve("max_respawns") == 3
+        # Explicit beats configured beats environment.
+        with configured(reply_timeout=9.0, max_respawns=1):
+            assert resolve("reply_timeout") == 9.0
+            assert resolve("reply_timeout", 4.0) == 4.0
+            assert resolve("max_respawns") == 1
+            assert resolve("max_respawns", 5) == 5
 
     def test_bad_environment_values_raise_naming_the_variable(
             self, monkeypatch):
-        monkeypatch.setenv(parallel.REPLY_TIMEOUT_ENV, "zero")
-        with pytest.raises(EngineError,
-                           match=parallel.REPLY_TIMEOUT_ENV):
-            parallel.resolve_reply_timeout()
-        monkeypatch.setenv(parallel.MAX_RESPAWNS_ENV, "-4")
-        with pytest.raises(EngineError,
-                           match=parallel.MAX_RESPAWNS_ENV):
-            parallel.resolve_max_respawns()
+        monkeypatch.setenv(self.TIMEOUT_ENV, "zero")
+        with pytest.raises(EngineError, match=self.TIMEOUT_ENV):
+            resolve("reply_timeout")
+        monkeypatch.setenv(self.RESPAWNS_ENV, "-4")
+        with pytest.raises(EngineError, match=self.RESPAWNS_ENV):
+            resolve("max_respawns")
 
     def test_blank_environment_means_default(self, monkeypatch):
-        monkeypatch.setenv(parallel.REPLY_TIMEOUT_ENV, "  ")
-        monkeypatch.setenv(parallel.MAX_RESPAWNS_ENV, "")
-        assert (parallel.resolve_reply_timeout()
-                == parallel.DEFAULT_REPLY_TIMEOUT)
-        assert (parallel.resolve_max_respawns()
-                == parallel.DEFAULT_MAX_RESPAWNS)
+        monkeypatch.setenv(self.TIMEOUT_ENV, "  ")
+        monkeypatch.setenv(self.RESPAWNS_ENV, "")
+        assert resolve("reply_timeout") == KNOBS["reply_timeout"].default
+        assert resolve("max_respawns") == KNOBS["max_respawns"].default
 
 
 def _make_executor(**kwargs):

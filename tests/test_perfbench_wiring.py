@@ -43,3 +43,21 @@ def test_job_targets_resolve(backend):
         "perfbench wraps these on the %s backend but their owner does "
         "not define them: %s" % (backend, ", ".join(missing))
     )
+
+
+def test_kept_ambient_names_drive_the_one_run_config(tmp_path):
+    """``perfbench/workloads.py`` sets the ooc job's store and shard
+    knobs through ``install_store``/``install_ooc``/``active_store``;
+    those must write the same config every reader consults."""
+    from perfbench import measure, workloads  # noqa: F401
+
+    from repro.runconfig import current
+    from repro.store import ArtifactStore
+
+    store = ArtifactStore(str(tmp_path / "store"), max_bytes=None)
+    before = current()
+    with workloads.backend_installed(workloads.WORKLOADS["pr-ooc"], store):
+        assert current().shard_mb == 0.5
+        assert current().shard_cache == 2
+        assert current().store is store
+    assert current() == before

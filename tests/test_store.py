@@ -16,8 +16,8 @@ from repro.store import (
     graph_fingerprint,
     graph_spec_key,
     install_store,
-    uninstall_store,
 )
+from repro.runconfig import configured, current
 from repro.trace.recorder import TraceRecorder
 
 from tests.conftest import make_random_graph
@@ -172,16 +172,18 @@ class TestPropertyFreshVsCached:
 
 
 class TestAmbientInstall:
-    def teardown_method(self):
-        uninstall_store()
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        with configured():
+            yield
         datasets._cache.clear()
 
     def test_install_uninstall(self, store):
         assert active_store() is None
         previous = install_store(store)
         assert previous is None
-        assert active_store() is store
-        uninstall_store()
+        assert active_store() is store is current().store
+        install_store(None)
         assert active_store() is None
 
     def test_generate_guidance_consults_ambient_store(

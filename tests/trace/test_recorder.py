@@ -23,10 +23,8 @@ from repro.trace.recorder import (
     VOCABULARY,
     NullRecorder,
     TraceRecorder,
-    active_recorder,
-    install,
-    uninstall,
 )
+from repro.runconfig import configured, current
 
 
 class FakeClock:
@@ -174,15 +172,13 @@ class TestRecorderProperties:
 
 class TestInstalledRecorder:
     def test_install_uninstall_roundtrip(self):
-        assert active_recorder() is NULL_RECORDER
+        assert current().recorder is NULL_RECORDER
         rec = TraceRecorder()
-        previous = install(rec)
-        try:
-            assert previous is NULL_RECORDER
-            assert active_recorder() is rec
-        finally:
-            uninstall()
-        assert active_recorder() is NULL_RECORDER
+        with configured(recorder=rec):
+            assert current().recorder is rec
+            with configured(recorder=None):
+                assert current().recorder is NULL_RECORDER
+        assert current().recorder is NULL_RECORDER
 
 
 class TestExporters:
