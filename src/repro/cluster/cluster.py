@@ -11,16 +11,23 @@ work and messages to nodes in O(active set) per superstep:
   coalesced update messages leave ``v``'s node (this is the "active list"
   broadcast of Gemini/SLFE and the mirror synchronisation of the GAS
   systems, which both batch one update per destination node).
+
+The fan-out table is load-time work: it depends only on the graph's
+out-edges, the owner array and the node count, so every cluster built
+on one :class:`Graph` with the same ownership shares one read-only
+table (a one-entry memo on the graph) instead of re-reading |E| per job.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector
+from repro.errors import EngineError
 from repro.graph.csr import expand_rows
 from repro.graph.graph import Graph
 from repro.partition.base import VertexPartition
@@ -55,30 +62,60 @@ class SimulatedCluster:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: liveness mask; a node failed via :meth:`fail_node` stays dead
         self.alive = np.ones(self.num_nodes, dtype=bool)
-        self._remote_fanout = self._compute_remote_fanout()
+        self._remote_fanout = self._shared_remote_fanout()
 
     # ------------------------------------------------------------------
+    def _shared_remote_fanout(self) -> np.ndarray:
+        """The construction-time table, memoised on the graph.
+
+        The key is ``(num_nodes, blake2b(owner bytes))``: a digest, not
+        a copy of the owner array, so the memo holds |V| int64 and
+        nothing else.  The shared table is read-only; :meth:`migrate`
+        and :meth:`fail_node` replace this cluster's reference with a
+        private table and never touch the shared one.
+        """
+        if self.num_nodes == 1:
+            return self._compute_remote_fanout()
+        owner = np.ascontiguousarray(self.owner)
+        key = (self.num_nodes, hashlib.blake2b(owner).digest())
+        memo = self.graph._fanout_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        table = self._compute_remote_fanout()
+        table.flags.writeable = False
+        self.graph._fanout_memo = (key, table)
+        return table
+
     def _compute_remote_fanout(self) -> np.ndarray:
         """remote_fanout[v] = |{owner(w) : v->w} \\ {owner(v)}|."""
         n = self.graph.num_vertices
-        if self.num_nodes == 1:
+        # Allocated before the O(|E|) temporaries, so the table that
+        # outlives them does not land above them on the heap.
+        fanout = np.zeros(n, dtype=np.int64)
+        out = self.graph.out_csr
+        if self.num_nodes == 1 or out.num_edges == 0:
             # No remote edges exist — and on a spilled (out-of-core)
             # graph the edge arrays are not resident to expand anyway.
-            return np.zeros(n, dtype=np.int64)
-        out = self.graph.out_csr
-        if out.num_edges == 0:
-            return np.zeros(n, dtype=np.int64)
+            return fanout
+        try:
+            dsts = out.indices
+        except EngineError as err:
+            raise EngineError(
+                "the remote fan-out table of a %d-node cluster reads every "
+                "out-edge, and a spilled graph's edges are not resident: "
+                "run it with num_nodes=1" % self.num_nodes
+            ) from err
         # One O(|E|) scatter marks which (vertex, node) pairs an edge
         # reaches (no sort over the pairs); a vertex's own node is not
         # remote, and the row sums are the distinct remote nodes.
         nodes = self.num_nodes
         own = np.arange(n, dtype=np.int64) * nodes
-        pairs = self.owner[out.indices]
+        pairs = self.owner[dsts]
         pairs += np.repeat(own, out.degrees())
         reached = np.zeros(n * nodes, dtype=bool)
         reached[pairs] = True
         reached[own + self.owner] = False
-        return reached.reshape(n, nodes).sum(axis=1, dtype=np.int64)
+        return reached.reshape(n, nodes).sum(axis=1, out=fanout)
 
     # ------------------------------------------------------------------
     @property
@@ -119,8 +156,9 @@ class SimulatedCluster:
         """Reassign ``vertices`` to ``target_node`` (dynamic rebalancing).
 
         Ownership-dependent caches (the remote fanout table) are
-        recomputed; this is the bookkeeping a real system pays once per
-        migration alongside shipping the vertex state.  ``source_node``
+        recomputed, into a table private to this cluster; this is the
+        bookkeeping a real system pays once per migration alongside
+        shipping the vertex state.  ``source_node``
         and ``bytes_moved`` are optional context for the trace event
         (the rebalancer knows both; ad-hoc callers may not).
         """

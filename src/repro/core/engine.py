@@ -563,9 +563,8 @@ class SLFEEngine:
                     )
                     continue
             ruler = iteration
-            mode = choose_mode(
-                frontier, out_deg, num_edges, self.dense_denominator
-            )
+            active_edges = frontier.out_edge_count(out_deg)
+            mode = choose_mode(active_edges, num_edges, self.dense_denominator)
             if not frontier:
                 mode = PULL  # only delayed first pulls remain
             if entered_pull and debt:
@@ -606,12 +605,9 @@ class SLFEEngine:
                 # destination crossing its guidance level performs one
                 # catch-up gather even if nothing is active (it must
                 # collect updates it slept through).
-                if frontier:
-                    touched_dsts = dispatch.expand_out_dsts(frontier.ids)
-                    touched = np.zeros(n, dtype=bool)
-                    touched[touched_dsts] = True
-                else:
-                    touched = np.zeros(n, dtype=bool)
+                touched = _touched(
+                    dispatch, frontier, active_edges, num_edges, has_in
+                )
                 caught_up = 0
                 if last_iter is not None:
                     newly = (~started) & (last_iter <= ruler) & has_in
@@ -1051,6 +1047,41 @@ def _thaw_moved_inputs(
     if frozen_edges < dispatch.out_degrees[changed].sum():
         return _thaw_from_frozen(tracker, dispatch, frozen, changed_mask)
     return _thaw_from_changed(tracker, dispatch, changed)
+
+
+#: The touched set is read from the idle side once the frontier's
+#: out-edges exceed this fraction of |E| (the idle side then has fewer).
+_IDLE_SIDE = 0.5
+
+
+def _touched(
+    dispatch,
+    frontier: Frontier,
+    active_edges: int,
+    num_edges: int,
+    has_in: np.ndarray,
+) -> np.ndarray:
+    """Destinations with an in-edge from ``frontier`` (read only).
+
+    Either end finds them: scatter the frontier's out-edges, or — when
+    those are the majority of |E| — count the idle vertices' out-edges
+    per destination.  ``v`` is untouched exactly when every one of its
+    in-edges starts at an idle vertex, so ``idle count < in-degree`` is
+    the same mask (self-loops and duplicate edges are counted once on
+    both sides).  A full frontier has no idle vertex: every destination
+    with an in-edge is touched, and nothing is expanded.
+    """
+    n = frontier.num_vertices
+    if active_edges > _IDLE_SIDE * num_edges:
+        if frontier.count == n:
+            return has_in
+        idle = np.flatnonzero(~frontier.mask)
+        from_idle = np.bincount(dispatch.expand_out_dsts(idle), minlength=n)
+        return from_idle < dispatch.in_degrees
+    touched = np.zeros(n, dtype=bool)
+    if frontier:
+        touched[dispatch.expand_out_dsts(frontier.ids)] = True
+    return touched
 
 
 def _thaw_from_changed(

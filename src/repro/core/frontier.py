@@ -205,20 +205,19 @@ class PendingSet:
 
 
 def choose_mode(
-    frontier: Frontier,
-    out_degrees: np.ndarray,
+    active_edges: int,
     num_edges: int,
     dense_denominator: int = DEFAULT_DENSE_DENOMINATOR,
 ) -> str:
     """Pick push (sparse) or pull (dense) for the next superstep.
 
-    Pull wins when the frontier's outgoing edges exceed
-    ``|E| / dense_denominator``; an empty graph defaults to push.
-    ``out_degrees`` is the per-vertex out-degree array the caller keeps
-    for the run (the dispatch's), so the choice costs one gather over
-    the frontier's ids.
+    Pull wins when the frontier's outgoing edges (``active_edges``,
+    :meth:`Frontier.out_edge_count` over the run's degree array)
+    exceed ``|E| / dense_denominator``; an empty graph defaults to
+    push.  The caller keeps the count: a pull superstep reuses it to
+    pick the cheaper side of its touched set.
     """
     if num_edges == 0:
         return PUSH
     threshold = num_edges / dense_denominator
-    return PULL if frontier.out_edge_count(out_degrees) > threshold else PUSH
+    return PULL if active_edges > threshold else PUSH

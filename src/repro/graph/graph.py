@@ -33,12 +33,16 @@ class Graph:
         Optional human-readable label, used by dataset registry and reports.
     """
 
-    __slots__ = ("out_csr", "_in_csr", "_undirected", "name")
+    __slots__ = ("out_csr", "_in_csr", "_undirected", "_fanout_memo", "name")
 
     def __init__(self, out_csr: CSR, name: str = "") -> None:
         self.out_csr = out_csr
         self._in_csr: Optional[CSR] = None
         self._undirected: Optional["Graph"] = None
+        #: ``(key, table)`` of the last remote fan-out table a
+        #: :class:`~repro.cluster.cluster.SimulatedCluster` derived from
+        #: this graph's out-edges (it owns the key and the table)
+        self._fanout_memo: Optional[tuple] = None
         self.name = name
 
     # ------------------------------------------------------------------

@@ -167,10 +167,8 @@ class SpilledGraph(Graph):
         shard_digest: str,
         name: str = "",
     ) -> None:
-        self.out_csr = SpilledCSR(out_indptr)
+        super().__init__(SpilledCSR(out_indptr), name=name)
         self._in_csr = SpilledCSR(in_indptr)
-        self._undirected = None
-        self.name = name
         self.shard_digest = str(shard_digest)
 
 

@@ -3,12 +3,18 @@
 oracle): same array, same dtype, for any graph, any ownership, any
 node count — at construction, after ``migrate`` and after ``fail_node``.
 
+The table is memoised on the graph (one entry, keyed by node count and
+a digest of the owner array): clusters sharing it stay exact whatever
+another cluster on the same graph migrates or loses, the shared table
+is read-only, and any other ownership misses.
+
 Likewise ``messages_on_pair``: expanding only the changed vertices' rows
 returns the integer the all-edges ``np.isin`` formulation (the oracle
 below) did, for any changed list and any node pair.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -53,7 +59,7 @@ def _assert_fanout(cluster: SimulatedCluster) -> None:
 
 
 @st.composite
-def clusters(draw):
+def clusters(draw, min_nodes=1):
     n = draw(st.integers(0, 24))
     m = draw(st.integers(0, 90)) if n else 0
     endpoint = st.integers(0, max(n - 1, 0))
@@ -64,7 +70,9 @@ def clusters(draw):
         n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
     )
     # 1 and 2 nodes, the benchmark's 8, and one node per vertex.
-    num_nodes = draw(st.sampled_from(sorted({1, 2, 8, max(n, 1)})))
+    num_nodes = draw(st.sampled_from(
+        sorted({max(k, min_nodes) for k in (1, 2, 8, max(n, 1))})
+    ))
     owner = draw(st.lists(st.integers(0, num_nodes - 1),
                           min_size=n, max_size=n))
     partition = VertexPartition(np.asarray(owner, dtype=np.int64), num_nodes)
@@ -89,6 +97,65 @@ def test_fanout_after_migrate_and_node_failure(cluster, data):
     if nodes > 1:
         cluster.fail_node(data.draw(st.integers(0, nodes - 1)))
         _assert_fanout(cluster)
+
+
+def _twin(cluster: SimulatedCluster) -> SimulatedCluster:
+    """Another cluster on the same graph with an equal (not the same)
+    owner array, as a second job's partitioner would produce."""
+    partition = VertexPartition(cluster.owner.copy(), cluster.num_nodes)
+    return SimulatedCluster(cluster.graph, partition, cluster.config)
+
+
+@given(clusters(min_nodes=2), st.data())
+def test_shared_table_survives_another_clusters_migrate_and_failure(
+    cluster, data
+):
+    second = _twin(cluster)
+    shared = second.remote_fanout
+    assert shared is cluster.remote_fanout  # one table per graph
+    n, nodes = cluster.graph.num_vertices, cluster.num_nodes
+    moved = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                               max_size=n))
+    cluster.migrate(np.asarray(moved, dtype=np.int64),
+                    data.draw(st.integers(0, nodes - 1)))
+    cluster.fail_node(data.draw(st.integers(0, nodes - 1)))
+    _assert_fanout(cluster)
+    assert second.remote_fanout is shared
+    _assert_fanout(second)
+    third = _twin(second)
+    assert third.remote_fanout is shared
+    _assert_fanout(third)
+
+
+@given(clusters(min_nodes=2))
+def test_shared_table_is_read_only_int64(cluster):
+    table = cluster.remote_fanout
+    assert table.dtype == np.int64
+    assert not table.flags.writeable
+    if table.size:
+        with pytest.raises(ValueError):
+            table[0] = 7
+
+
+@given(clusters(min_nodes=2), st.data())
+def test_other_ownership_or_node_count_misses_the_memo(cluster, data):
+    graph, nodes = cluster.graph, cluster.num_nodes
+    n = graph.num_vertices
+    owner = cluster.owner.copy()
+    if n:
+        vertex = data.draw(st.integers(0, n - 1))
+        owner[vertex] = (owner[vertex] + 1) % nodes
+        moved = SimulatedCluster(graph, VertexPartition(owner, nodes),
+                                 ClusterConfig(num_nodes=nodes))
+        assert moved.remote_fanout is not cluster.remote_fanout
+        _assert_fanout(moved)
+    wider = SimulatedCluster(
+        graph, VertexPartition(cluster.owner.copy(), nodes + 1),
+        ClusterConfig(num_nodes=nodes + 1),
+    )
+    assert wider.remote_fanout is not cluster.remote_fanout
+    assert wider.remote_fanout.dtype == np.int64
+    _assert_fanout(wider)
 
 
 def _assert_pair_counts(cluster, changed):

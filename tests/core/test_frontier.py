@@ -63,7 +63,8 @@ class TestFrontier:
 
 
 def _mode(g, f, **kwargs):
-    return choose_mode(f, g.out_degrees(), g.num_edges, **kwargs)
+    active_edges = f.out_edge_count(g.out_degrees())
+    return choose_mode(active_edges, g.num_edges, **kwargs)
 
 
 class TestChooseMode:

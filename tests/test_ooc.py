@@ -175,6 +175,27 @@ class TestBitIdentity:
         assert result.iterations == reference.iterations
         assert np.array_equal(result.values, reference.values)
 
+    def test_spilled_graph_on_many_nodes_names_the_fix(
+        self, store, ambient_store
+    ):
+        """The fan-out table reads every out-edge, so a multi-node
+        cluster refuses a spilled graph when it is built — saying so,
+        not pointing at the backend the run already uses."""
+        from repro.apps.pagerank import PageRank
+        from repro.cluster.cluster import ClusterConfig
+        from repro.core.engine import SLFEEngine
+
+        graph = make_random_graph(num_vertices=120, num_edges=600, seed=3)
+        spilled = load_spilled(store, spill_graph(graph, store))
+        engine = SLFEEngine(
+            spilled, config=ClusterConfig(num_nodes=4), backend="ooc"
+        )
+        with pytest.raises(EngineError, match="num_nodes=1") as caught:
+            engine.run_arithmetic(PageRank())
+        assert "fan-out" in str(caught.value)
+        assert "backend='ooc'" not in str(caught.value)
+        assert spilled._fanout_memo is None
+
 
 class TestShardStore:
     def test_cold_then_warm(self, ambient_store, tiny_shards):
