@@ -30,8 +30,9 @@ class SSSP(MinMaxApplication):
             raise EngineError("SSSP requires a root vertex")
         if not 0 <= root < graph.num_vertices:
             raise EngineError("SSSP root %d out of range" % root)
-        if np.any(graph.out_csr.weights < 0):
-            raise EngineError("SSSP requires non-negative edge weights")
+        # One pass that also catches NaN (``nan < 0`` is False).
+        if not (graph.out_csr.weights >= 0).all():
+            raise EngineError("SSSP requires non-negative, non-NaN edge weights")
         values = np.full(graph.num_vertices, np.inf)
         values[root] = 0.0
         return values

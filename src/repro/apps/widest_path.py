@@ -30,6 +30,8 @@ class WidestPath(MinMaxApplication):
             raise EngineError("WidestPath requires a root vertex")
         if not 0 <= root < graph.num_vertices:
             raise EngineError("WidestPath root %d out of range" % root)
+        if np.isnan(graph.out_csr.weights).any():
+            raise EngineError("WidestPath requires non-NaN edge weights")
         values = np.zeros(graph.num_vertices)
         values[root] = np.inf
         return values

@@ -11,8 +11,10 @@ order.
 
 :func:`segmented_improvements` derives that count, the exact min/max
 per destination and the set of destinations it improves from **one**
-destination sort of the batch, so a push superstep costs what its
-frontier's out-edges cost — nothing in here is sized by |V|.
+destination sort of the batch's improving candidates, so a push
+superstep costs what its frontier's out-edges cost — nothing in here is
+sized by |V|, and a candidate that loses to its incumbent costs one
+gather and one compare.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ def segmented_improvements(
         order; the sort is stable, so each destination keeps its
         candidates in edge order).
     candidates:
-        Proposed values, aligned with ``dsts``.
+        Proposed values, aligned with ``dsts``.  Never NaN (a NaN would
+        be dropped here, not written): SSSP and WidestPath reject NaN
+        edge weights before a run starts, BFS and CC read none.
     incumbents:
         Full per-vertex current values; only ``incumbents[dsts]`` is
         read.
@@ -85,52 +89,54 @@ def segmented_improvements(
     leaves on each — ``incumbents[changed] = new_values`` is the whole
     apply phase.
     """
-    m = dsts.size
-    if m == 0:
-        return 0, _EMPTY_IDS, _EMPTY_VALUES
     if aggregation == "min":
         reduce_at, beats = np.minimum.reduceat, np.less
     else:
         reduce_at, beats = np.maximum.reduceat, np.greater
-    order, sorted_dsts = stable_group_order(
-        np.asarray(dsts, dtype=np.int64), incumbents.size
-    )
-    sorted_cands = np.asarray(candidates, dtype=np.float64)[order]
+    # A candidate that does not beat its incumbent is never a CAS write
+    # and never moves a running best that starts at the incumbent, so
+    # dropping it first changes no count and no value — and only the
+    # survivors pay for the sort.
+    dsts = np.asarray(dsts, dtype=np.int64)
+    candidates = np.asarray(candidates, dtype=np.float64)
+    keep = beats(candidates, incumbents[dsts]).nonzero()[0]
+    m = keep.size
+    if m == 0:
+        return 0, _EMPTY_IDS, _EMPTY_VALUES
+    order, sorted_dsts = stable_group_order(dsts[keep], incumbents.size)
+    sorted_cands = candidates[keep][order]
     is_start = np.ones(m, dtype=bool)
     np.not_equal(sorted_dsts[1:], sorted_dsts[:-1], out=is_start[1:])
     starts = is_start.nonzero()[0]
-    targets = sorted_dsts[starts]
-    distinct = starts.size == m
-    best = sorted_cands if distinct else reduce_at(sorted_cands, starts)
-    incumbent = incumbents[targets]
-    live = beats(best, incumbent).nonzero()[0]
-    changed = targets[live]
-    new_values = best[live]
-    if distinct:
-        # Every destination is written at most once.
-        return changed.size, changed, new_values
+    if starts.size == m:
+        # Every destination is written exactly once.
+        return m, sorted_dsts, sorted_cands
+    changed = sorted_dsts[starts]
+    new_values = reduce_at(sorted_cands, starts)
 
-    # CAS writes.  A segment that does not improve its incumbent writes
-    # nothing.  Walk the others one position at a time against a running
+    # CAS writes.  Every segment improves, and its first survivor is a
+    # write.  Walk the rest one position at a time against a running
     # best: a candidate that beats it is a write, and a segment retires
     # once the running best reaches its final value (nothing later can
     # beat that) or it runs out of candidates.
-    position = starts[live]
-    stop = np.concatenate((starts[1:], (m,)))[live]
+    update_count = starts.size
+    running = sorted_cands[starts]
+    position = starts + 1
+    stop = np.concatenate((starts[1:], (m,)))
     final = new_values
-    running = incumbent[live]
-    update_count = 0
-    for _ in range(_SWEEP_ROUNDS):
-        here = sorted_cands[position]
-        wins = beats(here, running)
-        update_count += int(np.count_nonzero(wins))
-        running = np.where(wins, here, running)
-        position = position + 1
+    for sweep in range(_SWEEP_ROUNDS + 1):
         undecided = ((running != final) & (position < stop)).nonzero()[0]
         if undecided.size == 0:
             return update_count, changed, new_values
         position, stop = position[undecided], stop[undecided]
         running, final = running[undecided], final[undecided]
+        if sweep == _SWEEP_ROUNDS:
+            break
+        here = sorted_cands[position]
+        wins = beats(here, running)
+        update_count += int(np.count_nonzero(wins))
+        running = np.where(wins, here, running)
+        position = position + 1
 
     # Long residual segments (a hub): one cumulative-min pass over what
     # is left of them.  A remaining candidate is a write iff it beats

@@ -15,9 +15,11 @@ from repro.apps import (
     TunkRank,
     WidestPath,
 )
+from repro.baselines import GeminiEngine
+from repro.core.async_engine import AsyncEngine
 from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
-from repro.graph import datasets, generators
+from repro.graph import datasets, generators, io
 from repro.graph.graph import Graph
 
 
@@ -68,6 +70,52 @@ class TestInitialState:
                 app.initial_values(diamond, 9)
             with pytest.raises(EngineError):
                 app.initial_values(diamond, None)
+
+
+class TestNaNWeights:
+    """A NaN weight used to leave SSSP's vertex 1 at ``inf`` (Dijkstra
+    says 3.0) and WidestPath running on: ``nan < 0`` is False, so the
+    negative-weight check let it through."""
+
+    @pytest.fixture
+    def nan_grid(self):
+        graph = generators.grid_2d(4, 4)
+        weights = np.ones(graph.num_edges)
+        weights[0] = np.nan
+        return graph.with_weights(weights)
+
+    @pytest.mark.parametrize(
+        "engine_cls", [SLFEEngine, GeminiEngine, AsyncEngine],
+        ids=["slfe", "gemini", "async"],
+    )
+    @pytest.mark.parametrize(
+        "app, message",
+        [(SSSP(), "SSSP requires non-negative, non-NaN"),
+         (WidestPath(), "WidestPath requires non-NaN")],
+        ids=["sssp", "wp"],
+    )
+    def test_engines_reject_a_nan_weight(self, nan_grid, engine_cls, app,
+                                         message):
+        with pytest.raises(EngineError, match=message):
+            engine_cls(nan_grid).run_minmax(app, root=0)
+
+    def test_a_nan_read_from_an_edge_list_is_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0 1 2.0\n1 2 nan\n")
+        graph = io.read_edge_list(str(path))
+        assert np.isnan(graph.out_csr.weights).sum() == 1
+        for app in (SSSP(), WidestPath()):
+            with pytest.raises(EngineError, match="NaN"):
+                SLFEEngine(graph).run_minmax(app, root=0)
+
+    def test_infinite_weights_stay_legal(self):
+        graph = generators.path_graph(3).with_weights(np.array([np.inf, 1.0]))
+        assert SLFEEngine(graph).run_minmax(SSSP(), root=0).values.tolist() == [
+            0.0, np.inf, np.inf
+        ]
+        assert SLFEEngine(graph).run_minmax(
+            WidestPath(), root=0
+        ).values.tolist() == [np.inf, np.inf, 1.0]
 
 
 class TestCandidates:

@@ -1,12 +1,18 @@
-"""The fused push reduce is the parent commit's push block, bit for bit;
-the ids-first ``Frontier`` never mis-stores a set; the start-late debt
-counter is the scan it replaced.
+"""The fused push reduce is the parent commit's push block, bit for bit,
+and sorts only the candidates that can write; the ids-first
+``Frontier`` never mis-stores a set; the start-late debt counter is the
+scan it replaced.
 
-* kernel identity: ``segmented_improvements`` (one destination sort ->
-  exact min/max, improved destinations, CAS-write count) against the
-  parent commit's ``np.full`` + ``ufunc.at`` + rank-code
-  ``segmented_improvements`` + ``better`` + ``nonzero``, kept verbatim
-  below as the oracle;
+* kernel identity: ``segmented_improvements`` (drop non-improving
+  candidates, one destination sort of the rest -> exact min/max,
+  improved destinations, CAS-write count) against the parent commit's
+  ``np.full`` + ``ufunc.at`` + rank-code ``segmented_improvements`` +
+  ``better`` + ``nonzero``, kept verbatim below as the oracle;
+* kernel work: the destination sort sees exactly the candidates that
+  beat their incumbent, and a batch where none does is never sorted;
+* whole runs: SSSP / WidestPath on a weighted lattice (the shape where
+  most candidates lose) match the oracle-reduced run value for value,
+  superstep for superstep, on serial, pool, ooc and async;
 * ``Frontier``: mask <=> ids <=> count against a plain ``set`` after any
   sequence of edits, whatever shape the input ids arrive in;
 * the debt / pending counters the loop now carries against
@@ -27,7 +33,9 @@ from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
 from repro.bench.workloads import experiment_cluster
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.faults import FaultPlan
+from repro.core import accounting
 from repro.core.accounting import segmented_improvements
+from repro.core.async_engine import AsyncEngine
 from repro.core.engine import SLFEEngine
 from repro.core.frontier import Frontier
 from repro.graph import generators
@@ -212,6 +220,168 @@ def test_signed_zeros():
                           bitwise=False)
     assert_same_as_parent(dsts, candidates, [-0.0, 0.0, 1.0, -1.0],
                           bitwise=False)
+
+
+# ----------------------------------------------------------------------
+# kernel work: only improving candidates reach the destination sort
+# ----------------------------------------------------------------------
+def _sorted_key_counts(monkeypatch):
+    """Record the key count of every ``stable_group_order`` the kernel
+    makes."""
+    seen = []
+    real = accounting.stable_group_order
+
+    def counting(keys, num_keys):
+        seen.append(keys.size)
+        return real(keys, num_keys)
+
+    monkeypatch.setattr(accounting, "stable_group_order", counting)
+    return seen
+
+
+@given(push_batches())
+def test_the_sort_sees_only_improving_candidates(batch):
+    dsts, candidates, values = (
+        np.asarray(batch[0], dtype=np.int64),
+        np.asarray(batch[1], dtype=np.float64),
+        np.asarray(batch[2], dtype=np.float64),
+    )
+    for aggregation, beats in (("min", np.less), ("max", np.greater)):
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _sorted_key_counts(patch)
+            segmented_improvements(dsts, candidates, values, aggregation)
+        improving = int(np.count_nonzero(beats(candidates, values[dsts])))
+        assert seen == ([improving] if improving else [])
+
+
+@pytest.mark.parametrize("aggregation", ["min", "max"])
+def test_a_batch_where_nothing_improves_is_never_sorted(
+    monkeypatch, aggregation
+):
+    seen = _sorted_key_counts(monkeypatch)
+    dsts = np.array([0, 1, 1, 2, 0], dtype=np.int64)
+    values = np.array([1.0, -np.inf, 2.0])
+    if aggregation == "max":
+        values = -values
+    candidates = values[dsts] + (1.0 if aggregation == "min" else -1.0)
+    candidates[1] = values[1]  # a tie is not an improvement either
+    count, changed, written = segmented_improvements(
+        dsts, candidates, values, aggregation
+    )
+    assert seen == []
+    assert (count, changed.size, written.size) == (0, 0, 0)
+    assert changed.dtype == np.int64 and written.dtype == np.float64
+    assert_same_as_parent(dsts, candidates, values)
+
+
+# ----------------------------------------------------------------------
+# whole runs: the kernel against the oracle-reduced run
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def weighted_grid():
+    return generators.random_weights(
+        generators.grid_2d(24, 24), 1.0, 10.0, seed=24
+    )
+
+
+def _superstep_trail(result):
+    return [
+        (record.mode, record.edge_ops_per_node.tolist(), record.updates,
+         record.messages, record.message_bytes, record.active_vertices,
+         record.skipped_vertices)
+        for record in result.metrics.records
+    ]
+
+
+def _assert_run_is_the_oracle_run(monkeypatch, run):
+    """``run()`` once with the kernel, once with every push reduce
+    replaced by the parent commit's push block."""
+    got = run()
+    batches = []
+
+    def oracle(*batch):
+        batches.append(batch[0].size)
+        return parent_push_block(*batch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.engine.segmented_improvements", oracle)
+        patch.setattr("repro.core.async_engine.segmented_improvements",
+                      oracle)
+        want = run()
+    assert sum(batches) > 0  # the runs really pushed
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.iterations == want.iterations
+    assert _superstep_trail(got) == _superstep_trail(want)
+
+
+_ROOTED = ["SSSP", "WP"]  # keys of APPS below
+
+
+def _slfe_run(graph, app_name, enable_rr, backend="serial", workers=None):
+    app_cls, _, oracle = APPS[app_name]
+
+    def run():
+        result = SLFEEngine(
+            graph,
+            config=experiment_cluster(num_nodes=NODES),
+            enable_rr=enable_rr,
+            backend=backend,
+            num_workers=workers,
+        ).run_minmax(app_cls(), root=0)
+        assert np.array_equal(result.values, oracle(graph, 0))
+        return result
+
+    return run
+
+
+@pytest.mark.parametrize("enable_rr", [True, False], ids=["rr", "norr"])
+@pytest.mark.parametrize("app_name", _ROOTED)
+def test_grid_run_is_the_oracle_run_on_serial(
+    monkeypatch, weighted_grid, app_name, enable_rr
+):
+    _assert_run_is_the_oracle_run(
+        monkeypatch, _slfe_run(weighted_grid, app_name, enable_rr)
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="the pool needs /dev/shm")
+@pytest.mark.parametrize("enable_rr", [True, False], ids=["rr", "norr"])
+@pytest.mark.parametrize("app_name", _ROOTED)
+def test_grid_run_is_the_oracle_run_on_the_pool(
+    monkeypatch, weighted_grid, app_name, enable_rr
+):
+    _assert_run_is_the_oracle_run(
+        monkeypatch,
+        _slfe_run(weighted_grid, app_name, enable_rr, "parallel", 2),
+    )
+
+
+@pytest.mark.parametrize("enable_rr", [True, False], ids=["rr", "norr"])
+@pytest.mark.parametrize("app_name", _ROOTED)
+def test_grid_run_is_the_oracle_run_on_ooc(
+    monkeypatch, weighted_grid, app_name, enable_rr
+):
+    with configured(shard_mb=0.01, shard_cache=2):
+        _assert_run_is_the_oracle_run(
+            monkeypatch, _slfe_run(weighted_grid, app_name, enable_rr, "ooc")
+        )
+
+
+@pytest.mark.parametrize("app_name", _ROOTED)
+def test_grid_run_is_the_oracle_run_on_async(
+    monkeypatch, weighted_grid, app_name
+):
+    app_cls, _, oracle = APPS[app_name]
+
+    def run():
+        result = AsyncEngine(
+            weighted_grid, config=experiment_cluster(num_nodes=NODES)
+        ).run_minmax(app_cls(), root=0)
+        assert np.array_equal(result.values, oracle(weighted_grid, 0))
+        return result
+
+    _assert_run_is_the_oracle_run(monkeypatch, run)
 
 
 # ----------------------------------------------------------------------

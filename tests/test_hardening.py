@@ -20,6 +20,7 @@ from repro.baselines import GeminiEngine, OrderedEngine, PowerGraphEngine
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import SLFEEngine
 from repro.core.rrg import generate_guidance
+from repro.errors import EngineError
 from repro.graph.graph import Graph
 
 
@@ -84,11 +85,12 @@ class TestDegenerateGraphs:
 class TestHostileWeights:
     def test_nan_weights_rejected_or_contained(self):
         g = Graph.from_edges(2, [[0, 1]], np.array([np.nan]))
-        # SSSP does not crash; NaN never beats the incumbent under the
-        # engines' strict comparisons, so vertex 1 stays unreached.
-        result = SLFEEngine(g).run_minmax(SSSP(), root=0)
-        assert result.values[0] == 0.0
-        assert not (result.values[1] < np.inf)
+        # Rejected up front: a NaN never beats an incumbent under the
+        # engines' strict comparisons, so running on would silently
+        # leave vertex 1 unreached where no shortest path is defined.
+        for app in (SSSP(), WidestPath()):
+            with pytest.raises(EngineError, match="NaN"):
+                SLFEEngine(g).run_minmax(app, root=0)
 
     def test_infinite_weight_is_unreachable_in_practice(self):
         g = Graph.from_edges(2, [[0, 1]], np.array([np.inf]))
