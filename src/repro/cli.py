@@ -165,7 +165,8 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
         default=None, metavar="MB",
-        help="target uncompressed edge-shard size for --backend ooc "
+        help="largest uncompressed edge-shard size for --backend ooc; "
+        "one row above it gets a shard of its own "
         "(default: $REPRO_SHARD_MB, else 8)",
     )
     parser.add_argument(
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_shard.add_argument(
         "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
         default=None, metavar="MB",
-        help="target uncompressed shard size "
+        help="largest uncompressed shard size "
         "(default: $REPRO_SHARD_MB, else 8)",
     )
     for cache_action in (cache_ls, cache_info, cache_clear, cache_warm,

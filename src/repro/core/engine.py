@@ -1036,15 +1036,20 @@ def _thaw_moved_inputs(
     reference.
 
     The edges in question run from ``changed`` to the frozen set, and
-    either end finds them: expand whichever side has fewer edges to
-    look through — an exact count on both sides, Gemini's push/pull
-    choice applied to the thaw.
+    either end finds them: expand whichever side reads less, ranked by
+    ``(shards it must decode, edges)`` — Gemini's push/pull choice
+    applied to the thaw.  In memory nothing is decoded and the edge
+    counts decide; out of core the in-shards the gather just held win
+    over out-shards that would evict them.
     """
     frozen = np.nonzero(tracker.ec_mask)[0]
     if changed.size == 0 or frozen.size == 0:
         return 0
-    frozen_edges = dispatch.in_degrees[frozen].sum()
-    if frozen_edges < dispatch.out_degrees[changed].sum():
+    pull = (dispatch.shard_decodes("in", frozen),
+            dispatch.in_degrees[frozen].sum())
+    push = (dispatch.shard_decodes("out", changed),
+            dispatch.out_degrees[changed].sum())
+    if pull < push:
         return _thaw_from_frozen(tracker, dispatch, frozen, changed_mask)
     return _thaw_from_changed(tracker, dispatch, changed)
 

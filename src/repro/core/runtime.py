@@ -621,6 +621,11 @@ class SerialDispatch:
         changed set has out-edges."""
         return expand_row_dsts(self._in_csr.indptr, self._in_csr.indices, ids)
 
+    def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
+        """Shards an expansion of ``ids`` would decode: none, the
+        adjacency is resident."""
+        return 0
+
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep: int) -> None:
         """No-op superstep clock (worker faults need a pool to target)."""

@@ -58,9 +58,13 @@ __all__ = [
 #: another version read as a miss and are re-sharded cold.  v2: a part
 #: is the compressed blob itself (``.bin``), not an ``.npz`` around it.
 #: v3: a shard of unit weights stores no weights (``unit_weights``).
-SHARD_FORMAT_VERSION = 3
+#: v4: a unit-weight CSR is planned at the 8 B/edge it stores, so its
+#: shards hold twice the edges of a v3 shard of the same ``shard_mb``.
+SHARD_FORMAT_VERSION = 4
 
-#: Raw bytes per edge a shard is planned at: int64 neighbour + float64 weight.
+#: Raw bytes per weighted edge: int64 neighbour + float64 weight.  A
+#: unit-weight edge stores the neighbour alone (8 B, see ``unit_weights``)
+#: and is planned at that.
 EDGE_BYTES = 16
 
 try:  # optional, never installed here — gate, don't require
@@ -105,19 +109,23 @@ def _decompress(blob: bytes, codec: str, expected: int) -> bytes:
     raise StoreError("unknown shard codec %r" % (codec,))
 
 
-def plan_shards(indptr: np.ndarray, shard_mb: float) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` row ranges of ~``shard_mb`` MiB of edges.
+def plan_shards(csr: CSR, shard_mb: float) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` row ranges of at most ``shard_mb`` MiB of
+    stored edges: 8 B an edge if ``csr`` has unit weights, else
+    :data:`EDGE_BYTES`.
 
     Cuts land only on row boundaries: a row's whole edge run always sits
     inside one shard.  A single row larger than the budget gets a shard
-    of its own (the budget is a target, the invariant is a guarantee).
-    An empty graph yields an empty shard table.
+    of its own (the budget is a bound on every shard of two or more
+    rows, the invariant is a guarantee).  An empty graph yields an
+    empty shard table.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
+    indptr = np.asarray(csr.indptr, dtype=np.int64)
     n = indptr.size - 1
     if n <= 0:
         return []
-    budget = max(1, int(float(shard_mb) * (1 << 20)) // EDGE_BYTES)
+    edge_bytes = 8 if csr.unit_weights else EDGE_BYTES
+    budget = int(float(shard_mb) * (1 << 20)) // edge_bytes
     bounds: List[Tuple[int, int]] = []
     lo = 0
     while lo < n:
@@ -200,7 +208,7 @@ def build_shards(csr: CSR, shard_mb: float, codec: Optional[str] = None) -> Tupl
     codec = codec or available_codec()
     shards: List[Dict[str, object]] = []
     blobs: List[bytes] = []
-    for part, (lo, hi) in enumerate(plan_shards(csr.indptr, shard_mb)):
+    for part, (lo, hi) in enumerate(plan_shards(csr, shard_mb)):
         base = int(csr.indptr[lo])
         end = int(csr.indptr[hi])
         blob, meta = encode_shard(

@@ -213,10 +213,12 @@ class _ShardStream:
     """Decoded-shard LRU + read-ahead for one graph's two directions.
 
     The cache is keyed ``(direction, part)`` and bounded by *count* of
-    decoded shards (each ~``shard_mb`` MiB raw), shared across both
-    directions — the resident edge bytes are bounded by
-    ``shard_cache × shard_mb`` regardless of phase mix.  A single
-    daemon thread decodes the announced next shard while the kernels
+    decoded shards, shared across both directions.  A shard of two or
+    more rows holds at most ``shard_mb`` MiB of the bytes it stores (a
+    unit-weight shard 8 B an edge, a weighted one 16), so the resident
+    edge bytes are at most ``shard_cache × shard_mb`` (a single row
+    above the budget counts at its own size) regardless of phase mix.
+    A single daemon thread decodes the announced next shard while the kernels
     chew the current one; all bookkeeping is under one lock.  A demand
     for the shard that thread is decoding waits for it.
     """
@@ -346,6 +348,11 @@ class _ShardStream:
             self._cache.clear()
 
 
+def _planned_mb(entry) -> float:
+    """The ``shard_mb`` a stored ``(manifest, indptr)`` was planned at."""
+    return float(entry[0]["shard_mb"])
+
+
 def _concat_by_part(pieces: Dict[int, np.ndarray], dtype) -> np.ndarray:
     """Per-shard output joined in ascending shard (= row) order."""
     if not pieces:
@@ -370,6 +377,11 @@ class ShardStreamDispatch:
     3. on a miss the graph is sharded now and offered back — into the
        configured store when there is one, else into a private
        temporary store that :meth:`close` deletes.
+
+    Shards planned at a larger ``shard_mb`` than this run's would break
+    its resident bound: for an in-memory graph they are a miss, for a
+    :class:`SpilledGraph` (no edges to re-shard) a :class:`StoreError`.
+    A smaller plan is within the bound and is used as is.
 
     ``cold`` records which path ran (False only for path 1/2), so
     callers can verify pre-sharding actually avoided the build.
@@ -411,10 +423,14 @@ class ShardStreamDispatch:
             digest = graph.shard_digest
         else:
             digest = str(graph_fingerprint(graph)["digest"])
-            opened["in"] = store.get_shard_manifest(digest, "in")
-            if opened["in"] is None:
+            entry = store.get_shard_manifest(digest, "in")
+            # Shards planned larger than this run's --shard-mb would
+            # break its resident bound: re-shard them, like a miss.
+            if entry is None or _planned_mb(entry) > self._shard_mb:
                 self.cold = True
                 store.put_sharded_graph(graph, self._shard_mb)
+            else:
+                opened["in"] = entry
 
         self._sharded: Dict[str, ShardedCSR] = {}
         for direction in ("in", "out"):
@@ -425,6 +441,14 @@ class ShardStreamDispatch:
             if entry is None:
                 raise StoreError(
                     "no %r shard manifest for digest %s" % (direction, digest)
+                )
+            if _planned_mb(entry) > self._shard_mb:
+                # A spilled graph has no edges in memory to re-shard.
+                raise StoreError(
+                    "%r shards of digest %s were planned at %g MiB, above "
+                    "this run's %g MiB shard size; re-spill them at that "
+                    "size or less" % (direction, digest, _planned_mb(entry),
+                                      self._shard_mb)
                 )
             manifest, indptr = entry
             self._sharded[direction] = ShardedCSR(
@@ -586,6 +610,15 @@ class ShardStreamDispatch:
         )
         self._emit_shard_io("push", "out")
         return dsts, candidates, self.out_degrees[ids], []
+
+    def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
+        """Shards holding the sorted ``ids`` that are not decoded in the
+        LRU now: what expanding them in ``direction`` would read."""
+        cuts = np.searchsorted(ids, self._bounds[direction])
+        return sum(
+            not self._stream.resident(direction, int(part))
+            for part in np.flatnonzero(np.diff(cuts))
+        )
 
     def _expand_neighbors(self, direction: str, ids: np.ndarray) -> np.ndarray:
         """Concatenated ``direction``-neighbours of the sorted ``ids``,

@@ -435,6 +435,11 @@ class ParallelExecutor:
             self._csr_views["in_indptr"], self._csr_views["in_indices"], ids
         )
 
+    def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
+        """Shards an expansion of ``ids`` would decode: none, the
+        adjacency is in shared memory."""
+        return 0
+
     # ------------------------------------------------------------------
     # superstep clock + trace plumbing
     # ------------------------------------------------------------------

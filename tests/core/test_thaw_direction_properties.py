@@ -1,7 +1,7 @@
 """The finish-early thaw finds the same set from either side, expands
 the cheaper one, and leaves PageRank+RR bit-identical on every backend.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * property: for random graph x EC mask x changed mask the push side
   (out-edges of the changed vertices) and the pull side (in-edges of the
@@ -9,6 +9,10 @@ Three layers of evidence:
   ``np.unique`` formulation did;
 * counting: on seeded social graphs the edges expanded for the thaw in
   each superstep equal ``min(sum in_deg[EC], sum out_deg[changed])``;
+* side: the side is ranked by ``(shards to decode, edges)``.  In memory
+  nothing is decoded and the edge rule above decides every superstep;
+  out of core the side taken never decodes more than the other, and an
+  in-direction that fits the cache is decoded once per run;
 * matrix: PageRank+RR on serial / pool / ooc / degraded-inline / a
   crash-rollback plan against the parent commit's algorithm, kept here
   as a plain loop (general ``edge_contributions`` gather, per-superstep
@@ -39,6 +43,7 @@ from repro.core.runtime import SerialDispatch
 from repro.core.state import StabilityTracker
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.graph.shards import plan_shards
 from repro.runconfig import configured
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
@@ -320,6 +325,119 @@ def test_matrix_serial_pool_ooc_match_the_parent_algorithm(matrix_case):
         if event.payload["phase"] == "expand"
     }
     assert thaw_reads == {"in", "out"}
+
+
+# ----------------------------------------------------------------------
+# the side each backend picks: (shards to decode, edges)
+# ----------------------------------------------------------------------
+def _sided_run(monkeypatch, matrix_case, backend, workers=None,
+               recorder=None):
+    """An RR PageRank run of the matrix case recording, per thawing
+    superstep, ``(old edge rule's side, side taken, decodes per side,
+    EC set after the thaw)``; sides are ``"pull"`` / ``"push"``."""
+    taken, records = [], []
+    real_thaw = engine_mod._thaw_moved_inputs
+
+    def recording_thaw(tracker, dispatch, changed_mask, changed):
+        frozen = np.nonzero(tracker.ec_mask)[0]
+        if not (changed.size and frozen.size):
+            return real_thaw(tracker, dispatch, changed_mask, changed)
+        edge_rule = (
+            "pull"
+            if dispatch.in_degrees[frozen].sum()
+            < dispatch.out_degrees[changed].sum()
+            else "push"
+        )
+        decodes = {"pull": dispatch.shard_decodes("in", frozen),
+                   "push": dispatch.shard_decodes("out", changed)}
+        count = real_thaw(tracker, dispatch, changed_mask, changed)
+        records.append(
+            (edge_rule, taken.pop(), decodes, tracker.ec_mask.copy())
+        )
+        return count
+
+    with monkeypatch.context() as patch:
+        for name, side in (("_thaw_from_frozen", "pull"),
+                           ("_thaw_from_changed", "push")):
+            def thaw_side(*args, _real=getattr(engine_mod, name),
+                          _side=side):
+                taken.append(_side)
+                return _real(*args)
+
+            patch.setattr(engine_mod, name, thaw_side)
+        patch.setattr(engine_mod, "_thaw_moved_inputs", recording_thaw)
+        result = _engine_run(matrix_case, backend, workers,
+                             recorder=recorder)
+    assert records and not taken
+    return result, records
+
+
+def _ec_sets(records):
+    return [ec.tobytes() for *_, ec in records]
+
+
+@pytest.mark.parametrize("backend,workers", [("serial", None),
+                                             ("parallel", 2)])
+def test_in_memory_the_side_is_the_edge_rule(monkeypatch, matrix_case,
+                                             backend, workers):
+    """Nothing is decoded in memory, so the edge counts decide alone."""
+    result, records = _sided_run(monkeypatch, matrix_case, backend, workers)
+    _assert_matches_parent(result, matrix_case)
+    assert all(decodes == {"pull": 0, "push": 0}
+               for _, _, decodes, _ in records)
+    assert [taken for _, taken, _, _ in records] == [
+        rule for rule, _, _, _ in records
+    ]
+    assert {rule for rule, _, _, _ in records} == {"pull", "push"}
+
+
+@pytest.fixture
+def no_read_ahead(monkeypatch):
+    """Decodes only on demand, so a phase reads what it was costed at."""
+    from repro.ooc import _ShardStream
+
+    monkeypatch.setattr(
+        _ShardStream, "announce", lambda self, direction, part: None
+    )
+
+
+def test_ooc_the_side_taken_never_decodes_more(monkeypatch, matrix_case,
+                                               no_read_ahead):
+    """~10 KiB shards behind a two-shard cache: neither direction fits,
+    and the thaw takes the side with fewer shards to decode."""
+    serial = _sided_run(monkeypatch, matrix_case, "serial")[1]
+    with configured(shard_mb=0.01, shard_cache=2):
+        result, records = _sided_run(monkeypatch, matrix_case, "ooc")
+    _assert_matches_parent(result, matrix_case)
+    assert _ec_sets(records) == _ec_sets(serial)
+    for _, taken, decodes, _ in records:
+        other = "push" if taken == "pull" else "pull"
+        assert decodes[taken] <= decodes[other]
+
+
+def test_ooc_an_in_direction_that_fits_is_decoded_once(monkeypatch,
+                                                        matrix_case,
+                                                        no_read_ahead):
+    """The gather leaves every in-shard resident, so the thaw pulls from
+    them and never reads an out-shard that would evict one."""
+    graph = matrix_case[0]
+    shard_mb = 0.02
+    in_shards = len(plan_shards(graph.in_csr, shard_mb))
+    assert in_shards > 1
+    serial = _sided_run(monkeypatch, matrix_case, "serial")[1]
+    recorder = TraceRecorder()
+    with configured(shard_mb=shard_mb, shard_cache=in_shards):
+        result, records = _sided_run(monkeypatch, matrix_case, "ooc",
+                                     recorder=recorder)
+    _assert_matches_parent(result, matrix_case)
+    assert _ec_sets(records) == _ec_sets(serial)
+    # The decode count decides: in memory the edges pick both sides.
+    assert {taken for _, taken, _, _ in records} == {"pull"}
+    assert {rule for rule, _, _, _ in records} == {"pull", "push"}
+    reads = {"in": 0, "out": 0}
+    for event in recorder.events_named(trace_events.SHARD_IO):
+        reads[event.payload["direction"]] += event.payload["shards"]
+    assert reads == {"in": in_shards, "out": 0}
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"),

@@ -29,8 +29,9 @@ from repro.graph.graph import Graph
 from repro.graph.shards import build_shards, decode_shard
 from repro.store import graph_fingerprint
 
-#: ~4 edges per shard: a few dozen edges make several shards.
-SHARD_MB = 4 * 16 / 2**20
+#: ~4 edges per shard (a unit edge is planned at the 8 B it stores): a
+#: few dozen edges make several shards.
+SHARD_MB = 4 * 8 / 2**20
 
 
 @st.composite

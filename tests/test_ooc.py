@@ -18,6 +18,7 @@ import pytest
 from repro.bench import workloads
 from repro.bench.runner import run_workload
 from repro.errors import EngineError, GraphIOError, StoreError
+from repro.graph import generators
 from repro.graph import io as graph_io
 from repro.graph.graph import Graph
 from repro.graph.shards import plan_shards
@@ -89,7 +90,7 @@ class TestBitIdentity:
         # A cache of one, the streaming minimum, exactly the sweep and
         # one to spare: the scan reverses at every turn-around, at some
         # of them, and (everything resident) never.
-        shards = len(plan_shards(serial.graph.in_csr.indptr, TINY_SHARD_MB))
+        shards = len(plan_shards(serial.graph.in_csr, TINY_SHARD_MB))
         assert shards >= 3
         for capacity in (1, 2, shards, shards + 1):
             tiny_shards(capacity)
@@ -134,7 +135,7 @@ class TestBitIdentity:
         app = workloads.make_app("PR")
         app.bind(graph)
         ids = np.arange(graph.num_vertices, dtype=np.int64)
-        shards = len(plan_shards(graph.in_csr.indptr, TINY_SHARD_MB))
+        shards = len(plan_shards(graph.in_csr, TINY_SHARD_MB))
         capacity = 2 if spare else shards - 1
         assert 2 <= capacity < shards
         recorder = TraceRecorder()
@@ -212,6 +213,55 @@ class TestShardStore:
         spill_graph(graph, ambient_store)
         with ShardStreamDispatch(graph, workloads.make_app("PR")) as d:
             assert not d.cold
+
+    def test_warm_store_planned_larger_reshards_cold(self, store):
+        """Shards stored at 8 MiB are one 0.43 MiB shard a direction on
+        this graph: opened at 0.01 MiB behind a two-shard cache they
+        would keep 21x the resident bound.  They are a miss instead, and
+        the re-shard keeps every shard within the run's budget."""
+        graph = generators.social_network(4000, avg_degree=14, seed=1)
+        app = workloads.make_app("PR")
+        spill_graph(graph, store, shard_mb=8)
+        with ShardStreamDispatch(
+            graph, app, store=store, shard_mb=TINY_SHARD_MB, shard_cache=2
+        ) as d:
+            assert d.cold
+            assert d.num_shards == {
+                "in": len(plan_shards(graph.in_csr, TINY_SHARD_MB)),
+                "out": len(plan_shards(graph.out_csr, TINY_SHARD_MB)),
+            }
+            for sharded in d._sharded.values():
+                assert sharded.manifest["shard_mb"] == TINY_SHARD_MB
+                for meta in sharded.manifest["shards"]:
+                    assert (meta["raw_bytes"] <= TINY_SHARD_MB * 2**20
+                            or meta["hi"] - meta["lo"] == 1)
+        # The re-shard replaced the entry: the next open is warm.
+        with ShardStreamDispatch(
+            graph, app, store=store, shard_mb=TINY_SHARD_MB, shard_cache=2
+        ) as d:
+            assert not d.cold
+
+    def test_warm_store_planned_smaller_is_used_as_is(self, store):
+        graph = make_random_graph(num_vertices=200, num_edges=3000, seed=2)
+        spill_graph(graph, store, shard_mb=TINY_SHARD_MB)
+        with ShardStreamDispatch(
+            graph, workloads.make_app("PR"), store=store, shard_mb=8
+        ) as d:
+            assert not d.cold
+            assert d.num_shards["in"] == len(
+                plan_shards(graph.in_csr, TINY_SHARD_MB)
+            ) > 1
+
+    def test_spilled_graph_planned_larger_is_typed_error(self, store):
+        """A spilled graph has no edges in memory to re-shard."""
+        graph = make_random_graph(num_vertices=80, num_edges=400, seed=2)
+        spilled = load_spilled(store, spill_graph(graph, store, shard_mb=8))
+        app = workloads.make_app("PR")
+        app.bind(spilled)
+        with pytest.raises(StoreError, match=r"8 MiB.*0\.01 MiB"):
+            ShardStreamDispatch(
+                spilled, app, store=store, shard_mb=TINY_SHARD_MB
+            )
 
     @pytest.mark.parametrize("damage", ["corrupt", "truncate"])
     def test_damaged_shard_is_typed_error(

@@ -16,7 +16,8 @@ cache capacity, phase and kind of damage:
 * a shard of unit weights stores its indices alone and is checked just
   the same;
 * parts written by an older format (v1 ``.npz``-wrapped, v2 with every
-  weight stored) read as a miss.
+  weight stored, v3 with unit shards planned at 16 B an edge) read as a
+  miss.
 """
 
 import hashlib
@@ -462,10 +463,17 @@ def test_hand_off_under_a_hostile_scheduler():
 # format bump
 # ----------------------------------------------------------------------
 def _old_shards(csr, version):
-    """``(manifest, payloads)`` as the v1/v2 code wrote them: every shard
-    stores ``indices ++ weights``; a v1 part is an ``.npz`` around it."""
-    manifest, _ = build_shards(csr, SHARD_MB)
-    manifest["format_version"] = version
+    """``(manifest, payloads)`` as the v1-v3 code wrote them.  Every
+    version planned a shard at 16 B an edge; v3 stores a unit shard's
+    indices alone, v1/v2 store ``indices ++ weights`` for every shard,
+    and a v1 part is an ``.npz`` around it."""
+    # Half the size at today's 8 B a unit edge is the same edge budget.
+    manifest, blobs = build_shards(
+        csr, SHARD_MB / 2 if csr.unit_weights else SHARD_MB
+    )
+    manifest.update(format_version=version, shard_mb=SHARD_MB)
+    if version == 3:
+        return manifest, blobs
     payloads = []
     for entry in manifest["shards"]:
         del entry["unit_weights"]
@@ -482,10 +490,10 @@ def _old_shards(csr, version):
 
 def test_older_format_parts_read_as_a_miss_and_reshard_cold(monkeypatch):
     """A store written by older code — manifest and parts under
-    ``.../v1`` or ``.../v2`` keys, unit weights stored like any others —
-    is not an error and not a hit: the dispatch re-shards cold beside
-    it."""
-    assert shards_mod.SHARD_FORMAT_VERSION == 3
+    ``.../v1``, ``.../v2`` or ``.../v3`` keys: unit weights stored like
+    any others, or unit shards planned at half the budget — is not an
+    error and not a hit: the dispatch re-shards cold beside it."""
+    assert shards_mod.SHARD_FORMAT_VERSION == 4
     graph = make_random_graph(num_vertices=30, num_edges=200, seed=13, weighted=False)
     app = PageRank()
     app.bind(graph)
@@ -494,7 +502,7 @@ def test_older_format_parts_read_as_a_miss_and_reshard_cold(monkeypatch):
     serial.values[...] = 1.0
     serial.gather(ids)
     digest = str(graph_fingerprint(graph)["digest"])
-    for version in (1, 2):
+    for version in (1, 2, 3):
         with tempfile.TemporaryDirectory() as root:
             store = CountingStore(root)
             with monkeypatch.context() as old:
