@@ -87,7 +87,12 @@ class MinMaxApplication(abc.ABC):
 
     @abc.abstractmethod
     def initial_frontier(self, graph: Graph, root: Optional[int]) -> np.ndarray:
-        """Ids of initially active vertices."""
+        """Ids of initially active vertices.
+
+        Every vertex outside it must propose no candidate that beats an
+        out-neighbour's initial value: the engine's pull then reads a
+        started destination's candidates from the frontier alone.
+        """
 
     @abc.abstractmethod
     def edge_candidates(

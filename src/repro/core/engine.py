@@ -604,16 +604,27 @@ class SLFEEngine:
                 # that is still delayed is skipped outright, and a
                 # destination crossing its guidance level performs one
                 # catch-up gather even if nothing is active (it must
-                # collect updates it slept through).
-                touched = _touched(
-                    dispatch, frontier, active_edges, num_edges, has_in
-                )
+                # collect updates it slept through).  Below |E| / 2 the
+                # frontier's push finds the touched set, and its
+                # candidates may stand in for the pull.
+                pushed = None
+                if active_edges > _IDLE_SIDE * num_edges:
+                    touched = _touched(dispatch, frontier, has_in)
+                else:
+                    touched = np.zeros(n, dtype=bool)
+                    if frontier:
+                        pushed = dispatch.push(frontier.ids)
+                        self._emit_dispatch(dispatch, pushed[3], "push")
+                        touched[pushed[0]] = True
+                pulled = touched & started & has_in  # before ``newly``
+                catch_up_ids = np.empty(0, dtype=np.int64)
                 caught_up = 0
                 if last_iter is not None:
                     newly = (~started) & (last_iter <= ruler) & has_in
                     catch_ups = newly & (missed | touched)
-                    processed = (touched & started & has_in) | catch_ups
-                    caught_up = int(np.count_nonzero(catch_ups))
+                    processed = pulled | catch_ups
+                    catch_up_ids = np.flatnonzero(catch_ups)
+                    caught_up = catch_up_ids.size
                     started |= newly
                     pending -= int(np.count_nonzero(newly))
                     missed[newly] = False
@@ -622,7 +633,7 @@ class SLFEEngine:
                     missed |= touched & ~started
                     debt = int(np.count_nonzero(missed))
                 else:
-                    processed = touched & has_in
+                    processed = pulled
                 proc_ids = np.nonzero(processed)[0]
                 step_ops = (proc_ids, in_deg[proc_ids].astype(np.int64))
                 with rec.phase("gather"):
@@ -632,11 +643,20 @@ class SLFEEngine:
                         # improvement mask (identical to the old
                         # full-array ``app.better`` — the identity never
                         # beats an incumbent, so unprocessed entries
-                        # were always false).
-                        stats = dispatch.pull_apply(
-                            proc_ids, app.aggregation
-                        )
-                        self._emit_dispatch(dispatch, stats, "pull")
+                        # were always false).  Either side, the edge
+                        # ops are every processed in-edge (modeled).
+                        if pushed is not None and _frontier_is_cheaper(
+                            dispatch, pulled, pushed[0].size
+                        ):
+                            stats = _pull_from_frontier(
+                                app, dispatch, pushed, pulled, catch_up_ids
+                            )
+                        else:
+                            stats = dispatch.pull_apply(
+                                proc_ids, app.aggregation
+                            )
+                        if stats is not None:
+                            self._emit_dispatch(dispatch, stats, "pull")
                         metrics.add_edge_ops(
                             np.bincount(
                                 owner[proc_ids],
@@ -1060,33 +1080,57 @@ _IDLE_SIDE = 0.5
 
 
 def _touched(
-    dispatch,
-    frontier: Frontier,
-    active_edges: int,
-    num_edges: int,
-    has_in: np.ndarray,
+    dispatch, frontier: Frontier, has_in: np.ndarray
 ) -> np.ndarray:
-    """Destinations with an in-edge from ``frontier`` (read only).
+    """Destinations with an in-edge from ``frontier``, read from the
+    idle side — the frontier's out-edges are past |E| / 2.
 
-    Either end finds them: scatter the frontier's out-edges, or — when
-    those are the majority of |E| — count the idle vertices' out-edges
-    per destination.  ``v`` is untouched exactly when every one of its
-    in-edges starts at an idle vertex, so ``idle count < in-degree`` is
-    the same mask (self-loops and duplicate edges are counted once on
-    both sides).  A full frontier has no idle vertex: every destination
-    with an in-edge is touched, and nothing is expanded.
+    Count the idle vertices' out-edges per destination: ``v`` is
+    untouched exactly when every one of its in-edges starts at an idle
+    vertex, so ``idle count < in-degree`` is the mask a scatter of the
+    frontier's out-edges would give (self-loops and duplicate edges are
+    counted once on both sides).  A full frontier has no idle vertex:
+    every destination with an in-edge is touched, and nothing is
+    expanded.
     """
     n = frontier.num_vertices
-    if active_edges > _IDLE_SIDE * num_edges:
-        if frontier.count == n:
-            return has_in
-        idle = np.flatnonzero(~frontier.mask)
-        from_idle = np.bincount(dispatch.expand_out_dsts(idle), minlength=n)
-        return from_idle < dispatch.in_degrees
-    touched = np.zeros(n, dtype=bool)
-    if frontier:
-        touched[dispatch.expand_out_dsts(frontier.ids)] = True
-    return touched
+    if frontier.count == n:
+        return has_in
+    idle = np.flatnonzero(~frontier.mask)
+    from_idle = np.bincount(dispatch.expand_out_dsts(idle), minlength=n)
+    return from_idle < dispatch.in_degrees
+
+
+def _frontier_is_cheaper(dispatch, pulled: np.ndarray, pushed: int) -> bool:
+    """The ``pulled`` destinations' in-edges cost more to read than the
+    ``pushed`` out-edges the frontier's push already read, ranked by
+    ``(shards to decode, edges)`` like the EC thaw."""
+    ids = np.flatnonzero(pulled)
+    return (dispatch.shard_decodes("in", ids),
+            dispatch.in_degrees[ids].sum()) > (0, pushed)
+
+
+def _pull_from_frontier(app, dispatch, pushed, pulled, catch_up_ids):
+    """``result``/``improved`` of a pull superstep from the frontier's
+    ``pushed`` candidates; catch-ups keep the full gather, and their
+    pull stats are returned (``None``: no catch-ups).  Exact for the
+    ``pulled`` destinations: none is beaten from outside the frontier
+    (DESIGN.md §5, "Pull from the cheaper side")."""
+    stats = None
+    if catch_up_ids.size:
+        stats = dispatch.pull_apply(catch_up_ids, app.aggregation)
+    else:
+        dispatch.improved[...] = False
+    dsts, candidates = pushed[0], pushed[1]
+    # One gather tests both: outside ``pulled``, a bar nothing beats.
+    bar = np.where(pulled, dispatch.values, -app.identity)
+    keep = np.flatnonzero(app.better(candidates, bar[dsts]))
+    dsts = dsts[keep]
+    dispatch.result[dsts] = app.identity
+    reduce = np.minimum if app.aggregation == "min" else np.maximum
+    reduce.at(dispatch.result, dsts, candidates[keep])
+    dispatch.improved[dsts] = True
+    return stats
 
 
 def _thaw_from_changed(

@@ -69,6 +69,7 @@ __all__ = [
     "grouped_reduce",
     "pull_apply_block",
     "gather_block",
+    "push_candidates",
     "push_block",
     "SerialDispatch",
 ]
@@ -490,6 +491,24 @@ def gather_block(
     return edges
 
 
+def push_candidates(
+    app,
+    out_csr,
+    values: np.ndarray,
+    ids: np.ndarray,
+    terms: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(dsts, candidates)`` of the out-edges of ``ids`` in
+    ``expand_sources`` order (``out_csr`` a CSR or a shard).  ``terms``
+    as in :func:`pull_apply_block`: given, each source's term repeats
+    over its out-edges, and no ``srcs`` or weights are built."""
+    if terms is None:
+        srcs, dsts, weights = out_csr.expand_sources(ids)
+        return dsts, app.edge_candidates(values, srcs, weights)
+    counts, sel = expand_rows(out_csr.indptr, ids, out_csr.base)
+    return out_csr.indices[sel], np.repeat(terms[ids], counts)
+
+
 def push_block(
     app,
     out_csr,
@@ -499,6 +518,7 @@ def push_block(
     edge_cands: np.ndarray,
     base: int,
     end: int,
+    terms: Optional[np.ndarray] = None,
 ) -> int:
     """Push candidates of one block of sources, written at serial offsets.
 
@@ -506,10 +526,10 @@ def push_block(
     this block within the full task list, so blocks completed in any
     order reproduce the serial edge sequence byte for byte — the
     per-destination candidate order Table 2's update accounting
-    depends on.  Returns the number of edges expanded.
+    depends on.  ``terms`` as in :func:`push_candidates`.  Returns the
+    number of edges expanded.
     """
-    srcs, dsts, weights = out_csr.expand_sources(ids)
-    candidates = app.edge_candidates(values, srcs, weights)
+    dsts, candidates = push_candidates(app, out_csr, values, ids, terms)
     edge_dsts[base:end] = dsts
     edge_cands[base:end] = candidates
     return int(dsts.size)
@@ -602,8 +622,10 @@ class SerialDispatch:
         engine).
         """
         t0 = time.perf_counter_ns()
-        srcs, dsts, weights = self._out_csr.expand_sources(ids)
-        candidates = self._app.edge_candidates(self.values, srcs, weights)
+        dsts, candidates = push_candidates(
+            self._app, self._out_csr, self.values, ids,
+            self._app.source_terms(self.values),
+        )
         self._telemetry_phase(
             PHASE_PUSH, ids.size, dsts.size, time.perf_counter_ns() - t0
         )

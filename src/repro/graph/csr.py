@@ -279,11 +279,15 @@ class CSR:
         Flat, aligned arrays covering every edge whose source is in
         ``vertices`` (any order, may be empty; a repeated vertex repeats
         its edges).  On a contiguous ascending run ``dsts`` and
-        ``weights`` are read-only views of this CSR's storage.
+        ``weights`` are read-only views of this CSR's storage; unit
+        weights are always :func:`unit_view`, never gathered into ones.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        counts, sel = expand_rows(self.indptr, vertices)
-        return np.repeat(vertices, counts), self.indices[sel], self.weights[sel]
+        counts, sel = expand_rows(self.indptr, vertices, self.base)
+        dsts = self.indices[sel]
+        unit = self.weights.strides == (0,)
+        weights = unit_view(dsts.size) if unit else self.weights[sel]
+        return np.repeat(vertices, counts), dsts, weights
 
     # ------------------------------------------------------------------
     # transforms

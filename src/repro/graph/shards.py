@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.csr import CSR, expand_rows, is_unit, unit_view
+from repro.graph.csr import CSR, is_unit, unit_view
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
@@ -303,16 +303,10 @@ class ShardSlice:
         self.indices = indices
         self.weights = weights
 
-    def expand_sources(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`repro.graph.csr.CSR.expand_sources`, shard-local edges.
-
-        Identical output to the full CSR's method for any ``vertices``
-        within this shard's row range, because a shard never splits a
-        row's edge run.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        counts, sel = expand_rows(self.indptr, vertices, self.base)
-        return np.repeat(vertices, counts), self.indices[sel], self.weights[sel]
+    #: :meth:`repro.graph.csr.CSR.expand_sources` itself, over this
+    #: shard's edges: identical output to the full CSR's for any
+    #: ``vertices`` in ``[lo, hi)``, as a shard never splits a row.
+    expand_sources = CSR.expand_sources
 
 
 class ShardedCSR:

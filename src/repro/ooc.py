@@ -59,6 +59,7 @@ from repro.core.runtime import (
     gather_block,
     new_telemetry_block,
     pull_apply_block,
+    push_candidates,
     telemetry_advance,
     telemetry_begin,
     telemetry_end,
@@ -597,11 +598,12 @@ class ShardStreamDispatch:
         t0 = time.perf_counter_ns()
         dst_parts = {}
         cand_parts = {}
+        # Once per phase, not per shard.
+        terms = self._app.source_terms(self.values)
         for part, group in self._groups("out", ids):
             shard = self._stream.get("out", part)
-            srcs, dst_parts[part], weights = shard.expand_sources(group)
-            cand_parts[part] = self._app.edge_candidates(
-                self.values, srcs, weights
+            dst_parts[part], cand_parts[part] = push_candidates(
+                self._app, shard, self.values, group, terms
             )
         dsts = _concat_by_part(dst_parts, np.int64)
         candidates = _concat_by_part(cand_parts, np.float64)

@@ -893,6 +893,7 @@ class ParallelExecutor:
                     self._edge_cands,
                     0,
                     int(self._task_offsets[count]),
+                    self._app.source_terms(self.values),
                 )
             else:
                 raise EngineError("unknown phase id %r" % phase_id)
@@ -1155,11 +1156,7 @@ def _worker_main(
             t0 = time.perf_counter()
             # Once per phase, not per block: ``values`` is this phase's
             # read-only snapshot, so every block reads the same terms.
-            terms = (
-                app.source_terms(values)
-                if phase != PHASE_PUSH and num_blocks
-                else None
-            )
+            terms = app.source_terms(values) if num_blocks else None
             while True:
                 with counter.get_lock():
                     chunk = counter.value
@@ -1196,6 +1193,7 @@ def _worker_main(
                         edge_cands,
                         int(task_offsets[lo]),
                         int(task_offsets[hi]),
+                        terms,
                     )
                 else:
                     raise EngineError("unknown phase id %r" % phase)

@@ -147,21 +147,22 @@ def each_span_cost():
             yield cost
 
 
-def shard_blocks(graph, ids, cut):
+def shard_blocks(graph, ids, cut, direction="in"):
     """``(adjacency, ids)`` pairs to run a fused kernel over: the whole
-    in-CSR when ``cut`` is ``None``, else the ascending ``ids`` split at
-    row ``cut`` between two shards (the upper one with a non-zero
-    ``base``), as the ooc dispatch hands them out."""
-    n, in_csr = graph.num_vertices, graph.in_csr
+    in-CSR (or out-CSR) when ``cut`` is ``None``, else the ascending
+    ``ids`` split at row ``cut`` between two shards (the upper one with a
+    non-zero ``base``), as the ooc dispatch hands them out."""
+    n = graph.num_vertices
+    csr_ = graph.in_csr if direction == "in" else graph.out_csr
     if cut is None:
-        return [(in_csr, ids)]
+        return [(csr_, ids)]
     cut = min(cut, n)
-    base = int(in_csr.indptr[cut])
+    base = int(csr_.indptr[cut])
     return [
-        (ShardSlice(0, cut, 0, in_csr.indptr, in_csr.indices[:base],
-                    in_csr.weights[:base]), ids[ids < cut]),
-        (ShardSlice(cut, n, base, in_csr.indptr, in_csr.indices[base:],
-                    in_csr.weights[base:]), ids[ids >= cut]),
+        (ShardSlice(0, cut, 0, csr_.indptr, csr_.indices[:base],
+                    csr_.weights[:base]), ids[ids < cut]),
+        (ShardSlice(cut, n, base, csr_.indptr, csr_.indices[base:],
+                    csr_.weights[base:]), ids[ids >= cut]),
     ]
 
 

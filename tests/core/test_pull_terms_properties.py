@@ -6,6 +6,12 @@ The kernel no longer builds per-edge destination ``rows`` on either path
 and, with terms, gathers no weights; what must not move is a single bit
 of ``result`` / ``improved`` or the edge count, for any task list a
 dispatch can hand it.
+
+The push does the same: with terms, ``push_candidates`` repeats each
+source's term over its out-edges (no ``srcs``, no weights), and its
+``(dsts, candidates)`` are byte-equal to ``expand_sources`` +
+``edge_candidates`` on serial, pool, degraded-inline and ooc, with the
+terms computed once per push phase.
 """
 
 import os
@@ -21,6 +27,7 @@ from repro.core.runtime import (
     SerialDispatch,
     grouped_reduce,
     pull_apply_block,
+    push_candidates,
 )
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -120,6 +127,37 @@ def test_apps_without_terms_are_byte_equal_to_the_parent(name, case):
     assert _pull(pull_apply_block, app, in_csr, graph, values, ids) == _pull(
         parent_pull_apply_block, app, in_csr, graph, values, ids
     )
+
+
+def expand_then_candidates(app, adjacency, values, ids):
+    """The general push contract: expand the edges, then ask the app."""
+    srcs, dsts, weights = adjacency.expand_sources(ids)
+    return dsts.tobytes(), app.edge_candidates(values, srcs, weights).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ALL_APPS))
+@given(case=kernel_cases(), cut=st.one_of(st.none(), st.integers(0, 24)))
+def test_push_candidates_are_the_expanded_edge_candidates(name, case, cut):
+    """Any task list (sorted ones also split at a shard boundary, as the
+    ooc push hands them out), with terms where the app has them."""
+    graph, ids, seed = case
+    app = ALL_APPS[name]()
+    values = _values(graph, seed)
+    out = graph.out_csr
+    expected = expand_then_candidates(app, out, values, ids)
+    dsts, candidates = push_candidates(
+        app, out, values, ids, app.source_terms(values)
+    )
+    assert (dsts.tobytes(), candidates.tobytes()) == expected
+    if cut is not None:
+        ids = np.unique(ids)
+        terms = app.source_terms(values)
+        parts = [push_candidates(app, shard, values, group, terms)
+                 for shard, group in shard_blocks(graph, ids, cut, "out")]
+        assert (
+            np.concatenate([p[0] for p in parts]).tobytes(),
+            np.concatenate([p[1] for p in parts]).tobytes(),
+        ) == expand_then_candidates(app, out, values, ids)
 
 
 def _pull_blocks(app, graph, values, blocks, sentinel=None):
@@ -303,3 +341,52 @@ def test_the_degraded_inline_path_computes_terms_once_per_pull(tmp_path):
         assert ex.degraded
     # (The surviving worker may have woken once before the pool gave up.)
     assert app.calls_by_process()[str(os.getpid())] == 3
+
+
+@pytest.mark.parametrize("backend", [
+    "serial",
+    pytest.param("pool", marks=needs_shm),
+    pytest.param("degraded", marks=needs_shm),
+    "ooc",
+])
+def test_every_backend_pushes_from_terms_once_per_phase(tmp_path, backend):
+    """``dispatch.push`` of CC (``source_terms`` is its values) matches
+    ``expand_sources`` + ``edge_candidates`` byte for byte, and each
+    phase owner computes the terms once per push."""
+    app = CountingCC(tmp_path / "calls")
+    run_graph = app.prepare(_social())
+    n = run_graph.num_vertices
+    ids = np.flatnonzero(np.random.default_rng(5).random(n) < 0.6)
+    values = app.initial_values(run_graph, None)
+    expected = expand_then_candidates(
+        ConnectedComponents(), run_graph.out_csr, values, ids
+    )
+    if backend == "serial":
+        dispatch = SerialDispatch(run_graph, app)
+    elif backend == "ooc":
+        # ~10 KiB shards behind a two-shard cache: every phase streams.
+        dispatch = ShardStreamDispatch(
+            run_graph, app, shard_mb=0.01, shard_cache=2
+        )
+        assert dispatch.num_shards["out"] > 8
+    else:
+        dispatch = parallel.ParallelExecutor(
+            run_graph, app, num_workers=2, max_respawns=0,
+            allow_degrade=True,
+        )
+        if backend == "degraded":
+            dispatch._procs[1].kill()
+            dispatch._procs[1].join(timeout=5)
+    with dispatch:
+        dispatch.values[...] = values
+        for _ in range(3):
+            dsts, candidates, _, _ = dispatch.push(ids)
+            assert (dsts.tobytes(), candidates.tobytes()) == expected
+        assert dispatch.degraded == (backend == "degraded")
+    calls = app.calls_by_process()
+    if backend == "pool":
+        assert str(os.getpid()) not in calls
+        assert sorted(calls.values()) == [3, 3]  # per worker, not per block
+    else:
+        # (A degraded pool's surviving worker may have woken once first.)
+        assert calls[str(os.getpid())] == 3

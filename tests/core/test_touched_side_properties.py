@@ -5,11 +5,13 @@ Three layers of evidence:
 
 * property: for random graph x frontier, the idle side (``bincount`` of
   the idle vertices' out-edges against the in-degree) and the
-  full-frontier shortcut give exactly the mask the parent commit's
-  scatter of the frontier's out-edges did (kept here as the oracle);
-* counting: on seeded social graphs every pull superstep expands
+  full-frontier shortcut give exactly the mask the scatter of the
+  frontier's out-edges does (kept here as the oracle); below |E| / 2
+  the engine scatters the ``dsts`` of the frontier's push itself;
+* counting: on seeded social graphs every pull superstep reads
   ``min(active out-edges, |E| - active out-edges)`` edges for its
-  touched set, and both sides really occur;
+  touched set (the frontier's push, or the idle side's expansion), and
+  both sides really occur;
 * matrix: CC and SSSP, RR on and off, on serial / pool / ooc, with the
   switch forced to each side: values, ``total_edge_ops`` and every
   superstep's ``skipped`` equal the always-scatter serial run.
@@ -24,7 +26,7 @@ from repro.apps import SSSP, ConnectedComponents
 from repro.bench.workloads import default_root, experiment_cluster
 from repro.core import engine as engine_mod
 from repro.core.engine import SLFEEngine, _touched
-from repro.core.frontier import Frontier
+from repro.core.frontier import Frontier, choose_mode
 from repro.core.runtime import SerialDispatch
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -76,16 +78,12 @@ def test_either_side_gives_the_scatter_mask(case):
     graph, frontier = case
     expected = scatter_touched(graph, frontier)
     dispatch = SerialDispatch(graph, SSSP())
-    active_edges = frontier.out_edge_count(dispatch.out_degrees)
-    has_in = dispatch.in_degrees > 0
-    for side in SIDES:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine_mod, "_IDLE_SIDE", side)
-            touched = _touched(
-                dispatch, frontier, active_edges, graph.num_edges, has_in
-            )
-        assert touched.dtype == bool
-        assert touched.tobytes() == expected.tobytes()
+    touched = _touched(dispatch, frontier, dispatch.in_degrees > 0)
+    assert touched.dtype == bool
+    assert touched.tobytes() == expected.tobytes()
+    pushed = np.zeros(graph.num_vertices, dtype=bool)
+    pushed[dispatch.push(frontier.ids)[0]] = True
+    assert pushed.tobytes() == expected.tobytes()
 
 
 def test_full_frontier_expands_nothing():
@@ -97,10 +95,7 @@ def test_full_frontier_expands_nothing():
 
     dispatch.expand_out_dsts = refuse
     frontier = Frontier.all_vertices(graph.num_vertices)
-    has_in = dispatch.in_degrees > 0
-    touched = _touched(
-        dispatch, frontier, graph.num_edges, graph.num_edges, has_in
-    )
+    touched = _touched(dispatch, frontier, dispatch.in_degrees > 0)
     assert touched.tobytes() == scatter_touched(graph, frontier).tobytes()
 
 
@@ -122,38 +117,53 @@ def test_pull_expands_the_cheaper_side_every_superstep(
     graph = generators.social_network(
         600, avg_degree=14, shortcut_density=0.05, hub_bias=1.5, seed=seed
     )
-    expanded, sides = [0], []
+    # Edges read per superstep, by the frontier's push or the idle
+    # side's expansion, and each superstep's active out-edges.
+    expanded, active = [], []
 
     class CountingDispatch(SerialDispatch):
+        def begin_superstep(self, superstep):
+            super().begin_superstep(superstep)
+            expanded.append(0)
+
         def expand_out_dsts(self, ids):
             out = super().expand_out_dsts(ids)
-            expanded[0] += out.size
+            expanded[-1] += out.size
             return out
 
-    def recording(dispatch, frontier, active_edges, num_edges, has_in):
-        before = expanded[0]
-        touched = _touched(dispatch, frontier, active_edges, num_edges, has_in)
-        sides.append((expanded[0] - before, active_edges, num_edges))
-        return touched
+        def push(self, ids):
+            out = super().push(ids)
+            expanded[-1] += out[0].size
+            return out
+
+    def recording(active_edges, num_edges, denominator):
+        active.append(active_edges)
+        return choose_mode(active_edges, num_edges, denominator)
 
     monkeypatch.setattr(engine_mod, "SerialDispatch", CountingDispatch)
-    monkeypatch.setattr(engine_mod, "_touched", recording)
+    monkeypatch.setattr(engine_mod, "choose_mode", recording)
     if app_name == "SSSP":
         graph = generators.random_weights(graph, 1.0, 10.0, seed=seed)
     app, root = _app(graph, app_name)
-    SLFEEngine(graph, config=experiment_cluster(num_nodes=4)).run_minmax(
-        app, root=root
-    )
+    result = SLFEEngine(
+        graph, config=experiment_cluster(num_nodes=4)
+    ).run_minmax(app, root=root)
+    edges = result.graph.num_edges  # CC's symmetrised run graph
+    sides = [
+        (cost, a) for cost, a, record in
+        zip(expanded, active, result.metrics.records)
+        if record.mode == "pull"
+    ]
     assert sides
-    assert [cost for cost, _, _ in sides] == [
-        min(active, edges - active) for _, active, edges in sides
+    assert [cost for cost, _ in sides] == [
+        min(a, edges - a) for _, a in sides
     ]
     if app_name == "CC":
         # The all-vertex start, then a frontier past |E|/2 that is not
-        # full (idle side), then small ones (scatter side).
-        assert sides[0][1] == sides[0][2] and sides[0][0] == 0
-        assert any(0 < e - a < a for _, a, e in sides)
-    assert any(0 < a <= e - a for _, a, e in sides)
+        # full (idle side), then small ones (the frontier's push).
+        assert sides[0] == (0, edges)
+        assert any(0 < edges - a < a for _, a in sides)
+    assert any(0 < a <= edges - a for _, a in sides)
 
 
 # ----------------------------------------------------------------------

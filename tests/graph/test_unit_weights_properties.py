@@ -6,8 +6,9 @@ derives weights from weights — the transpose, the symmetrised view, a
 spilled shard, the pool's shared blocks — keeps it that way instead of
 materialising ones.  What must hold:
 
-* wherever an unweighted graph's weights surface, they are byte-equal to
-  ``np.ones(m)`` and refuse writes;
+* wherever an unweighted graph's weights surface — the CSRs, their
+  shards, and every ``expand_sources`` of either — they are stride-0,
+  byte-equal to ``np.ones(m)`` and refuse writes;
 * weights with a single entry that is not exactly 1.0 (``-0.0``,
   ``1.0 + ulp``, anything weighted) stay contiguous, byte-equal arrays;
 * ``graph_fingerprint`` — and with it every store key and guidance
@@ -26,7 +27,7 @@ from repro.apps import SSSP
 from repro.core.runtime import SerialDispatch
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
-from repro.graph.shards import build_shards, decode_shard
+from repro.graph.shards import ShardSlice, build_shards, decode_shard
 from repro.store import graph_fingerprint
 
 #: ~4 edges per shard (a unit edge is planned at the 8 B it stores): a
@@ -82,6 +83,39 @@ def test_unweighted_graphs_hold_unit_views_everywhere(graph, explicit):
     ids = np.arange(graph.num_vertices, dtype=np.int64)[::-1]
     _, _, gathered = graph.out_csr.expand_sources(ids)
     assert gathered.tobytes() == np.ones(m).tobytes()
+
+
+@given(multigraphs(), st.sampled_from(["contiguous", "ragged", "repeated",
+                                        "empty"]), st.data())
+def test_expanded_unit_weights_are_views_not_ones(graph, kind, data):
+    """``expand_sources`` of a unit CSR, and of each of its spilled
+    shards, hands out the stride-0 view for any id list — not a gather
+    into a fresh all-ones array."""
+    n = graph.num_vertices
+    endpoint = st.integers(0, max(n - 1, 0))
+    if kind == "empty" or n == 0:
+        ids = []
+    elif kind == "contiguous":
+        lo = data.draw(endpoint)
+        ids = list(range(lo, data.draw(st.integers(lo, n - 1)) + 1))
+    elif kind == "ragged":
+        ids = sorted(set(data.draw(st.lists(endpoint, max_size=n))))
+    else:  # unsorted, every id at least twice
+        ids = data.draw(st.lists(endpoint, max_size=n)) * 2
+    ids = np.asarray(ids, dtype=np.int64)
+    for csr in (graph.out_csr, graph.in_csr):
+        _, dsts, weights = csr.expand_sources(ids)
+        _assert_unit(weights, dsts.size)
+        assert dsts.size == int(csr.degrees()[ids].sum())
+        manifest, blobs = build_shards(csr, SHARD_MB)
+        for meta, blob in zip(manifest["shards"], blobs):
+            indices, unit = decode_shard(blob, meta)
+            shard = ShardSlice(meta["lo"], meta["hi"], meta["base"],
+                               csr.indptr, indices, unit)
+            mine = ids[(ids >= shard.lo) & (ids < shard.hi)]
+            _, dsts, weights = shard.expand_sources(mine)
+            _assert_unit(weights, dsts.size)
+            assert dsts.size == int(csr.degrees()[mine].sum())
 
 
 #: One entry that is not exactly 1.0 keeps the weights data.

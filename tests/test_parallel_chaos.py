@@ -15,9 +15,11 @@ each get a turn), and every run must
 
 Fault coordinates are engine-iteration based and chosen for the tiny
 PK stand-in graph (scale divisor 16000, 2 simulated nodes): SSSP pushes
-at iteration 1 and pulls from iteration 3; PR gathers every iteration.
-A fault that never fires leaves ``applied`` empty, so a schedule drift
-fails these tests instead of silently testing nothing.
+at iteration 1 and pulls from iteration 3 (a pull below |E| / 2 active
+out-edges dispatches the frontier's push first, as at iteration 4);
+PR gathers every iteration.  A fault fires only at its (iteration,
+phase) coordinate, and every test asserts that it did, in that phase,
+so a schedule drift fails instead of silently testing nothing.
 """
 
 import os
@@ -70,6 +72,16 @@ def _worker_fault_events(recorder):
     ]
 
 
+def _assert_fired(recorder, spec):
+    """The one seeded fault was delivered, and every recovery it caused
+    happened in the phase ``spec`` names."""
+    phase = spec.rsplit(":", 1)[1].split("-")[0]
+    assert [(e.payload["applied"], e.payload["phase"])
+            for e in _worker_fault_events(recorder)] == [(True, phase)]
+    assert {e.payload["phase"] for e in _recovery_events(recorder)
+            if "phase" in e.payload} == {phase}
+
+
 class TestChaosDifferential:
     """The acceptance matrix: crash each phase, stay bit-identical."""
 
@@ -90,14 +102,29 @@ class TestChaosDifferential:
         outcome = _run(app, spec=spec, backend="parallel", workers=4,
                        recorder=recorder)
         assert not (_shm_segments() - before)
-        applied = [e.payload["applied"] for e in
-                   _worker_fault_events(recorder)]
-        assert applied == [True]  # the seeded fault really fired
+        _assert_fired(recorder, spec)  # the seeded fault really fired
         assert outcome.result.degraded is False
         actions = [e.payload["action"] for e in _recovery_events(recorder)]
         assert actions == ["detected", "respawned", "recovered",
                            "redispatch"]
         assert np.array_equal(outcome.result.values, reference)
+
+    def test_crash_in_the_push_of_a_pull_superstep(self):
+        # Iteration 4 is a pull superstep whose touched set and stand-in
+        # candidates come from the frontier's push: a crash there must
+        # heal before the pull reads the pushed candidates.
+        spec = "worker-crash@4:push-1"
+        reference = _run("SSSP").result
+        recorder = TraceRecorder()
+        outcome = _run("SSSP", spec=spec, backend="parallel", workers=4,
+                       recorder=recorder)
+        assert reference.metrics.records[3].mode == "pull"
+        _assert_fired(recorder, spec)
+        assert outcome.result.degraded is False
+        assert outcome.result.values.tobytes() == reference.values.tobytes()
+        assert [r.edge_ops for r in outcome.result.metrics.records] == [
+            r.edge_ops for r in reference.metrics.records
+        ]
 
     @pytest.mark.parametrize("engine", ["SLFE", "SLFE-noRR"])
     def test_crash_with_rr_on_and_off(self, engine):
@@ -109,8 +136,7 @@ class TestChaosDifferential:
         outcome = _run("SSSP", engine=engine, spec="worker-crash@1:push-0",
                        backend="parallel", workers=2, recorder=recorder)
         assert not (_shm_segments() - before)
-        assert [e.payload["applied"]
-                for e in _worker_fault_events(recorder)] == [True]
+        _assert_fired(recorder, "worker-crash@1:push-0")
         assert outcome.result.degraded is False
         assert np.array_equal(outcome.result.values, reference)
 
@@ -123,8 +149,7 @@ class TestChaosDifferential:
                            backend="parallel", workers=2,
                            recorder=recorder)
         assert not (_shm_segments() - before)
-        assert [e.payload["applied"]
-                for e in _worker_fault_events(recorder)] == [True]
+        _assert_fired(recorder, "worker-hang@1:push-0")
         detected = [e for e in _recovery_events(recorder)
                     if e.payload["action"] == "detected"]
         assert [d.payload["reason"] for d in detected] == ["timeout"]
@@ -140,6 +165,7 @@ class TestChaosDifferential:
                            backend="parallel", workers=2,
                            recorder=recorder)
         assert not (_shm_segments() - before)
+        _assert_fired(recorder, "worker-crash@1:push-0")
         assert outcome.result.degraded is True
         actions = [e.payload["action"] for e in _recovery_events(recorder)]
         assert actions == ["detected", "degraded"]
@@ -168,6 +194,7 @@ class TestRegistryReconciliation:
         recorder = TraceRecorder()
         _run("SSSP", spec="worker-crash@3:pull-1", backend="parallel",
              workers=4, recorder=recorder)
+        _assert_fired(recorder, "worker-crash@3:pull-1")
         events = _recovery_events(recorder)
         assert events  # recovery did happen
         registry = registry_from_trace(recorder)
@@ -208,6 +235,7 @@ class TestRegistryReconciliation:
         with configured(max_respawns=0):
             _run("SSSP", spec="worker-crash@1:push-0", backend="parallel",
                  workers=2, recorder=recorder)
+        _assert_fired(recorder, "worker-crash@1:push-0")
         registry = registry_from_trace(recorder)
         family = registry.get("repro_parallel_recovery_degraded_runs")
         assert family is not None
