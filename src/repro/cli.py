@@ -897,9 +897,7 @@ def _shard_workload(app_name: str, graph_key: str, scale: int,
     )
     if not workloads.app_is_arithmetic(app_name):
         graph = workloads.make_app(app_name).prepare(graph)
-    spec_key = "%s/scale%d/%s" % (graph_key, scale, app_name)
-    digest = spill_graph(graph, store, shard_mb=shard_mb,
-                         spec_key=spec_key)
+    digest = spill_graph(graph, store, shard_mb=shard_mb)
     manifest, _ = store.get_shard_manifest(digest, "in")
     return digest, graph, len(manifest["shards"])
 

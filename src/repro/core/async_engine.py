@@ -1,6 +1,6 @@
 """Asynchronous delta-accumulative execution (Maiter-style).
 
-:class:`AsyncPolicy` replaces the BSP superstep clock with *rounds*
+:class:`AsyncEngine` replaces the BSP superstep clock with *rounds*
 over a :class:`~repro.core.frontier.PendingSet`: each round schedules a
 batch of vertices with pending work, applies/propagates their deltas,
 and activates the destinations the deltas reached.  No barrier ever
@@ -11,10 +11,10 @@ Computing with Updated Neighbor States": BSP recomputes every vertex
 from whole-superstep-old inputs, async only moves the information that
 actually changed.
 
-Two application families run under the policy:
+Two application families run asynchronously:
 
 * **min/max relaxation** (SSSP, CC, WP, ...) is natively accumulative:
-  the policy schedules changed vertices, relaxes their out-edges
+  the engine schedules changed vertices, relaxes their out-edges
   against the current values array, and re-activates improved
   destinations — chaotic relaxation, which reaches the unique monotone
   fixpoint in any scheduling order.
@@ -39,7 +39,7 @@ execution.  Three deterministic schedulers order the pending set:
   them early is redundant.  Ties break by pending magnitude, then id.
 
 **Termination** has no barrier to hang a convergence test on, so the
-policy uses a global signal: arithmetic runs stop when the total
+engine uses a global signal: arithmetic runs stop when the total
 pending delta mass falls under the tolerance; min/max runs stop when
 the pending set drains.  A :class:`~repro.core.state.ProgressMonitor`
 enforces the progress-monotone property (every window of rounds must
@@ -53,19 +53,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.base import ArithmeticApplication, MinMaxApplication
 from repro.cluster.metrics import ASYNC
 from repro.core.accounting import segmented_improvements
 from repro.core.engine import RunResult, SLFEEngine
 from repro.core.frontier import PendingSet
-from repro.core.policy import ExecutionPolicy
-from repro.core.rrg import RRGuidance
+from repro.core.rrg import default_roots
 from repro.core.state import ProgressMonitor
 from repro.errors import ConvergenceError, EngineError
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
 
-__all__ = ["AsyncEngine", "AsyncPolicy", "SCHEDULERS"]
+__all__ = ["AsyncEngine", "SCHEDULERS"]
 
 #: The deterministic scheduling disciplines the async engine offers.
 SCHEDULERS = ("fifo", "delta", "lastiter")
@@ -75,8 +73,14 @@ SCHEDULERS = ("fifo", "delta", "lastiter")
 ROUND_CAP_FACTOR = 50
 
 
-class AsyncPolicy(ExecutionPolicy):
+class AsyncEngine(SLFEEngine):
     """Delta-accumulative rounds over a pending-vertex priority queue.
+
+    Serial-only: the pending set mutates on every round, so there is no
+    phase boundary at which worker processes could share it coherently
+    (the parallel pool's shared-memory protocol is superstep-shaped).
+    An explicit ``backend="parallel"`` is rejected; the configured
+    backend is deliberately ignored rather than inherited.
 
     Parameters
     ----------
@@ -94,15 +98,23 @@ class AsyncPolicy(ExecutionPolicy):
         :class:`~repro.core.state.ProgressMonitor` declares a stall.
     """
 
-    name = "async"
+    name = "Async"
 
     def __init__(
         self,
+        graph: Graph,
+        config=None,
         scheduler: str = "delta",
         batch_fraction: float = 0.25,
         min_batch: int = 64,
         progress_window: int = 200,
+        **kwargs,
     ) -> None:
+        if kwargs.get("backend") not in (None, "serial"):
+            raise EngineError(
+                "the async engine is serial-only (got backend %r)"
+                % kwargs["backend"]
+            )
         if scheduler not in SCHEDULERS:
             raise EngineError(
                 "unknown async scheduler %r (choose from %s)"
@@ -112,6 +124,9 @@ class AsyncPolicy(ExecutionPolicy):
             raise EngineError("batch_fraction must be in (0, 1]")
         if min_batch < 1:
             raise EngineError("min_batch must be >= 1")
+        kwargs["backend"] = "serial"
+        kwargs.setdefault("num_workers", 1)
+        super().__init__(graph, config, **kwargs)
         self.scheduler = scheduler
         self.batch_fraction = batch_fraction
         self.min_batch = min_batch
@@ -120,45 +135,41 @@ class AsyncPolicy(ExecutionPolicy):
     # ------------------------------------------------------------------
     # shared round plumbing
     # ------------------------------------------------------------------
-    def _reject_faults(self, engine) -> None:
-        if engine.fault_plan:
-            raise EngineError(
-                "the async engine has no superstep clock to anchor fault "
-                "injection or checkpoints on — run fault experiments on "
-                "the BSP engines"
-            )
+    def _async_roots(self, app, roots: np.ndarray) -> Optional[np.ndarray]:
+        """Reject what async cannot run; the guidance roots it takes.
 
-    def _guidance(
-        self,
-        engine,
-        run_graph: Graph,
-        roots: np.ndarray,
-        provided: Optional[RRGuidance],
-        metrics,
-    ) -> Optional[RRGuidance]:
-        """Guidance for the ``lastiter`` scheduler (None otherwise).
-
-        Async rounds never skip vertices by guidance (there is no Ruler
-        to compare against), so generating guidance would be pure
+        Only the ``lastiter`` scheduler takes guidance (None otherwise):
+        async rounds never skip vertices by guidance (there is no Ruler
+        to compare against), so generating it would be pure
         preprocessing waste for the other schedulers.
         """
-        rec = engine.recorder
+        if not getattr(app, "accumulative", False):
+            raise EngineError(
+                "application %r does not declare accumulative semantics "
+                "(plus delta_seed/delta_edge_contributions for a sum); the "
+                "async engine cannot run it — use the BSP engines" % app.name
+            )
+        # Each of these is anchored on the BSP superstep clock; ignoring
+        # one would hand back a result that silently lacks it.
+        for option, given in (
+            ("fault injection", self.fault_plan),
+            ("checkpoints (checkpoint_every)", self.checkpoint_every > 0),
+            ("a rebalancer", self.rebalancer is not None),
+            ("per-vertex op records", self.record_per_vertex_ops),
+        ):
+            if given:
+                raise EngineError(
+                    "the async engine has no superstep clock to anchor %s "
+                    "on — run it on the BSP engines" % option
+                )
         if self.scheduler != "lastiter":
-            if rec.enabled:
-                rec.emit(trace_events.PREPROCESSING, edge_ops=0)
             return None
-        if not engine.enable_rr:
+        if not self.enable_rr:
             raise EngineError(
                 "the lastiter scheduler orders vertices by RR guidance — "
                 "construct the async engine with enable_rr=True"
             )
-        guidance = engine._guidance_for(run_graph, roots, provided)
-        metrics.preprocessing_ops = guidance.edge_ops
-        if rec.enabled:
-            rec.emit(
-                trace_events.PREPROCESSING, edge_ops=int(guidance.edge_ops)
-            )
-        return guidance
+        return roots
 
     def _schedule(
         self, pending: PendingSet, last_iter: Optional[np.ndarray]
@@ -201,198 +212,138 @@ class AsyncPolicy(ExecutionPolicy):
             return np.sort(ids[np.concatenate([lead, rest])])
         return np.sort(ids[order[:batch]])
 
-    def _emit_round(
-        self,
-        rec,
-        round_index: int,
-        scheduled: int,
-        skipped: int,
-        updates: int,
-        mass: float,
-    ) -> None:
-        if rec.enabled:
-            rec.emit(
-                trace_events.ASYNC_ROUND,
-                round=int(round_index),
-                scheduled=int(scheduled),
-                skipped=int(skipped),
-                updates=int(updates),
-                delta_mass=float(mass),
-                scheduler=self.scheduler,
-            )
-
-    # ------------------------------------------------------------------
-    # min/max relaxation (chaotic relaxation over the pending set)
-    # ------------------------------------------------------------------
-    def run_minmax(
-        self,
-        engine,
-        app: MinMaxApplication,
-        run_graph: Graph,
-        dispatch,
-        root: Optional[int],
-        max_iterations: Optional[int],
-        guidance: Optional[RRGuidance],
+    def _rounds(
+        self, app, run_graph, dispatch, opened, pending, relax, mass,
+        tolerance, cap, stall, updates_progress,
     ) -> RunResult:
-        if not getattr(app, "accumulative", False):
-            raise EngineError(
-                "application %r does not declare accumulative semantics; "
-                "the async engine cannot run it" % app.name
-            )
-        self._reject_faults(engine)
-        n = run_graph.num_vertices
-        rec = engine.recorder
-        cluster = engine._make_cluster(run_graph)
-        metrics = cluster.new_metrics()
-        guidance = self._guidance(
-            engine,
-            run_graph,
-            app.guidance_roots(run_graph, root),
-            guidance,
-            metrics,
-        )
+        """The round loop both families share.
+
+        Rounds run while the pending ``mass()`` exceeds ``tolerance``:
+        each schedules a batch, drains its deltas into ``relax(scheduled,
+        deltas)`` — which returns the vertices whose values moved — and
+        syncs them.  ``updates_progress`` says whether an update counts
+        as progress for the :class:`ProgressMonitor`.
+        """
+        cluster, metrics, guidance = opened
+        rec = self.recorder
         last_iter = guidance.last_iter if guidance is not None else None
-
-        values = dispatch.values
-        values[...] = app.initial_values(run_graph, root).astype(np.float64)
-        pending = PendingSet(n, kind="priority")
-        seeds = np.asarray(
-            app.initial_frontier(run_graph, root), dtype=np.int64
-        )
-        # Seeds outrank everything a round can produce: they are the
-        # only vertices whose information exists nowhere else yet.
-        pending.accumulate(seeds, np.full(seeds.size, np.inf))
-        owner = cluster.owner
         monitor = ProgressMonitor(self.progress_window)
-        cap = (
-            max_iterations
-            or engine._default_iteration_cap(run_graph) * ROUND_CAP_FACTOR
-        )
         rounds = 0
-
-        while pending:
+        current = mass()
+        while pending and current > tolerance:
             rounds += 1
             if rounds > cap:
                 raise ConvergenceError(
-                    "%s did not settle within %d async rounds"
-                    % (app.name, cap)
-                )
-            dispatch.begin_superstep(rounds)
-            scheduled = self._schedule(pending, last_iter)
-            deferred = pending.count - scheduled.size
-            pending.take(scheduled)
-            metrics.begin_iteration(ASYNC)
-            changed = np.empty(0, dtype=np.int64)
-            with rec.phase("scatter"):
-                dsts, candidates, out_counts, stats = dispatch.push(
-                    scheduled
-                )
-                engine._emit_dispatch(dispatch, stats, "push")
-                if dsts.size:
-                    metrics.add_edge_ops(
-                        np.bincount(
-                            owner[scheduled],
-                            weights=out_counts,
-                            minlength=cluster.num_nodes,
-                        ).astype(np.int64)
-                    )
-            if dsts.size:
-                _, changed, new_values = segmented_improvements(
-                    dsts, candidates, values, app.aggregation
-                )
-                with rec.phase("apply"):
-                    if changed.size:
-                        # Priority of a fresh improvement = how far the
-                        # value moved (first touches move from the
-                        # identity: infinite priority).
-                        magnitude = np.abs(values[changed] - new_values)
-                        values[changed] = new_values
-                        pending.accumulate(changed, magnitude)
-            with rec.phase("sync"):
-                msg_count, msg_bytes = cluster.messages_for_changed(changed)
-                metrics.add_messages(msg_count, msg_bytes)
-            metrics.add_updates(changed.size)
-            metrics.set_frontier(active=scheduled.size, skipped=deferred)
-            mass = float(pending.count)
-            self._emit_round(
-                rec, rounds, scheduled.size, deferred, changed.size, mass
-            )
-            metrics.end_iteration()
-            monitor.observe(mass, changed.size)
-
-        return RunResult(
-            values=dispatch.detach_values(),
-            metrics=metrics,
-            iterations=rounds,
-            graph=run_graph,
-            guidance=guidance,
-            converged=True,
-            degraded=dispatch.degraded,
-        )
-
-    # ------------------------------------------------------------------
-    # accumulative arithmetic (Maiter delta propagation)
-    # ------------------------------------------------------------------
-    def run_arithmetic(
-        self,
-        engine,
-        app: ArithmeticApplication,
-        run_graph: Graph,
-        dispatch,
-        max_iterations: Optional[int],
-        tolerance: Optional[float],
-        guidance: Optional[RRGuidance],
-    ) -> RunResult:
-        if not getattr(app, "accumulative", False):
-            raise EngineError(
-                "application %r does not declare accumulative semantics "
-                "(delta_seed/delta_edge_contributions); the async engine "
-                "cannot run it — use the BSP engines" % app.name
-            )
-        self._reject_faults(engine)
-        n = run_graph.num_vertices
-        rec = engine.recorder
-        cluster = engine._make_cluster(run_graph)
-        metrics = cluster.new_metrics()
-        from repro.core.engine import _arith_guidance_roots
-
-        guidance = self._guidance(
-            engine, run_graph, _arith_guidance_roots(run_graph), guidance,
-            metrics,
-        )
-        last_iter = guidance.last_iter if guidance is not None else None
-
-        values = dispatch.values
-        values0, deltas0 = app.delta_seed(run_graph)
-        values[...] = np.asarray(values0, dtype=np.float64)
-        deltas0 = np.asarray(deltas0, dtype=np.float64)
-        pending = PendingSet(n, kind="sum")
-        seeds = np.nonzero(deltas0 != 0.0)[0]
-        pending.accumulate(seeds, deltas0[seeds])
-
-        tolerance = app.default_tolerance if tolerance is None else tolerance
-        cap = (
-            max_iterations or app.default_max_iterations
-        ) * ROUND_CAP_FACTOR
-        out_csr = run_graph.out_csr
-        out_deg = out_csr.degrees()
-        owner = cluster.owner
-        applied = np.zeros(n, dtype=np.float64)
-        monitor = ProgressMonitor(self.progress_window)
-        rounds = 0
-
-        while pending and pending.mass() > tolerance:
-            rounds += 1
-            if rounds > cap:
-                raise ConvergenceError(
-                    "%s pending delta mass did not fall under %g within "
-                    "%d async rounds" % (app.name, tolerance, cap)
+                    "%s %s within %d async rounds" % (app.name, stall, cap)
                 )
             dispatch.begin_superstep(rounds)
             scheduled = self._schedule(pending, last_iter)
             deferred = pending.count - scheduled.size
             deltas = pending.take(scheduled)
             metrics.begin_iteration(ASYNC)
+            changed = relax(scheduled, deltas)
+            with rec.phase("sync"):
+                msg_count, msg_bytes = cluster.messages_for_changed(changed)
+                metrics.add_messages(msg_count, msg_bytes)
+            metrics.add_updates(changed.size)
+            metrics.set_frontier(active=scheduled.size, skipped=deferred)
+            current = mass()
+            if rec.enabled:
+                rec.emit(
+                    trace_events.ASYNC_ROUND,
+                    round=int(rounds),
+                    scheduled=int(scheduled.size),
+                    skipped=int(deferred),
+                    updates=int(changed.size),
+                    delta_mass=float(current),
+                    scheduler=self.scheduler,
+                )
+            metrics.end_iteration()
+            monitor.observe(current, changed.size if updates_progress else 0)
+        return self._result(dispatch, metrics, rounds, run_graph, guidance)
+
+    # ------------------------------------------------------------------
+    # min/max relaxation (chaotic relaxation over the pending set)
+    # ------------------------------------------------------------------
+    def _run_minmax(
+        self, app, run_graph, dispatch, root, max_iterations, guidance
+    ) -> RunResult:
+        roots = self._async_roots(app, app.guidance_roots(run_graph, root))
+        opened = self._open_run(
+            run_graph, dispatch, roots, guidance,
+            app.initial_values(run_graph, root),
+        )
+        cluster, metrics, _ = opened
+        rec = self.recorder
+        values = dispatch.values
+        pending = PendingSet(run_graph.num_vertices, kind="priority")
+        seeds = np.asarray(
+            app.initial_frontier(run_graph, root), dtype=np.int64
+        )
+        # Seeds outrank everything a round can produce: they are the
+        # only vertices whose information exists nowhere else yet.
+        pending.accumulate(seeds, np.full(seeds.size, np.inf))
+
+        def relax(scheduled, _deltas):
+            with rec.phase("scatter"):
+                dsts, candidates, out_counts, stats = dispatch.push(
+                    scheduled
+                )
+                self._emit_dispatch(dispatch, stats, "push")
+                if not dsts.size:
+                    return np.empty(0, dtype=np.int64)
+                metrics.add_edge_ops(
+                    np.bincount(
+                        cluster.owner[scheduled],
+                        weights=out_counts,
+                        minlength=cluster.num_nodes,
+                    ).astype(np.int64)
+                )
+            _, changed, new_values = segmented_improvements(
+                dsts, candidates, values, app.aggregation
+            )
+            with rec.phase("apply"):
+                if changed.size:
+                    # Priority of a fresh improvement = how far the
+                    # value moved (first touches move from the
+                    # identity: infinite priority).
+                    magnitude = np.abs(values[changed] - new_values)
+                    values[changed] = new_values
+                    pending.accumulate(changed, magnitude)
+            return changed
+
+        return self._rounds(
+            app, run_graph, dispatch, opened, pending, relax,
+            lambda: float(pending.count), 0.0,
+            max_iterations
+            or self._default_iteration_cap(run_graph) * ROUND_CAP_FACTOR,
+            "did not settle", True,
+        )
+
+    # ------------------------------------------------------------------
+    # accumulative arithmetic (Maiter delta propagation)
+    # ------------------------------------------------------------------
+    def _run_arithmetic(
+        self, app, run_graph, dispatch, max_iterations, tolerance, guidance
+    ) -> RunResult:
+        roots = self._async_roots(app, default_roots(run_graph))
+        values0, deltas0 = app.delta_seed(run_graph)
+        opened = self._open_run(run_graph, dispatch, roots, guidance, values0)
+        cluster, metrics, _ = opened
+        values = dispatch.values
+        deltas0 = np.asarray(deltas0, dtype=np.float64)
+        pending = PendingSet(run_graph.num_vertices, kind="sum")
+        seeds = np.nonzero(deltas0 != 0.0)[0]
+        pending.accumulate(seeds, deltas0[seeds])
+
+        tolerance = app.default_tolerance if tolerance is None else tolerance
+        rec = self.recorder
+        out_csr = run_graph.out_csr
+        out_deg = out_csr.degrees()
+        owner = cluster.owner
+        applied = np.zeros(run_graph.num_vertices, dtype=np.float64)
+
+        def relax(scheduled, deltas):
             changed = scheduled[deltas != 0.0]
             with rec.phase("apply"):
                 values[scheduled] += deltas
@@ -423,70 +374,14 @@ class AsyncPolicy(ExecutionPolicy):
                             minlength=cluster.num_nodes,
                         ).astype(np.int64)
                     )
-            with rec.phase("sync"):
-                msg_count, msg_bytes = cluster.messages_for_changed(changed)
-                metrics.add_messages(msg_count, msg_bytes)
-            metrics.add_updates(changed.size)
-            metrics.set_frontier(active=scheduled.size, skipped=deferred)
-            mass = pending.mass()
-            self._emit_round(
-                rec, rounds, scheduled.size, deferred, changed.size, mass
-            )
-            metrics.end_iteration()
-            # Updates deliberately not counted as progress here: an
-            # arithmetic round always applies deltas, so only shrinking
-            # mass demonstrates convergence.
-            monitor.observe(mass)
+            return changed
 
-        return RunResult(
-            values=dispatch.detach_values(),
-            metrics=metrics,
-            iterations=rounds,
-            graph=run_graph,
-            guidance=guidance,
-            converged=True,
-            degraded=dispatch.degraded,
+        # Updates deliberately not counted as progress here: an
+        # arithmetic round always applies deltas, so only shrinking mass
+        # demonstrates convergence.
+        return self._rounds(
+            app, run_graph, dispatch, opened, pending, relax, pending.mass,
+            tolerance,
+            (max_iterations or app.default_max_iterations) * ROUND_CAP_FACTOR,
+            "pending delta mass did not fall under %g" % tolerance, False,
         )
-
-
-class AsyncEngine(SLFEEngine):
-    """The async personality: :class:`SLFEEngine` under an
-    :class:`AsyncPolicy`.
-
-    Serial-only: the pending set mutates on every round, so there is no
-    phase boundary at which worker processes could share it coherently
-    (the parallel pool's shared-memory protocol is superstep-shaped).
-    An explicit ``backend="parallel"`` is rejected; the configured
-    backend is deliberately ignored rather than inherited.
-    """
-
-    name = "Async"
-
-    def __init__(
-        self,
-        graph: Graph,
-        config=None,
-        scheduler: str = "delta",
-        batch_fraction: float = 0.25,
-        min_batch: int = 64,
-        progress_window: int = 200,
-        **kwargs,
-    ) -> None:
-        if kwargs.get("backend") not in (None, "serial"):
-            raise EngineError(
-                "the async engine is serial-only (got backend %r)"
-                % kwargs["backend"]
-            )
-        kwargs["backend"] = "serial"
-        kwargs.setdefault("num_workers", 1)
-        kwargs["policy"] = AsyncPolicy(
-            scheduler=scheduler,
-            batch_fraction=batch_fraction,
-            min_batch=min_batch,
-            progress_window=progress_window,
-        )
-        super().__init__(graph, config, **kwargs)
-
-    @property
-    def scheduler(self) -> str:
-        return self.policy.scheduler

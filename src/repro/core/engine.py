@@ -21,6 +21,9 @@ cluster with the paper's two redundancy-reduction principles:
   iterations is early-converged (EC) and drops out of computation and
   communication.
 
+Both run under one superstep driver (:meth:`SLFEEngine._drive`); each
+family is a step object, :class:`_StartLate` or :class:`_FinishEarly`.
+
 Constructing the engine with ``enable_rr=False`` yields the plain
 dense/sparse active-list engine — pull processes every vertex, push the
 frontier — which is how the Gemini baseline is built.
@@ -51,11 +54,11 @@ from repro.core.frontier import (
     Frontier,
     choose_mode,
 )
-from repro.core.policy import ExecutionPolicy, resolve_policy
 from repro.core.rrg import (
     RRGuidance,
     bucket_by_last_iter,
     bucket_labels,
+    default_roots,
     generate_guidance,
     validate_guidance,
 )
@@ -156,11 +159,6 @@ class SLFEEngine:
     num_workers:
         Worker processes for the parallel backend (ignored by serial).
         Defaults to the configured count.
-    policy:
-        The :class:`repro.core.policy.ExecutionPolicy` deciding the
-        run's iteration structure.  Defaults to
-        :class:`~repro.core.policy.BSPPolicy` (barrier-synchronous
-        supersteps — bit-identical to the pre-policy engine).
     """
 
     #: system name used in benchmark reports
@@ -182,7 +180,6 @@ class SLFEEngine:
         checkpoint_every: Optional[int] = None,
         backend: Optional[str] = None,
         num_workers: Optional[int] = None,
-        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self.graph = graph
         self.config = config or ClusterConfig(num_nodes=1)
@@ -205,7 +202,6 @@ class SLFEEngine:
         self.checkpoint_every = resolve("checkpoint_every", checkpoint_every)
         self.backend = resolve("backend", backend)
         self.num_workers = resolve("num_workers", num_workers)
-        self.policy = resolve_policy(policy)
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -252,57 +248,39 @@ class SLFEEngine:
         # cannot legitimately need more than V + O(1) supersteps.
         return run_graph.num_vertices + 100
 
-    def _fault_setup(
-        self, cluster: SimulatedCluster, metrics: MetricsCollector
-    ) -> Tuple[Optional[FaultInjector], Optional[CheckpointStore]]:
-        """Per-run fault-tolerance state (None/None when not configured).
+    def _handle_crash(self, crash, step, store, completed: int) -> int:
+        """Roll ``step`` back to the last checkpoint after a crash in
+        the superstep following ``completed``; returns the restored
+        superstep counter.
 
-        A non-empty fault plan always gets a checkpoint store — even with
-        ``checkpoint_every == 0`` a crash needs the superstep-0 snapshot
-        as its rollback floor.
+        Restores the step's arrays (checksum-verified), moves the dead
+        node's vertices to the survivors, and records the takeover
+        traffic, the replayed supersteps and the recovery trace events
+        — including ``guidance_reused``, the SLFE-specific claim that
+        restart needs no new preprocessing.  Ownership is deliberately
+        *not* restored: the post-takeover assignment is the cluster's
+        new reality (it only moves where work and messages are
+        accounted, never what values compute to, so replayed supersteps
+        still reproduce the fault-free results bit for bit).
         """
-        injector = (
-            FaultInjector(self.fault_plan, cluster, metrics, self.recorder)
-            if self.fault_plan
-            else None
-        )
-        store = None
-        if injector is not None or self.checkpoint_every > 0:
-            store = CheckpointStore(
-                interval=self.checkpoint_every, recorder=self.recorder
-            )
-        return injector, store
-
-    def _handle_crash(
-        self,
-        crash,
-        cluster: SimulatedCluster,
-        metrics: MetricsCollector,
-        completed_superstep: int,
-        restore_superstep: int,
-    ) -> None:
-        """Takeover + rollback accounting shared by both run loops.
-
-        The caller has already restored computation state from the
-        checkpoint (the two loops snapshot different arrays); this
-        records the takeover traffic, the replayed supersteps, and the
-        recovery trace events — including ``guidance_reused``, the
-        SLFE-specific claim that restart needs no new preprocessing.
-        """
-        _, bytes_moved = cluster.fail_node(crash.node)
-        metrics.add_recovery(bytes_moved)
-        metrics.add_rollback(completed_superstep - restore_superstep)
+        checkpoint = store.restore()
+        step.restore(checkpoint.restore_arrays(), checkpoint.scalars)
+        restored = checkpoint.superstep
+        _, bytes_moved = step.cluster.fail_node(crash.node)
+        step.metrics.add_recovery(bytes_moved)
+        step.metrics.add_rollback(completed - restored)
+        step.owner_moved()
         if self.recorder.enabled:
             self.recorder.emit(
                 trace_events.ROLLBACK,
-                from_superstep=completed_superstep,
-                to_superstep=restore_superstep,
+                from_superstep=completed,
+                to_superstep=restored,
             )
             if self.enable_rr:
                 self.recorder.emit(
-                    trace_events.GUIDANCE_REUSED,
-                    superstep=restore_superstep,
+                    trace_events.GUIDANCE_REUSED, superstep=restored
                 )
+        return checkpoint.scalars["iteration"]
 
     def _make_dispatch(self, run_graph: Graph, app):
         """The phase-dispatch object both run loops drive.
@@ -403,6 +381,147 @@ class SLFEEngine:
                 control_bytes=int(info["control_bytes"]),
             )
 
+    def _open_run(
+        self,
+        run_graph: Graph,
+        dispatch,
+        roots: Optional[np.ndarray],
+        guidance: Optional[RRGuidance],
+        initial: np.ndarray,
+    ) -> Tuple[SimulatedCluster, MetricsCollector, Optional[RRGuidance]]:
+        """Cluster, metrics and guidance for one run; seeds the values.
+
+        ``roots`` None means the run takes no guidance at all (the async
+        schedulers that never consult it).
+        """
+        rec = self.recorder
+        cluster = self._make_cluster(run_graph)
+        metrics = cluster.new_metrics()
+        if roots is not None:
+            guidance = self._guidance_for(run_graph, roots, guidance)
+            if guidance is not None:
+                metrics.preprocessing_ops = guidance.edge_ops
+        else:
+            guidance = None
+        if rec.enabled:
+            # Emitted even without guidance (edge_ops=0) so engines with
+            # RR off share the exact event vocabulary of SLFE.
+            rec.emit(
+                trace_events.PREPROCESSING,
+                edge_ops=int(guidance.edge_ops) if guidance is not None else 0,
+            )
+        # The vertex values live in the dispatch's scratch array for the
+        # whole run (shared memory on the parallel backend, so workers
+        # never need a values copy per superstep); the engine mutates it
+        # strictly in place and detaches a caller-owned copy at the end.
+        dispatch.values[...] = initial
+        return cluster, metrics, guidance
+
+    @staticmethod
+    def _result(
+        dispatch, metrics, iterations, run_graph, guidance, converged=True,
+        per_vertex_ops=None,
+    ) -> RunResult:
+        return RunResult(
+            values=dispatch.detach_values(), metrics=metrics,
+            iterations=iterations, graph=run_graph, guidance=guidance,
+            converged=converged, per_vertex_ops=per_vertex_ops,
+            degraded=dispatch.degraded,
+        )
+
+    def _drive(self, step) -> RunResult:
+        """Algorithm 2's superstep loop, for either kind of Ruler.
+
+        The driver owns what both families share: the superstep clock,
+        crash rollback, stragglers, sync and message loss, migration,
+        the checkpoints and the result.  ``step`` — a
+        :class:`_StartLate` or a :class:`_FinishEarly` — owns its
+        computation state and the superstep itself.
+        """
+        rec = self.recorder
+        rebalancer = self.rebalancer
+        dispatch, cluster, metrics = step.dispatch, step.cluster, step.metrics
+        # A non-empty fault plan always gets a checkpoint store — even
+        # with ``checkpoint_every == 0`` a crash needs the superstep-0
+        # snapshot as its rollback floor.
+        injector = store = None
+        if self.fault_plan:
+            injector = FaultInjector(self.fault_plan, cluster, metrics, rec)
+        if injector is not None or self.checkpoint_every > 0:
+            store = CheckpointStore(
+                interval=self.checkpoint_every, recorder=rec
+            )
+        per_vertex_ops = [] if self.record_per_vertex_ops else None
+        owner = cluster.owner
+        more, choose, run_step, commit = (
+            step.more, step.mode, step.step, step.commit
+        )
+        iteration = 0
+
+        def _snapshot() -> None:
+            arrays, scalars = step.state()
+            arrays["owner"] = owner
+            scalars["iteration"] = iteration
+            checkpoint = store.take(iteration, arrays, scalars=scalars)
+            metrics.add_checkpoint(checkpoint.nbytes)
+
+        if store is not None:
+            _snapshot()  # superstep-0 floor every rollback can reach
+
+        while more(iteration):
+            iteration += 1
+            dispatch.begin_superstep(iteration)
+            if injector is not None:
+                crash = injector.crash_at(iteration)
+                if crash is not None:
+                    iteration = self._handle_crash(
+                        crash, step, store, iteration - 1
+                    )
+                    continue
+            mode = choose()
+            if mode is None:
+                break  # every vertex is early-converged
+            metrics.begin_iteration(mode)
+            if injector is not None:
+                slowdown = injector.slowdown_at(iteration)
+                if slowdown is not None:
+                    metrics.set_node_slowdown(slowdown)
+            changed, updates, (ids, ops), active, skipped = run_step(
+                iteration, mode
+            )
+            if per_vertex_ops is not None:
+                per_vertex_ops.append((ids, ops.astype(np.int64)))
+            with rec.phase("sync"):
+                with rec.phase("coalesce"):
+                    msg_count, msg_bytes = cluster.messages_for_changed(
+                        changed
+                    )
+                metrics.add_messages(msg_count, msg_bytes)
+                if injector is not None:
+                    injector.apply_message_loss(iteration, changed)
+            metrics.add_updates(updates)
+            if rebalancer is not None:
+                dense_ops = np.zeros(step.n)
+                dense_ops[ids] = ops
+                rebalancer.observe(dense_ops)
+                if rebalancer.should_check(iteration):
+                    event = rebalancer.apply(cluster, iteration)
+                    if event is not None:
+                        metrics.add_messages(1, event.bytes_moved)
+                        step.owner_moved()
+            metrics.set_frontier(active=active, skipped=skipped)
+            metrics.end_iteration()
+            done = commit(changed)
+            if store is not None and store.due(iteration):
+                _snapshot()
+            if done:
+                break
+
+        return self._result(
+            dispatch, metrics, iteration, step.run_graph, step.guidance,
+            step.converged, per_vertex_ops,
+        )
+
     # ------------------------------------------------------------------
     # min/max aggregation (start late)
     # ------------------------------------------------------------------
@@ -417,378 +536,24 @@ class SLFEEngine:
         run_graph = app.prepare(self.graph)
         dispatch = self._make_dispatch(run_graph, app)
         try:
-            return self.policy.run_minmax(
-                self, app, run_graph, dispatch, root, max_iterations, guidance
+            return self._run_minmax(
+                app, run_graph, dispatch, root, max_iterations, guidance
             )
         finally:
             dispatch.close()
 
     def _run_minmax(
-        self,
-        app: MinMaxApplication,
-        run_graph: Graph,
-        dispatch,
-        root: Optional[int],
-        max_iterations: Optional[int],
-        guidance: Optional[RRGuidance],
+        self, app, run_graph, dispatch, root, max_iterations, guidance
     ) -> RunResult:
-        n = run_graph.num_vertices
-        rec = self.recorder
-        cluster = self._make_cluster(run_graph)
-        metrics = cluster.new_metrics()
-        guidance = self._guidance_for(
-            run_graph, app.guidance_roots(run_graph, root), guidance
+        opened = self._open_run(
+            run_graph, dispatch, app.guidance_roots(run_graph, root),
+            guidance, app.initial_values(run_graph, root),
         )
-        if guidance is not None:
-            metrics.preprocessing_ops = guidance.edge_ops
-        if rec.enabled:
-            # Emitted even without guidance (edge_ops=0) so engines with
-            # RR off share the exact event vocabulary of SLFE.
-            rec.emit(
-                trace_events.PREPROCESSING,
-                edge_ops=int(guidance.edge_ops) if guidance is not None else 0,
-            )
-        last_iter = guidance.last_iter if guidance is not None else None
-        max_last_iter = guidance.max_last_iter if guidance is not None else 0
-
-        # The vertex values live in the dispatch's scratch array for the
-        # whole run (shared memory on the parallel backend, so workers
-        # never need a values copy per superstep); the engine mutates it
-        # strictly in place and detaches a caller-owned copy at the end.
-        values = dispatch.values
-        values[...] = app.initial_values(run_graph, root).astype(np.float64)
-        frontier = Frontier(n, app.initial_frontier(run_graph, root))
-        # Per-vertex degrees come off the dispatch: on the out-of-core
-        # backend they are derived from the resident indptr arrays and
-        # the engine never touches an edge array directly.
-        in_deg = dispatch.in_degrees
-        out_deg = dispatch.out_degrees
-        num_edges = run_graph.num_edges
-        owner = cluster.owner
-        has_in = in_deg > 0
-        # "Start late" bookkeeping: a delayed destination performs one
-        # catch-up full gather when the Ruler reaches its level
-        # (collecting from *all* sources, the paper's correctness rule);
-        # before that it is not processed at all.  Without RR everything
-        # is started from the beginning.
-        if last_iter is not None:
-            started = ~has_in | (last_iter <= 0)
-            # A delayed destination only owes a catch-up gather if an
-            # update actually passed it by while it was skipped; pushes
-            # write delayed destinations directly and leave no debt.
-            missed = np.zeros(n, dtype=bool)
-        else:
-            started = np.ones(n, dtype=bool)
-            missed = None
-        # Counts of the two masks, moved where the masks move (pull
-        # supersteps, a full push, a rollback) so that no superstep
-        # scans |V| to learn them.  ``debt`` is the number of skipped
-        # destinations owing a catch-up pull: |missed & ~started|, and
-        # ``missed`` only ever holds unstarted vertices.
-        debt = 0
-        pending = n - int(np.count_nonzero(started))
-
-        cap = max_iterations or self._default_iteration_cap(run_graph)
-        per_vertex_ops: Optional[List] = (
-            [] if self.record_per_vertex_ops else None
-        )
-        last_mode = None
-        entered_pull = False
-        iteration = 0
-        injector, store = self._fault_setup(cluster, metrics)
-
-        def _snapshot() -> None:
-            arrays = {
-                "values": values,
-                "frontier": frontier.mask,
-                "started": started,
-                "owner": owner,
-            }
-            if missed is not None:
-                arrays["missed"] = missed
-            checkpoint = store.take(
-                iteration,
-                arrays,
-                scalars={
-                    "iteration": iteration,
-                    "last_mode": last_mode,
-                    "entered_pull": entered_pull,
-                },
-            )
-            metrics.add_checkpoint(checkpoint.nbytes)
-
-        def _restore() -> int:
-            """Roll computation state back; returns the restored superstep.
-
-            Ownership is deliberately *not* restored: the post-takeover
-            assignment is the cluster's new reality (it only moves where
-            work and messages are accounted, never what values compute
-            to, so replayed supersteps still reproduce the fault-free
-            results bit for bit).
-            """
-            nonlocal iteration, last_mode, entered_pull, debt, pending
-            checkpoint = store.restore()
-            arrays = checkpoint.restore_arrays()
-            values[:] = arrays["values"]
-            frontier.replace_with(np.flatnonzero(arrays["frontier"]))
-            started[:] = arrays["started"]
-            pending = n - int(np.count_nonzero(started))
-            if missed is not None:
-                missed[:] = arrays["missed"]
-                debt = int(np.count_nonzero(missed))
-            iteration = checkpoint.scalars["iteration"]
-            last_mode = checkpoint.scalars["last_mode"]
-            entered_pull = checkpoint.scalars["entered_pull"]
-            return checkpoint.superstep
-
-        if store is not None:
-            _snapshot()  # superstep-0 floor every rollback can reach
-
-        # The loop runs until no vertex is active AND every delayed
-        # vertex that was passed by an update has had its catch-up pull.
-        while frontier or debt:
-            iteration += 1
-            if iteration > cap:
-                raise ConvergenceError(
-                    "%s did not settle within %d iterations" % (app.name, cap)
-                )
-            dispatch.begin_superstep(iteration)
-            if injector is not None:
-                crash = injector.crash_at(iteration)
-                if crash is not None:
-                    completed = iteration - 1
-                    restored = _restore()
-                    self._handle_crash(
-                        crash, cluster, metrics, completed, restored
-                    )
-                    continue
-            ruler = iteration
-            active_edges = frontier.out_edge_count(out_deg)
-            mode = choose_mode(active_edges, num_edges, self.dense_denominator)
-            if not frontier:
-                mode = PULL  # only delayed first pulls remain
-            if entered_pull and debt:
-                # RR-aware direction policy (the paper's Section 3.3
-                # phase structure: push kicks off execution, pull does
-                # the dense bulk, push finishes the tail).  The initial
-                # push phase eagerly seeds values everywhere — including
-                # delayed destinations, which push never skips — so the
-                # catch-up gathers later refine warm values instead of
-                # infinities.  Once dense, we stay in pull until every
-                # delayed destination has started: a pull-to-push
-                # transition before that would force Algorithm 3's
-                # all-vertex re-delivery (an O(E) push).
-                mode = PULL
-            if mode == PULL:
-                entered_pull = True
-            if mode == PUSH and last_mode == PULL and debt:
-                # Algorithm 3 lines 2-4: while any destination is still
-                # delayed, a switch to push must re-deliver every value
-                # once, or updates hidden from skipped pulls are lost.
-                # (Unreachable under the direction policy above; kept as
-                # the correctness guard the paper specifies.)
-                frontier.activate_all()
-
-            metrics.begin_iteration(mode)
-            if injector is not None:
-                slowdown = injector.slowdown_at(iteration)
-                if slowdown is not None:
-                    metrics.set_node_slowdown(slowdown)
-            update_count = 0
-
-            if mode == PULL:
-                # Dense mode processes the destinations the frontier
-                # touches; each processed destination runs the paper's
-                # pullFunc, recomputing over ALL of its in-edges.
-                # "Start late" adds two rules: a touched destination
-                # that is still delayed is skipped outright, and a
-                # destination crossing its guidance level performs one
-                # catch-up gather even if nothing is active (it must
-                # collect updates it slept through).  Below |E| / 2 the
-                # frontier's push finds the touched set, and its
-                # candidates may stand in for the pull.
-                pushed = None
-                if active_edges > _IDLE_SIDE * num_edges:
-                    touched = _touched(dispatch, frontier, has_in)
-                else:
-                    touched = np.zeros(n, dtype=bool)
-                    if frontier:
-                        pushed = dispatch.push(frontier.ids)
-                        self._emit_dispatch(dispatch, pushed[3], "push")
-                        touched[pushed[0]] = True
-                pulled = touched & started & has_in  # before ``newly``
-                catch_up_ids = np.empty(0, dtype=np.int64)
-                caught_up = 0
-                if last_iter is not None:
-                    newly = (~started) & (last_iter <= ruler) & has_in
-                    catch_ups = newly & (missed | touched)
-                    processed = pulled | catch_ups
-                    catch_up_ids = np.flatnonzero(catch_ups)
-                    caught_up = catch_up_ids.size
-                    started |= newly
-                    pending -= int(np.count_nonzero(newly))
-                    missed[newly] = False
-                    # Updates passing delayed destinations this superstep
-                    # are owed a catch-up gather at their start level.
-                    missed |= touched & ~started
-                    debt = int(np.count_nonzero(missed))
-                else:
-                    processed = pulled
-                proc_ids = np.nonzero(processed)[0]
-                step_ops = (proc_ids, in_deg[proc_ids].astype(np.int64))
-                with rec.phase("gather"):
-                    if proc_ids.size:
-                        # Fused pull+apply kernel: the dispatch computes
-                        # each destination's reduction AND its
-                        # improvement mask (identical to the old
-                        # full-array ``app.better`` — the identity never
-                        # beats an incumbent, so unprocessed entries
-                        # were always false).  Either side, the edge
-                        # ops are every processed in-edge (modeled).
-                        if pushed is not None and _frontier_is_cheaper(
-                            dispatch, pulled, pushed[0].size
-                        ):
-                            stats = _pull_from_frontier(
-                                app, dispatch, pushed, pulled, catch_up_ids
-                            )
-                        else:
-                            stats = dispatch.pull_apply(
-                                proc_ids, app.aggregation
-                            )
-                        if stats is not None:
-                            self._emit_dispatch(dispatch, stats, "pull")
-                        metrics.add_edge_ops(
-                            np.bincount(
-                                owner[proc_ids],
-                                weights=in_deg[proc_ids],
-                                minlength=cluster.num_nodes,
-                            ).astype(np.int64)
-                        )
-                if per_vertex_ops is not None:
-                    per_vertex_ops.append(step_ops)
-                with rec.phase("apply"):
-                    if proc_ids.size:
-                        changed = np.nonzero(dispatch.improved)[0]
-                        values[changed] = dispatch.result[changed]
-                    else:
-                        changed = np.empty(0, dtype=np.int64)
-                update_count = changed.size
-                # Redundancy actually avoided: touched but still delayed.
-                skipped = int(np.count_nonzero(touched & ~started & has_in))
-            else:  # PUSH
-                caught_up = 0
-                step_ops = (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-                # Push applies per edge (atomic CAS semantics), which is
-                # order-sensitive, so the parent keeps the reduce; the
-                # dispatch only expands candidates, at serial offsets.
-                with rec.phase("scatter"):
-                    dsts, candidates, out_counts, stats = dispatch.push(
-                        frontier.ids
-                    )
-                    self._emit_dispatch(dispatch, stats, "push")
-                    if dsts.size:
-                        metrics.add_edge_ops(
-                            np.bincount(
-                                owner[frontier.ids],
-                                weights=out_counts,
-                                minlength=cluster.num_nodes,
-                            ).astype(np.int64)
-                        )
-                        if per_vertex_ops is not None or self.rebalancer is not None:
-                            # frontier.ids is sorted and unique, so the
-                            # nonzero-out-degree filter reproduces
-                            # np.unique(srcs, return_counts=True) of the
-                            # expanded edge list exactly.
-                            keep = out_counts > 0
-                            step_ops = (
-                                frontier.ids[keep],
-                                out_counts[keep].astype(np.int64),
-                            )
-                    # One destination sort yields the exact min/max per
-                    # destination, the destinations it improves and the
-                    # per-edge CAS writes — Table 2's redundancy signal.
-                    update_count, changed, new_values = segmented_improvements(
-                        dsts, candidates, values, app.aggregation
-                    )
-                if per_vertex_ops is not None:
-                    per_vertex_ops.append(step_ops)
-                with rec.phase("apply"):
-                    values[changed] = new_values
-                skipped = 0
-                if frontier.count == n and missed is not None:
-                    # A full (transition) push delivered every value to
-                    # every successor: all catch-up debts are settled.
-                    missed[:] = False
-                    debt = 0
-
-            if rec.enabled:
-                # "Start late" visibility: both events are emitted every
-                # superstep (zero counts without RR) so all engines built
-                # on this loop share one event vocabulary.  The payload
-                # carries the observability layer's RR attribution: how
-                # many edge operations the skips avoided, bucketed by
-                # guidance depth, plus the Ruler's progression toward
-                # the deepest lastIter level.  All of it is derived from
-                # reads only — results are bit-identical with tracing
-                # off, and the work happens only on traced runs.
-                skip_payload = {
-                    "skipped": int(skipped),
-                    "debts": debt,
-                    "ruler": int(ruler),
-                    "max_last_iter": int(max_last_iter),
-                    "skipped_edge_ops": 0,
-                    "pending": pending,
-                }
-                if mode == PULL and skipped:
-                    skipped_ids = np.nonzero(touched & ~started & has_in)[0]
-                    skipped_ops = in_deg[skipped_ids].astype(np.int64)
-                    skip_payload["skipped_edge_ops"] = int(skipped_ops.sum())
-                    buckets = bucket_by_last_iter(
-                        last_iter[skipped_ids], weights=skipped_ops
-                    )
-                    skip_payload["last_iter_buckets"] = {
-                        label: int(total)
-                        for label, total in zip(bucket_labels(), buckets)
-                        if total
-                    }
-                rec.emit(trace_events.RR_SKIP, **skip_payload)
-                rec.emit(trace_events.CATCH_UP, started=caught_up)
-            with rec.phase("sync"):
-                with rec.phase("coalesce"):
-                    msg_count, msg_bytes = cluster.messages_for_changed(
-                        changed
-                    )
-                metrics.add_messages(msg_count, msg_bytes)
-                if injector is not None:
-                    injector.apply_message_loss(iteration, changed)
-            metrics.add_updates(update_count)
-            if self.rebalancer is not None:
-                dense_ops = np.zeros(n)
-                dense_ops[step_ops[0]] = step_ops[1]
-                self.rebalancer.observe(dense_ops)
-                if self.rebalancer.should_check(iteration):
-                    event = self.rebalancer.apply(cluster, iteration)
-                    if event is not None:
-                        metrics.add_messages(1, event.bytes_moved)
-            metrics.set_frontier(active=frontier.count, skipped=skipped)
-            metrics.end_iteration()
-            frontier.replace_with(changed)
-            last_mode = mode
-            if store is not None and store.due(iteration):
-                _snapshot()
-
-        return RunResult(
-            values=dispatch.detach_values(),
-            metrics=metrics,
-            iterations=iteration,
-            graph=run_graph,
-            guidance=guidance,
-            per_vertex_ops=per_vertex_ops,
-            degraded=dispatch.degraded,
-        )
+        return self._drive(_StartLate(
+            self, app, run_graph, dispatch, *opened,
+            app.initial_frontier(run_graph, root),
+            max_iterations or self._default_iteration_cap(run_graph),
+        ))
 
     # ------------------------------------------------------------------
     # arithmetic aggregation (finish early)
@@ -812,233 +577,493 @@ class SLFEEngine:
         app.bind(run_graph)
         dispatch = self._make_dispatch(run_graph, app)
         try:
-            return self.policy.run_arithmetic(
-                self, app, run_graph, dispatch, max_iterations, tolerance,
+            return self._run_arithmetic(
+                app, run_graph, dispatch, max_iterations, tolerance,
                 guidance
             )
         finally:
             dispatch.close()
 
     def _run_arithmetic(
-        self,
-        app: ArithmeticApplication,
-        run_graph: Graph,
-        dispatch,
-        max_iterations: Optional[int],
-        tolerance: Optional[float],
-        guidance: Optional[RRGuidance],
+        self, app, run_graph, dispatch, max_iterations, tolerance, guidance
     ) -> RunResult:
-        n = run_graph.num_vertices
-        rec = self.recorder
-        cluster = self._make_cluster(run_graph)
-        metrics = cluster.new_metrics()
-        guidance = self._guidance_for(
-            run_graph, _arith_guidance_roots(run_graph), guidance
+        opened = self._open_run(
+            run_graph, dispatch, default_roots(run_graph), guidance,
+            app.initial_values(run_graph),
         )
-        if guidance is not None:
-            metrics.preprocessing_ops = guidance.edge_ops
-        if rec.enabled:
-            # Emitted even without guidance (edge_ops=0) so engines with
-            # RR off share the exact event vocabulary of SLFE.
-            rec.emit(
-                trace_events.PREPROCESSING,
-                edge_ops=int(guidance.edge_ops) if guidance is not None else 0,
+        return self._drive(_FinishEarly(
+            self, app, run_graph, dispatch, *opened,
+            max_iterations or app.default_max_iterations,
+            app.default_tolerance if tolerance is None else tolerance,
+        ))
+
+
+class _Step:
+    """What both step objects read: the run's sinks and vertex arrays.
+
+    A step object is one family's superstep under the driver
+    (:meth:`SLFEEngine._drive`): ``state``/``restore`` for checkpoints,
+    ``more(iteration)`` before each superstep, ``mode()`` (None: every
+    vertex is EC), ``step(iteration, mode) -> (changed, updates,
+    (ids, ops), active, skipped)``, ``commit(changed) -> done``, and
+    ``owner_moved()`` after a takeover or a migration.
+    """
+
+    #: a run that ends without ``done`` is at its fixpoint
+    converged = True
+
+    def __init__(
+        self, engine, app, run_graph, dispatch, cluster, metrics, guidance
+    ) -> None:
+        self.app, self.run_graph, self.guidance = app, run_graph, guidance
+        self.dispatch, self.cluster, self.metrics = dispatch, cluster, metrics
+        self.rec = engine.recorder
+        self.emit_dispatch = engine._emit_dispatch
+        self.n = run_graph.num_vertices
+        self.owner, self.num_nodes = cluster.owner, cluster.num_nodes
+        self.values = dispatch.values
+        # Per-vertex degrees come off the dispatch: on the out-of-core
+        # backend they are derived from the resident indptr arrays and
+        # the engine never touches an edge array directly.
+        self.in_deg = dispatch.in_degrees
+        self.last_iter = guidance.last_iter if guidance is not None else None
+        self.max_last_iter = (
+            guidance.max_last_iter if guidance is not None else 0
+        )
+
+    def owner_moved(self) -> None:
+        """Nothing cached: every superstep reads ``owner`` afresh."""
+
+
+#: ``(ids, ops)`` of a push superstep whose op counts nobody reads.
+_NO_OPS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+class _StartLate(_Step):
+    """One Ruler (start late): the min/max family's superstep.
+
+    Owns the direction policy, the pull (touched side, catch-ups,
+    frontier-side pull) and the push, plus the ``RR_SKIP`` /
+    ``CATCH_UP`` events.  Checkpointed state: ``values``, ``frontier``,
+    ``started`` (and ``missed`` with RR on), ``last_mode`` and
+    ``entered_pull``.
+    """
+
+    def __init__(self, engine, app, run_graph, dispatch, cluster, metrics,
+                 guidance, initial_frontier, cap) -> None:
+        super().__init__(
+            engine, app, run_graph, dispatch, cluster, metrics, guidance
+        )
+        n = self.n
+        self.dense_denominator = engine.dense_denominator
+        # Push op counts are only worth building when someone reads them.
+        self.want_ops = (
+            engine.record_per_vertex_ops or engine.rebalancer is not None
+        )
+        self.cap = cap
+        self.num_edges = run_graph.num_edges
+        self.frontier = Frontier(n, initial_frontier)
+        self.out_deg = dispatch.out_degrees
+        self.has_in = has_in = self.in_deg > 0
+        # "Start late" bookkeeping: a delayed destination performs one
+        # catch-up full gather when the Ruler reaches its level
+        # (collecting from *all* sources, the paper's correctness rule);
+        # before that it is not processed at all.  Without RR everything
+        # is started from the beginning.
+        if self.last_iter is not None:
+            self.started = ~has_in | (self.last_iter <= 0)
+            # A delayed destination only owes a catch-up gather if an
+            # update actually passed it by while it was skipped; pushes
+            # write delayed destinations directly and leave no debt.
+            self.missed = np.zeros(n, dtype=bool)
+        else:
+            self.started = np.ones(n, dtype=bool)
+            self.missed = None
+        # Counts of the two masks, moved where the masks move (pull
+        # supersteps, a full push, a rollback) so that no superstep
+        # scans |V| to learn them.  ``debt`` is the number of skipped
+        # destinations owing a catch-up pull: |missed & ~started|, and
+        # ``missed`` only ever holds unstarted vertices.
+        self.debt = 0
+        self.pending = n - int(np.count_nonzero(self.started))
+        self.last_mode = None
+        self.entered_pull = False
+
+    def state(self):
+        arrays = {"values": self.values, "frontier": self.frontier.mask,
+                  "started": self.started}
+        if self.missed is not None:
+            arrays["missed"] = self.missed
+        return arrays, {"last_mode": self.last_mode,
+                        "entered_pull": self.entered_pull}
+
+    def restore(self, arrays, scalars) -> None:
+        self.values[:] = arrays["values"]
+        self.frontier.replace_with(np.flatnonzero(arrays["frontier"]))
+        self.started[:] = arrays["started"]
+        self.pending = self.n - int(np.count_nonzero(self.started))
+        if self.missed is not None:
+            self.missed[:] = arrays["missed"]
+            self.debt = int(np.count_nonzero(self.missed))
+        self.last_mode = scalars["last_mode"]
+        self.entered_pull = scalars["entered_pull"]
+
+    def more(self, iteration: int) -> bool:
+        # The run goes on until no vertex is active AND every delayed
+        # vertex that was passed by an update has had its catch-up pull.
+        if not (self.frontier or self.debt):
+            return False
+        if iteration >= self.cap:
+            raise ConvergenceError(
+                "%s did not settle within %d iterations"
+                % (self.app.name, self.cap)
             )
-        # Resident in the dispatch's scratch array for the run (shared
-        # memory on the parallel backend); mutated strictly in place.
-        values = dispatch.values
-        values[...] = app.initial_values(run_graph).astype(np.float64)
-        tracker = (
+        return True
+
+    def mode(self) -> str:
+        frontier, debt = self.frontier, self.debt
+        self.active_edges = active_edges = frontier.out_edge_count(
+            self.out_deg
+        )
+        mode = choose_mode(active_edges, self.num_edges, self.dense_denominator)
+        if not frontier:
+            mode = PULL  # only delayed first pulls remain
+        if self.entered_pull and debt:
+            # RR-aware direction policy (the paper's Section 3.3
+            # phase structure: push kicks off execution, pull does
+            # the dense bulk, push finishes the tail).  The initial
+            # push phase eagerly seeds values everywhere — including
+            # delayed destinations, which push never skips — so the
+            # catch-up gathers later refine warm values instead of
+            # infinities.  Once dense, we stay in pull until every
+            # delayed destination has started: a pull-to-push
+            # transition before that would force Algorithm 3's
+            # all-vertex re-delivery (an O(E) push).
+            mode = PULL
+        if mode == PULL:
+            self.entered_pull = True
+        if mode == PUSH and self.last_mode == PULL and debt:
+            # Algorithm 3 lines 2-4: while any destination is still
+            # delayed, a switch to push must re-deliver every value
+            # once, or updates hidden from skipped pulls are lost.
+            # (Unreachable under the direction policy above; kept as
+            # the correctness guard the paper specifies.)
+            frontier.activate_all()
+        return mode
+
+    def step(self, iteration: int, mode: str):
+        rec, app, dispatch = self.rec, self.app, self.dispatch
+        frontier, values, started = self.frontier, self.values, self.started
+        last_iter = self.last_iter
+        ruler = iteration
+        if mode == PULL:
+            # Dense mode processes the destinations the frontier
+            # touches; each processed destination runs the paper's
+            # pullFunc, recomputing over ALL of its in-edges.
+            # "Start late" adds two rules: a touched destination
+            # that is still delayed is skipped outright, and a
+            # destination crossing its guidance level performs one
+            # catch-up gather even if nothing is active (it must
+            # collect updates it slept through).  Below |E| / 2 the
+            # frontier's push finds the touched set, and its
+            # candidates may stand in for the pull.
+            has_in, in_deg = self.has_in, self.in_deg
+            pushed = None
+            if self.active_edges > _IDLE_SIDE * self.num_edges:
+                touched = _touched(dispatch, frontier, has_in)
+            else:
+                touched = np.zeros(self.n, dtype=bool)
+                if frontier:
+                    pushed = dispatch.push(frontier.ids)
+                    self.emit_dispatch(dispatch, pushed[3], "push")
+                    touched[pushed[0]] = True
+            pulled = touched & started & has_in  # before ``newly``
+            catch_up_ids = np.empty(0, dtype=np.int64)
+            caught_up = 0
+            if last_iter is not None:
+                missed = self.missed
+                newly = (~started) & (last_iter <= ruler) & has_in
+                catch_ups = newly & (missed | touched)
+                processed = pulled | catch_ups
+                catch_up_ids = np.flatnonzero(catch_ups)
+                caught_up = catch_up_ids.size
+                started |= newly
+                self.pending -= int(np.count_nonzero(newly))
+                missed[newly] = False
+                # Updates passing delayed destinations this superstep
+                # are owed a catch-up gather at their start level.
+                missed |= touched & ~started
+                self.debt = int(np.count_nonzero(missed))
+            else:
+                processed = pulled
+            proc_ids = np.nonzero(processed)[0]
+            step_ops = (proc_ids, in_deg[proc_ids])
+            with rec.phase("gather"):
+                if proc_ids.size:
+                    # Fused pull+apply kernel: the dispatch computes
+                    # each destination's reduction AND its
+                    # improvement mask (identical to the old
+                    # full-array ``app.better`` — the identity never
+                    # beats an incumbent, so unprocessed entries
+                    # were always false).  Either side, the edge
+                    # ops are every processed in-edge (modeled).
+                    if pushed is not None and _frontier_is_cheaper(
+                        dispatch, pulled, pushed[0].size
+                    ):
+                        stats = _pull_from_frontier(
+                            app, dispatch, pushed, pulled, catch_up_ids
+                        )
+                    else:
+                        stats = dispatch.pull_apply(
+                            proc_ids, app.aggregation
+                        )
+                    if stats is not None:
+                        self.emit_dispatch(dispatch, stats, "pull")
+                    self.metrics.add_edge_ops(
+                        np.bincount(
+                            self.owner[proc_ids],
+                            weights=step_ops[1],
+                            minlength=self.num_nodes,
+                        ).astype(np.int64)
+                    )
+            with rec.phase("apply"):
+                if proc_ids.size:
+                    changed = np.nonzero(dispatch.improved)[0]
+                    values[changed] = dispatch.result[changed]
+                else:
+                    changed = np.empty(0, dtype=np.int64)
+            update_count = changed.size
+            # Redundancy actually avoided: touched but still delayed.
+            skipped = int(np.count_nonzero(touched & ~started & has_in))
+        else:  # PUSH
+            caught_up = 0
+            step_ops = _NO_OPS
+            # Push applies per edge (atomic CAS semantics), which is
+            # order-sensitive, so the parent keeps the reduce; the
+            # dispatch only expands candidates, at serial offsets.
+            with rec.phase("scatter"):
+                ids = frontier.ids
+                dsts, candidates, out_counts, stats = dispatch.push(ids)
+                self.emit_dispatch(dispatch, stats, "push")
+                if dsts.size:
+                    self.metrics.add_edge_ops(
+                        np.bincount(
+                            self.owner[ids],
+                            weights=out_counts,
+                            minlength=self.num_nodes,
+                        ).astype(np.int64)
+                    )
+                    if self.want_ops:
+                        # frontier.ids is sorted and unique, so the
+                        # nonzero-out-degree filter reproduces
+                        # np.unique(srcs, return_counts=True) of the
+                        # expanded edge list exactly.
+                        keep = out_counts > 0
+                        step_ops = (ids[keep], out_counts[keep])
+                # One destination sort yields the exact min/max per
+                # destination, the destinations it improves and the
+                # per-edge CAS writes — Table 2's redundancy signal.
+                update_count, changed, new_values = segmented_improvements(
+                    dsts, candidates, values, app.aggregation
+                )
+            with rec.phase("apply"):
+                values[changed] = new_values
+            skipped = 0
+            if frontier.count == self.n and self.missed is not None:
+                # A full (transition) push delivered every value to
+                # every successor: all catch-up debts are settled.
+                self.missed[:] = False
+                self.debt = 0
+        self.last_mode = mode
+
+        if rec.enabled:
+            # "Start late" visibility: both events are emitted every
+            # superstep (zero counts without RR) so all engines built
+            # on this loop share one event vocabulary.  The payload
+            # carries the observability layer's RR attribution: how
+            # many edge operations the skips avoided, bucketed by
+            # guidance depth, plus the Ruler's progression toward
+            # the deepest lastIter level.  All of it is derived from
+            # reads only — results are bit-identical with tracing
+            # off, and the work happens only on traced runs.
+            skip_payload = {
+                "skipped": int(skipped),
+                "debts": self.debt,
+                "ruler": int(ruler),
+                "max_last_iter": int(self.max_last_iter),
+                "skipped_edge_ops": 0,
+                "pending": self.pending,
+            }
+            if mode == PULL and skipped:
+                skipped_ids = np.nonzero(touched & ~started & has_in)[0]
+                skipped_ops = in_deg[skipped_ids].astype(np.int64)
+                skip_payload["skipped_edge_ops"] = int(skipped_ops.sum())
+                buckets = bucket_by_last_iter(
+                    last_iter[skipped_ids], weights=skipped_ops
+                )
+                skip_payload["last_iter_buckets"] = {
+                    label: int(total)
+                    for label, total in zip(bucket_labels(), buckets)
+                    if total
+                }
+            rec.emit(trace_events.RR_SKIP, **skip_payload)
+            rec.emit(trace_events.CATCH_UP, started=caught_up)
+        return changed, update_count, step_ops, frontier.count, skipped
+
+    def commit(self, changed: np.ndarray) -> bool:
+        self.frontier.replace_with(changed)
+        return False
+
+
+class _FinishEarly(_Step):
+    """Per-vertex Rulers (finish early): the arithmetic family's superstep.
+
+    Owns the live set, the gather/apply, the :class:`StabilityTracker`
+    with its thaw, and the ``EC_TRANSITION`` event.  Checkpointed
+    state: ``values`` plus, with RR on, the tracker's
+    ``stable_count``, ``stable_value`` and ``ec``.
+    """
+
+    converged = False
+
+    def __init__(self, engine, app, run_graph, dispatch, cluster, metrics,
+                 guidance, max_iterations, tolerance) -> None:
+        super().__init__(
+            engine, app, run_graph, dispatch, cluster, metrics, guidance
+        )
+        self.stability_epsilon = engine.stability_epsilon
+        self.max_iterations = max_iterations
+        self.tolerance = tolerance
+        self.tracker = tracker = (
             StabilityTracker(
-                guidance.last_iter,
-                self.stability_epsilon,
-                self.min_stable_rounds,
+                self.last_iter,
+                engine.stability_epsilon,
+                engine.min_stable_rounds,
             )
             if guidance is not None
             else None
         )
-        max_iterations = max_iterations or app.default_max_iterations
-        tolerance = app.default_tolerance if tolerance is None else tolerance
-        in_deg = dispatch.in_degrees
-        owner = cluster.owner
-        per_vertex_ops: Optional[List] = (
-            [] if self.record_per_vertex_ops else None
-        )
-        iteration = 0
-        converged = False
-        injector, store = self._fault_setup(cluster, metrics)
-
-        def _snapshot() -> None:
-            arrays = {"values": values, "owner": owner}
-            if tracker is not None:
-                arrays.update(tracker.state_arrays())
-            checkpoint = store.take(
-                iteration, arrays, scalars={"iteration": iteration}
-            )
-            metrics.add_checkpoint(checkpoint.nbytes)
-
-        def _restore() -> int:
-            # Ownership is not restored — see run_minmax's _restore.
-            nonlocal iteration
-            checkpoint = store.restore()
-            arrays = checkpoint.restore_arrays()
-            values[...] = arrays["values"]
-            if tracker is not None:
-                tracker.restore_state(
-                    arrays["stable_count"],
-                    arrays["stable_value"],
-                    arrays["ec"],
-                )
-            iteration = checkpoint.scalars["iteration"]
-            return checkpoint.superstep
-
-        if store is not None:
-            _snapshot()  # superstep-0 floor every rollback can reach
-
         # While no vertex is EC (always, with RR off) every superstep
         # gathers every vertex, so the task list and its in-degrees are
         # loop invariants; they are re-derived only when the EC set
         # moves (a freeze, a thaw, a rollback), and the per-node (edge,
         # vertex) op counts only then or when ownership moves.
-        all_vertices = np.arange(n, dtype=np.int64)
-        live_mask, live, counts = None, all_vertices, in_deg
-        live_version = tracker.ec_version if tracker is not None else 0
-        node_ops = None
+        self.all_vertices = np.arange(self.n, dtype=np.int64)
+        self.live_mask, self.live = None, self.all_vertices
+        self.counts = self.in_deg
+        self.live_version = tracker.ec_version if tracker is not None else 0
+        self.node_ops = None
 
-        while iteration < max_iterations:
-            iteration += 1
-            dispatch.begin_superstep(iteration)
-            if injector is not None:
-                crash = injector.crash_at(iteration)
-                if crash is not None:
-                    completed = iteration - 1
-                    restored = _restore()
-                    self._handle_crash(
-                        crash, cluster, metrics, completed, restored
-                    )
-                    node_ops = None
-                    continue
-            if tracker is not None and tracker.ec_version != live_version:
-                live_version = tracker.ec_version
-                if tracker.num_ec:
-                    live_mask = tracker.active_mask()
-                    live = np.nonzero(live_mask)[0]
-                    counts = in_deg[live]
-                else:
-                    live_mask, live, counts = None, all_vertices, in_deg
-                node_ops = None
-            if live.size == 0:
-                converged = True
-                break
-            if node_ops is None:
-                # Weighted owner bincount == bincount over the expanded
-                # per-edge rows (each live vertex repeats by its
-                # in-degree), without materialising them.
-                nodes = cluster.num_nodes
-                node_ops = (
-                    np.bincount(owner[live], weights=counts, minlength=nodes)
-                    .astype(np.int64),
-                    np.bincount(owner[live], minlength=nodes),
-                )
+    def state(self):
+        arrays = {"values": self.values}
+        if self.tracker is not None:
+            arrays.update(self.tracker.state_arrays())
+        return arrays, {}
 
-            metrics.begin_iteration(PULL)
-            if injector is not None:
-                slowdown = injector.slowdown_at(iteration)
-                if slowdown is not None:
-                    metrics.set_node_slowdown(slowdown)
-            with rec.phase("gather"):
-                # Fused gather+reduce kernel: the dispatch zeroes its
-                # result array and fills per-destination contribution
-                # sums in one pass (grouped reduceat over non-empty
-                # blocks, the same kernel on both backends).
-                stats = dispatch.gather(live)
-                self._emit_dispatch(dispatch, stats, "gather")
-                if node_ops[0].any():
-                    metrics.add_edge_ops(node_ops[0])
-            gathered = dispatch.result
-            with rec.phase("apply"):
-                new_values = values.copy()
-                applied = app.apply(gathered, values)
-                new_values[live] = applied[live]
-                metrics.add_vertex_ops(node_ops[1])
-            if per_vertex_ops is not None:
-                per_vertex_ops.append((live, counts.astype(np.int64)))
+    def restore(self, arrays, scalars) -> None:
+        self.values[...] = arrays["values"]
+        if self.tracker is not None:
+            self.tracker.restore_state(
+                arrays["stable_count"], arrays["stable_value"], arrays["ec"]
+            )
 
-            delta = np.abs(new_values[live] - values[live])
-            if tracker is not None:
-                changed_mask = tracker.observe(new_values)
-                changed = np.nonzero(changed_mask)[0]
-                _thaw_moved_inputs(tracker, dispatch, changed_mask, changed)
+    def owner_moved(self) -> None:
+        self.node_ops = None
+
+    def more(self, iteration: int) -> bool:
+        return iteration < self.max_iterations
+
+    def mode(self) -> Optional[str]:
+        tracker = self.tracker
+        if tracker is not None and tracker.ec_version != self.live_version:
+            self.live_version = tracker.ec_version
+            if tracker.num_ec:
+                self.live_mask = tracker.active_mask()
+                self.live = np.nonzero(self.live_mask)[0]
+                self.counts = self.in_deg[self.live]
             else:
-                changed = live[delta > self.stability_epsilon]
-            if rec.enabled:
-                # "Finish early" visibility: emitted every superstep
-                # (zero frozen without RR) for vocabulary parity.  EC
-                # vertices drop out of the gather entirely, so the
-                # edge operations their in-degrees represent are the
-                # work this superstep never performed — the registry's
-                # counterfactual input, mirroring RR_SKIP's
-                # ``skipped_edge_ops`` on the start-late side.  RulerS
-                # progression: how far the multi-ruler has advanced
-                # toward the deepest per-vertex stability threshold.
-                live_after = (
-                    n - tracker.num_ec if tracker is not None else n
-                )
-                ec_skipped_ops = (
-                    int(in_deg[~live_mask].sum())
-                    if live_mask is not None
-                    else 0
-                )
-                rec.emit(
-                    trace_events.EC_TRANSITION,
-                    frozen=max(0, int(live.size) - live_after),
-                    live=live_after,
-                    total=int(n),
-                    skipped_edge_ops=ec_skipped_ops,
-                    ruler=int(iteration),
-                    max_last_iter=(
-                        int(guidance.max_last_iter)
-                        if guidance is not None
-                        else 0
-                    ),
-                )
-            with rec.phase("sync"):
-                with rec.phase("coalesce"):
-                    msg_count, msg_bytes = cluster.messages_for_changed(
-                        changed
-                    )
-                metrics.add_messages(msg_count, msg_bytes)
-                if injector is not None:
-                    injector.apply_message_loss(iteration, changed)
-            metrics.add_updates(changed.size)
-            if self.rebalancer is not None:
-                dense_ops = np.zeros(n)
-                dense_ops[live] = counts
-                self.rebalancer.observe(dense_ops)
-                if self.rebalancer.should_check(iteration):
-                    event = self.rebalancer.apply(cluster, iteration)
-                    if event is not None:
-                        metrics.add_messages(1, event.bytes_moved)
-                        node_ops = None
-            metrics.set_frontier(active=live.size, skipped=n - live.size)
-            metrics.end_iteration()
-            values[...] = new_values
-            if store is not None and store.due(iteration):
-                _snapshot()
-            if delta.size == 0 or float(delta.max()) < tolerance:
-                converged = True
-                break
+                self.live_mask, self.live = None, self.all_vertices
+                self.counts = self.in_deg
+            self.node_ops = None
+        live = self.live
+        if live.size == 0:
+            self.converged = True
+            return None
+        if self.node_ops is None:
+            # Weighted owner bincount == bincount over the expanded
+            # per-edge rows (each live vertex repeats by its
+            # in-degree), without materialising them.
+            owners, nodes = self.owner[live], self.num_nodes
+            self.node_ops = (
+                np.bincount(owners, weights=self.counts, minlength=nodes)
+                .astype(np.int64),
+                np.bincount(owners, minlength=nodes),
+            )
+        return PULL
 
-        return RunResult(
-            values=dispatch.detach_values(),
-            metrics=metrics,
-            iterations=iteration,
-            graph=run_graph,
-            guidance=guidance,
-            converged=converged,
-            per_vertex_ops=per_vertex_ops,
-            degraded=dispatch.degraded,
-        )
+    def step(self, iteration: int, mode: str):
+        rec, dispatch, metrics = self.rec, self.dispatch, self.metrics
+        values, tracker, n = self.values, self.tracker, self.n
+        live, node_ops = self.live, self.node_ops
+        with rec.phase("gather"):
+            # Fused gather+reduce kernel: the dispatch zeroes its
+            # result array and fills per-destination contribution
+            # sums in one pass (grouped reduceat over non-empty
+            # blocks, the same kernel on both backends).
+            stats = dispatch.gather(live)
+            self.emit_dispatch(dispatch, stats, "gather")
+            if node_ops[0].any():
+                metrics.add_edge_ops(node_ops[0])
+        gathered = dispatch.result
+        with rec.phase("apply"):
+            new_values = values.copy()
+            applied = self.app.apply(gathered, values)
+            new_values[live] = applied[live]
+            metrics.add_vertex_ops(node_ops[1])
+
+        delta = np.abs(new_values[live] - values[live])
+        if tracker is not None:
+            changed_mask = tracker.observe(new_values)
+            changed = np.nonzero(changed_mask)[0]
+            _thaw_moved_inputs(tracker, dispatch, changed_mask, changed)
+        else:
+            changed = live[delta > self.stability_epsilon]
+        if rec.enabled:
+            # "Finish early" visibility: emitted every superstep
+            # (zero frozen without RR) for vocabulary parity.  EC
+            # vertices drop out of the gather entirely, so the
+            # edge operations their in-degrees represent are the
+            # work this superstep never performed — the registry's
+            # counterfactual input, mirroring RR_SKIP's
+            # ``skipped_edge_ops`` on the start-late side.  RulerS
+            # progression: how far the multi-ruler has advanced
+            # toward the deepest per-vertex stability threshold.
+            live_after = n - tracker.num_ec if tracker is not None else n
+            live_mask = self.live_mask
+            ec_skipped_ops = (
+                int(self.in_deg[~live_mask].sum())
+                if live_mask is not None
+                else 0
+            )
+            rec.emit(
+                trace_events.EC_TRANSITION,
+                frozen=max(0, int(live.size) - live_after),
+                live=live_after,
+                total=int(n),
+                skipped_edge_ops=ec_skipped_ops,
+                ruler=int(iteration),
+                max_last_iter=int(self.max_last_iter),
+            )
+        self.new_values, self.delta = new_values, delta
+        return (changed, changed.size, (live, self.counts), live.size,
+                n - live.size)
+
+    def commit(self, changed: np.ndarray) -> bool:
+        self.values[...] = self.new_values
+        delta = self.delta
+        if delta.size == 0 or float(delta.max()) < self.tolerance:
+            self.converged = True
+        return self.converged
 
 
 def _thaw_moved_inputs(
@@ -1149,9 +1174,3 @@ def _thaw_from_frozen(
     """Pull side: thaw the ``frozen`` vertices with a changed in-neighbour."""
     moved = changed_mask[dispatch.expand_in_srcs(frozen)]
     return tracker.thaw(np.repeat(frozen, dispatch.in_degrees[frozen])[moved])
-
-
-def _arith_guidance_roots(run_graph: Graph) -> np.ndarray:
-    from repro.core.rrg import default_roots
-
-    return default_roots(run_graph)

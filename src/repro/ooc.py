@@ -177,13 +177,10 @@ def spill_graph(
     graph: Graph,
     store: ArtifactStore,
     shard_mb: Optional[float] = None,
-    spec_key: Optional[str] = None,
 ) -> str:
     """Shard ``graph`` (both directions) into ``store``; returns its
     content digest — the handle :func:`load_spilled` reopens."""
-    return store.put_sharded_graph(
-        graph, resolve("shard_mb", shard_mb), spec_key=spec_key
-    )
+    return store.put_sharded_graph(graph, resolve("shard_mb", shard_mb))
 
 
 def load_spilled(store: ArtifactStore, digest: str) -> SpilledGraph:

@@ -692,39 +692,7 @@ class ArtifactStore:
         self._emit("shard", "hit", key, len(blob))
         return blob
 
-    def put_shard_alias(self, spec_key: str, digest: str) -> Dict[str, object]:
-        """Map a dataset spec key to a sharded graph's content digest,
-        so `repro cache shard` warm-ups are findable without rebuilding
-        the graph just to fingerprint it."""
-        return self._write_entry(
-            "shard",
-            "shard/alias/%s" % spec_key,
-            {
-                "digest_utf8": np.frombuffer(
-                    digest.encode("utf-8"), dtype=np.uint8
-                )
-            },
-            {"alias_digest": digest},
-        )
-
-    def get_shard_alias(self, spec_key: str) -> Optional[str]:
-        entry = self._open_entry("shard", "shard/alias/%s" % spec_key)
-        if entry is None:
-            return None
-        _, meta = entry
-        digest = meta.get("alias_digest")
-        if not isinstance(digest, str) or not digest:
-            raise StoreError(
-                "shard alias for %r has no digest" % (spec_key,)
-            )
-        return digest
-
-    def put_sharded_graph(
-        self,
-        graph: Graph,
-        shard_mb: float,
-        spec_key: Optional[str] = None,
-    ) -> str:
+    def put_sharded_graph(self, graph: Graph, shard_mb: float) -> str:
         """Shard ``graph`` (both directions) into the store.
 
         Returns the graph's content digest, under which the manifests
@@ -745,8 +713,6 @@ class ArtifactStore:
                 )
             # Manifest last: its presence promises every part above.
             self.put_shard_manifest(digest, direction, manifest, csr.indptr)
-        if spec_key is not None:
-            self.put_shard_alias(spec_key, digest)
         return digest
 
     # ------------------------------------------------------------------

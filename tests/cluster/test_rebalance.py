@@ -6,12 +6,23 @@ import pytest
 from repro.apps import PageRank, SSSP, reference
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.config import ClusterConfig
+from repro.cluster.faults import FaultPlan
 from repro.cluster.rebalance import DynamicRebalancer
 from repro.core.engine import SLFEEngine
 from repro.errors import ClusterConfigError
 from repro.graph import datasets
 from repro.partition import ChunkingPartitioner
 from repro.partition.base import VertexPartition
+
+
+class Lopsided(ChunkingPartitioner):
+    """Node 0 keeps three quarters of the vertices; 1.. share the rest."""
+
+    def partition(self, run_graph, num_parts):
+        owner = np.zeros(run_graph.num_vertices, dtype=np.int64)
+        tail = run_graph.num_vertices // 4
+        owner[-tail:] = np.arange(tail) % (num_parts - 1) + 1
+        return VertexPartition(owner, num_parts)
 
 
 class TestPlanning:
@@ -170,13 +181,6 @@ class TestEngineIntegration:
         # The rebalancer's value case: a persistently skewed initial
         # partition (chunking is already balanced, so there it should
         # mostly stay quiet — see the threshold test below).
-        class Lopsided(ChunkingPartitioner):
-            def partition(self, run_graph, num_parts):
-                owner = np.zeros(run_graph.num_vertices, dtype=np.int64)
-                tail = run_graph.num_vertices // 4
-                owner[-tail:] = np.arange(tail) % (num_parts - 1) + 1
-                return VertexPartition(owner, num_parts)
-
         def engine(rebalancer):
             return SLFEEngine(
                 graph,
@@ -209,3 +213,79 @@ class TestEngineIntegration:
         )
         expected = reference.pagerank(graph, tolerance=1e-11)
         assert np.allclose(result.values, expected, atol=5e-4, rtol=1e-3)
+
+
+@pytest.fixture
+def owner_maps(monkeypatch):
+    """The owner map in force at each superstep, one per metrics record.
+
+    Read when the record opens: a crash moves ownership before that, a
+    migration after the superstep's edge ops are charged.
+    """
+    maps = []
+    new_metrics = SimulatedCluster.new_metrics
+
+    def recording(cluster):
+        metrics = new_metrics(cluster)
+        begin = metrics.begin_iteration
+
+        def begin_iteration(mode):
+            maps.append(cluster.owner.copy())
+            return begin(mode)
+
+        metrics.begin_iteration = begin_iteration
+        return metrics
+
+    monkeypatch.setattr(SimulatedCluster, "new_metrics", recording)
+    return maps
+
+
+class TestMigrationAccounting:
+    """Mid-run migration moves where work is charged, never the values."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return datasets.load("LJ", scale_divisor=8000, weighted=True)
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "crash"])
+    @pytest.mark.parametrize("rr", [True, False], ids=["rr", "norr"])
+    @pytest.mark.parametrize("app", ["PR", "SSSP"])
+    def test_edge_ops_follow_the_owner_map(
+        self, graph, owner_maps, app, rr, faults
+    ):
+        root = int(np.argmax(graph.out_degrees()))
+        kwargs = dict(
+            config=ClusterConfig(num_nodes=4),
+            partitioner=Lopsided(),
+            enable_rr=rr,
+        )
+        if faults:
+            kwargs.update(
+                fault_plan=FaultPlan.parse(
+                    "crash@3:1,loss@2:0-2x2,slow@4:1x2.5+3", num_nodes=4
+                ),
+                checkpoint_every=2,
+            )
+
+        def run(**extra):
+            engine = SLFEEngine(graph, **kwargs, **extra)
+            if app == "PR":
+                return engine.run_arithmetic(PageRank())
+            return engine.run_minmax(SSSP(), root=root)
+
+        static = run()
+        del owner_maps[:]
+        reb = DynamicRebalancer(period=2, imbalance_threshold=0.01, warmup=0)
+        moved = run(rebalancer=reb, record_per_vertex_ops=True)
+
+        assert np.array_equal(moved.values, static.values)
+        assert reb.total_vertices_moved > 0
+        records = moved.metrics.records
+        assert len(records) == len(owner_maps) == len(moved.per_vertex_ops)
+        for record, owner, (ids, ops) in zip(
+            records, owner_maps, moved.per_vertex_ops
+        ):
+            recount = np.bincount(owner[ids], weights=ops, minlength=4)
+            assert np.array_equal(
+                record.edge_ops_per_node, recount.astype(np.int64)
+            ), "superstep %d charged to a stale owner map" % record.iteration

@@ -13,9 +13,8 @@ import pytest
 
 from repro.apps import ConnectedComponents, PageRank, SSSP, TunkRank
 from repro.cluster.faults import FaultPlan
-from repro.core.async_engine import SCHEDULERS, AsyncEngine, AsyncPolicy
+from repro.core.async_engine import SCHEDULERS, AsyncEngine
 from repro.core.engine import SLFEEngine
-from repro.core.policy import BSPPolicy, ExecutionPolicy, resolve_policy
 from repro.errors import EngineError
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
@@ -123,48 +122,33 @@ class TestAsyncRejections:
             AsyncEngine(g, scheduler="random")
 
     def test_policy_kwargs_validated(self):
-        with pytest.raises(EngineError, match="batch_fraction"):
-            AsyncPolicy(batch_fraction=0.0)
-        with pytest.raises(EngineError, match="min_batch"):
-            AsyncPolicy(min_batch=0)
-
-
-# ----------------------------------------------------------------------
-# policy plumbing
-# ----------------------------------------------------------------------
-class TestPolicyResolution:
-    def test_default_policy_is_bsp(self):
         g = make_random_graph(10, 20, seed=1, weighted=False)
-        assert isinstance(SLFEEngine(g).policy, BSPPolicy)
+        with pytest.raises(EngineError, match="batch_fraction"):
+            AsyncEngine(g, batch_fraction=0.0)
+        with pytest.raises(EngineError, match="min_batch"):
+            AsyncEngine(g, min_batch=0)
 
-    def test_resolve_rejects_non_policy(self):
-        with pytest.raises(TypeError, match="ExecutionPolicy"):
-            resolve_policy("async")
+    # Options anchored on the superstep clock are refused at run start,
+    # not silently dropped from the result.
+    def test_checkpoint_every_is_rejected(self):
+        g = make_random_graph(30, 120, seed=1, weighted=False)
+        engine = AsyncEngine(g, checkpoint_every=2)
+        with pytest.raises(EngineError, match="no superstep clock.*checkpoint"):
+            engine.run_arithmetic(PageRank())
 
-    def test_resolve_passes_through(self):
-        policy = AsyncPolicy()
-        assert resolve_policy(policy) is policy
-        assert isinstance(resolve_policy(None), BSPPolicy)
+    def test_rebalancer_is_rejected(self):
+        from repro.cluster.rebalance import DynamicRebalancer
 
-    def test_bsp_policy_is_bit_identical_to_direct_loop(self):
-        g = make_random_graph(60, 300, seed=5, weighted=True)
-        root = int(np.argmax(g.out_degrees()))
-        via_policy = SLFEEngine(g, policy=BSPPolicy()).run_minmax(
-            SSSP(), root=root
-        )
-        direct = SLFEEngine(g).run_minmax(SSSP(), root=root)
-        assert np.array_equal(via_policy.values, direct.values)
-        assert via_policy.iterations == direct.iterations
-        m1, m2 = via_policy.metrics, direct.metrics
-        assert m1.total_edge_ops == m2.total_edge_ops
-        assert m1.total_messages == m2.total_messages
+        g = make_random_graph(30, 120, seed=1, weighted=True)
+        engine = AsyncEngine(g, rebalancer=DynamicRebalancer())
+        with pytest.raises(EngineError, match="no superstep clock.*rebalancer"):
+            engine.run_minmax(SSSP(), root=0)
 
-    def test_base_policy_hooks_are_abstract(self):
-        policy = ExecutionPolicy()
-        with pytest.raises(NotImplementedError):
-            policy.run_minmax(None, None, None, None, None, None, None)
-        with pytest.raises(NotImplementedError):
-            policy.run_arithmetic(None, None, None, None, None, None, None)
+    def test_record_per_vertex_ops_is_rejected(self):
+        g = make_random_graph(30, 120, seed=1, weighted=False)
+        engine = AsyncEngine(g, record_per_vertex_ops=True)
+        with pytest.raises(EngineError, match="no superstep clock.*per-vertex"):
+            engine.run_arithmetic(PageRank())
 
 
 # ----------------------------------------------------------------------
