@@ -240,6 +240,16 @@ class SLFEEngine:
                 error=EngineError,
                 source="supplied guidance",
             )
+        if self.backend == "ooc":
+            from repro.ooc import SpilledGraph
+
+            if isinstance(run_graph, SpilledGraph):
+                raise EngineError(
+                    "RR guidance is generated by a sweep over resident "
+                    "out-edges, and a spilled graph's edges are in the "
+                    "shard store: run it with enable_rr=False, or pass "
+                    "guidance= generated where the graph is in memory"
+                )
         return generate_guidance(run_graph, roots)
 
     @staticmethod
@@ -369,7 +379,7 @@ class SLFEEngine:
                 tasks=int(entry["tasks"]),
                 edges=int(entry["edges"]),
             )
-        info = getattr(dispatch, "last_dispatch", None)
+        info = dispatch.last_dispatch
         if info is not None:
             rec.emit(
                 trace_events.PARALLEL_DISPATCH,

@@ -20,12 +20,14 @@ cross-validated against in the test suite.  It runs the full graph in
 pure Python, so keep inputs small.
 
 The second half of the module is the **phase-dispatch interface**: the
-phase vocabulary, the fused blockwise kernels, and the in-process
-:class:`SerialDispatch`.  Serial supersteps and the shared-memory
-worker pool (:mod:`repro.parallel`) both execute these exact kernels —
-the parallel backend merely partitions the task list into contiguous
-vertex blocks — which is what makes the backends bit-identical by
-construction rather than by testing alone.
+phase vocabulary, the fused blockwise kernels, and :class:`SerialDispatch`,
+the one home of the phase bodies.  The out-of-core backend
+(:mod:`repro.ooc`) runs those bodies shard by shard and the
+shared-memory pool (:mod:`repro.parallel`) runs them once it has
+degraded; its workers run the same kernels over contiguous vertex
+blocks.  Every backend thus executes the exact kernels serial does,
+which is what makes them bit-identical by construction rather than by
+testing alone.
 """
 
 from __future__ import annotations
@@ -535,21 +537,37 @@ def push_block(
     return int(dsts.size)
 
 
-class SerialDispatch:
-    """In-process implementation of the phase-dispatch interface.
+def _in_row_order(pieces: list, column: int, dtype) -> np.ndarray:
+    """Column ``column`` of per-piece outputs joined in ascending part
+    (= row) order, whatever order the pieces ran in; the output of a
+    single piece is returned as is."""
+    if len(pieces) == 1:
+        return pieces[0][column]
+    if not pieces:
+        return np.empty(0, dtype=dtype)
+    pieces.sort(key=lambda piece: piece[0])
+    return np.concatenate([piece[column] for piece in pieces])
 
-    The serial engine drives its supersteps through this object exactly
-    as it drives :class:`repro.parallel.ParallelExecutor`: same scratch
-    arrays (``values``/``result``/``improved``), same fused kernels,
-    one code path in the engine.  Here each phase is a single block —
-    the whole task list — executed inline.
+
+class SerialDispatch:
+    """The phase-dispatch interface and the one home of its phase bodies.
+
+    The engine drives every superstep through a dispatch: the scratch
+    arrays (``values``/``result``/``improved``), the fused kernels run
+    by :meth:`pull_apply`, :meth:`gather` and :meth:`push`, and the
+    engine-side expansions.  A backend subclasses this and says only
+    how a phase is cut into blocks (:meth:`_blocks`) and what to report
+    once a phase has read its edges (:meth:`_read_done`):
+    :class:`repro.ooc.ShardStreamDispatch` streams shards through these
+    bodies, and :class:`repro.parallel.ParallelExecutor` runs them
+    inline once its pool has degraded.  Here each phase is a single
+    block — the whole task list over the resident CSR.
 
     ``stats`` lists are empty (there are no workers to report) and
     ``last_dispatch`` stays ``None`` (no IPC happened), which is how
     the engine knows not to emit worker/dispatch trace events.
     """
 
-    backend = "serial"
     num_workers = 1
     last_dispatch = None
     #: Serial execution never degrades (there is no pool to lose).
@@ -558,11 +576,9 @@ class SerialDispatch:
     def __init__(self, graph: Graph, app) -> None:
         n = graph.num_vertices
         self._app = app
-        self._in_csr = graph.in_csr
-        self._out_csr = graph.out_csr
-        self._in_deg = self._in_csr.degrees()
-        self.in_degrees = self._in_deg
-        self.out_degrees = self._out_csr.degrees()
+        self._csr = {"in": graph.in_csr, "out": graph.out_csr}
+        self.in_degrees = graph.in_csr.degrees()
+        self.out_degrees = graph.out_csr.degrees()
         self.num_vertices = n
         self.values = np.zeros(n, dtype=np.float64)
         self.result = np.zeros(n, dtype=np.float64)
@@ -577,41 +593,58 @@ class SerialDispatch:
         """Phases dispatched so far (the sampler's staleness reference)."""
         return self._epoch
 
-    def _telemetry_phase(self, phase_id: int, tasks: int, edges: int,
-                         kernel_ns: int) -> None:
-        """One whole phase executed as a single inline block."""
+    def _blocks(self, direction: str, ids: np.ndarray):
+        """The ``(part, adjacency, ids)`` pieces a phase over ``ids``
+        reads in ``direction``: here one, the resident CSR.
+
+        Pull and gather pieces write disjoint rows, so the order pieces
+        come in is free; push and expansion output is joined by
+        ``part``.
+        """
+        return ((0, self._csr[direction], ids),)
+
+    def _read_done(self, phase: str, direction: str) -> None:
+        """Called once a phase has read its edges: nothing to report."""
+
+    def _phase_done(self, phase_id: int, direction: str, tasks: int,
+                    edges: int, t0: int) -> None:
+        """One whole phase, started at ``t0``, as a single telemetry block."""
+        kernel_ns = time.perf_counter_ns() - t0
         self._epoch += 1
         row = self.telemetry[0]
         telemetry_begin(row, self._epoch, phase_id)
         telemetry_advance(row, tasks, edges, kernel_ns, stolen=False)
         telemetry_end(row)
+        self._read_done(PHASE_NAMES_BY_ID[phase_id], direction)
 
     # ------------------------------------------------------------------
     def pull_apply(self, ids: np.ndarray, aggregation: str) -> list:
         """Fused pull + improvement mask for ``ids``; returns stats."""
         self.improved[...] = False
         t0 = time.perf_counter_ns()
-        edges = pull_apply_block(
-            self._app, self._in_csr, self._in_deg, self.values, ids,
-            aggregation, self.result, self.improved,
-            self._app.source_terms(self.values),
-        )
-        self._telemetry_phase(
-            PHASE_PULL, ids.size, edges, time.perf_counter_ns() - t0
-        )
+        # Once per phase, not per block.
+        terms = self._app.source_terms(self.values)
+        edges = 0
+        for _, csr, block in self._blocks("in", ids):
+            edges += pull_apply_block(
+                self._app, csr, self.in_degrees, self.values, block,
+                aggregation, self.result, self.improved, terms,
+            )
+        self._phase_done(PHASE_PULL, "in", ids.size, edges, t0)
         return []
 
     def gather(self, ids: np.ndarray) -> list:
         """Arithmetic gather into a zeroed ``result``; returns stats."""
         self.result[...] = 0.0
         t0 = time.perf_counter_ns()
-        edges = gather_block(
-            self._app, self._in_csr, self._in_deg, self.values, ids,
-            self.result, self._app.source_terms(self.values),
-        )
-        self._telemetry_phase(
-            PHASE_GATHER, ids.size, edges, time.perf_counter_ns() - t0
-        )
+        terms = self._app.source_terms(self.values)
+        edges = 0
+        for _, csr, block in self._blocks("in", ids):
+            edges += gather_block(
+                self._app, csr, self.in_degrees, self.values, block,
+                self.result, terms,
+            )
+        self._phase_done(PHASE_GATHER, "in", ids.size, edges, t0)
         return []
 
     def push(self, ids: np.ndarray):
@@ -622,26 +655,36 @@ class SerialDispatch:
         engine).
         """
         t0 = time.perf_counter_ns()
-        dsts, candidates = push_candidates(
-            self._app, self._out_csr, self.values, ids,
-            self._app.source_terms(self.values),
-        )
-        self._telemetry_phase(
-            PHASE_PUSH, ids.size, dsts.size, time.perf_counter_ns() - t0
-        )
+        terms = self._app.source_terms(self.values)
+        pieces = [
+            (part, *push_candidates(self._app, csr, self.values, block, terms))
+            for part, csr, block in self._blocks("out", ids)
+        ]
+        dsts = _in_row_order(pieces, 1, np.int64)
+        candidates = _in_row_order(pieces, 2, np.float64)
+        self._phase_done(PHASE_PUSH, "out", ids.size, dsts.size, t0)
         return dsts, candidates, self.out_degrees[ids], []
 
+    def _expand(self, direction: str, ids: np.ndarray) -> np.ndarray:
+        """Concatenated ``direction``-neighbours of the sorted ``ids``."""
+        pieces = [
+            (part, expand_row_dsts(csr.indptr, csr.indices, block, csr.base))
+            for part, csr, block in self._blocks(direction, ids)
+        ]
+        self._read_done("expand", direction)
+        return _in_row_order(pieces, 1, np.int64)
+
     def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated out-neighbours of ``ids`` (engine frontier/thaw
-        expansion) — the one remaining engine-side edge access, routed
-        through the dispatch so out-of-core backends can stream it."""
-        return expand_row_dsts(self._out_csr.indptr, self._out_csr.indices, ids)
+        """Concatenated out-neighbours of ``ids`` (frontier touch sets
+        and the push side of the EC thaw) — the engine's own edge reads
+        go through the dispatch so out-of-core backends can stream them."""
+        return self._expand("out", ids)
 
     def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated in-neighbours of ``ids`` — the pull side of the
         EC thaw, for when the frozen set has fewer in-edges than the
         changed set has out-edges."""
-        return expand_row_dsts(self._in_csr.indptr, self._in_csr.indices, ids)
+        return self._expand("in", ids)
 
     def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
         """Shards an expansion of ``ids`` would decode: none, the

@@ -129,11 +129,10 @@ OPENMETRICS_CONTENT_TYPE = (
 class TelemetrySampler:
     """Samples one dispatch's telemetry segment from a parent thread.
 
-    Works against anything exposing the phase-dispatch telemetry
-    contract: a ``telemetry`` array of ``TEL_*`` rows, ``num_workers``,
-    ``current_epoch`` and ``degraded`` — i.e. both
-    :class:`repro.parallel.ParallelExecutor` and
-    :class:`repro.core.runtime.SerialDispatch`.
+    Works against any :class:`repro.core.runtime.SerialDispatch` — the
+    serial, out-of-core and pool backends alike: its ``telemetry`` array
+    of ``TEL_*`` rows, ``num_workers``, ``current_epoch`` and
+    ``degraded``.
 
     The sampler never blocks the run: workers write their slots
     lock-free and the sampler only reads.  On a pool it registers a
@@ -167,7 +166,7 @@ class TelemetrySampler:
         self._thread: Optional[threading.Thread] = None
         # per worker: (last heartbeat value, monotonic stamp of the
         # last observed change, stall episode already reported?)
-        rows = int(getattr(dispatch, "num_workers", 1))
+        rows = dispatch.num_workers
         now = time.monotonic()
         self._hb_seen = [(-1, now, False)] * rows
 
@@ -222,8 +221,8 @@ class TelemetrySampler:
     def _empty_snapshot(self) -> Dict[str, Any]:
         return {
             "monotonic": time.monotonic(),
-            "degraded": bool(getattr(self.dispatch, "degraded", False)),
-            "epoch": int(getattr(self.dispatch, "current_epoch", 0)),
+            "degraded": self.dispatch.degraded,
+            "epoch": self.dispatch.current_epoch,
             "workers": [],
             "stalled": [],
         }
@@ -231,8 +230,8 @@ class TelemetrySampler:
     def _sample_locked(self) -> Dict[str, Any]:
         dispatch = self.dispatch
         telemetry = dispatch.telemetry
-        degraded = bool(getattr(dispatch, "degraded", False))
-        parent_epoch = int(getattr(dispatch, "current_epoch", 0))
+        degraded = dispatch.degraded
+        parent_epoch = dispatch.current_epoch
         now = time.monotonic()
         # Rate window: time since the previous snapshot.  Before the
         # first snapshot — or if two samples land on the same monotonic
@@ -674,9 +673,7 @@ class LiveTelemetryPlane:
         """Sticky: True once any attached dispatch degraded."""
         if not self._degraded:
             sampler = self.sampler
-            if sampler is not None and getattr(
-                sampler.dispatch, "degraded", False
-            ):
+            if sampler is not None and sampler.dispatch.degraded:
                 self._degraded = True
         return self._degraded
 
@@ -684,11 +681,9 @@ class LiveTelemetryPlane:
         """Start sampling ``dispatch``; replaces any previous sampler."""
         if self._closed:
             return None
-        if getattr(dispatch, "telemetry", None) is None:
-            return None
         previous = self.sampler
         if previous is not None:
-            if getattr(previous.dispatch, "degraded", False):
+            if previous.dispatch.degraded:
                 self._degraded = True
             previous.stop()
         sampler = TelemetrySampler(
@@ -717,7 +712,7 @@ class LiveTelemetryPlane:
         self._closed = True
         sampler = self.sampler
         if sampler is not None:
-            if getattr(sampler.dispatch, "degraded", False):
+            if sampler.dispatch.degraded:
                 self._degraded = True
             sampler.stop()
         if self.server is not None:

@@ -5,10 +5,10 @@ Small Cluster", PAPERS.md) for the SLFE engine family: only the O(|V|)
 per-vertex state — ``values``/``result``/``improved``, the two indptr
 arrays and their degree diffs — stays resident; the O(|E|) adjacency is
 streamed shard-at-a-time from the artifact store each superstep and
-dropped again.  :class:`ShardStreamDispatch` implements the same
-phase-dispatch interface as :class:`repro.core.runtime.SerialDispatch`
-and :class:`repro.parallel.ParallelExecutor`, so the engine's run loops
-are unchanged — one code path, three backends.
+dropped again.  :class:`ShardStreamDispatch` is a
+:class:`repro.core.runtime.SerialDispatch` that only says how a phase is
+cut into blocks — one per shard holding a task id — and reports what
+each phase read; the phase bodies are serial's.
 
 Bit-identity with serial is by construction, not by tolerance:
 
@@ -37,7 +37,9 @@ hold only ``indptr`` (touching ``indices``/``weights`` is a typed
 :class:`EngineError`), loadable from a pre-sharded store entry via
 :func:`load_spilled` — the full edge set never exists in memory at
 once, which is what lets the bench run graphs 10-100x beyond the
-in-memory stand-ins at flat peak RSS.
+in-memory stand-ins at flat peak RSS.  Its runs stream from the store
+it was loaded from; RR guidance, a sweep over resident out-edges, must
+be supplied (``guidance=``) or switched off (``enable_rr=False``).
 """
 
 from __future__ import annotations
@@ -51,19 +53,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.runtime import (
-    PHASE_GATHER,
-    PHASE_PULL,
-    PHASE_PUSH,
-    expand_row_dsts,
-    gather_block,
-    new_telemetry_block,
-    pull_apply_block,
-    push_candidates,
-    telemetry_advance,
-    telemetry_begin,
-    telemetry_end,
-)
+from repro.core.runtime import SerialDispatch
 from repro.errors import EngineError, StoreError
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
@@ -153,13 +143,14 @@ class SpilledCSR(CSR):
 class SpilledGraph(Graph):
     """A :class:`Graph` whose adjacency lives in a shard store.
 
-    ``shard_digest`` keys the manifests/parts in the
-    :class:`~repro.store.ArtifactStore`; both directions' ``indptr``
-    arrays are resident (they are the per-vertex metadata every
-    degree-based decision needs), the edge arrays never are.
+    ``shard_digest`` keys the manifests/parts in ``store``, the
+    :class:`~repro.store.ArtifactStore` the graph was loaded from (None:
+    the run's configured store); both directions' ``indptr`` arrays are
+    resident (they are the per-vertex metadata every degree-based
+    decision needs), the edge arrays never are.
     """
 
-    __slots__ = ("shard_digest",)
+    __slots__ = ("shard_digest", "store")
 
     def __init__(
         self,
@@ -167,10 +158,12 @@ class SpilledGraph(Graph):
         in_indptr: np.ndarray,
         shard_digest: str,
         name: str = "",
+        store: Optional[ArtifactStore] = None,
     ) -> None:
         super().__init__(SpilledCSR(out_indptr), name=name)
         self._in_csr = SpilledCSR(in_indptr)
         self.shard_digest = str(shard_digest)
+        self.store = store
 
 
 def spill_graph(
@@ -184,7 +177,8 @@ def spill_graph(
 
 
 def load_spilled(store: ArtifactStore, digest: str) -> SpilledGraph:
-    """Reopen a pre-sharded graph without materialising its edges."""
+    """Reopen a pre-sharded graph without materialising its edges; its
+    runs stream from ``store``."""
     loaded = {}
     for direction in ("in", "out"):
         entry = store.get_shard_manifest(digest, direction)
@@ -201,6 +195,7 @@ def load_spilled(store: ArtifactStore, digest: str) -> SpilledGraph:
         in_indptr=loaded["in"][1],
         shard_digest=digest,
         name=name,
+        store=store,
     )
 
 
@@ -351,25 +346,19 @@ def _planned_mb(entry) -> float:
     return float(entry[0]["shard_mb"])
 
 
-def _concat_by_part(pieces: Dict[int, np.ndarray], dtype) -> np.ndarray:
-    """Per-shard output joined in ascending shard (= row) order."""
-    if not pieces:
-        return np.empty(0, dtype=dtype)
-    return np.concatenate([pieces[part] for part in sorted(pieces)])
+class ShardStreamDispatch(SerialDispatch):
+    """Out-of-core phase dispatch: :class:`SerialDispatch`'s phase
+    bodies, with each phase cut at shard bounds.
 
-
-class ShardStreamDispatch:
-    """Out-of-core implementation of the phase-dispatch interface.
-
-    Drop-in beside :class:`~repro.core.runtime.SerialDispatch`: same
-    scratch arrays, same fused kernels, same telemetry block — but the
-    kernels run shard-at-a-time over :class:`ShardSlice` views fetched
-    from the artifact store, so the adjacency is never resident beyond
-    the LRU window.
+    Same scratch arrays, same fused kernels, same telemetry block — but
+    each phase runs shard-at-a-time over :class:`ShardSlice` views
+    fetched from the artifact store, so the adjacency is never resident
+    beyond the LRU window.
 
     Sharding is resolved in this order:
 
-    1. a :class:`SpilledGraph` names its shards directly (``shard_digest``);
+    1. a :class:`SpilledGraph` names its shards directly
+       (``shard_digest``), in the store it was loaded from;
     2. an in-memory graph consults the store by content fingerprint
        (the ``repro cache shard`` warm path);
     3. on a miss the graph is sharded now and offered back — into the
@@ -385,12 +374,6 @@ class ShardStreamDispatch:
     callers can verify pre-sharding actually avoided the build.
     """
 
-    backend = "ooc"
-    num_workers = 1
-    last_dispatch = None
-    #: Streaming never degrades (there is no pool to lose).
-    degraded = False
-
     def __init__(
         self,
         graph: Graph,
@@ -400,13 +383,14 @@ class ShardStreamDispatch:
         shard_mb: Optional[float] = None,
         shard_cache: Optional[int] = None,
     ) -> None:
-        self._app = app
+        super().__init__(graph, app)
         self._recorder = recorder
         self._shard_mb = resolve("shard_mb", shard_mb)
         self._capacity = resolve("shard_cache", shard_cache)
-        self._superstep = 0
         self._tmp_root: Optional[str] = None
 
+        if store is None and isinstance(graph, SpilledGraph):
+            store = graph.store
         store = store if store is not None else current().store
         if store is None:
             # No configured cache: stream through a private spill directory
@@ -461,42 +445,25 @@ class ShardStreamDispatch:
             d: sc.shard_bounds() for d, sc in self._sharded.items()
         }
 
-        n = self._sharded["in"].num_vertices
-        self.num_vertices = n
-        self.in_degrees = self._sharded["in"].degrees()
-        self.out_degrees = self._sharded["out"].degrees()
-        self.values = np.zeros(n, dtype=np.float64)
-        self.result = np.zeros(n, dtype=np.float64)
-        self.improved = np.zeros(n, dtype=bool)
-        self.telemetry = new_telemetry_block(1)
-        self._epoch = 0
-
     def _make_fetch(self, digest: str, direction: str):
         def fetch(part: int) -> bytes:
             return self._store.get_shard_blob(digest, direction, part)
 
         return fetch
 
-    # ------------------------------------------------------------------
-    @property
-    def current_epoch(self) -> int:
-        """Phases dispatched so far (the sampler's staleness reference)."""
-        return self._epoch
+    # perfbench times the phases in this class's own namespace.
+    pull_apply = SerialDispatch.pull_apply
+    gather = SerialDispatch.gather
+    push = SerialDispatch.push
+    expand_out_dsts = SerialDispatch.expand_out_dsts
 
     @property
     def num_shards(self) -> Dict[str, int]:
         """Shard count per direction (diagnostics and tests)."""
         return {d: sc.num_shards for d, sc in self._sharded.items()}
 
-    def _telemetry_phase(self, phase_id: int, tasks: int, edges: int,
-                         kernel_ns: int) -> None:
-        self._epoch += 1
-        row = self.telemetry[0]
-        telemetry_begin(row, self._epoch, phase_id)
-        telemetry_advance(row, tasks, edges, kernel_ns, stolen=False)
-        telemetry_end(row)
-
-    def _emit_shard_io(self, phase: str, direction: str) -> None:
+    def _read_done(self, phase: str, direction: str) -> None:
+        """One ``shard_io`` event: what the phase read from the store."""
         shards, nbytes, hits, seconds = self._stream.drain_counters()
         rec = self._recorder
         if rec is None or not getattr(rec, "enabled", False):
@@ -512,8 +479,8 @@ class ShardStreamDispatch:
             peak_rss_bytes=peak_rss_bytes(),
         )
 
-    def _groups(self, direction: str, ids: np.ndarray):
-        """Yield ``(part, ids_in_part)`` for a sorted id list.
+    def _blocks(self, direction: str, ids: np.ndarray):
+        """Yield ``(part, shard, ids_in_part)`` for a sorted id list.
 
         The sortedness precondition is what makes a searchsorted split
         hand each shard the rows serial would (and therefore the whole
@@ -522,8 +489,8 @@ class ShardStreamDispatch:
 
         Parts come from whichever end the stream still holds decoded
         (a sweep of ``S`` behind a cache of ``c < S`` then reads
-        ``S - c``, not ``S``); callers whose output order matters key
-        it by ``part``.
+        ``S - c``, not ``S``); output whose order matters is joined by
+        ``part``.
         """
         if ids.size == 0:
             return
@@ -544,71 +511,7 @@ class ShardStreamDispatch:
             self._stream.announce(
                 direction, parts[i + 1] if i + 1 < len(parts) else None
             )
-            yield part, groups[part]
-
-    # ------------------------------------------------------------------
-    def pull_apply(self, ids: np.ndarray, aggregation: str) -> list:
-        """Fused pull + improvement mask, streamed over in-shards."""
-        self.improved[...] = False
-        t0 = time.perf_counter_ns()
-        edges = 0
-        # Once per phase, not per shard.
-        terms = self._app.source_terms(self.values)
-        for part, group in self._groups("in", ids):
-            shard = self._stream.get("in", part)
-            edges += pull_apply_block(
-                self._app, shard, self.in_degrees, self.values, group,
-                aggregation, self.result, self.improved, terms,
-            )
-        self._telemetry_phase(
-            PHASE_PULL, ids.size, edges, time.perf_counter_ns() - t0
-        )
-        self._emit_shard_io("pull", "in")
-        return []
-
-    def gather(self, ids: np.ndarray) -> list:
-        """Arithmetic gather into a zeroed ``result``, streamed."""
-        self.result[...] = 0.0
-        t0 = time.perf_counter_ns()
-        edges = 0
-        # Once per phase, not per shard.
-        terms = self._app.source_terms(self.values)
-        for part, group in self._groups("in", ids):
-            shard = self._stream.get("in", part)
-            edges += gather_block(
-                self._app, shard, self.in_degrees, self.values, group,
-                self.result, terms,
-            )
-        self._telemetry_phase(
-            PHASE_GATHER, ids.size, edges, time.perf_counter_ns() - t0
-        )
-        self._emit_shard_io("gather", "in")
-        return []
-
-    def push(self, ids: np.ndarray):
-        """Push candidates of ``ids`` in serial expansion order.
-
-        Each shard expands its slice of a sorted id list; concatenated
-        by ascending shard, whatever order they were visited in, the
-        expansions reproduce the full-CSR expansion byte for byte.
-        """
-        t0 = time.perf_counter_ns()
-        dst_parts = {}
-        cand_parts = {}
-        # Once per phase, not per shard.
-        terms = self._app.source_terms(self.values)
-        for part, group in self._groups("out", ids):
-            shard = self._stream.get("out", part)
-            dst_parts[part], cand_parts[part] = push_candidates(
-                self._app, shard, self.values, group, terms
-            )
-        dsts = _concat_by_part(dst_parts, np.int64)
-        candidates = _concat_by_part(cand_parts, np.float64)
-        self._telemetry_phase(
-            PHASE_PUSH, ids.size, dsts.size, time.perf_counter_ns() - t0
-        )
-        self._emit_shard_io("push", "out")
-        return dsts, candidates, self.out_degrees[ids], []
+            yield part, self._stream.get(direction, part), groups[part]
 
     def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
         """Shards holding the sorted ``ids`` that are not decoded in the
@@ -619,47 +522,8 @@ class ShardStreamDispatch:
             for part in np.flatnonzero(np.diff(cuts))
         )
 
-    def _expand_neighbors(self, direction: str, ids: np.ndarray) -> np.ndarray:
-        """Concatenated ``direction``-neighbours of the sorted ``ids``,
-        streamed from the shards that hold them."""
-        parts = {}
-        for part, group in self._groups(direction, ids):
-            shard = self._stream.get(direction, part)
-            parts[part] = expand_row_dsts(
-                shard.indptr, shard.indices, group, shard.base
-            )
-        self._emit_shard_io("expand", direction)
-        return _concat_by_part(parts, np.int64)
-
-    def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated out-neighbours of ``ids``, streamed from the
-        out-shards (frontier touch sets and push-side EC thaw)."""
-        return self._expand_neighbors("out", ids)
-
-    def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated in-neighbours of ``ids``, streamed from the
-        in-shards (pull-side EC thaw): only the shards holding a frozen
-        vertex are read."""
-        return self._expand_neighbors("in", ids)
-
-    # ------------------------------------------------------------------
-    def begin_superstep(self, superstep: int) -> None:
-        """Superstep clock for trace context (no pool to arm faults on)."""
-        self._superstep = int(superstep)
-
-    def detach_values(self) -> np.ndarray:
-        """The values array, safe to own after ``close``."""
-        return self.values
-
     def close(self) -> None:
         self._stream.close()
         if self._tmp_root is not None:
             shutil.rmtree(self._tmp_root, ignore_errors=True)
             self._tmp_root = None
-
-    def __enter__(self) -> "ShardStreamDispatch":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False

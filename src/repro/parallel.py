@@ -80,9 +80,9 @@ construction:
 Respawns draw from a bounded budget (``max_respawns``, doubling
 backoff).  When the budget is exhausted the pool **degrades**: every
 worker is killed, the shared segments stay alive, and the parent runs
-the same fused kernels inline over the same arrays — serial semantics,
-same results, ``degraded=True`` on the executor — rather than failing
-the job.  Deterministic worker faults for testing this machinery come
+:class:`~repro.core.runtime.SerialDispatch`'s phase bodies over the same
+scratch arrays — serial semantics, same results, ``degraded=True`` on
+the executor — rather than failing the job.  Deterministic worker faults for testing this machinery come
 from :class:`repro.cluster.faults.WorkerFault`
 (``worker-crash@K:PHASE-W`` / ``worker-hang@K:PHASE-W``), delivered as
 real signals immediately before the matching dispatch.
@@ -101,16 +101,14 @@ import numpy as np
 
 from repro.cluster.worksteal import MINI_CHUNK_VERTICES
 from repro.core.runtime import (
+    AGGREGATION_BY_CODE,
     AGGREGATION_CODES,
     PHASE_GATHER,
     PHASE_NAMES_BY_ID,
     PHASE_PULL,
     PHASE_PUSH,
     TEL_COLS,
-    expand_row_dsts,
-    telemetry_advance,
-    telemetry_begin,
-    telemetry_end,
+    SerialDispatch,
 )
 from repro.errors import EngineError
 from repro.graph.csr import CSR
@@ -194,15 +192,15 @@ class _WorkerFailure(Exception):
         )
 
 
-class ParallelExecutor:
+class ParallelExecutor(SerialDispatch):
     """Persistent worker pool sharing one graph for one engine run.
 
-    Implements the same phase-dispatch interface as
-    :class:`repro.core.runtime.SerialDispatch`: public ``values`` /
-    ``result`` / ``improved`` scratch views (here backed by shared
-    memory), the fused :meth:`pull_apply` / :meth:`gather` /
-    :meth:`push` phase methods, and :meth:`detach_values` /
-    :meth:`close` lifecycle.
+    A :class:`repro.core.runtime.SerialDispatch` whose ``values`` /
+    ``result`` / ``improved`` scratch views are backed by shared memory
+    and whose :meth:`pull_apply` / :meth:`gather` / :meth:`push` phases
+    run on the workers.  The parent's own edge reads — the engine's
+    expansions, and every phase once the pool has degraded — are the
+    serial bodies over the run graph's CSRs.
 
     Parameters
     ----------
@@ -232,9 +230,8 @@ class ParallelExecutor:
         like ``reply_timeout``.
     allow_degrade:
         When the respawn budget is exhausted: ``True`` (default) kills
-        the pool and finishes the run with the same fused kernels
-        inline over the live shared arrays (``degraded`` flips to
-        True); ``False`` raises the typed :class:`EngineError` instead
+        the pool and finishes the run with the serial phase bodies
+        over the live shared arrays (``degraded`` flips to True); ``False`` raises the typed :class:`EngineError` instead
         (the pre-recovery fail-fast behaviour, kept for tests and
         callers that prefer loud death).
     recorder:
@@ -293,6 +290,7 @@ class ParallelExecutor:
         self.num_vertices = n
         in_csr = graph.in_csr
         out_csr = graph.out_csr
+        self._csr = {"in": in_csr, "out": out_csr}
         self.in_degrees = in_csr.degrees()
         self.out_degrees = out_csr.degrees()
 
@@ -303,24 +301,18 @@ class ParallelExecutor:
             return view
 
         try:
-            # The CSR views are kept: the degraded (inline) execution
-            # path runs the fused kernels in the parent over these same
-            # shared blocks.  Unit weights are not data: no block.
-            self._csr_views = {
-                key: share(key, source.shape, source.dtype, source)
-                for key, source in (
-                    ("in_indptr", in_csr.indptr),
-                    ("in_indices", in_csr.indices),
-                    ("in_weights", None if in_csr.unit_weights else in_csr.weights),
-                    ("out_indptr", out_csr.indptr),
-                    ("out_indices", out_csr.indices),
-                    ("out_weights", None if out_csr.unit_weights else out_csr.weights),
-                )
-                if source is not None
-            }
-            # Filled: read-only from here (expand_out_dsts returns views).
-            for view in self._csr_views.values():
-                view.flags.writeable = False
+            # The workers' copy of the adjacency; unit weights are not
+            # data: no block.
+            for key, source in (
+                ("in_indptr", in_csr.indptr),
+                ("in_indices", in_csr.indices),
+                ("in_weights", None if in_csr.unit_weights else in_csr.weights),
+                ("out_indptr", out_csr.indptr),
+                ("out_indices", out_csr.indices),
+                ("out_weights", None if out_csr.unit_weights else out_csr.weights),
+            ):
+                if source is not None:
+                    share(key, source.shape, source.dtype, source)
             self.values = share("values", n, np.float64)
             self.result = share("result", n, np.float64)
             self.improved = share("improved", n, bool)
@@ -416,29 +408,8 @@ class ParallelExecutor:
             view[...] = source
         return view, (shm.name, view.shape, dtype.str)
 
-    @property
-    def current_epoch(self) -> int:
-        """Phases dispatched so far (the sampler's staleness reference)."""
-        return self._epoch
-
-    def expand_out_dsts(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated out-neighbours of ``ids``, from the shared CSR
-        views (no private copy of the adjacency in the parent)."""
-        return expand_row_dsts(
-            self._csr_views["out_indptr"], self._csr_views["out_indices"], ids
-        )
-
-    def expand_in_srcs(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated in-neighbours of ``ids`` (pull-side EC thaw),
-        from the same shared CSR views."""
-        return expand_row_dsts(
-            self._csr_views["in_indptr"], self._csr_views["in_indices"], ids
-        )
-
-    def shard_decodes(self, direction: str, ids: np.ndarray) -> int:
-        """Shards an expansion of ``ids`` would decode: none, the
-        adjacency is in shared memory."""
-        return 0
+    # perfbench times the expansion in this class's own namespace.
+    expand_out_dsts = SerialDispatch.expand_out_dsts
 
     # ------------------------------------------------------------------
     # superstep clock + trace plumbing
@@ -674,8 +645,6 @@ class ParallelExecutor:
                 pass
         self._procs = []
         self._conns = []
-        self._inline_in_csr, self._inline_out_csr = _shared_csrs(self._csr_views)
-        self._inline_in_deg = self._inline_in_csr.degrees()
 
     def _recover(self, failure: _WorkerFailure, phase_id: int) -> None:
         """Handle a mid-phase failure; on return the phase can re-run.
@@ -775,7 +744,6 @@ class ParallelExecutor:
                         phase=failure.phase,
                         epoch=self._epoch + 1,
                     )
-        self._reset_phase_scratch(phase_id)
         return self._dispatch_inline(phase_id, count, aggregation_code)
 
     def _dispatch_pool(
@@ -838,70 +806,30 @@ class ParallelExecutor:
     def _dispatch_inline(
         self, phase_id: int, count: int, aggregation_code: int
     ) -> List[Dict[str, Any]]:
-        """Degraded mode: the parent runs the fused kernels itself.
+        """Degraded mode: the parent runs the serial phase bodies itself.
 
-        Single-block execution over the same shared arrays the pool
-        used — exactly :class:`repro.core.runtime.SerialDispatch`
-        semantics, so results stay bit-identical; the run finishes
-        instead of failing.
+        Single-block execution over the same shared scratch arrays the
+        pool used — exactly :class:`SerialDispatch` semantics, so results
+        stay bit-identical; the run finishes instead of failing.
         """
-        from repro.core.runtime import (
-            AGGREGATION_BY_CODE,
-            gather_block,
-            pull_apply_block,
-            push_block,
-        )
-
-        self._epoch += 1
         phase = PHASE_NAMES_BY_ID[phase_id]
         self._inject_worker_faults(phase)
         ids = self._task_ids[:count]
-        edges = 0
-        tel_row = self.telemetry[0]
-        telemetry_begin(tel_row, self._epoch, phase_id)
         t0 = time.perf_counter()
-        if count:
+        if phase_id == PHASE_PUSH:
+            dsts, candidates = SerialDispatch.push(self, ids)[:2]
+            edges = int(dsts.size)
+            self._edge_dsts[:edges] = dsts
+            self._edge_cands[:edges] = candidates
+        else:
             if phase_id == PHASE_PULL:
-                edges = pull_apply_block(
-                    self._app,
-                    self._inline_in_csr,
-                    self._inline_in_deg,
-                    self.values,
-                    ids,
-                    AGGREGATION_BY_CODE[aggregation_code],
-                    self.result,
-                    self.improved,
-                    self._app.source_terms(self.values),
-                )
-            elif phase_id == PHASE_GATHER:
-                edges = gather_block(
-                    self._app,
-                    self._inline_in_csr,
-                    self._inline_in_deg,
-                    self.values,
-                    ids,
-                    self.result,
-                    self._app.source_terms(self.values),
-                )
-            elif phase_id == PHASE_PUSH:
-                edges = push_block(
-                    self._app,
-                    self._inline_out_csr,
-                    self.values,
-                    ids,
-                    self._edge_dsts,
-                    self._edge_cands,
-                    0,
-                    int(self._task_offsets[count]),
-                    self._app.source_terms(self.values),
+                SerialDispatch.pull_apply(
+                    self, ids, AGGREGATION_BY_CODE[aggregation_code]
                 )
             else:
-                raise EngineError("unknown phase id %r" % phase_id)
+                SerialDispatch.gather(self, ids)
+            edges = int(self.in_degrees[ids].sum())
         busy = time.perf_counter() - t0
-        telemetry_advance(
-            tel_row, int(count), int(edges), int(busy * 1e9), stolen=False
-        )
-        telemetry_end(tel_row)
         self.last_dispatch = {
             "phase": phase,
             "epoch": self._epoch,
@@ -917,7 +845,7 @@ class ParallelExecutor:
                 "chunks": 1 if count else 0,
                 "steals": 0,
                 "tasks": int(count),
-                "edges": int(edges),
+                "edges": edges,
             }
         ]
 
@@ -1038,13 +966,6 @@ class ParallelExecutor:
             except Exception:
                 pass
 
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
     def __del__(self) -> None:
         try:
             self.close()
@@ -1056,9 +977,9 @@ class ParallelExecutor:
 # worker process
 # ----------------------------------------------------------------------
 def _shared_csrs(arrays: Dict[str, np.ndarray]) -> Tuple[Any, ...]:
-    """The ``(in, out)`` CSRs over the shared blocks, as every worker and
-    the degraded inline path build them: a direction with no
-    ``*_weights`` block has unit weights."""
+    """The ``(in, out)`` CSRs over the shared blocks, as every worker
+    builds them: a direction with no ``*_weights`` block has unit
+    weights."""
     return tuple(
         CSR(arrays[d + "_indptr"], arrays[d + "_indices"], arrays.get(d + "_weights"))
         for d in ("in", "out")

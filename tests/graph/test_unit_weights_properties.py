@@ -191,17 +191,28 @@ def test_pool_shares_no_unit_weights_and_its_workers_read_ones(start_method):
         max_respawns=0, allow_degrade=True,
     ) as ex:
         assert not [key for key in ex._spec if key.endswith("_weights")]
-        for csr in parallel._shared_csrs(ex._csr_views):
+        # The CSRs a worker builds over the blocks it attaches; the
+        # handles stay open while their views are read.
+        handles = {key: parallel._attach(name)
+                   for key, (name, _, _) in ex._spec.items()
+                   if key.startswith(("in_", "out_"))}
+        arrays = {key: np.ndarray(ex._spec[key][1], ex._spec[key][2],
+                                  buffer=shm.buf)
+                  for key, shm in handles.items()}
+        for csr in parallel._shared_csrs(arrays):
             _assert_unit(csr.weights, graph.num_edges)
+        del arrays, csr
+        for shm in handles.values():
+            shm.close()
         ex.values[...] = values
         ex.pull_apply(ids, "min")
         assert ex.result[ids].tobytes() == serial.result[ids].tobytes()
-        # The degraded inline path builds the same CSRs in the parent.
+        # The degraded inline path reads the run graph's own CSRs.
         ex._procs[0].kill()
         ex._procs[0].join(timeout=5)
         ex.pull_apply(ids, "min")
         assert ex.degraded
-        for csr in (ex._inline_in_csr, ex._inline_out_csr):
+        for csr in ex._csr.values():
             _assert_unit(csr.weights, graph.num_edges)
         assert ex.result[ids].tobytes() == serial.result[ids].tobytes()
     weighted = graph.with_weights(np.linspace(1.0, 3.0, graph.num_edges))

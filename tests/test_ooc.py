@@ -20,7 +20,6 @@ from repro.bench.runner import run_workload
 from repro.errors import EngineError, GraphIOError, StoreError
 from repro.graph import generators
 from repro.graph import io as graph_io
-from repro.graph.graph import Graph
 from repro.graph.shards import plan_shards
 from repro.ooc import (
     ShardStreamDispatch,
@@ -196,6 +195,82 @@ class TestBitIdentity:
         assert "fan-out" in str(caught.value)
         assert "backend='ooc'" not in str(caught.value)
         assert spilled._fanout_memo is None
+
+
+class TestSpilledRuns:
+    """A spilled graph runs on its own backend from the store it was
+    loaded from; what needs its edges resident says so."""
+
+    @staticmethod
+    def _graph():
+        return make_random_graph(num_vertices=120, num_edges=600, seed=3)
+
+    @staticmethod
+    def _engine(graph, **kwargs):
+        from repro.cluster.cluster import ClusterConfig
+        from repro.core.engine import SLFEEngine
+
+        return SLFEEngine(graph, config=ClusterConfig(num_nodes=1), **kwargs)
+
+    @pytest.mark.parametrize("configure", [True, False])
+    def test_rr_without_guidance_names_the_two_fixes(
+        self, store, monkeypatch, configure
+    ):
+        from repro.apps.pagerank import PageRank
+
+        spilled = load_spilled(
+            store, spill_graph(self._graph(), store, TINY_SHARD_MB)
+        )
+
+        def no_shard_reads(*args):
+            raise AssertionError("a shard was read")
+
+        monkeypatch.setattr(ArtifactStore, "get_shard_blob", no_shard_reads)
+        with configured(store=store if configure else None):
+            with pytest.raises(EngineError) as caught:
+                self._engine(spilled, backend="ooc").run_arithmetic(
+                    PageRank()
+                )
+        message = str(caught.value)
+        assert "guidance" in message and "out-edges" in message
+        assert "enable_rr=False" in message and "guidance=" in message
+        assert "backend='ooc'" not in message
+
+    def test_rr_off_streams_from_its_own_store(self, store):
+        from repro.apps.pagerank import PageRank
+
+        graph = self._graph()
+        reference = self._engine(graph, enable_rr=False).run_arithmetic(
+            PageRank()
+        )
+        spilled = load_spilled(
+            store, spill_graph(graph, store, TINY_SHARD_MB)
+        )
+        assert spilled.store is store
+        # No configured store: the run opens the one the graph names.
+        with configured(store=None, shard_mb=TINY_SHARD_MB, shard_cache=2):
+            result = self._engine(
+                spilled, enable_rr=False, backend="ooc"
+            ).run_arithmetic(PageRank())
+        _assert_identical(result, reference)
+        assert result.values.tobytes() == reference.values.tobytes()
+
+    def test_supplied_guidance_runs_rr(self, store):
+        from repro.apps.pagerank import PageRank
+
+        graph = self._graph()
+        reference = self._engine(graph).run_arithmetic(PageRank())
+        assert reference.guidance is not None
+        spilled = load_spilled(
+            store, spill_graph(graph, store, TINY_SHARD_MB)
+        )
+        with configured(shard_mb=TINY_SHARD_MB, shard_cache=2):
+            result = self._engine(spilled, backend="ooc").run_arithmetic(
+                PageRank(), guidance=reference.guidance
+            )
+        _assert_identical(result, reference)
+        assert result.values.tobytes() == reference.values.tobytes()
+        assert result.metrics.total_skipped == reference.metrics.total_skipped
 
 
 class TestShardStore:

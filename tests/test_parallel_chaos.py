@@ -173,6 +173,58 @@ class TestChaosDifferential:
         # the answer must not change.
         assert np.array_equal(outcome.result.values, reference)
 
+    @pytest.mark.parametrize("app,spec", [
+        ("SSSP", "worker-crash@1:push-0"),
+        ("PR", "worker-crash@1:gather-1"),
+    ])
+    def test_degraded_phases_report_one_serial_block(
+        self, monkeypatch, app, spec
+    ):
+        """Once the budget is exhausted every phase is one block run by
+        the parent: one ``parallel_worker`` row (worker 0, the phase's
+        whole task list and edges, no steals) and a ``parallel_dispatch``
+        receipt with no pipe traffic."""
+        inline = []
+
+        def recording(kind, degrees):
+            phase = getattr(parallel.ParallelExecutor, kind)
+
+            def wrapped(self, ids, *args):
+                out = phase(self, ids, *args)
+                if self.degraded:
+                    edges = int(getattr(self, degrees)[ids].sum())
+                    inline.append((kind.split("_")[0], int(ids.size), edges))
+                return out
+
+            monkeypatch.setattr(parallel.ParallelExecutor, kind, wrapped)
+
+        recording("pull_apply", "in_degrees")
+        recording("gather", "in_degrees")
+        recording("push", "out_degrees")
+        reference = _run(app).result
+        recorder = TraceRecorder()
+        with configured(max_respawns=0):
+            outcome = _run(app, spec=spec, backend="parallel", workers=2,
+                           recorder=recorder)
+        _assert_fired(recorder, spec)
+        assert outcome.result.degraded is True
+        assert outcome.result.values.tobytes() == reference.values.tobytes()
+        events = recorder.events
+        at = next(i for i, e in enumerate(events)
+                  if e.name == trace_events.PARALLEL_RECOVERY
+                  and e.payload["action"] == "degraded")
+        workers = [e.payload for e in events[at:]
+                   if e.name == trace_events.PARALLEL_WORKER]
+        receipts = [e.payload for e in events[at:]
+                    if e.name == trace_events.PARALLEL_DISPATCH]
+        assert len(inline) > 2 and len(receipts) == len(inline)
+        assert [(w["kind"], w["tasks"], w["edges"]) for w in workers] == inline
+        for row in workers:
+            assert row["worker"] == 0 and row["steals"] == 0
+            assert row["chunks"] == (1 if row["tasks"] else 0)
+        assert {r["messages"] for r in receipts} == {0}
+        assert {r["control_bytes"] for r in receipts} == {0}
+
     def test_serial_backend_reports_worker_faults_inapplicable(self):
         recorder = TraceRecorder()
         outcome = _run("SSSP", spec="worker-crash@1:push-0",

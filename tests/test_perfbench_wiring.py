@@ -61,3 +61,22 @@ def test_kept_ambient_names_drive_the_one_run_config(tmp_path):
         assert current().shard_cache == 2
         assert current().store is store
     assert current() == before
+
+
+@pytest.mark.parametrize("owner,attrs", [
+    ("repro.ooc.ShardStreamDispatch",
+     ("pull_apply", "gather", "push", "expand_out_dsts")),
+    ("repro.parallel.ParallelExecutor", ("expand_out_dsts",)),
+])
+def test_backend_phase_names_are_the_serial_bodies(owner, attrs):
+    """The backends keep these names in their own namespace for the
+    wrap above, but the bodies are :class:`SerialDispatch`'s: one copy
+    of each phase, whatever the backend."""
+    import importlib
+
+    from repro.core.runtime import SerialDispatch
+
+    module, name = owner.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    for attr in attrs:
+        assert vars(cls)[attr] is vars(SerialDispatch)[attr], attr
