@@ -34,9 +34,21 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import EngineError
 from repro.graph.graph import Graph
 
-__all__ = ["MinMaxApplication", "ArithmeticApplication"]
+__all__ = ["MinMaxApplication", "ArithmeticApplication", "resident"]
+
+
+def resident(app, csr, step: str):
+    """``csr``, whose edges ``app``'s ``step`` reads outside the streamed
+    phases; an error naming both if they are spilled to a shard store."""
+    if not csr.resident:
+        raise EngineError(
+            "%s cannot run on a spilled graph: its %s, and only the "
+            "phases stream a spilled graph's edges; run %s on the graph "
+            "in memory" % (app.name, step, app.name))
+    return csr
 
 
 class MinMaxApplication(abc.ABC):
@@ -64,7 +76,10 @@ class MinMaxApplication(abc.ABC):
     # ------------------------------------------------------------------
     def prepare(self, graph: Graph) -> Graph:
         """The graph the run actually executes on (symmetrised for CC)."""
-        return graph.undirected_view() if self.needs_undirected else graph
+        if not self.needs_undirected:
+            return graph
+        resident(self, graph.out_csr, "prepare symmetrises every edge")
+        return graph.undirected_view()
 
     @property
     def identity(self) -> float:

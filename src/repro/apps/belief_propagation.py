@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import ArithmeticApplication
+from repro.apps.base import ArithmeticApplication, resident
 from repro.errors import ConvergenceError
 from repro.graph.graph import Graph
 
@@ -70,7 +70,7 @@ class BeliefPropagation(ArithmeticApplication):
         self._bias = np.log(prior / (1.0 - prior))
         if self.coupling > 0 and n:
             in_weight = np.zeros(n)
-            in_csr = graph.in_csr
+            in_csr = resident(self, graph.in_csr, "bind sums every in-edge weight")
             np.add.at(in_weight, in_csr.row_of_edge(), np.abs(in_csr.weights))
             worst = float(in_weight.max(initial=0.0))
             # Mean-field iteration is a contraction when the Jacobian

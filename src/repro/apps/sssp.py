@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.base import MinMaxApplication
+from repro.apps.base import MinMaxApplication, resident
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 
@@ -31,7 +31,8 @@ class SSSP(MinMaxApplication):
         if not 0 <= root < graph.num_vertices:
             raise EngineError("SSSP root %d out of range" % root)
         # One pass that also catches NaN (``nan < 0`` is False).
-        if not (graph.out_csr.weights >= 0).all():
+        csr = resident(self, graph.out_csr, "initial_values checks every edge weight")
+        if not (csr.weights >= 0).all():
             raise EngineError("SSSP requires non-negative, non-NaN edge weights")
         values = np.full(graph.num_vertices, np.inf)
         values[root] = 0.0

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.base import MinMaxApplication
+from repro.apps.base import MinMaxApplication, resident
 from repro.errors import EngineError
 from repro.graph.graph import Graph
 
@@ -30,7 +30,8 @@ class WidestPath(MinMaxApplication):
             raise EngineError("WidestPath requires a root vertex")
         if not 0 <= root < graph.num_vertices:
             raise EngineError("WidestPath root %d out of range" % root)
-        if np.isnan(graph.out_csr.weights).any():
+        csr = resident(self, graph.out_csr, "initial_values checks every edge weight")
+        if np.isnan(csr.weights).any():
             raise EngineError("WidestPath requires non-NaN edge weights")
         values = np.zeros(graph.num_vertices)
         values[root] = np.inf

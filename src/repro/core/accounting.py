@@ -103,7 +103,9 @@ def segmented_improvements(
     m = keep.size
     if m == 0:
         return 0, _EMPTY_IDS, _EMPTY_VALUES
-    order, sorted_dsts = stable_group_order(dsts[keep], incumbents.size)
+    kept = dsts[keep]
+    order = stable_group_order(kept, incumbents.size)
+    sorted_dsts = kept[order]
     sorted_cands = candidates[keep][order]
     is_start = np.ones(m, dtype=bool)
     np.not_equal(sorted_dsts[1:], sorted_dsts[:-1], out=is_start[1:])

@@ -608,13 +608,19 @@ class SerialDispatch:
 
     def _phase_done(self, phase_id: int, direction: str, tasks: int,
                     edges: int, t0: int) -> None:
-        """One whole phase, started at ``t0``, as a single telemetry block."""
+        """One whole phase, started at ``t0``, as a single telemetry block:
+        the row's end-of-phase state, written once with one clock read."""
         kernel_ns = time.perf_counter_ns() - t0
         self._epoch += 1
         row = self.telemetry[0]
-        telemetry_begin(row, self._epoch, phase_id)
-        telemetry_advance(row, tasks, edges, kernel_ns, stolen=False)
-        telemetry_end(row)
+        row[TEL_EPOCH] = self._epoch
+        row[TEL_PHASE] = 0
+        row[TEL_CHUNKS] += 1
+        row[TEL_TASKS] += tasks
+        row[TEL_EDGES] += edges
+        row[TEL_KERNEL_NS] += kernel_ns
+        row[TEL_PROGRESS_NS] = time.monotonic_ns()
+        row[TEL_HEARTBEAT] += 1
         self._read_done(PHASE_NAMES_BY_ID[phase_id], direction)
 
     # ------------------------------------------------------------------

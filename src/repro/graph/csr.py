@@ -13,8 +13,8 @@ views, because the edge selectors (:func:`expand_rows`, behind
 :meth:`CSR.expand_sources` and every backend's edge access, and the
 fused kernels' :func:`covering_span`) hand out views of them.  Every
 grouping of edges by vertex (by source in :meth:`CSR.from_edges`, by
-destination in :meth:`CSR.transpose` and the push reduce) is the one
-stable order :func:`stable_group_order`.
+destination in :meth:`CSR.transpose` and the push reduce) is one sort
+of a packed ``int64`` key, :func:`_packed_sort`.
 """
 
 from __future__ import annotations
@@ -41,34 +41,53 @@ def is_unit(weights: np.ndarray) -> bool:
     return not weights.size or bool(weights[0] == 1.0 and (weights == 1.0).all())
 
 
-def stable_group_order(
-    keys: np.ndarray, num_keys: int
-) -> Tuple[Union[slice, np.ndarray], np.ndarray]:
-    """``(order, keys[order])``, ``order`` being ``argsort(keys,
-    kind="stable")`` for ``int64`` keys in ``[0, num_keys)``.
+#: Widest packed sort key; past it a sort takes the stable argsort.
+_PACK_BITS = 62
+#: Elements whose low key bits are filled at a time.
+_BLOCK = 1 << 16
 
-    A selector, as in :func:`expand_rows`: ``slice(0, m)`` (no sort, no
-    copy) when one comparison pass finds the keys non-decreasing, else
-    positions.  A plain value sort of the packed ``(key << bits(m)) |
-    position`` replaces numpy's stable argsort (a timsort); keys too wide
-    to pack (``bits(num_keys) + bits(m) > 62``) take that argsort.
+
+def _packed_sort(high: np.ndarray, shift: int, indptr=None,
+                 positions: bool = True) -> np.ndarray:
+    """``sort((high << shift) | low)`` as a fresh ``int64`` array: edge
+    ``e``'s ``low`` is ``e`` if ``positions``, plus, given the ``indptr``
+    ``high`` is laid out by, its row above that (``row << bits(m)``).
+    Filled a block at a time, so no ``m``-sized positions or rows exist;
+    the caller checks that the key fits (``_PACK_BITS``)."""
+    m = high.size
+    packed = np.left_shift(high, shift)
+    for lo in range(0, m, _BLOCK):
+        part = packed[lo : lo + _BLOCK]
+        if positions:
+            part |= np.arange(lo, lo + part.size, dtype=np.int64)
+        if indptr is not None:
+            first, last = np.searchsorted(indptr, (lo, lo + part.size - 1), "right") - 1
+            spans = np.diff(np.clip(indptr[first : last + 2], lo, lo + part.size))
+            rows = np.arange(first, last + 1, dtype=np.int64)
+            part |= np.repeat(rows << (m.bit_length() if positions else 0), spans)
+    packed.sort()
+    return packed
+
+
+def stable_group_order(keys: np.ndarray, num_keys: int) -> Union[slice, np.ndarray]:
+    """``argsort(keys, kind="stable")`` for ``int64`` keys in ``[0,
+    num_keys)``, as a selector (a caller wanting sorted keys gathers).
+
+    As in :func:`expand_rows`: ``slice(0, m)`` (no sort, no copy) when
+    one comparison pass finds the keys non-decreasing, else positions:
+    the low bits of the sorted ``(key << bits(m)) | position``
+    (:func:`_packed_sort`, one ``m``-sized array in all), which replaces
+    numpy's stable argsort (a timsort) unless the key is too wide.
     """
     m = keys.size
     if not (keys[1:] < keys[:-1]).any():
-        return slice(0, m), keys
+        return slice(0, m)
     shift = m.bit_length()
-    if int(num_keys).bit_length() + shift > 62:
-        order = np.argsort(keys, kind="stable")
-        return order, keys[order]
-    # Two m-sized arrays in all (each fresh one costs page faults): the
-    # shifted keys are reused to receive the sorted keys.
-    sorted_keys = keys << shift
-    packed = np.arange(m, dtype=np.int64)
-    packed |= sorted_keys
-    packed.sort()
-    np.right_shift(packed, shift, out=sorted_keys)
+    if int(num_keys).bit_length() + shift > _PACK_BITS:
+        return np.argsort(keys, kind="stable")
+    packed = _packed_sort(keys, shift)
     packed &= (1 << shift) - 1
-    return packed, sorted_keys
+    return packed
 
 
 def contiguous_run(ids: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -169,6 +188,8 @@ class CSR:
     #: Global edge index of ``indices[0]`` (the ``base`` of
     #: :func:`expand_rows`): 0 for a whole CSR, a shard carries its own.
     base = 0
+    #: ``indices``/``weights`` are in memory (a spilled CSR's are not).
+    resident = True
 
     def __init__(
         self,
@@ -299,24 +320,35 @@ class CSR:
         ``transpose_permutation()[i]`` — used to carry edge-aligned side
         arrays (weights, partition owners) into the transposed view.
         """
-        order = stable_group_order(self.indices, self.num_vertices)[0]
+        order = stable_group_order(self.indices, self.num_vertices)
         return np.arange(self.num_edges, dtype=np.int64) if isinstance(order, slice) else order
 
     def transpose(self) -> "CSR":
         """Reverse every edge, producing the incoming-adjacency CSR.
 
-        The result's rows are destinations of this CSR; row contents are the
-        original sources in row order, with weights carried along (unit
-        ones need no gather): the edges' :func:`stable_group_order` by
-        destination.
+        Rows are this CSR's destinations, each listing its sources in
+        edge order with their weights: one :func:`_packed_sort` of
+        ``(destination, source, edge position)`` gives the in-indices and
+        the weights' permutation.  Unit weights need no permutation: the
+        sorted ``(destination, source)`` becomes the in-indices in place.
+        A key too wide to pack takes the stable argsort.
         """
-        n = self.num_vertices
-        counts = np.bincount(self.indices, minlength=n)
+        n, m = self.num_vertices, self.num_edges
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = self.transpose_permutation()
-        indices = self.row_of_edge()[order]
-        return CSR(indptr, indices, None if self.unit_weights else self.weights[order])
+        np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
+        unit = self.unit_weights
+        row_bits, pos_bits = n.bit_length(), 0 if unit else m.bit_length()
+        if 2 * row_bits + pos_bits > _PACK_BITS:
+            order = self.transpose_permutation()
+            return CSR(indptr, self.row_of_edge()[order],
+                       None if unit else self.weights[order])
+        packed = _packed_sort(self.indices, row_bits + pos_bits, self.indptr, not unit)
+        indices = packed if unit else np.right_shift(packed, pos_bits)
+        indices &= (1 << row_bits) - 1
+        if unit:
+            return CSR(indptr, indices)
+        packed &= (1 << pos_bits) - 1
+        return CSR(indptr, indices, self.weights[packed])
 
     # ------------------------------------------------------------------
     # construction
@@ -352,10 +384,9 @@ class CSR:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != srcs.shape:
                 raise GraphFormatError("weights must align with srcs/dsts")
-        counts = np.bincount(srcs, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = stable_group_order(srcs, num_vertices)[0]
+        np.cumsum(np.bincount(srcs, minlength=num_vertices), out=indptr[1:])
+        order = stable_group_order(srcs, num_vertices)
         take = np.copy if isinstance(order, slice) else lambda a: a[order]
         # ``None`` weights become ``CSR``'s unit view: nothing to gather.
         return cls(indptr, take(dsts), None if weights is None else take(weights))

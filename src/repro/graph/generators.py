@@ -215,24 +215,43 @@ def social_network(
     rng = _rng(seed)
     width = min(avg_degree, n - 1)
     rewire_p = min(1.0, shortcut_density / width)
-    v = np.arange(n, dtype=np.int64)
-    srcs = np.repeat(v, width)
-    offsets = np.tile(np.arange(1, width + 1, dtype=np.int64), n)
-    dsts = (srcs + offsets) % n
-    rewired = np.nonzero(rng.random(srcs.size) < rewire_p)[0]
+    # Edge e of the ring joins e // width to the vertex (e % width) + 1
+    # steps on, so only a rewired edge can be a self-loop (1..width < n).
+    rewired = np.nonzero(rng.random(n * width) < rewire_p)[0]
+    dsts = np.arange(n, dtype=np.int64)[:, None] + np.arange(1, width + 1)
+    tail = dsts[n - width :]
+    tail[tail >= n] -= n
+    dsts = dsts.ravel()
+    out_degrees = np.full(n, width, dtype=np.int64)
     if rewired.size:
         hub_rank = rng.permutation(n)
         zipf_draw = rng.zipf(hub_bias, size=rewired.size)
-        dsts = dsts.copy()
-        dsts[rewired] = hub_rank[np.minimum(zipf_draw - 1, n - 1)]
-    keep = srcs != dsts
-    srcs, dsts = srcs[keep], dsts[keep]
+        np.minimum(zipf_draw - 1, n - 1, out=zipf_draw)
+        dsts[rewired] = hub_rank[zipf_draw]
+        loops = rewired[dsts[rewired] == rewired // width]
+        out_degrees -= np.bincount(loops // width, minlength=n)
+        dsts = _drop(dsts, loops)
+    srcs = np.repeat(np.arange(n, dtype=np.int64), out_degrees)
     # Random orientation: hubs collect both in- and out-edges, so rooted
     # traversals from a hub cover the graph (as in real follower graphs).
+    # Swapped in place by xor (a masked copy branches on every edge);
+    # the temporaries go before from_edges packs its key.
     flip = rng.random(srcs.size) < 0.5
-    return Graph.from_edges(
-        n, (np.where(flip, dsts, srcs), np.where(flip, srcs, dsts)), name=name
-    )
+    swap = np.bitwise_xor(srcs, dsts)
+    swap *= flip
+    srcs ^= swap
+    dsts ^= swap
+    del flip, swap
+    return Graph.from_edges(n, (srcs, dsts), name=name)
+
+
+def _drop(array: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``array`` without the ascending unique ``positions``, compacted in
+    place (each kept run moves left once): a view of its prefix."""
+    ends = [*positions[1:], array.size]
+    for moved, (at, end) in enumerate(zip(positions, ends), 1):
+        array[at + 1 - moved : end - moved] = array[at + 1 : end]
+    return array[: array.size - positions.size]
 
 
 def grid_2d(

@@ -110,6 +110,7 @@ class SpilledCSR(CSR):
     """
 
     __slots__ = ()
+    resident = False
 
     def __init__(self, indptr: np.ndarray) -> None:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)

@@ -10,7 +10,9 @@ serves are the parent commit's, byte for byte.
   argsort builds, kept verbatim below as the oracles: same ``indptr`` /
   ``indices`` / ``weights`` bytes and dtypes on multigraphs with
   self-loops, duplicate edges of different weights, isolated vertices,
-  the empty graph, already-grouped input and ``(m, 2)`` column views;
+  the empty graph, already-grouped input and ``(m, 2)`` column views —
+  whatever block size packs the keys, and when a key is too wide to pack
+  (the transpose's alone, or every one);
 * a built CSR shares no memory with the caller's arrays, so editing them
   afterwards cannot edit the graph — the shortcut copies, never aliases;
 * ``grid_2d`` lists its edges grouped by source (so the lattice takes the
@@ -18,10 +20,12 @@ serves are the parent commit's, byte for byte.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
+from repro.graph import csr as csr_module
 from repro.graph import generators
 from repro.graph.csr import CSR, stable_group_order
 
@@ -89,12 +93,10 @@ def positions(order, m):
 
 def assert_is_stable_argsort(keys, num_keys):
     before = keys.copy()
-    order, sorted_keys = stable_group_order(keys, num_keys)
+    order = stable_group_order(keys, num_keys)
     stable = np.argsort(keys, kind="stable")
     assert np.array_equal(keys, before)  # reads only
     assert positions(order, keys.size).tolist() == stable.tolist()
-    assert sorted_keys.dtype == np.int64
-    assert sorted_keys.tolist() == keys[stable].tolist()
     grouped = not (np.diff(keys) < 0).any()
     assert isinstance(order, slice) == grouped  # no sort on grouped keys
     if not grouped:
@@ -138,14 +140,11 @@ def test_overflow_guard_takes_the_argsort_it_replaces():
     packed = stable_group_order(dsts, 50)
     guarded = stable_group_order(dsts, 2**60)
     stable = np.argsort(dsts, kind="stable")
-    for order, sorted_dsts in (packed, guarded):
+    for order in (packed, guarded):
         assert order.tolist() == stable.tolist()
-        assert sorted_dsts.tolist() == dsts[stable].tolist()
     # The largest key the packed form builds still fits.
     big = np.array([2**40 - 1, 0, 2**40 - 1], dtype=np.int64)
-    order, sorted_dsts = stable_group_order(big, 2**40)
-    assert order.tolist() == [1, 0, 2]
-    assert sorted_dsts.tolist() == [0, 2**40 - 1, 2**40 - 1]
+    assert stable_group_order(big, 2**40).tolist() == [1, 0, 2]
 
 
 def test_strided_keys():
@@ -195,7 +194,30 @@ def edge_lists(draw):
 
 @given(edge_lists())
 def test_builds_are_the_parents(case):
-    n, srcs, dsts, weights = case
+    assert_builds_are_the_parents(*case)
+
+
+@given(edge_lists(), st.sampled_from([1, 2, 3, 7]))
+def test_keys_packed_in_small_blocks_build_the_parents(case, block):
+    """Packing fills a key's low bits (positions, rows) a block at a
+    time; blocks that cut rows anywhere change no byte."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_BLOCK", block)
+        assert_builds_are_the_parents(*case)
+
+
+@given(edge_lists(), st.booleans())
+def test_keys_too_wide_to_pack_build_the_parents(case, transpose_only):
+    """Past ``_PACK_BITS`` the builds take the stable argsort: the
+    transpose alone (its key is the widest), or every sort."""
+    n, _, _, weights = case
+    width = 2 * n.bit_length() + (0 if weights is None else len(case[1]).bit_length())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_PACK_BITS", width - 1 if transpose_only else 0)
+        assert_builds_are_the_parents(*case)
+
+
+def assert_builds_are_the_parents(n, srcs, dsts, weights):
     csr = CSR.from_edges(n, srcs, dsts, weights)
     assert_same_csr(csr, parent_from_edges(n, srcs, dsts, weights))
     perm = csr.transpose_permutation()
@@ -257,7 +279,7 @@ def test_grid_edge_list_takes_the_grouped_shortcut(monkeypatch):
     real = CSR.from_edges.__func__
 
     def spy(cls, num_vertices, srcs, dsts, weights=None):
-        seen.append(stable_group_order(np.asarray(srcs), num_vertices)[0])
+        seen.append(stable_group_order(np.asarray(srcs), num_vertices))
         return real(cls, num_vertices, srcs, dsts, weights)
 
     monkeypatch.setattr(CSR, "from_edges", classmethod(spy))
@@ -269,7 +291,7 @@ def test_grouped_input_is_copied_not_aliased():
     srcs = np.array([0, 0, 1, 2, 2], dtype=np.int64)
     dsts = np.array([2, 1, 0, 0, 1], dtype=np.int64)
     weights = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert isinstance(stable_group_order(srcs, 3)[0], slice)
+    assert isinstance(stable_group_order(srcs, 3), slice)
     csr = CSR.from_edges(3, srcs, dsts, weights)
     dsts[0], weights[0] = 1, 9.0
     assert csr.indices.tolist() == [2, 1, 0, 0, 1]

@@ -255,6 +255,55 @@ class TestSpilledRuns:
         _assert_identical(result, reference)
         assert result.values.tobytes() == reference.values.tobytes()
 
+    @pytest.mark.parametrize("app_name, step", [
+        ("SSSP", "initial_values checks every edge weight"),
+        ("WP", "initial_values checks every edge weight"),
+        ("CC", "prepare symmetrises every edge"),
+        ("BP", "bind sums every in-edge weight"),
+    ], ids=["SSSP", "WP", "CC", "BP"])
+    def test_app_that_reads_edges_names_itself(self, store, app_name, step):
+        """SSSP's and WP's weight checks, CC's symmetrised view and BP's
+        contraction check read every edge outside the phases: the error
+        names the app and the step, not the backend the run is on."""
+        from repro.apps import (
+            SSSP, BeliefPropagation, ConnectedComponents, WidestPath,
+        )
+
+        spilled = load_spilled(
+            store, spill_graph(self._graph(), store, TINY_SHARD_MB)
+        )
+        engine = self._engine(spilled, enable_rr=False, backend="ooc")
+        run = {
+            "SSSP": lambda: engine.run_minmax(SSSP(), root=0),
+            "WP": lambda: engine.run_minmax(WidestPath(), root=0),
+            "CC": lambda: engine.run_minmax(ConnectedComponents()),
+            "BP": lambda: engine.run_arithmetic(BeliefPropagation()),
+        }[app_name]
+        with configured(shard_mb=TINY_SHARD_MB, shard_cache=2):
+            with pytest.raises(EngineError) as caught:
+                run()
+        message = str(caught.value)
+        assert message.startswith("%s cannot run on a spilled graph" % app_name)
+        assert step in message
+        assert "backend" not in message
+
+    def test_bfs_runs_spilled_as_in_memory(self, store):
+        from repro.apps.bfs import BFS
+
+        graph = self._graph()
+        reference = self._engine(graph, enable_rr=False).run_minmax(
+            BFS(), root=0
+        )
+        spilled = load_spilled(
+            store, spill_graph(graph, store, TINY_SHARD_MB)
+        )
+        with configured(shard_mb=TINY_SHARD_MB, shard_cache=2):
+            result = self._engine(
+                spilled, enable_rr=False, backend="ooc"
+            ).run_minmax(BFS(), root=0)
+        _assert_identical(result, reference)
+        assert result.values.tobytes() == reference.values.tobytes()
+
     def test_supplied_guidance_runs_rr(self, store):
         from repro.apps.pagerank import PageRank
 
