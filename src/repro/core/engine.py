@@ -921,7 +921,10 @@ class _StartLate(_Step):
         return changed, update_count, step_ops, frontier.count, skipped
 
     def commit(self, changed: np.ndarray) -> bool:
-        self.frontier.replace_with(changed)
+        # ``np.nonzero`` or ``segmented_improvements`` built ``changed``:
+        # strictly ascending and in range, so it needs none of
+        # ``Frontier.replace_with``'s checks and is adopted as is.
+        self.frontier.ids = changed
         return False
 
 

@@ -95,10 +95,10 @@ class Frontier:
     def replace_with(self, vertices: np.ndarray) -> None:
         """Make ``vertices`` the active set.
 
-        A strictly ascending id array (what the engine's apply phase
-        produces) is adopted as is; anything else is sorted and
-        de-duplicated first, and ids outside the vertex range are
-        rejected.
+        A strictly ascending id array is adopted as is; anything else is
+        sorted and de-duplicated first, and ids outside the vertex range
+        are rejected.  (The engine's apply phase, whose ids are already
+        ascending and in range, assigns :attr:`ids` without the checks.)
         """
         ids = np.asarray(vertices, dtype=np.int64)
         if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):

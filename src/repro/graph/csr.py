@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSR", "contiguous_run", "covering_span", "expand_rows",
-           "expand_row_dsts", "is_unit", "stable_group_order", "unit_view"]
+__all__ = ["CSR", "contiguous_run", "covering_span", "edge_blocks",
+           "expand_rows", "expand_row_dsts", "is_unit", "stable_group_order",
+           "unit_view"]
 
 
 def unit_view(m: int) -> np.ndarray:
@@ -47,24 +48,40 @@ _PACK_BITS = 62
 _BLOCK = 1 << 16
 
 
+def edge_blocks(m: int, indptr=None) -> Iterator[tuple]:
+    """``(lo, hi, rows, spans)`` for each block ``[lo, hi)`` of ``m``
+    edges, ``_BLOCK`` at a time.  Given the ``indptr`` the edges are laid
+    out by, ``rows`` is the slice of rows the block touches and ``spans``
+    how many of its edges each holds (``repeat(f(rows), spans)`` is a
+    per-edge array for the block alone); else both are ``None``."""
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        if indptr is None:
+            yield lo, hi, None, None
+            continue
+        first, last = np.searchsorted(indptr, (lo, hi - 1), "right") - 1
+        spans = np.diff(np.clip(indptr[first : last + 2], lo, hi))
+        yield lo, hi, slice(first, last + 1), spans
+
+
 def _packed_sort(high: np.ndarray, shift: int, indptr=None,
                  positions: bool = True) -> np.ndarray:
     """``sort((high << shift) | low)`` as a fresh ``int64`` array: edge
     ``e``'s ``low`` is ``e`` if ``positions``, plus, given the ``indptr``
     ``high`` is laid out by, its row above that (``row << bits(m)``).
-    Filled a block at a time, so no ``m``-sized positions or rows exist;
-    the caller checks that the key fits (``_PACK_BITS``)."""
+    Filled a block at a time (:func:`edge_blocks`), so no ``m``-sized
+    positions or rows exist; the caller checks that the key fits
+    (``_PACK_BITS``)."""
     m = high.size
     packed = np.left_shift(high, shift)
-    for lo in range(0, m, _BLOCK):
-        part = packed[lo : lo + _BLOCK]
+    row_shift = m.bit_length() if positions else 0
+    for lo, hi, rows, spans in edge_blocks(m, indptr):
+        part = packed[lo:hi]
         if positions:
-            part |= np.arange(lo, lo + part.size, dtype=np.int64)
-        if indptr is not None:
-            first, last = np.searchsorted(indptr, (lo, lo + part.size - 1), "right") - 1
-            spans = np.diff(np.clip(indptr[first : last + 2], lo, lo + part.size))
-            rows = np.arange(first, last + 1, dtype=np.int64)
-            part |= np.repeat(rows << (m.bit_length() if positions else 0), spans)
+            part |= np.arange(lo, hi, dtype=np.int64)
+        if rows is not None:
+            ids = np.arange(rows.start, rows.stop, dtype=np.int64)
+            part |= np.repeat(ids << row_shift, spans)
     packed.sort()
     return packed
 
@@ -328,10 +345,11 @@ class CSR:
 
         Rows are this CSR's destinations, each listing its sources in
         edge order with their weights: one :func:`_packed_sort` of
-        ``(destination, source, edge position)`` gives the in-indices and
-        the weights' permutation.  Unit weights need no permutation: the
-        sorted ``(destination, source)`` becomes the in-indices in place.
-        A key too wide to pack takes the stable argsort.
+        ``(destination, source, edge position)``, whose low bits permute
+        the weights a block at a time before the key is shifted, in
+        place, into the in-indices.  Unit weights need no permutation:
+        the sorted ``(destination, source)`` becomes the in-indices in
+        place.  A key too wide to pack takes the stable argsort.
         """
         n, m = self.num_vertices, self.num_edges
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -343,12 +361,17 @@ class CSR:
             return CSR(indptr, self.row_of_edge()[order],
                        None if unit else self.weights[order])
         packed = _packed_sort(self.indices, row_bits + pos_bits, self.indptr, not unit)
-        indices = packed if unit else np.right_shift(packed, pos_bits)
-        indices &= (1 << row_bits) - 1
-        if unit:
-            return CSR(indptr, indices)
-        packed &= (1 << pos_bits) - 1
-        return CSR(indptr, indices, self.weights[packed])
+        weights = None
+        if not unit:
+            # The low bits are the weights' permutation: gather them a
+            # block at a time, then shift the key into the in-indices.
+            weights = np.empty(m)
+            low = (1 << pos_bits) - 1
+            for lo, hi, _, _ in edge_blocks(m):
+                np.take(self.weights, packed[lo:hi] & low, out=weights[lo:hi])
+            packed >>= pos_bits
+        packed &= (1 << row_bits) - 1
+        return CSR(indptr, packed, weights)
 
     # ------------------------------------------------------------------
     # construction

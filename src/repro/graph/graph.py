@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, edge_blocks
 
 __all__ = ["Graph"]
 
@@ -151,7 +151,8 @@ class Graph:
         Row ``v`` of the view is ``out_csr`` row ``v`` followed by
         ``in_csr`` row ``v`` — what a stable sort of ``E ++ reverse(E)``
         by source yields — so it is assembled with O(|E|) position
-        scatters and no sort (of no weights at all when they are unit).
+        scatters, a block of edges at a time, and no sort (of no weights at
+        all when they are unit).
         It is built once per graph and shared by every caller (its arrays
         are read-only, like any CSR's).
 
@@ -168,18 +169,19 @@ class Graph:
             # Read off the edge array: a spilled graph has none resident
             # and says so here, before anything |E|-sized is allocated.
             m = out.indices.size
-            edge = np.arange(m, dtype=np.int64)
             # Edge e of out-row v lands in.indptr[v] past e (the in-rows
             # before v precede it); edge e of in-row v lands out.indptr[v+1]
             # past e (the out-rows up to and including v precede it).
+            # Positions are built a block of edges at a time.
             indices = np.empty(2 * m, dtype=np.int64)
             weights = None if out.unit_weights else np.empty(2 * m)
             for half, before in ((out, inc.indptr[:-1]), (inc, out.indptr[1:])):
-                at = np.repeat(before, half.degrees())
-                at += edge
-                indices[at] = half.indices
-                if weights is not None:
-                    weights[at] = half.weights
+                for lo, hi, rows, spans in edge_blocks(m, half.indptr):
+                    at = np.repeat(before[rows], spans)
+                    at += np.arange(lo, hi, dtype=np.int64)
+                    indices[at] = half.indices[lo:hi]
+                    if weights is not None:
+                        weights[at] = half.weights[lo:hi]
             view = Graph(
                 CSR(out.indptr + inc.indptr, indices, weights),
                 name=self.name + "-sym" if self.name else "",

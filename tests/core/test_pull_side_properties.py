@@ -185,3 +185,43 @@ def test_no_idle_vertex_beats_an_initial_value(name, case):
     )
     candidates = app.edge_candidates(values, srcs, weights)
     assert not app.better(candidates, values[dsts]).any()
+
+
+@st.composite
+def mixed_runs(draw):
+    """``(graph, app name, root)``: a dense random core (pull
+    supersteps) with a path hanging off it (push supersteps)."""
+    name = draw(st.sampled_from(["SSSP", "CC", "WP"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core, tail = draw(st.integers(20, 60)), draw(st.integers(8, 30))
+    chain = np.arange(core - 1, core + tail - 1)
+    srcs = np.concatenate([rng.integers(0, core, 6 * core), chain])
+    dsts = np.concatenate([rng.integers(0, core, 6 * core), chain + 1])
+    weights = rng.choice([0.5, 1.0, 2.0, 7.0], srcs.size)
+    graph = Graph.from_edges(core + tail, (srcs, dsts), weights)
+    return graph, name, None if name == "CC" else 0
+
+
+@given(mixed_runs(), st.booleans())
+def test_every_committed_frontier_is_strictly_ascending(case, enable_rr):
+    """``_StartLate.commit`` adopts ``changed`` as the frontier's ids
+    unchecked: from pull and push supersteps alike it must be strictly
+    ascending and within the vertex range."""
+    graph, name, root = case
+    committed = []
+    commit = engine_mod._StartLate.commit
+
+    def recording(step, changed):
+        committed.append(changed.copy())
+        return commit(step, changed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_mod._StartLate, "commit", recording)
+        result = _run(graph, name, root, enable_rr)
+    modes = [record.mode for record in result.metrics.records]
+    assert {"push", "pull"} <= set(modes)
+    assert len(committed) == len(modes)
+    for changed in committed:
+        assert changed.dtype == np.int64
+        assert (changed[1:] > changed[:-1]).all()
+        assert not changed.size or 0 <= changed[0] <= changed[-1] < graph.num_vertices

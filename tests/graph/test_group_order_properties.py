@@ -197,10 +197,12 @@ def test_builds_are_the_parents(case):
     assert_builds_are_the_parents(*case)
 
 
-@given(edge_lists(), st.sampled_from([1, 2, 3, 7]))
+@given(edge_lists(), st.integers(1, 7))
 def test_keys_packed_in_small_blocks_build_the_parents(case, block):
     """Packing fills a key's low bits (positions, rows) a block at a
-    time; blocks that cut rows anywhere change no byte."""
+    time, and a weighted transpose gathers its weights from the sorted
+    key a block at a time; blocks that cut rows anywhere change no
+    byte."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csr_module, "_BLOCK", block)
         assert_builds_are_the_parents(*case)

@@ -8,8 +8,9 @@ describes the same ``(dst, src, weight)`` multiset as
 that runs on the view — computes the reference labels on every backend.
 
 The view is assembled row-wise (out-row then in-row, two scatters, no
-sort) and memoised on the graph; the stable sort of ``E ++ reverse(E)``
-it replaced is kept here as the oracle it must equal byte for byte.
+sort, a block of edges at a time) and memoised on the graph; the stable
+sort of ``E ++ reverse(E)`` it replaced is kept here as the oracle it
+must equal byte for byte, whatever block size cuts the rows.
 """
 
 import os
@@ -24,6 +25,7 @@ from repro.bench.workloads import experiment_cluster
 from repro.cluster.faults import FaultPlan
 from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
+from repro.graph import csr as csr_module
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 from repro.ooc import SpilledGraph
@@ -92,6 +94,21 @@ def _assert_byte_equal(csr, expected):
 def test_sort_free_view_is_byte_equal_to_the_stable_sort(graph):
     _assert_byte_equal(graph.undirected_view().out_csr,
                        sorted_symmetrise(graph))
+
+
+@given(graphs(), st.integers(1, 7), st.booleans())
+def test_view_built_in_small_blocks_is_byte_equal_to_the_stable_sort(
+        graph, block, unit):
+    """The view writes each half a block of edges at a time; blocks that
+    cut rows anywhere (empty rows, self-loops, duplicate edges, a row
+    wider than a block, no edges at all) change no byte."""
+    if unit:
+        graph = graph.with_unit_weights()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_BLOCK", block)
+        view = graph.undirected_view().out_csr
+    assert view.unit_weights == graph.out_csr.unit_weights
+    _assert_byte_equal(view, sorted_symmetrise(graph))
 
 
 def test_sort_free_view_of_a_single_vertex():
