@@ -101,44 +101,28 @@ def _registry_snapshot(recorder) -> dict:
     from repro.obs import registry_from_trace
 
     registry = registry_from_trace(recorder)
-
-    def total(name: str) -> int:
-        family = registry.get(name)
-        if family is None:
-            return 0
-        return int(sum(value for _key, value in family.samples()))
-
-    return {
-        "rr_start_late_skipped_edge_ops": _rr_technique(
-            registry, "start_late"
-        ),
-        "rr_finish_early_skipped_edge_ops": _rr_technique(
-            registry, "finish_early"
-        ),
-        "rr_skipped_vertices": total("repro_rr_skipped_vertices"),
-        "rr_catch_ups": total("repro_rr_catch_ups"),
-        "ec_frozen_transitions": total("repro_ec_frozen"),
-        "preprocessing_edge_ops": total("repro_preprocessing_edge_ops"),
-        "checkpoints": total("repro_checkpoints"),
-        "rollbacks": total("repro_rollbacks"),
-        "recoveries": total("repro_recoveries"),
-        "retried_messages": total("repro_retried_messages"),
-        "guidance_reuses": total("repro_guidance_reuses"),
+    skipped = registry.total("repro_rr_skipped_edge_ops", by="rr")
+    snapshot = {
+        "rr_start_late_skipped_edge_ops": skipped.get("start_late", 0),
+        "rr_finish_early_skipped_edge_ops": skipped.get("finish_early", 0),
     }
+    for key, family in _SNAPSHOT_FAMILIES:
+        snapshot[key] = registry.total(family)
+    return {key: int(value) for key, value in snapshot.items()}
 
 
-def _rr_technique(registry, technique: str) -> int:
-    family = registry.get("repro_rr_skipped_edge_ops")
-    if family is None:
-        return 0
-    index = family.labelnames.index("rr")
-    return int(
-        sum(
-            value
-            for key, value in family.samples()
-            if key[index] == technique
-        )
-    )
+#: Snapshot key -> the registry family it totals.
+_SNAPSHOT_FAMILIES = (
+    ("rr_skipped_vertices", "repro_rr_skipped_vertices"),
+    ("rr_catch_ups", "repro_rr_catch_ups"),
+    ("ec_frozen_transitions", "repro_ec_frozen"),
+    ("preprocessing_edge_ops", "repro_preprocessing_edge_ops"),
+    ("checkpoints", "repro_checkpoints"),
+    ("rollbacks", "repro_rollbacks"),
+    ("recoveries", "repro_recoveries"),
+    ("retried_messages", "repro_retried_messages"),
+    ("guidance_reuses", "repro_guidance_reuses"),
+)
 
 
 def _faults_entry(scale_divisor: int, num_nodes: int) -> dict:

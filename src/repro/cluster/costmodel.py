@@ -167,6 +167,15 @@ class CostModel:
             retry_seconds=float(record.retry_seconds),
         )
 
+    def spread_seconds(self, edge_ops: float) -> float:
+        """Compute seconds of ``edge_ops`` spread evenly over the cluster."""
+        return (
+            edge_ops
+            / self.config.num_nodes
+            * self.config.node.seconds_per_edge_op
+            / self.config.node.speedup()
+        )
+
     def evaluate(self, metrics: MetricsCollector) -> RuntimeBreakdown:
         """Cost a full run, preprocessing included."""
         iterations: List[IterationCost] = [
@@ -174,15 +183,7 @@ class CostModel:
         ]
         # Preprocessing (RRG generation) is pure local compute over the
         # recorded op count, spread across the cluster like execution is.
-        pre_ops = metrics.preprocessing_ops
-        pre_seconds = 0.0
-        if pre_ops:
-            per_node = pre_ops / self.config.num_nodes
-            pre_seconds = (
-                per_node
-                * self.config.node.seconds_per_edge_op
-                / self.config.node.speedup()
-            )
+        pre_seconds = self.spread_seconds(metrics.preprocessing_ops)
         # Fault-tolerance overheads: each node streams its slice of the
         # snapshot to its own stable storage concurrently (disk bandwidth
         # is per node), and a takeover ships the lost partition's state

@@ -276,10 +276,6 @@ class MetricsCollector:
     def total_retries(self) -> int:
         return sum(r.retries for r in self.records)
 
-    @property
-    def total_retry_seconds(self) -> float:
-        return float(sum(r.retry_seconds for r in self.records))
-
     def updates_per_vertex(self, num_vertices: int) -> float:
         """Table 2's metric: average property writes per vertex."""
         if num_vertices <= 0:

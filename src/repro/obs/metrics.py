@@ -313,6 +313,22 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_MetricFamily]:
         return self._families.get(name)
 
+    def total(self, name: str, by: Optional[str] = None):
+        """Sum of one family's samples, or ``{label value: sum}`` by ``by``.
+
+        Histograms sum their observations.  An absent or empty family
+        totals 0 (``{}`` grouped); groups keep first-sample order.
+        """
+        family = self._families.get(name)
+        samples = family.samples() if family is not None else ()
+        if by is None:
+            return sum(value for _key, value in samples)
+        index = family.labelnames.index(by) if family is not None else 0
+        grouped: Dict[str, float] = {}
+        for key, value in samples:
+            grouped[key[index]] = grouped.get(key[index], 0.0) + value
+        return grouped
+
     def __len__(self) -> int:
         return len(self._families)
 

@@ -19,11 +19,22 @@ Sections
   cost model's constants and weighed against the preprocessing cost —
   the no-RR counterfactual the paper's Figure 8 makes end-to-end.
 
-The RR seconds-saved estimate mirrors the cost model's compute term:
-skipped edge operations are spread evenly over the cluster and divided
-by the node's Amdahl speedup, exactly how :class:`CostModel` charges
-preprocessing work.  It is an *estimate* (real skips concentrate on
-specific nodes), which the report says out loud.
+Every total comes from the metrics registry
+(:func:`repro.obs.metrics.registry_from_trace`, read through
+:meth:`MetricsRegistry.total`) and the phase table from
+:func:`repro.trace.export.phase_rows`, so the report agrees with
+``/metrics``, ``--metrics-out`` and ``repro trace``'s profile by
+construction.  Events are read only for what the registry does not
+hold: the runs table, the superstep and fault timelines, the
+per-superstep Ruler and frozen-fraction series, the async mass
+trajectory, the longest stall and the pool's degrade reason.
+
+The RR seconds-saved estimate is the cost model's compute term
+(:meth:`CostModel.spread_seconds`): skipped edge operations are spread
+evenly over the cluster and divided by the node's Amdahl speedup,
+exactly how :class:`CostModel` charges preprocessing work.  It is an
+*estimate* (real skips concentrate on specific nodes), which the report
+says out loud.
 """
 
 from __future__ import annotations
@@ -32,9 +43,10 @@ import html
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.config import ClusterConfig
-from repro.obs.spans import build_span_tree, iter_spans
+from repro.cluster.costmodel import CostModel
+from repro.obs.metrics import registry_from_trace
 from repro.trace import recorder as ev
-from repro.trace.export import fault_summary
+from repro.trace.export import phase_rows
 from repro.trace.recorder import TraceRecorder
 
 __all__ = ["build_report", "render_markdown", "render_html"]
@@ -54,26 +66,6 @@ def _cluster_from_trace(recorder: TraceRecorder) -> ClusterConfig:
     )
 
 
-def _merge_buckets(events) -> Dict[str, int]:
-    merged: Dict[str, int] = {}
-    for event in events:
-        for label, ops in (
-            event.payload.get("last_iter_buckets") or {}
-        ).items():
-            merged[label] = merged.get(label, 0) + int(ops)
-    return merged
-
-
-def _compute_seconds(edge_ops: float, config: ClusterConfig) -> float:
-    """Modeled compute seconds for ops spread evenly over the cluster."""
-    return (
-        edge_ops
-        / config.num_nodes
-        * config.node.seconds_per_edge_op
-        / config.node.speedup()
-    )
-
-
 def build_report(
     recorder: TraceRecorder,
     config: Optional[ClusterConfig] = None,
@@ -89,6 +81,16 @@ def build_report(
     """
     if config is None:
         config = _cluster_from_trace(recorder)
+    spread_seconds = CostModel(config).spread_seconds
+    registry = registry_from_trace(recorder)
+    total = registry.total
+
+    def count(name: str, by: Optional[str] = None):
+        """``total`` of a count-valued family, as ints."""
+        totals = total(name, by)
+        if by is None:
+            return int(totals)
+        return {label: int(value) for label, value in totals.items()}
 
     # -- runs ----------------------------------------------------------
     runs: List[Dict[str, Any]] = []
@@ -136,103 +138,73 @@ def build_report(
             }
         )
 
-    # -- phase self time (hierarchical) --------------------------------
-    phase_rows: Dict[tuple, Dict[str, float]] = {}
-    for span, _depth in iter_spans(build_span_tree(recorder)):
-        if span.category != "phase":
-            continue
-        parent = span.args.get("parent") or ""
-        row = phase_rows.setdefault(
-            (span.name, parent),
-            {"calls": 0, "seconds": 0.0, "self_seconds": 0.0},
-        )
-        row["calls"] += 1
-        row["seconds"] += span.duration
-        row["self_seconds"] += span.self_seconds
-    phases = [
-        {"phase": name, "parent": parent, **row}
-        for (name, parent), row in sorted(
-            phase_rows.items(), key=lambda item: -item[1]["self_seconds"]
-        )
-    ]
-
     # -- per-node balance ----------------------------------------------
-    per_node: List[int] = []
-    for event in recorder.events_named(ev.EDGE_OPS):
-        for node, count in enumerate(event.payload.get("per_node", ())):
-            while len(per_node) <= node:
-                per_node.append(0)
-            per_node[node] += int(count)
-    total_edge_ops = sum(per_node)
-    mean = total_edge_ops / len(per_node) if per_node else 0.0
+    # The registry keeps only nonzero per-node counts: pad to the
+    # cluster size so an idle node still shows its zero.
+    by_node = count("repro_edge_ops", by="node")
+    width = max(
+        [int(node) + 1 for node in by_node]
+        + [int(run["num_nodes"]) for run in runs if run["num_nodes"]]
+    ) if by_node else 0
+    per_node = [by_node.get(str(node), 0) for node in range(width)]
+    mean = sum(per_node) / width if per_node else 0.0
     nodes = {
         "edge_ops": per_node,
         "imbalance": (max(per_node) / mean) if per_node and mean > 0 else 1.0,
     }
 
     # -- measured intra-node balance (parallel workers) ----------------
-    worker_rows: Dict[int, Dict[str, float]] = {}
-    for event in recorder.events_named(ev.PARALLEL_WORKER):
-        p = event.payload
-        row = worker_rows.setdefault(
-            int(p.get("worker", 0)),
-            {"busy_seconds": 0.0, "chunks": 0, "steals": 0, "edges": 0},
-        )
-        row["busy_seconds"] += float(p.get("busy_seconds", 0.0))
-        row["chunks"] += int(p.get("chunks", 0))
-        row["steals"] += int(p.get("steals", 0))
-        row["edges"] += int(p.get("edges", 0))
-    busy = [row["busy_seconds"] for row in worker_rows.values()]
-    mean_busy = sum(busy) / len(busy) if busy else 0.0
+    busy = total("repro_parallel_worker_busy_seconds", by="worker")
+    per_worker = [
+        {"worker": int(worker), "busy_seconds": busy[worker]}
+        for worker in sorted(busy, key=int)
+    ]
+    for field in ("chunks", "steals", "edges"):
+        counts = count("repro_parallel_worker_" + field, by="worker")
+        for row in per_worker:
+            row[field] = counts.get(str(row["worker"]), 0)
+    mean_busy = sum(busy.values()) / len(busy) if busy else 0.0
     workers = {
-        "per_worker": [
-            {"worker": worker_id, **row}
-            for worker_id, row in sorted(worker_rows.items())
-        ],
+        "per_worker": per_worker,
         "imbalance": (
-            (max(busy) / mean_busy) if busy and mean_busy > 0 else 1.0
+            (max(busy.values()) / mean_busy) if mean_busy > 0 else 1.0
         ),
     }
 
     # -- measured fault tolerance (pool self-healing) ------------------
-    recovery_actions: Dict[str, int] = {}
-    respawns_by_phase: Dict[str, int] = {}
-    recovery_seconds = 0.0
-    recovery_degraded = False
     degrade_reason = None
     for event in recorder.events_named(ev.PARALLEL_RECOVERY):
-        p = event.payload
-        action = str(p.get("action", ""))
-        recovery_actions[action] = recovery_actions.get(action, 0) + 1
-        recovery_seconds += float(p.get("seconds", 0.0))
-        if action == "respawned":
-            phase_name = str(p.get("phase", ""))
-            respawns_by_phase[phase_name] = (
-                respawns_by_phase.get(phase_name, 0) + 1
-            )
-        elif action == "degraded":
-            recovery_degraded = True
-            degrade_reason = p.get("reason")
+        if event.payload.get("action") == "degraded":
+            degrade_reason = event.payload.get("reason")
     recovery = {
-        "actions": recovery_actions,
-        "respawns_by_phase": respawns_by_phase,
-        "recovery_seconds": recovery_seconds,
-        "degraded": recovery_degraded,
+        "actions": count("repro_parallel_recovery_events", by="action"),
+        "respawns_by_phase": count(
+            "repro_parallel_recovery_respawns", by="phase"
+        ),
+        "recovery_seconds": total("repro_parallel_recovery_seconds"),
+        "degraded": count("repro_parallel_recovery_degraded_runs") > 0,
         "degrade_reason": degrade_reason,
     }
 
     # -- messages / faults ---------------------------------------------
     message_totals = {
-        "messages": sum(
-            int(e.payload.get("count", 0))
-            for e in recorder.events_named(ev.MESSAGES)
-        ),
-        "bytes": sum(
-            int(e.payload.get("bytes", 0))
-            for e in recorder.events_named(ev.MESSAGES)
-        ),
+        "messages": count("repro_messages"),
+        "bytes": count("repro_message_bytes"),
     }
-    faults = fault_summary(recorder)
+    faults = {
+        key: count(family)
+        for key, family in (
+            ("faults", "repro_faults"),
+            ("retries", "repro_retried_messages"),
+            ("retry_bytes", "repro_retry_bytes"),
+            ("checkpoints", "repro_checkpoints"),
+            ("checkpoint_bytes", "repro_checkpoint_bytes"),
+            ("rollbacks", "repro_rollbacks"),
+            ("supersteps_replayed", "repro_supersteps_replayed"),
+            ("recoveries", "repro_recoveries"),
+            ("guidance_reuses", "repro_guidance_reuses"),
+        )
+    }
     timeline = [
         {
             "t": event.wall_seconds,
@@ -280,16 +252,10 @@ def build_report(
         stride = max(1, len(masses) // 50)
         async_exec = {
             "scheduler": str(async_rounds[-1].payload.get("scheduler", "")),
-            "rounds": len(async_rounds),
-            "scheduled_vertices": sum(
-                int(e.payload.get("scheduled", 0)) for e in async_rounds
-            ),
-            "deferred_vertices": sum(
-                int(e.payload.get("skipped", 0)) for e in async_rounds
-            ),
-            "updates": sum(
-                int(e.payload.get("updates", 0)) for e in async_rounds
-            ),
+            "rounds": count("repro_async_rounds"),
+            "scheduled_vertices": count("repro_async_scheduled_vertices"),
+            "deferred_vertices": count("repro_async_deferred_vertices"),
+            "updates": count("repro_updates", by="mode").get("async", 0),
             "initial_delta_mass": masses[0],
             "final_delta_mass": masses[-1],
             "mass_trajectory": [
@@ -304,58 +270,45 @@ def build_report(
         }
 
     # -- out-of-core I/O (shard streaming) -----------------------------
-    shard_events = recorder.events_named(ev.SHARD_IO)
+    shards = count("repro_ooc_shards_read", by="phase")
     ooc: Optional[Dict[str, Any]] = None
-    if shard_events:
-        by_phase: Dict[str, Dict[str, Any]] = {}
-        for e in shard_events:
-            p = e.payload
-            row = by_phase.setdefault(
-                str(p.get("phase", "")),
-                {"shards": 0, "bytes": 0, "cache_hits": 0,
-                 "read_seconds": 0.0},
-            )
-            row["shards"] += int(p.get("shards", 0))
-            row["bytes"] += int(p.get("bytes", 0))
-            row["cache_hits"] += int(p.get("cache_hits", 0))
-            row["read_seconds"] += float(p.get("read_seconds", 0.0))
+    if shards:
+        shard_bytes = count("repro_ooc_bytes_read", by="phase")
+        hits = count("repro_ooc_cache_hits", by="phase")
+        read_seconds = total("repro_ooc_read_seconds", by="phase")
+        peak_rss = registry.get("repro_ooc_peak_rss_bytes")
         ooc = {
-            "shards_read": sum(r["shards"] for r in by_phase.values()),
-            "bytes_read": sum(r["bytes"] for r in by_phase.values()),
-            "cache_hits": sum(r["cache_hits"] for r in by_phase.values()),
-            "read_seconds": sum(
-                r["read_seconds"] for r in by_phase.values()
-            ),
-            "peak_rss_bytes": max(
-                int(e.payload.get("peak_rss_bytes", 0))
-                for e in shard_events
+            "shards_read": sum(shards.values()),
+            "bytes_read": sum(shard_bytes.values()),
+            "cache_hits": sum(hits.values()),
+            "read_seconds": total("repro_ooc_read_seconds"),
+            "peak_rss_bytes": int(
+                max((value for _key, value in peak_rss.samples()), default=0)
             ),
             "by_phase": [
-                {"phase": phase, **row}
-                for phase, row in sorted(by_phase.items())
+                {
+                    "phase": phase,
+                    "shards": shards[phase],
+                    "bytes": shard_bytes[phase],
+                    "cache_hits": hits[phase],
+                    "read_seconds": read_seconds[phase],
+                }
+                for phase in sorted(shards)
             ],
         }
 
     # -- RR effectiveness ----------------------------------------------
-    skips = recorder.events_named(ev.RR_SKIP)
-    ecs = recorder.events_named(ev.EC_TRANSITION)
-    start_late_ops = sum(
-        int(e.payload.get("skipped_edge_ops", 0)) for e in skips
-    )
-    finish_early_ops = sum(
-        int(e.payload.get("skipped_edge_ops", 0)) for e in ecs
-    )
-    preprocessing_ops = sum(
-        int(e.payload.get("edge_ops", 0))
-        for e in recorder.events_named(ev.PREPROCESSING)
-    )
+    skipped = count("repro_rr_skipped_edge_ops", by="rr")
+    start_late_ops = skipped.get("start_late", 0)
+    finish_early_ops = skipped.get("finish_early", 0)
+    preprocessing_ops = count("repro_preprocessing_edge_ops")
     preprocessing_seconds = sum(
         float(e.payload.get("preprocessing_seconds", 0.0))
         for e in recorder.events_named(ev.RUN_END)
-    ) or _compute_seconds(preprocessing_ops, config)
+    ) or spread_seconds(preprocessing_ops)
     modeled_execution = sum(s["modeled_seconds"] for s in supersteps)
-    saved_start_late = _compute_seconds(start_late_ops, config)
-    saved_finish_early = _compute_seconds(finish_early_ops, config)
+    saved_start_late = spread_seconds(start_late_ops)
+    saved_finish_early = spread_seconds(finish_early_ops)
     saved_total = saved_start_late + saved_finish_early
     net = saved_total - preprocessing_seconds
     ec_fractions = [
@@ -369,7 +322,7 @@ def build_report(
                 else 0.0
             ),
         }
-        for e in ecs
+        for e in recorder.events_named(ev.EC_TRANSITION)
     ]
     rulers = [
         {
@@ -377,26 +330,21 @@ def build_report(
             "ruler": int(e.payload.get("ruler", 0)),
             "max_last_iter": int(e.payload.get("max_last_iter", 0)),
         }
-        for e in skips
+        for e in recorder.events_named(ev.RR_SKIP)
     ]
     rr = {
         "start_late": {
-            "skipped_vertices": sum(
-                int(e.payload.get("skipped", 0)) for e in skips
-            ),
+            "skipped_vertices": count("repro_rr_skipped_vertices"),
             "skipped_edge_ops": start_late_ops,
-            "catch_ups": sum(
-                int(e.payload.get("started", 0))
-                for e in recorder.events_named(ev.CATCH_UP)
+            "catch_ups": count("repro_rr_catch_ups"),
+            "last_iter_buckets": count(
+                "repro_rr_skipped_edge_ops_by_last_iter", by="le"
             ),
-            "last_iter_buckets": _merge_buckets(skips),
             "saved_seconds_estimate": saved_start_late,
             "ruler_progression": rulers,
         },
         "finish_early": {
-            "frozen_transitions": sum(
-                int(e.payload.get("frozen", 0)) for e in ecs
-            ),
+            "frozen_transitions": count("repro_ec_frozen"),
             "skipped_edge_ops": finish_early_ops,
             "final_frozen_fraction": (
                 ec_fractions[-1]["frozen_fraction"] if ec_fractions else 0.0
@@ -426,7 +374,7 @@ def build_report(
         "title": title,
         "runs": runs,
         "supersteps": supersteps,
-        "phases": phases,
+        "phases": phase_rows(recorder),
         "nodes": nodes,
         "workers": workers,
         "recovery": recovery,

@@ -6,10 +6,9 @@ the name of the enclosing span.  This module rebuilds the tree:
 
 * runs come from ``run_begin``/``run_end`` pairs;
 * supersteps from ``superstep_begin``/``superstep_end`` pairs;
-* phases nest via their ``parent`` field plus interval containment
-  (a child's event is always recorded before its parent's, and its
-  ``[start, end]`` lies inside the parent's, because both read the
-  same monotonic clock).
+* phases nest by :func:`repro.trace.export.link_phases` — the event
+  order plus each event's own ``parent``/``depth`` fields, never
+  timestamps — the same links the profile and ``repro report`` fold.
 
 Three exporters serialise the tree:
 
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.trace import recorder as ev
+from repro.trace.export import link_phases
 from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -94,6 +94,8 @@ def build_span_tree(recorder: TraceRecorder) -> List[Span]:
     current_run: Optional[Span] = None
     current_superstep: Optional[Span] = None
     pending: List[Span] = []  # completed phase spans awaiting a parent
+    phase_spans: Dict[int, Span] = {}  # id(phase event) -> its span
+    links = link_phases(recorder)
     last_t = 0.0
 
     def close_superstep(at: float) -> None:
@@ -166,24 +168,19 @@ def build_span_tree(recorder: TraceRecorder) -> List[Span]:
             span = Span(
                 name=str(p.get("name", "phase")), category="phase",
                 start=t - seconds, end=t, superstep=event.superstep,
+                args={"parent": p.get("parent")},
             )
-            # Children completed (and were recorded) before this span
-            # closed; claim the pending ones this span encloses and
-            # that name it as their parent.
-            claimed = [
-                s
-                for s in pending
-                if s.args.get("parent") == span.name
-                and s.start >= span.start - 1e-12
-                and s.end <= span.end + 1e-12
-            ]
+            phase_spans[id(event)] = span
+            # Children were recorded before this span closed; claim the
+            # ones still pending that link_phases pairs with it.
+            _event, children = next(links)
+            claimed = {id(phase_spans[id(child)]) for child in children}
             if claimed:
-                span.children = sorted(claimed, key=lambda s: s.start)
-                claimed_ids = {id(s) for s in claimed}
-                pending[:] = [
-                    s for s in pending if id(s) not in claimed_ids
-                ]
-            span.args["parent"] = p.get("parent")
+                span.children = sorted(
+                    (s for s in pending if id(s) in claimed),
+                    key=lambda s: s.start,
+                )
+                pending[:] = [s for s in pending if id(s) not in claimed]
             pending.append(span)
 
     close_run(last_t)

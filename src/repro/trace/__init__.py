@@ -13,7 +13,6 @@ path at one branch when tracing is off.
 from repro.trace.export import (
     attach_modeled,
     dumps_jsonl,
-    fault_summary,
     loads_jsonl,
     read_jsonl,
     render_profile,
@@ -43,5 +42,4 @@ __all__ = [
     "superstep_csv",
     "render_profile",
     "attach_modeled",
-    "fault_summary",
 ]

@@ -1,18 +1,27 @@
 """Trace exporters: JSONL dump, per-superstep CSV, phase profile.
 
-All three read the shared event vocabulary of
+All of them read the shared event vocabulary of
 :mod:`repro.trace.recorder`:
 
 * :func:`write_jsonl` — one JSON object per event, in emission order
   (the raw trace the acceptance checks parse);
 * :func:`superstep_csv` — one row per superstep with the counter
   summary (RFC 4180 via the :mod:`csv` module);
-* :func:`render_profile` — fixed-width self-time-by-phase summary
-  (gather/apply/scatter/sync) built on
+* :func:`phase_rows` — the one fold of phase time: every ``phase``
+  event is linked to its parent by :func:`link_phases` (event order
+  plus the event's own ``parent``/``depth`` fields, never timestamps)
+  and folded into one calls/seconds/self-seconds row per
+  ``(phase, parent)``.  :func:`render_profile`, ``repro report``'s
+  "Phase self time" table and the span tree of :mod:`repro.obs.spans`
+  all read these links, so they agree;
+* :func:`render_profile` — those rows as a fixed-width table built on
   :class:`repro.bench.reporting.Table`;
 * :func:`attach_modeled` — annotates ``superstep_end`` events with the
   cost model's per-superstep seconds, so traces carry wall-clock *and*
   modeled timings side by side.
+
+Counter totals are not folded here: that is
+:func:`repro.obs.metrics.populate_from_trace`'s job alone.
 """
 
 from __future__ import annotations
@@ -20,18 +29,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.trace.recorder import (
-    CHECKPOINT,
-    FAULT,
-    GUIDANCE_REUSED,
     PHASE,
     PHASE_NAMES,
-    RECOVERY,
-    RETRY,
-    ROLLBACK,
     SUPERSTEP_BEGIN,
     SUPERSTEP_END,
     TraceEvent,
@@ -44,9 +47,10 @@ __all__ = [
     "loads_jsonl",
     "read_jsonl",
     "superstep_csv",
+    "link_phases",
+    "phase_rows",
     "render_profile",
     "attach_modeled",
-    "fault_summary",
     "SUPERSTEP_CSV_COLUMNS",
 ]
 
@@ -175,92 +179,93 @@ def attach_modeled(recorder: TraceRecorder, breakdown) -> None:
             event.payload["modeled_retry_seconds"] = retry
 
 
-def fault_summary(recorder: TraceRecorder) -> dict:
-    """Aggregate the fault-tolerance events of one trace.
+def link_phases(
+    recorder: TraceRecorder,
+) -> Iterator[Tuple[TraceEvent, List[TraceEvent]]]:
+    """Yield each ``phase`` event with the phase events nested in it.
 
-    Returns a plain dict (JSON-ready) with the injected fault counts
-    split by kind and applied/skipped, plus checkpoint/rollback/recovery
-    totals — the shape the CLI prints after a ``--inject-faults`` run
-    and the determinism tests compare across repeated runs.
+    A span emits its event when it closes, so its children's events
+    come first: the children of a span at depth ``d`` are the events at
+    depth ``d + 1`` that name it as ``parent`` and were emitted since
+    the last event at depth ``d`` or less.  Links are read from the
+    event order and the events' own ``parent``/``depth`` fields, never
+    from timestamps, so a child that opens on its parent's clock tick
+    still links.  Children come in emission order.
     """
-    faults = recorder.events_named(FAULT)
-    by_kind: dict = {}
-    for event in faults:
-        kind = event.payload.get("kind", "?")
-        bucket = by_kind.setdefault(kind, {"applied": 0, "skipped": 0})
-        key = "applied" if event.payload.get("applied") else "skipped"
-        bucket[key] += 1
-    retries = recorder.events_named(RETRY)
-    checkpoints = recorder.events_named(CHECKPOINT)
-    rollbacks = recorder.events_named(ROLLBACK)
-    recoveries = recorder.events_named(RECOVERY)
-    return {
-        "faults": by_kind,
-        "retries": sum(int(e.payload.get("messages", 0)) for e in retries),
-        "retry_bytes": sum(int(e.payload.get("bytes", 0)) for e in retries),
-        "checkpoints": len(checkpoints),
-        "checkpoint_bytes": sum(
-            int(e.payload.get("bytes", 0)) for e in checkpoints
-        ),
-        "rollbacks": len(rollbacks),
-        "supersteps_replayed": sum(
-            int(e.payload["from_superstep"]) - int(e.payload["to_superstep"])
-            for e in rollbacks
-        ),
-        "recoveries": len(recoveries),
-        "vertices_taken_over": sum(
-            int(e.payload.get("vertices_moved", 0)) for e in recoveries
-        ),
-        "guidance_reuses": len(recorder.events_named(GUIDANCE_REUSED)),
-    }
+    open_children: List[Tuple[int, TraceEvent]] = []
+    for event in recorder.events:
+        if event.name != PHASE:
+            continue
+        depth = int(event.payload.get("depth", 0))
+        name = event.payload.get("name", "")
+        children: List[TraceEvent] = []
+        while open_children and open_children[-1][0] > depth:
+            child_depth, child = open_children.pop()
+            if child_depth == depth + 1 and (
+                child.payload.get("parent") == name
+            ):
+                children.append(child)
+        children.reverse()
+        if depth > 0:
+            open_children.append((depth, event))
+        yield event, children
+
+
+def phase_rows(recorder: TraceRecorder) -> List[Dict[str, Any]]:
+    """Per-``(phase, parent)`` calls, seconds and self seconds of a trace.
+
+    The one fold of phase time: a span's self time is its ``seconds``
+    less its linked children's (:func:`link_phases`), so each nested
+    second is counted once, in its own row.  Rows are ordered by self
+    time, largest first; ``parent`` is ``None`` for top-level spans.
+    """
+    rows: Dict[tuple, Dict[str, Any]] = {}
+    for event, children in link_phases(recorder):
+        p = event.payload
+        seconds = float(p.get("seconds", 0.0))
+        nested = sum(float(c.payload.get("seconds", 0.0)) for c in children)
+        row = rows.setdefault(
+            (p.get("name", ""), p.get("parent")),
+            {"calls": 0, "seconds": 0.0, "self_seconds": 0.0},
+        )
+        row["calls"] += 1
+        row["seconds"] += seconds
+        row["self_seconds"] += max(0.0, seconds - nested)
+    return [
+        {"phase": name, "parent": parent, **row}
+        for (name, parent), row in sorted(
+            rows.items(), key=lambda item: -item[1]["self_seconds"]
+        )
+    ]
 
 
 def render_profile(recorder: TraceRecorder, precision: int = 3) -> str:
     """Fixed-width self-time-by-phase summary of one trace.
 
-    Phase rows (gather/apply/scatter/sync) report wall-clock *self*
-    time from the engines' phase spans: a span's row excludes time
-    covered by spans nested inside it (which get their own
-    ``parent/child`` rows via the PHASE events' parent links), so the
-    column sums to the covered wall time exactly once.  ``(untimed)``
-    is superstep wall time not covered by any phase span (frontier
-    bookkeeping, accounting).  An empty or still-open trace renders a
-    valid all-zero table.
+    One row per :func:`phase_rows` row, named ``parent/child`` when
+    nested, so the column sums to the covered wall time exactly once.
+    The canonical four phases (gather/apply/scatter/sync) are always
+    present, zero rows included, so profiles are comparable.
+    ``(untimed)`` is superstep wall time not covered by any phase span
+    (frontier bookkeeping, accounting).  An empty or still-open trace
+    renders a valid all-zero table.
     """
     # Imported here: bench.reporting sits above the engines in the
     # import graph, while this module is imported by cluster.metrics.
     from repro.bench.reporting import Table
 
-    # Keyed by (name, parent) so one component name reused under two
-    # parents stays two rows.  The canonical four phases are always
-    # present, zero rows included, so profiles are comparable.
-    seconds = {(name, None): 0.0 for name in PHASE_NAMES}
-    calls = {(name, None): 0 for name in PHASE_NAMES}
-    nested_seconds: dict = {}
-    for event in recorder.events_named(PHASE):
-        name = event.payload.get("name", "")
-        parent = event.payload.get("parent")
-        key = (name, parent)
-        seconds[key] = seconds.get(key, 0.0) + float(
-            event.payload.get("seconds", 0.0)
-        )
-        calls[key] = calls.get(key, 0) + 1
-        if parent is not None:
-            nested_seconds[parent] = nested_seconds.get(parent, 0.0) + float(
-                event.payload.get("seconds", 0.0)
-            )
-    # Nested time is subtracted from the top-level row of the parent
-    # name (components nest one level deep; parents are always
-    # top-level spans in every engine's instrumentation).
-    self_seconds = {}
-    for key, span_total in seconds.items():
-        nested = nested_seconds.get(key[0], 0.0) if key[1] is None else 0.0
-        self_seconds[key] = max(0.0, span_total - nested)
+    rows = phase_rows(recorder)
+    seen = {(row["phase"], row["parent"]) for row in rows}
+    rows += [
+        {"phase": name, "parent": None, "calls": 0, "self_seconds": 0.0}
+        for name in PHASE_NAMES
+        if (name, None) not in seen
+    ]
     superstep_wall = sum(
         float(e.payload.get("wall_seconds", 0.0))
         for e in recorder.events_named(SUPERSTEP_END)
     )
-    timed = sum(self_seconds.values())
+    timed = sum(row["self_seconds"] for row in rows)
     untimed = max(0.0, superstep_wall - timed)
     total = superstep_wall if superstep_wall > 0 else timed
 
@@ -269,13 +274,13 @@ def render_profile(recorder: TraceRecorder, precision: int = 3) -> str:
         % (recorder.num_supersteps, superstep_wall),
         ["phase", "calls", "seconds", "share"],
     )
-    for key in sorted(self_seconds, key=lambda k: -self_seconds[k]):
-        name, parent = key
+    for row in rows:
         table.add_row(
-            name if parent is None else "%s/%s" % (parent, name),
-            calls[key],
-            self_seconds[key],
-            self_seconds[key] / total if total > 0 else 0.0,
+            row["phase"] if row["parent"] is None
+            else "%s/%s" % (row["parent"], row["phase"]),
+            row["calls"],
+            row["self_seconds"],
+            row["self_seconds"] / total if total > 0 else 0.0,
         )
     table.add_row(
         "(untimed)", None, untimed, untimed / total if total > 0 else 0.0

@@ -303,11 +303,6 @@ class TraceRecorder(NullRecorder):
     def _now(self) -> float:
         return self._clock() - self._t0
 
-    @property
-    def current_superstep(self) -> Optional[int]:
-        """Index of the open superstep, or None between supersteps."""
-        return self._superstep
-
     def emit(self, name: str, /, **payload) -> TraceEvent:
         """Record one event; superstep attribution is automatic.
 

@@ -91,6 +91,18 @@ class TestCostModel:
             run.execution_seconds + expected
         )
 
+    @pytest.mark.parametrize("ops", [0, 1, 7, 1_000_003, 2**40 + 1])
+    def test_preprocessing_is_the_spread_formula(self, ops):
+        # The report's RR estimates and evaluate() share this term; it
+        # must stay the exact float expression evaluate() always used.
+        model = CostModel(ClusterConfig(num_nodes=3))
+        node = model.config.node
+        expected = ops / 3 * node.seconds_per_edge_op / node.speedup()
+        assert model.spread_seconds(ops) == expected
+        m = run_with([[1, 1, 1]])
+        m.preprocessing_ops = ops
+        assert model.evaluate(m).preprocessing_seconds == expected
+
     def test_mode_fraction(self):
         m = MetricsCollector(1)
         m.begin_iteration("pull")

@@ -124,6 +124,32 @@ class TestRegistry:
         with pytest.raises(ObservabilityError):
             reg.counter("ops", labelnames=("mode",))
 
+    def test_total_sums_a_family_or_groups_it_by_one_label(self):
+        reg = MetricsRegistry()
+        ops = reg.counter("ops", labelnames=("node", "mode"))
+        ops.inc(3, node=1, mode="push")
+        ops.inc(4, node=0, mode="pull")
+        ops.inc(5, node=1, mode="pull")
+        assert reg.total("ops") == 12
+        assert reg.total("ops", by="node") == {"1": 8, "0": 4}
+        assert list(reg.total("ops", by="node")) == ["1", "0"]
+        assert reg.total("ops", by="mode") == {"push": 3, "pull": 9}
+
+    def test_total_of_an_absent_or_empty_family_is_zero(self):
+        reg = MetricsRegistry()
+        reg.counter("ops", labelnames=("node",))
+        assert reg.total("ops") == 0
+        assert reg.total("ops", by="node") == {}
+        assert reg.total("missing") == 0
+        assert reg.total("missing", by="node") == {}
+
+    def test_total_of_a_histogram_sums_its_observations(self):
+        reg = MetricsRegistry()
+        wall = reg.histogram("wall_seconds")
+        wall.observe(0.25)
+        wall.observe(0.5)
+        assert reg.total("wall_seconds") == 0.75
+
 
 class TestOpenMetricsText:
     def build(self):
