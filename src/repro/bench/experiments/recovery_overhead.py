@@ -76,6 +76,7 @@ def measured_pool_recovery(
     import numpy as np
 
     from repro.cluster.faults import WorkerFault
+    from repro.obs import registry_from_trace
     from repro.runconfig import configured, resolve
     from repro.trace import recorder as ev
     from repro.trace.recorder import TraceRecorder
@@ -114,16 +115,13 @@ def measured_pool_recovery(
             for event in recorder.events_named(ev.FAULT)
             if str(event.payload.get("kind", "")).startswith("worker-")
         )
-        respawns = sum(
-            1
-            for event in recorder.events_named(ev.PARALLEL_RECOVERY)
-            if event.payload.get("action") == "respawned"
-        )
-        recovery_seconds = sum(
-            float(event.payload.get("seconds", 0.0))
-            for event in recorder.events_named(ev.PARALLEL_RECOVERY)
-            if event.payload.get("action") == "recovered"
-        )
+        registry = registry_from_trace(recorder)
+        respawns = int(registry.total(
+            "repro_parallel_recovery_events", by="action"
+        ).get("respawned", 0))
+        recovery_seconds = registry.total(
+            "repro_parallel_recovery_seconds", by="action"
+        ).get("recovered", 0.0)
         table.add_row(
             "worker-%s@%d:%s-0"
             % (kind, MEASURED_FAULT_SUPERSTEP, MEASURED_FAULT_PHASE),

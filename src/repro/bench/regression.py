@@ -218,7 +218,7 @@ def _async_scheduling_entry(scale_divisor: int, num_nodes: int) -> dict:
     delta mass under the tolerance.
     """
     from repro.core.async_engine import SCHEDULERS
-    from repro.trace import recorder as ev
+    from repro.obs import registry_from_trace
     from repro.trace.recorder import TraceRecorder
 
     rows: Dict[str, dict] = {}
@@ -234,22 +234,21 @@ def _async_scheduling_entry(scale_divisor: int, num_nodes: int) -> dict:
             scheduler=scheduler,
         )
         metrics = outcome.result.metrics
-        round_events = recorder.events_named(ev.ASYNC_ROUND)
+        registry = registry_from_trace(recorder)
         rows[scheduler] = {
             "rounds": outcome.result.iterations,
             "updates_to_convergence": metrics.total_updates,
             "edge_ops": metrics.total_edge_ops,
             "messages": metrics.total_messages,
-            "scheduled_vertices": sum(
-                int(e.payload.get("scheduled", 0)) for e in round_events
+            "scheduled_vertices": int(
+                registry.total("repro_async_scheduled_vertices")
             ),
-            "deferred_vertices": sum(
-                int(e.payload.get("skipped", 0)) for e in round_events
+            "deferred_vertices": int(
+                registry.total("repro_async_deferred_vertices")
             ),
-            "final_delta_mass": (
-                float(round_events[-1].payload.get("delta_mass", 0.0))
-                if round_events
-                else 0.0
+            # The gauge holds the mass after the run's last round.
+            "final_delta_mass": float(
+                registry.total("repro_async_pending_mass")
             ),
         }
     return {

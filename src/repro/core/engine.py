@@ -490,7 +490,10 @@ class SLFEEngine:
                     continue
             mode = choose()
             if mode is None:
-                break  # every vertex is early-converged
+                # Every vertex is early-converged: this superstep never
+                # runs, so it is not counted.
+                iteration -= 1
+                break
             metrics.begin_iteration(mode)
             if injector is not None:
                 slowdown = injector.slowdown_at(iteration)
@@ -1021,8 +1024,8 @@ class _FinishEarly(_Step):
         with rec.phase("gather"):
             # Fused gather+reduce kernel: the dispatch zeroes its
             # result array and fills per-destination contribution
-            # sums in one pass (grouped reduceat over non-empty
-            # blocks, the same kernel on both backends).
+            # sums in one pass (the compiled in-order row sum, the
+            # same kernel on every backend).
             stats = dispatch.gather(live)
             self.emit_dispatch(dispatch, stats, "gather")
             if node_ops[0].any():

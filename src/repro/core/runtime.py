@@ -40,7 +40,13 @@ import numpy as np
 from repro.core.frontier import DEFAULT_DENSE_DENOMINATOR
 from repro.core.rrg import RRGuidance
 from repro.errors import EngineError
-from repro.graph.csr import covering_span, expand_row_dsts, expand_rows
+from repro.graph.csr import (
+    covering_span,
+    expand_row_dsts,
+    expand_rows,
+    row_sums,
+    unit_view,
+)
 from repro.graph.graph import Graph
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import NULL_RECORDER, Recorder
@@ -352,10 +358,10 @@ def telemetry_end(row: np.ndarray) -> None:
 
 
 def _row_segments(csr, degrees: np.ndarray, ids: np.ndarray):
-    """``(sel, rows, counts, boundaries, pick, edges)``: ``csr.indices[sel]``
-    holds the in-edges of ``rows``, row ``i``'s ``counts[i]`` from
-    ``boundaries[i]`` on; ``edges`` counts those of ``ids``.  ``rows`` is
-    ``ids`` (``sel`` :func:`expand_rows`' positions) unless
+    """``(sel, rows, counts, ptr, pick, edges)``: ``csr.indices[sel]``
+    holds the in-edges of ``rows``, row ``i``'s ``counts[i]`` of them
+    from ``ptr[i]`` to ``ptr[i + 1]``; ``edges`` counts those of ``ids``.
+    ``rows`` is ``ids`` (``sel`` :func:`expand_rows`' positions) unless
     :func:`covering_span` takes ``slice(lo, hi)`` (``sel`` a slice: views,
     read in order); if that span has holes, ``pick`` selects ``ids``'
     entries of a per-row output.  Per row, edges and order are the same.
@@ -363,22 +369,17 @@ def _row_segments(csr, degrees: np.ndarray, ids: np.ndarray):
     span = covering_span(csr.indptr, degrees, ids)
     if span is None:
         counts, sel = expand_rows(csr.indptr, ids, csr.base)
-        return sel, ids, counts, np.cumsum(counts) - counts, None, int(counts.sum())
+        ptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        return sel, ids, counts, ptr, None, int(ptr[-1])
     lo, hi, edges = span
     ptr = csr.indptr[lo : hi + 1]
-    sel = slice(int(ptr[0]) - csr.base, int(ptr[-1]) - csr.base)
+    start = int(ptr[0])
+    sel = slice(start - csr.base, int(ptr[-1]) - csr.base)
     pick = None if hi - lo == ids.size else ids - lo
-    return sel, slice(lo, hi), degrees[lo:hi], ptr[:-1] - ptr[0], pick, edges
-
-
-def _reduce_rows(ufunc, identity, per_edge, counts, boundaries):
-    """``ufunc.reduceat`` per segment; empty segments get ``identity``."""
-    nonempty = counts > 0
-    if nonempty.all():
-        return ufunc.reduceat(per_edge, boundaries)
-    out = np.full(counts.size, identity)
-    out[nonempty] = ufunc.reduceat(per_edge, boundaries[nonempty])
-    return out
+    # A span from edge 0 reads the CSR's own row pointer, uncopied.
+    return (sel, slice(lo, hi), degrees[lo:hi], ptr - start if start else ptr,
+            pick, edges)
 
 
 def grouped_reduce(
@@ -387,7 +388,8 @@ def grouped_reduce(
     group_counts: np.ndarray,
     boundaries: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Reduce contiguous per-group blocks; empty groups get the identity.
+    """Min/max over contiguous per-group blocks; empty groups get the
+    identity.  (Arithmetic sums are :func:`repro.graph.csr.row_sums`.)
 
     ``boundaries`` is the exclusive prefix sum of ``group_counts``; pass
     it when already at hand (:func:`_row_segments` always has it).
@@ -406,9 +408,14 @@ def grouped_reduce(
     """
     if boundaries is None:
         boundaries = np.cumsum(group_counts) - group_counts
-    if aggregation == "min":
-        return _reduce_rows(np.minimum, np.inf, per_edge, group_counts, boundaries)
-    return _reduce_rows(np.maximum, -np.inf, per_edge, group_counts, boundaries)
+    ufunc, identity = ((np.minimum, np.inf) if aggregation == "min"
+                       else (np.maximum, -np.inf))
+    nonempty = group_counts > 0
+    if nonempty.all():
+        return ufunc.reduceat(per_edge, boundaries)
+    out = np.full(group_counts.size, identity)
+    out[nonempty] = ufunc.reduceat(per_edge, boundaries[nonempty])
+    return out
 
 
 def pull_apply_block(
@@ -441,13 +448,13 @@ def pull_apply_block(
     ``reduceat`` segments are the same either way.  Only ``ids``' entries
     are written, and only their edges (those relaxed) are returned.
     """
-    sel, rows, counts, boundaries, pick, edges = _row_segments(in_csr, in_deg, ids)
+    sel, rows, counts, ptr, pick, edges = _row_segments(in_csr, in_deg, ids)
     srcs = in_csr.indices[sel]
     if terms is None:
         candidates = app.edge_candidates(values, srcs, in_csr.weights[sel])
     else:
         candidates = terms[srcs]
-    reduced = grouped_reduce(aggregation, candidates, counts, boundaries)
+    reduced = grouped_reduce(aggregation, candidates, counts, ptr[:-1])
     if pick is not None:
         rows, reduced = ids, reduced[pick]
     result[rows] = reduced
@@ -466,30 +473,38 @@ def gather_block(
 ) -> int:
     """Arithmetic gather over one block: per-destination contribution sums.
 
-    ``terms`` is ``app.source_terms(values)``, computed once per phase by
-    the phase's owner.  Given, the block reads only what the app reads —
-    the in-neighbour ids and one term per edge; no per-edge ``rows``, no
-    weights gather.  ``None`` takes the general contract,
-    ``app.edge_contributions`` over the expanded edges.  The per-edge
-    floats and the ``reduceat`` segments are the same either way.
+    Each row is one in-order :func:`row_sums` pass.  ``terms`` is
+    ``app.source_terms(values)``, computed once per phase by the phase's
+    owner: given, the kernel reads one term per in-neighbour id against
+    unit weights, with no per-edge array built.  ``None`` takes the
+    general contract, ``app.edge_contributions`` over the expanded
+    edges, summed against unit terms.  One factor is 1.0 either way, so
+    the two paths sum the same floats in the same order.
 
-    Only ``result[ids]`` is written (0.0 for ids with no in-edges), and
-    only their edges (those gathered) are returned.
+    A span without holes is zeroed and summed into in place,
+    ``result[lo:hi]``; the other cases sum into a temporary that is then
+    scattered.  Only ``result[ids]`` is written (0.0 for ids with no
+    in-edges), and only their edges (those gathered) are returned.
     """
-    sel, rows, counts, boundaries, pick, edges = _row_segments(in_csr, in_deg, ids)
+    sel, rows, counts, ptr, pick, edges = _row_segments(in_csr, in_deg, ids)
     srcs = in_csr.indices[sel]
     if terms is None:
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop, dtype=np.int64)
-        contributions = app.edge_contributions(
-            values, srcs, np.repeat(rows, counts), in_csr.weights[sel]
+        dsts = (np.arange(rows.start, rows.stop, dtype=np.int64)
+                if isinstance(rows, slice) else rows)
+        data = app.edge_contributions(
+            values, srcs, np.repeat(dsts, counts), in_csr.weights[sel]
         )
+        x = unit_view(values.size)
     else:
-        contributions = terms[srcs]
-    sums = _reduce_rows(np.add, 0.0, contributions, counts, boundaries)
-    if pick is not None:
-        rows, sums = ids, sums[pick]
-    result[rows] = sums
+        data, x = unit_view(srcs.size), terms
+    if isinstance(rows, slice) and pick is None:
+        out = result[rows]
+        out[...] = 0.0
+        row_sums(ptr, srcs, data, x, out)
+        return edges
+    sums = np.zeros(ptr.size - 1)
+    row_sums(ptr, srcs, data, x, sums)
+    result[ids] = sums if pick is None else sums[pick]
     return edges
 
 

@@ -14,11 +14,15 @@ views, because the edge selectors (:func:`expand_rows`, behind
 fused kernels' :func:`covering_span`) hand out views of them.  Every
 grouping of edges by vertex (by source in :meth:`CSR.from_edges`, by
 destination in :meth:`CSR.transpose` and the push reduce) is one sort
-of a packed ``int64`` key, :func:`_packed_sort`.
+of a packed ``int64`` key, :func:`_packed_sort`.  Every arithmetic
+row sum is one compiled in-order pass, :func:`row_sums`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -26,8 +30,8 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 __all__ = ["CSR", "contiguous_run", "covering_span", "edge_blocks",
-           "expand_rows", "expand_row_dsts", "is_unit", "stable_group_order",
-           "unit_view"]
+           "expand_rows", "expand_row_dsts", "is_unit", "row_sums",
+           "stable_group_order", "unit_view"]
 
 
 def unit_view(m: int) -> np.ndarray:
@@ -141,6 +145,60 @@ def covering_span(indptr: np.ndarray, degrees: np.ndarray,
     span_edges = int(indptr[hi] - indptr[lo])
     edges = span_edges if hi - lo == ids.size else int(degrees[ids].sum())
     return None if span_edges > _SPAN_COST * edges else (lo, hi, edges)
+
+
+def _load_csr_matvec():
+    """scipy's compiled ``csr_matvec``, loaded from its ``_sparsetools``
+    extension file alone: ``scipy/sparse/__init__.py`` never runs, as
+    importing ``scipy.sparse`` adds ~15 MiB of modules to a process and
+    the extension ~0.5 MiB."""
+    name, module = "scipy.sparse._sparsetools", None
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        folder = os.path.join(os.path.dirname(spec.origin), "sparse")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+                break
+    routine = getattr(module, "csr_matvec", None)
+    if routine is None:
+        from importlib import metadata
+        try:
+            version = "scipy " + metadata.version("scipy")
+        except metadata.PackageNotFoundError:
+            version = "no scipy"
+        raise ImportError(
+            "repro sums rows with scipy's compiled csr_matvec "
+            "(scipy/sparse/_sparsetools), which %s does not provide: "
+            "install scipy>=1.8" % version
+        )
+    return routine
+
+
+_csr_matvec = _load_csr_matvec()
+
+
+def row_sums(ptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+             x: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] += data[j] * x[indices[j]]`` for each ``j`` in ``[ptr[i],
+    ptr[i + 1])``, in edge order: scipy's ``csr_matvec``, one compiled
+    pass with no per-edge intermediate.
+
+    Each row is summed left to right onto ``out[i]`` (from +0.0 on a
+    zeroed ``out``: ``np.bincount``'s order), so a block of whole rows
+    sums to the same bits however the rows are cut.  With one factor
+    1.0 every product is exact, so per-edge terms summed against unit
+    ``x`` equal unit ``data`` against the terms, bit for bit.  ``ptr``
+    and ``indices`` are ``int64``, the rest ``float64``; ``out`` is
+    contiguous and writeable.  A stride-0 :func:`unit_view` is copied
+    for the call.
+    """
+    _csr_matvec(out.size, x.size, ptr, indices, data, x, out)
 
 
 def expand_rows(

@@ -67,13 +67,6 @@ class Span:
     def duration(self) -> float:
         return max(0.0, self.end - self.start)
 
-    @property
-    def self_seconds(self) -> float:
-        """Duration not covered by child spans."""
-        return max(
-            0.0, self.duration - sum(c.duration for c in self.children)
-        )
-
 
 def _attach_pending(span: Span, pending: List[Span]) -> None:
     """Move all still-unclaimed phase spans under ``span``."""

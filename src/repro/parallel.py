@@ -47,10 +47,11 @@ Determinism
 -----------
 Results are bit-identical to the serial engine because every grouped
 reduction is computed from the same contiguous per-vertex edge block
-with the same numpy reduction, entirely within one block — blocks never
-split a vertex's edge run, so block *assignment* only affects which
-process computes a value, never the value (see
-:func:`repro.core.runtime.grouped_reduce`).  Push candidates are
+with the same kernel (numpy's min/max, the in-order compiled row sum),
+entirely within one block — blocks never split a vertex's edge run, so
+block *assignment* only affects which process computes a value, never
+the value (see :func:`repro.core.runtime.grouped_reduce` and
+:func:`repro.graph.csr.row_sums`).  Push candidates are
 written at their serial expansion offsets, so the parent applies them
 over the byte-identical edge sequence.  Everything order-sensitive —
 push apply, frontier updates, RR bookkeeping, stability tracking,

@@ -17,6 +17,7 @@ from repro.apps import (
     WidestPath,
     reference,
 )
+from repro.bench.workloads import ARITH_TOLERANCE, experiment_cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import SLFEEngine
 from repro.core.rrg import generate_guidance
@@ -24,6 +25,8 @@ from repro.errors import EngineError
 from repro.graph import datasets, generators
 from repro.graph.graph import Graph
 from repro.partition import HashPartitioner, RandomVertexCutPartitioner
+from repro.trace import recorder as trace_events
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +177,22 @@ class TestRedundancyReduction:
             PageRank(), tolerance=1e-10
         )
         assert rr.metrics.total_skipped > 0
+
+    def test_a_fully_frozen_run_counts_only_supersteps_it_ran(self):
+        """Finish-early can freeze every vertex; the superstep that finds
+        nothing live never runs, so the result, the collector and the
+        trace all count the same supersteps."""
+        g = generators.social_network(
+            300, avg_degree=10, shortcut_density=0.05, hub_bias=1.5, seed=3
+        )
+        recorder = TraceRecorder()
+        result = SLFEEngine(
+            g, config=experiment_cluster(num_nodes=4), recorder=recorder
+        ).run_arithmetic(PageRank(), tolerance=ARITH_TOLERANCE)
+        transitions = recorder.events_named(trace_events.EC_TRANSITION)
+        assert transitions[-1].payload["live"] == 0  # it fully froze
+        supersteps = len(recorder.events_named(trace_events.SUPERSTEP_END))
+        assert result.iterations == len(result.metrics.records) == supersteps
 
     def test_guidance_attached_to_result(self, social):
         result = SLFEEngine(social, enable_rr=True).run_minmax(

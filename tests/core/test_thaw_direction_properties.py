@@ -15,8 +15,9 @@ Four layers of evidence:
   in-direction that fits the cache is decoded once per run;
 * matrix: PageRank+RR on serial / pool / ooc / degraded-inline / a
   crash-rollback plan against the parent commit's algorithm, kept here
-  as a plain loop (general ``edge_contributions`` gather, per-superstep
-  ``nonzero``, push-only thaw through ``np.unique``).
+  as a plain loop (general ``edge_contributions`` gather summed in
+  edge order by ``np.bincount``, per-superstep ``nonzero``, push-only
+  thaw through ``np.unique``).
 """
 
 import os
@@ -214,7 +215,7 @@ def parent_pagerank_rr(graph: Graph, guidance, cluster):
     app = PageRank()
     app.bind(graph)
     n = graph.num_vertices
-    in_csr, in_deg = graph.in_csr, graph.in_degrees()
+    in_csr = graph.in_csr
     values = app.initial_values(graph).astype(np.float64)
     threshold = np.maximum(
         guidance.last_iter.astype(np.int64), MIN_STABLE_ROUNDS
@@ -225,21 +226,18 @@ def parent_pagerank_rr(graph: Graph, guidance, cluster):
     edge_ops, messages, updates, skipped = [], 0, 0, 0
     iteration = 0
     while iteration < app.default_max_iterations:
-        iteration += 1
         live_mask = ~ec
         live = np.nonzero(live_mask)[0]
         if live.size == 0:
-            break
+            break  # every vertex frozen: no superstep runs or counts
+        iteration += 1
         rows, srcs, weights = in_csr.expand_sources(live)
-        gathered = np.zeros(n)
-        if srcs.size:
-            contributions = app.edge_contributions(values, srcs, rows, weights)
-            counts = in_deg[live]
-            boundaries = np.cumsum(counts) - counts
-            nonempty = counts > 0
-            gathered[live[nonempty]] = np.add.reduceat(
-                contributions, boundaries[nonempty]
-            )
+        # Each destination's contributions summed in edge order from
+        # +0.0, as the engine's compiled row sum does.
+        gathered = np.bincount(
+            rows, weights=app.edge_contributions(values, srcs, rows, weights),
+            minlength=n,
+        )
         edge_ops.append(int(srcs.size))
         new_values = values.copy()
         new_values[live] = app.apply(gathered, values)[live]

@@ -65,12 +65,6 @@ class TestSpanTree:
         assert (coalesce.start, coalesce.end) == (2.0, 3.0)
         assert coalesce.children == []
 
-    def test_self_seconds_excludes_children(self):
-        roots = build_span_tree(nested_trace())
-        gather = roots[0].children[0].children[0]
-        assert gather.duration == pytest.approx(4.0)
-        assert gather.self_seconds == pytest.approx(3.0)
-
     def test_iter_spans_depth_first(self):
         flat = [
             (span.name, depth)
