@@ -248,6 +248,7 @@ class ArithmeticApplication(abc.ABC):
     def apply(self, gathered: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Vertex function: combine gathered sums with current values.
 
-        Receives and returns full per-vertex arrays; the engine masks EC
-        vertices itself.
+        Receives and returns full per-vertex arrays; the engine writes
+        EC vertices' old values into the returned array, which may be
+        ``gathered`` itself.
         """

@@ -45,10 +45,10 @@ class Checkpoint:
     """One immutable snapshot of engine state after ``superstep``.
 
     ``arrays`` maps state names (``values``, ``frontier``, ``owner``,
-    ``started``/``missed`` or ``stable_count``/``stable_value``/``ec``)
-    to private copies; ``scalars`` holds plain-Python loop state
-    (iteration counter, mode flags).  ``digests`` are the capture-time
-    checksums restore verifies against.
+    ``started``/``missed`` or ``stable_count``/``ec``) to private
+    copies; ``scalars`` holds plain-Python loop state (iteration
+    counter, mode flags).  ``digests`` are the capture-time checksums
+    restore verifies against.
     """
 
     superstep: int

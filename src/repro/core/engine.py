@@ -114,7 +114,11 @@ class SLFEEngine:
     dense_denominator:
         Direction heuristic: pull when active out-edges > |E| / this.
     stability_epsilon:
-        "No change" threshold for finish-early stability tracking.
+        "No change" threshold for finish-early stability tracking: a
+        vertex moved when ``|new - old| > epsilon`` (or is NaN).  The
+        paper relies on hardware float precision hiding sub-ulp changes
+        (Section 2.2); with float64 arithmetic an explicit epsilon
+        reproduces the same effect deterministically.
     min_stable_rounds:
         Floor on the finish-early threshold (see
         :class:`repro.core.state.StabilityTracker`).
@@ -191,6 +195,8 @@ class SLFEEngine:
             )
         self.enable_rr = enable_rr
         self.dense_denominator = dense_denominator
+        if stability_epsilon < 0:
+            raise ValueError("stability_epsilon must be non-negative")
         self.stability_epsilon = stability_epsilon
         self.min_stable_rounds = min_stable_rounds
         self.rebalancer = rebalancer
@@ -936,8 +942,18 @@ class _FinishEarly(_Step):
 
     Owns the live set, the gather/apply, the :class:`StabilityTracker`
     with its thaw, and the ``EC_TRANSITION`` event.  Checkpointed
-    state: ``values`` plus, with RR on, the tracker's
-    ``stable_count``, ``stable_value`` and ``ec``.
+    state: ``values`` plus, with RR on, the tracker's ``stable_count``
+    and ``ec``.
+
+    "Did v change?" is decided here alone: one ``delta = |new -
+    values|`` per superstep (exactly 0 on EC vertices, whose old values
+    are copied back) feeds the convergence test, and ``~(delta <=
+    epsilon)`` (NaN counts as moved) is the update set, the thaw's
+    input and RulerS's count.  Under RR superstep 1 — also when a
+    rollback to the superstep-0 floor replays it — reports every vertex
+    as changed (first sight).  ``app.apply`` may return ``result``
+    itself (SpMV, TunkRank); the step writes into it, as nothing reads
+    it before the next gather.
     """
 
     converged = False
@@ -951,11 +967,7 @@ class _FinishEarly(_Step):
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.tracker = tracker = (
-            StabilityTracker(
-                self.last_iter,
-                engine.stability_epsilon,
-                engine.min_stable_rounds,
-            )
+            StabilityTracker(self.last_iter, engine.min_stable_rounds)
             if guidance is not None
             else None
         )
@@ -967,6 +979,10 @@ class _FinishEarly(_Step):
         self.all_vertices = np.arange(self.n, dtype=np.int64)
         self.live_mask, self.live = None, self.all_vertices
         self.counts = self.in_deg
+        # The EC vertices' in-edges (the gather work they skip, traced
+        # by EC_TRANSITION) move with the live set.
+        self.total_in_edges = int(self.in_deg.sum())
+        self.ec_skipped_ops = 0
         self.live_version = tracker.ec_version if tracker is not None else 0
         self.node_ops = None
 
@@ -979,9 +995,7 @@ class _FinishEarly(_Step):
     def restore(self, arrays, scalars) -> None:
         self.values[...] = arrays["values"]
         if self.tracker is not None:
-            self.tracker.restore_state(
-                arrays["stable_count"], arrays["stable_value"], arrays["ec"]
-            )
+            self.tracker.restore_state(arrays["stable_count"], arrays["ec"])
 
     def owner_moved(self) -> None:
         self.node_ops = None
@@ -1000,6 +1014,7 @@ class _FinishEarly(_Step):
             else:
                 self.live_mask, self.live = None, self.all_vertices
                 self.counts = self.in_deg
+            self.ec_skipped_ops = self.total_in_edges - int(self.counts.sum())
             self.node_ops = None
         live = self.live
         if live.size == 0:
@@ -1030,20 +1045,22 @@ class _FinishEarly(_Step):
             self.emit_dispatch(dispatch, stats, "gather")
             if node_ops[0].any():
                 metrics.add_edge_ops(node_ops[0])
-        gathered = dispatch.result
         with rec.phase("apply"):
-            new_values = values.copy()
-            applied = self.app.apply(gathered, values)
-            new_values[live] = applied[live]
+            new_values = self.app.apply(dispatch.result, values)
+            if self.live_mask is not None:
+                np.copyto(new_values, values, where=tracker.ec_mask)
             metrics.add_vertex_ops(node_ops[1])
 
-        delta = np.abs(new_values[live] - values[live])
+        delta = np.abs(new_values - values)
+        changed_mask = ~(delta <= self.stability_epsilon)
         if tracker is not None:
-            changed_mask = tracker.observe(new_values)
-            changed = np.nonzero(changed_mask)[0]
+            if iteration == 1:
+                changed_mask[...] = True  # first sight of every value
+            changed_mask = tracker.observe(changed_mask)
+            changed = np.flatnonzero(changed_mask)
             _thaw_moved_inputs(tracker, dispatch, changed_mask, changed)
         else:
-            changed = live[delta > self.stability_epsilon]
+            changed = np.flatnonzero(changed_mask)
         if rec.enabled:
             # "Finish early" visibility: emitted every superstep
             # (zero frozen without RR) for vocabulary parity.  EC
@@ -1055,18 +1072,12 @@ class _FinishEarly(_Step):
             # progression: how far the multi-ruler has advanced
             # toward the deepest per-vertex stability threshold.
             live_after = n - tracker.num_ec if tracker is not None else n
-            live_mask = self.live_mask
-            ec_skipped_ops = (
-                int(self.in_deg[~live_mask].sum())
-                if live_mask is not None
-                else 0
-            )
             rec.emit(
                 trace_events.EC_TRANSITION,
                 frozen=max(0, int(live.size) - live_after),
                 live=live_after,
                 total=int(n),
-                skipped_edge_ops=ec_skipped_ops,
+                skipped_edge_ops=self.ec_skipped_ops,
                 ruler=int(iteration),
                 max_last_iter=int(self.max_last_iter),
             )
@@ -1076,8 +1087,7 @@ class _FinishEarly(_Step):
 
     def commit(self, changed: np.ndarray) -> bool:
         self.values[...] = self.new_values
-        delta = self.delta
-        if delta.size == 0 or float(delta.max()) < self.tolerance:
+        if float(self.delta.max()) < self.tolerance:
             self.converged = True
         return self.converged
 

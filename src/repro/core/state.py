@@ -17,7 +17,12 @@ __all__ = ["StabilityTracker", "ProgressMonitor"]
 
 
 class StabilityTracker:
-    """Tracks per-vertex value stability against RR guidance.
+    """Counts per-vertex stability against RR guidance.
+
+    The tracker is a pure counter: the engine decides once per superstep
+    which vertices changed (one ``|new - old|`` difference, shared with
+    its convergence test and its update set) and hands the mask to
+    :meth:`observe`.  It keeps no copy of the values.
 
     Parameters
     ----------
@@ -26,11 +31,6 @@ class StabilityTracker:
         max(last_iter[v], 1)``.  The ``max(…, 1)`` keeps unreached
         vertices (``last_iter == 0``) from being frozen before they have
         been stable for at least one round.
-    epsilon:
-        Change smaller than this counts as "no change".  The paper relies
-        on hardware float precision hiding sub-ulp changes (Section 2.2);
-        with float64 arithmetic an explicit epsilon reproduces the same
-        effect deterministically.
     min_stable_rounds:
         Floor on the per-vertex threshold.  The paper's criterion can
         freeze a vertex whose inputs transiently cancel (a plateau that
@@ -39,22 +39,15 @@ class StabilityTracker:
     """
 
     def __init__(
-        self,
-        last_iter: np.ndarray,
-        epsilon: float = 1e-7,
-        min_stable_rounds: int = 1,
+        self, last_iter: np.ndarray, min_stable_rounds: int = 1
     ) -> None:
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
         if min_stable_rounds < 1:
             raise ValueError("min_stable_rounds must be >= 1")
         self.threshold = np.maximum(
             last_iter.astype(np.int64), min_stable_rounds
         )
-        self.epsilon = epsilon
         n = last_iter.size
         self.stable_count = np.zeros(n, dtype=np.int64)
-        self.stable_value = np.full(n, np.nan)
         self._ec = np.zeros(n, dtype=bool)
         #: Bumped whenever the EC set changes (freeze, thaw, restore):
         #: callers caching anything derived from the set — the engine's
@@ -76,25 +69,19 @@ class StabilityTracker:
         return ~self._ec
 
     # ------------------------------------------------------------------
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        """Feed this iteration's values; returns the changed-vertex mask.
+    def observe(self, changed: np.ndarray) -> np.ndarray:
+        """Count one superstep; ``changed`` masks the vertices that moved.
 
-        Vertices already EC are left untouched (their values were not
-        recomputed, so observing them again would be meaningless).  The
-        returned mask is the set of *live* vertices whose value moved by
-        more than epsilon — exactly the set whose update must be
-        broadcast to remote nodes.
+        Returns ``changed & live``: EC vertices were not recomputed, so
+        their counts stand whatever the mask says.  The result is
+        exactly the set whose update must be broadcast to remote nodes.
         """
         live = ~self._ec
-        with np.errstate(invalid="ignore"):
-            stable_live = np.abs(values - self.stable_value) <= self.epsilon
-        stable_live &= live
-        changed_live = live ^ stable_live
+        changed_live = changed & live
         # Branch-free full passes (no boolean fancy indexing, no where=):
-        # +1 where stable, *0 where changed.
-        self.stable_count += stable_live
+        # +1 where live, *0 where changed.
+        self.stable_count += live
         self.stable_count *= ~changed_live
-        np.putmask(self.stable_value, live, values)
         newly_ec = live & (self.stable_count >= self.threshold)
         if newly_ec.any():
             self._ec |= newly_ec
@@ -136,21 +123,11 @@ class StabilityTracker:
     # ------------------------------------------------------------------
     def state_arrays(self) -> dict:
         """The tracker's mutable state, for checkpointing (RulerS data)."""
-        return {
-            "stable_count": self.stable_count,
-            "stable_value": self.stable_value,
-            "ec": self._ec,
-        }
+        return {"stable_count": self.stable_count, "ec": self._ec}
 
-    def restore_state(
-        self,
-        stable_count: np.ndarray,
-        stable_value: np.ndarray,
-        ec: np.ndarray,
-    ) -> None:
+    def restore_state(self, stable_count: np.ndarray, ec: np.ndarray) -> None:
         """Overwrite the tracker's state in place (rollback path)."""
         self.stable_count[:] = stable_count
-        self.stable_value[:] = stable_value
         self._ec[:] = ec
         self.ec_version += 1
 

@@ -181,10 +181,14 @@ class _WorkerFailure(Exception):
         kinds: Dict[int, str],
         phase: str,
         pending: Optional[Set[int]] = None,
+        since: Optional[float] = None,
     ) -> None:
         #: worker id -> "died" | "timeout"
         self.kinds = dict(kinds)
         self.phase = phase
+        #: ``perf_counter`` when the parent began waiting on the failed
+        #: worker: recovery is timed from here, detection included
+        self.since = time.perf_counter() if since is None else since
         #: poked survivors whose ack for the wrecked epoch is still owed
         self.pending: Set[int] = set() if pending is None else set(pending)
         super().__init__(
@@ -486,16 +490,19 @@ class ParallelExecutor(SerialDispatch):
         it is never retried.
         """
         conn = self._conns[worker_id]
+        waiting = time.perf_counter()
         deadline = time.monotonic() + self._timeout
         while not conn.poll(0.02):
             if not self._procs[worker_id].is_alive():
-                raise _WorkerFailure({worker_id: "died"}, phase)
+                raise _WorkerFailure({worker_id: "died"}, phase, since=waiting)
             if time.monotonic() > deadline:
-                raise _WorkerFailure({worker_id: "timeout"}, phase)
+                raise _WorkerFailure(
+                    {worker_id: "timeout"}, phase, since=waiting
+                )
         try:
             reply = conn.recv_bytes()
         except (EOFError, OSError):
-            raise _WorkerFailure({worker_id: "died"}, phase)
+            raise _WorkerFailure({worker_id: "died"}, phase, since=waiting)
         if reply != _ACK:
             raise EngineError(
                 "parallel worker %d failed during phase %r (epoch %d):\n%s"
@@ -653,10 +660,11 @@ class ParallelExecutor(SerialDispatch):
         Either the failed workers have been respawned (re-dispatch on
         the pool) or the pool has degraded to inline execution; both
         paths leave every pipe drained and every scratch array safe to
-        reset and recompute.
+        reset and recompute.  The ``recovered`` event's seconds run from
+        the moment the parent began waiting on the failed worker, so
+        they include detection (a hang's whole reply deadline).
         """
         phase = failure.phase
-        t0 = time.perf_counter()
         failed = dict(failure.kinds)
         # Drain: survivors still owe an ack for the wrecked epoch; a
         # survivor that dies or stalls during the drain joins the
@@ -707,7 +715,7 @@ class ParallelExecutor(SerialDispatch):
             phase=phase,
             epoch=self._epoch,
             workers=sorted(failed),
-            seconds=time.perf_counter() - t0,
+            seconds=time.perf_counter() - failure.since,
         )
 
     def _reset_phase_scratch(self, phase_id: int) -> None:

@@ -1,4 +1,11 @@
-"""Unit tests for finish-early stability tracking (RulerS)."""
+"""Unit tests for finish-early stability counting (RulerS).
+
+The tracker is a pure counter fed the engine's changed mask, one per
+superstep; the engine decides what "changed" means and never changes an
+EC vertex's value.  ``ParentTracker`` — the value-based tracker as the
+parent commit wrote it, with its own copy of the values — is the oracle
+here and in ``test_finish_early_state_properties.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,76 +15,77 @@ from hypothesis import strategies as st
 from repro.core.state import StabilityTracker
 
 
+def _moved(*flags):
+    return np.array(flags, dtype=bool)
+
+
 class TestStabilityTracker:
     def test_vertex_freezes_after_threshold(self):
-        tracker = StabilityTracker(np.array([2, 2]), epsilon=0.0)
-        values = np.array([1.0, 1.0])
-        tracker.observe(values)          # first sight: counts as change
-        tracker.observe(values)          # stable once
+        tracker = StabilityTracker(np.array([2, 2]))
+        tracker.observe(_moved(True, True))     # first sight
+        tracker.observe(_moved(False, False))   # stable once
         assert tracker.num_ec == 0
-        tracker.observe(values)          # stable twice -> threshold 2
+        tracker.observe(_moved(False, False))   # stable twice -> threshold 2
         assert tracker.ec_mask.tolist() == [True, True]
 
     def test_change_resets_counter(self):
-        tracker = StabilityTracker(np.array([2]), epsilon=0.0)
-        v = np.array([1.0])
-        tracker.observe(v)
-        tracker.observe(v)
-        tracker.observe(np.array([2.0]))  # change resets
-        tracker.observe(np.array([2.0]))
+        tracker = StabilityTracker(np.array([2]))
+        for moved in (True, False, True, False):  # the change resets
+            tracker.observe(_moved(moved))
         assert tracker.num_ec == 0
-        tracker.observe(np.array([2.0]))
-        assert tracker.num_ec == 1
-
-    def test_epsilon_hides_small_changes(self):
-        tracker = StabilityTracker(np.array([1]), epsilon=1e-3)
-        tracker.observe(np.array([1.0]))
-        changed = tracker.observe(np.array([1.0 + 1e-4]))
-        assert not changed.any()
+        tracker.observe(_moved(False))
         assert tracker.num_ec == 1
 
     def test_changed_mask_reports_moved_vertices(self):
-        tracker = StabilityTracker(np.array([5, 5]), epsilon=0.0)
-        tracker.observe(np.array([1.0, 2.0]))
-        changed = tracker.observe(np.array([1.0, 3.0]))
+        tracker = StabilityTracker(np.array([5, 5]))
+        tracker.observe(_moved(True, True))
+        changed = tracker.observe(_moved(False, True))
         assert changed.tolist() == [False, True]
+        assert tracker.stable_count.tolist() == [1, 0]
 
     def test_unreached_threshold_floor_is_one(self):
         # last_iter == 0 (unreached in guidance) must not freeze before
         # one full stable round.
-        tracker = StabilityTracker(np.array([0]), epsilon=0.0)
-        tracker.observe(np.array([4.0]))
+        tracker = StabilityTracker(np.array([0]))
+        tracker.observe(_moved(True))
         assert tracker.num_ec == 0
-        tracker.observe(np.array([4.0]))
+        tracker.observe(_moved(False))
         assert tracker.num_ec == 1
+
+    def test_min_stable_rounds_floors_the_threshold(self):
+        tracker = StabilityTracker(np.array([1, 5]), min_stable_rounds=3)
+        assert tracker.threshold.tolist() == [3, 5]
+        for _ in range(3):
+            tracker.observe(_moved(False, False))
+        assert tracker.ec_mask.tolist() == [True, False]
+        with pytest.raises(ValueError):
+            StabilityTracker(np.array([1]), min_stable_rounds=0)
 
     def test_ec_vertices_not_reobserved(self):
-        tracker = StabilityTracker(np.array([1]), epsilon=0.0)
-        v = np.array([1.0])
-        tracker.observe(v)
-        tracker.observe(v)
+        tracker = StabilityTracker(np.array([1]))
+        tracker.observe(_moved(True))
+        tracker.observe(_moved(False))
         assert tracker.num_ec == 1
-        # Changing an EC vertex's value is ignored (the engine never
-        # recomputes EC vertices, so this models stale input).
-        changed = tracker.observe(np.array([9.0]))
+        # A mask that flags an EC vertex is ignored (the engine never
+        # recomputes EC vertices): its count and its freeze stand.
+        changed = tracker.observe(_moved(True))
         assert not changed.any()
-        assert tracker.stable_value.tolist() == [1.0]
+        assert tracker.stable_count.tolist() == [1]
+        assert tracker.num_ec == 1
 
     def test_active_mask_is_complement(self):
-        tracker = StabilityTracker(np.array([1, 5]), epsilon=0.0)
-        v = np.array([1.0, 1.0])
-        tracker.observe(v)
-        tracker.observe(v)
+        tracker = StabilityTracker(np.array([1, 5]))
+        tracker.observe(_moved(True, True))
+        tracker.observe(_moved(False, False))
         assert tracker.active_mask().tolist() == [False, True]
 
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            StabilityTracker(np.array([1]), epsilon=-1.0)
-
     def test_first_observation_counts_as_change(self):
-        tracker = StabilityTracker(np.array([3]), epsilon=0.0)
-        changed = tracker.observe(np.array([0.5]))
+        # The engine flags every vertex on its first sight; the tracker
+        # reports it and counts no stable round.
+        tracker = StabilityTracker(np.array([3]))
+        changed = tracker.observe(_moved(True))
         assert changed.tolist() == [True]
+        assert tracker.stable_count.tolist() == [0]
 
     def test_repr(self):
         tracker = StabilityTracker(np.array([1, 1]))
@@ -85,8 +93,14 @@ class TestStabilityTracker:
 
 
 class ParentTracker(StabilityTracker):
-    """``observe`` as the parent commit wrote it, with boolean fancy
-    indexing: the oracle the masked-pass form must match byte for byte."""
+    """The parent commit's value-based tracker: ``observe(values)``
+    compares against its own copy of the values (NaN until first sight)
+    with boolean fancy indexing, and checkpoints that copy."""
+
+    def __init__(self, last_iter, epsilon=1e-7, min_stable_rounds=1):
+        super().__init__(last_iter, min_stable_rounds)
+        self.epsilon = epsilon
+        self.stable_value = np.full(last_iter.size, np.nan)
 
     def observe(self, values):
         live = ~self._ec
@@ -103,6 +117,21 @@ class ParentTracker(StabilityTracker):
             self.ec_version += 1
         return changed_live
 
+    def state_arrays(self):
+        return dict(super().state_arrays(), stable_value=self.stable_value)
+
+    def restore_state(self, stable_count, ec, stable_value):
+        super().restore_state(stable_count, ec)
+        self.stable_value[:] = stable_value
+
+
+def engine_changed(new, old, epsilon, first_sight):
+    """The engine's rule: NaN and ``inf - inf`` count as moved."""
+    if first_sight:
+        return np.ones(new.size, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        return ~(np.abs(new - old) <= epsilon)
+
 
 @given(
     n=st.integers(1, 40),
@@ -112,25 +141,35 @@ class ParentTracker(StabilityTracker):
 )
 def test_observe_is_byte_equal_to_the_parent(n, seed, rounds, epsilon):
     """Values that hold, creep under epsilon, jump, turn NaN, -0.0 or
-    infinite; frozen vertices whose input moves anyway; thaws between
-    rounds: state, changed masks and ``ec_version`` all match."""
+    infinite; thaws between rounds.  The parent tracker reads the
+    values, the counter reads the engine's changed mask, and an EC
+    vertex's value holds (the engine copies it back): changed masks,
+    ``stable_count``, the EC set and ``ec_version`` all match, and the
+    parent's value copy equals the values after the first round."""
     rng = np.random.default_rng(seed)
     last_iter = rng.integers(0, 4, n)
-    new = StabilityTracker(last_iter, epsilon)
+    new = StabilityTracker(last_iter)
     parent = ParentTracker(last_iter, epsilon)
-    values = rng.uniform(-2.0, 2.0, n)
-    for _ in range(rounds):
-        values = values.copy()
+    old = values = rng.uniform(-2.0, 2.0, n)
+    for round_ in range(rounds):
+        values = old.copy()
         moves = rng.integers(0, 6, n)
         values[moves == 1] += 1e-8
         values[moves == 2] += rng.normal(0.0, 1.0, int((moves == 2).sum()))
         values[moves == 3] = rng.choice([np.nan, -0.0, 0.0, np.inf, -np.inf])
-        assert new.observe(values).tobytes() == parent.observe(values).tobytes()
-        for a, b in zip(new.state_arrays().values(), parent.state_arrays().values()):
-            assert a.tobytes() == b.tobytes()
+        frozen = parent.ec_mask
+        values[frozen] = old[frozen]
+        changed = engine_changed(values, old, epsilon, round_ == 0)
+        assert new.observe(changed).tobytes() == (
+            parent.observe(values).tobytes()
+        )
+        assert new.stable_count.tobytes() == parent.stable_count.tobytes()
+        assert new.ec_mask.tobytes() == parent.ec_mask.tobytes()
         assert new.ec_version == parent.ec_version
+        assert parent.stable_value.tobytes() == values.tobytes()
         thawed = rng.integers(0, n, rng.integers(0, 4))
         assert new.thaw(thawed) == parent.thaw(thawed)
+        old = values
 
 
 class TestProgressMonitor:

@@ -71,9 +71,7 @@ def unique_push_thaw(graph: Graph, ec: np.ndarray, changed: np.ndarray):
 
 def _tracker_with_ec(ec: np.ndarray) -> StabilityTracker:
     tracker = StabilityTracker(np.ones(ec.size, dtype=np.int64))
-    tracker.restore_state(
-        np.full(ec.size, 5, dtype=np.int64), np.zeros(ec.size), ec
-    )
+    tracker.restore_state(np.full(ec.size, 5, dtype=np.int64), ec)
     return tracker
 
 

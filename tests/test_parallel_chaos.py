@@ -156,6 +156,25 @@ class TestChaosDifferential:
         assert outcome.result.degraded is False
         assert np.array_equal(outcome.result.values, reference)
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="the table runs a 2-worker pool"
+    )
+    def test_measured_hang_recovery_includes_detection(self):
+        """The hang row's ``recovery_s`` counts from when the parent
+        began waiting on the stopped worker, so it holds the whole reply
+        deadline, not just the respawn after it."""
+        from repro.bench.experiments import recovery_overhead
+
+        with configured(backend="parallel", num_workers=2):
+            table = recovery_overhead.measured_pool_recovery(
+                scale_divisor=SCALE
+            )
+        rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
+        hang = rows["worker-hang@1:push-0"]
+        assert hang["applied"] and hang["respawns"] == 1
+        assert hang["identical"] and not hang["degraded"]
+        assert hang["recovery_s"] >= recovery_overhead.MEASURED_HANG_TIMEOUT
+
     def test_budget_exhaustion_degrades_and_still_matches_serial(self):
         before = _shm_segments()
         reference = _run("SSSP").result.values
