@@ -18,13 +18,16 @@ recovery_overhead         Checkpoint/crash-recovery cost (companion to
                           preprocessing)
 ========================  ==============================================
 
-Each module exposes ``run(...)`` returning a
-:class:`repro.bench.reporting.Table` (or list of
-:class:`~repro.bench.reporting.Series`) and a ``main()`` that prints it;
-``python -m repro.bench.experiments.<module>`` regenerates the artifact.
+``ARTIFACTS`` maps each ``repro bench`` artifact name, in the order the
+CLI lists them, to a callable ``(scale_divisor) -> list`` of the
+artifact's renderables (:class:`repro.bench.reporting.Table` or
+:class:`~repro.bench.reporting.Series`); ``python -m repro bench
+<artifact>`` prints them, and ``all`` prints every one.
 """
 
-from repro.bench.experiments import (  # noqa: F401
+from typing import Callable, Dict, List
+
+from repro.bench.experiments import (
     figure2_ec_vertices,
     figure4_pull_push_breakdown,
     figure5_vs_gemini,
@@ -38,16 +41,36 @@ from repro.bench.experiments import (  # noqa: F401
     table5_overall_performance,
 )
 
-__all__ = [
-    "table2_updates_per_vertex",
-    "figure2_ec_vertices",
-    "figure4_pull_push_breakdown",
-    "table5_overall_performance",
-    "figure5_vs_gemini",
-    "figure6_intra_node_scaling",
-    "figure7_inter_node_scaling",
-    "figure8_preprocessing_overhead",
-    "figure9_computations_per_iteration",
-    "figure10_balance",
-    "recovery_overhead",
-]
+__all__ = ["ARTIFACTS"]
+
+
+def _listed(run) -> Callable[[int], List]:
+    """``run``'s output as a list, whether it returns one or several."""
+
+    def artifacts(scale_divisor: int) -> List:
+        output = run(scale_divisor=scale_divisor)
+        return output if isinstance(output, list) else [output]
+
+    return artifacts
+
+
+def _figure10(scale_divisor: int) -> List:
+    return [
+        figure10_balance.run_intra(scale_divisor=scale_divisor),
+        figure10_balance.run_inter(scale_divisor=scale_divisor),
+    ]
+
+
+ARTIFACTS: Dict[str, Callable[[int], List]] = {
+    "table2": _listed(table2_updates_per_vertex.run),
+    "figure2": _listed(figure2_ec_vertices.run),
+    "figure4": _listed(figure4_pull_push_breakdown.run),
+    "table5": _listed(table5_overall_performance.run),
+    "figure5": _listed(figure5_vs_gemini.run),
+    "figure6": _listed(figure6_intra_node_scaling.run),
+    "figure7": _listed(figure7_inter_node_scaling.run),
+    "figure8": _listed(figure8_preprocessing_overhead.run),
+    "figure9": _listed(figure9_computations_per_iteration.run),
+    "figure10": _figure10,
+    "recovery": _listed(recovery_overhead.run),
+}

@@ -121,12 +121,3 @@ def run_inter(
             app_name, float(np.mean(without_rr)), float(np.mean(with_rr))
         )
     return table
-
-
-def main() -> None:
-    print(run_intra().render())
-    print(run_inter().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -70,11 +70,3 @@ def run(
         table.add_row(key, 100.0 * frac)
     table.add_row("Avg", 100.0 * float(np.mean(fractions)))
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -41,11 +41,3 @@ def run(
                 push = outcome.runtime.mode_fraction("push")
                 table.add_row(app_name, nodes, key, pull, push)
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

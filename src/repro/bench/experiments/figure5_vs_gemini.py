@@ -47,11 +47,3 @@ def run(
             improvements.append(100.0 * (1.0 - slfe / gemini))
         table.add_row(app_name, *improvements, float(np.mean(improvements)))
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -71,12 +71,3 @@ def run(scale_divisor: int = workloads.DEFAULT_SCALE_DIVISOR) -> List[Series]:
         run_one(app, graph, scale_divisor=scale_divisor)
         for app, graph in PANELS
     ]
-
-
-def main() -> None:
-    for series in run():
-        print(series.render())
-
-
-if __name__ == "__main__":
-    main()

@@ -87,12 +87,3 @@ def run(scale_divisor: int = workloads.DEFAULT_SCALE_DIVISOR) -> List[Series]:
         run_rmat(scale_divisor),
     ]
     return panels
-
-
-def main() -> None:
-    for series in run():
-        print(series.render())
-
-
-if __name__ == "__main__":
-    main()

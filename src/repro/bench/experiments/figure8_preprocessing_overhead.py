@@ -44,11 +44,3 @@ def run(
         overhead = slfe.runtime.preprocessing_seconds / gemini
         table.add_row(key, 1.0, runtime, overhead, runtime + overhead)
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

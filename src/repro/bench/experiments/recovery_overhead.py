@@ -190,11 +190,3 @@ def run(
     if resolve("backend") == "parallel":
         return [table, measured_pool_recovery(scale_divisor=scale_divisor)]
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -42,11 +42,3 @@ def run(
             )
         table.add_row(engine_name, *cells)
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

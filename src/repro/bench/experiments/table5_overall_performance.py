@@ -58,11 +58,3 @@ def run(
     table.add_row("GEOMEAN", "Speedup(x)", geometric_mean(speedups),
                   *([None] * (len(graphs) - 1)))
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -76,25 +76,11 @@ from repro.runconfig import (
     KNOBS,
     configured,
     integer_at_least,
+    positive_float,
     resolve,
 )
 
 __all__ = ["main", "build_parser"]
-
-_BENCH_CHOICES = [
-    "table2",
-    "figure2",
-    "figure4",
-    "table5",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "recovery",
-    "all",
-]
 
 
 def _flag(validate, name: str):
@@ -307,7 +293,9 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "watch it with `repro top`",
     )
     parser.add_argument(
-        "--serve-metrics-linger", type=float, default=0.0,
+        "--serve-metrics-linger", default=0.0,
+        type=_flag(positive_float("seconds", zero_ok=True),
+                   "serve-metrics-linger"),
         metavar="SECONDS",
         help="keep the /metrics endpoint up this long after the run "
         "finishes, so short runs can be scraped deterministically",
@@ -315,6 +303,8 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.experiments import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SLFE reproduction: redundancy-aware graph processing",
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_arguments(trace)
 
     bench = sub.add_parser("bench", help="regenerate a paper artifact")
-    bench.add_argument("artifact", choices=_BENCH_CHOICES)
+    bench.add_argument("artifact", choices=[*ARTIFACTS, "all"])
     bench.add_argument("--scale", type=_SCALE, default=None)
     _add_backend_arguments(bench)
     _add_fault_arguments(bench)
@@ -380,11 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="the run's --serve-metrics endpoint "
         "(default: 127.0.0.1:9100)",
     )
-    top.add_argument("--interval", type=float, default=1.0,
+    top.add_argument("--interval", default=1.0,
+                     type=_flag(positive_float("seconds"), "interval"),
                      metavar="SECONDS", help="refresh period (default: 1)")
     top.add_argument("--once", action="store_true",
                      help="render a single frame and exit")
-    top.add_argument("--timeout", type=float, default=5.0,
+    top.add_argument("--timeout", default=5.0,
+                     type=_flag(positive_float("seconds", zero_ok=True),
+                                "timeout"),
                      metavar="SECONDS",
                      help="how long to retry the first scrape while the "
                      "run is still binding its endpoint (default: 5)")
@@ -703,30 +696,17 @@ def _cmd_trace(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.bench import workloads
-    from repro.bench import experiments as exp
+    from repro.bench.experiments import ARTIFACTS
     from repro.trace import write_jsonl
 
     scale = (
         args.scale if args.scale is not None
         else workloads.DEFAULT_SCALE_DIVISOR
     )
-    modules = {
-        "table2": exp.table2_updates_per_vertex,
-        "figure2": exp.figure2_ec_vertices,
-        "figure4": exp.figure4_pull_push_breakdown,
-        "table5": exp.table5_overall_performance,
-        "figure5": exp.figure5_vs_gemini,
-        "figure6": exp.figure6_intra_node_scaling,
-        "figure7": exp.figure7_inter_node_scaling,
-        "figure8": exp.figure8_preprocessing_overhead,
-        "figure9": exp.figure9_computations_per_iteration,
-        "figure10": exp.figure10_balance,
-        "recovery": exp.recovery_overhead,
-    }
     chosen = (
-        list(modules.items())
+        list(ARTIFACTS.items())
         if args.artifact == "all"
-        else [(args.artifact, modules[args.artifact])]
+        else [(args.artifact, ARTIFACTS[args.artifact])]
     )
     # The experiment drivers do not thread a recorder, store, fault plan
     # or backend; the run config carries them to every engine, store and
@@ -735,15 +715,8 @@ def _cmd_bench(args) -> int:
     store = _make_store(args, recorder)
     overrides = _run_config(args, recorder, store, num_nodes=8)
     with _live_session(args, recorder, overrides):
-        for name, module in chosen:
-            if hasattr(module, "run"):
-                output = module.run(scale_divisor=scale)
-                artifacts = output if isinstance(output, list) else [output]
-            else:  # figure10 exposes run_intra / run_inter
-                artifacts = [
-                    module.run_intra(scale_divisor=scale),
-                    module.run_inter(scale_divisor=scale),
-                ]
+        for name, artifacts_of in chosen:
+            artifacts = artifacts_of(scale)
             for index, artifact in enumerate(artifacts):
                 print(artifact.render())
                 if args.csv_dir:

@@ -1,9 +1,8 @@
-"""SLFE core: RR guidance, frontiers, runtime functions, and the engine."""
+"""SLFE core: RR guidance, frontiers, the phase dispatch, and the engine."""
 
 from repro.core.engine import RunResult, SLFEEngine
 from repro.core.frontier import PULL, PUSH, Frontier, choose_mode
 from repro.core.rrg import RRGuidance, default_roots, generate_guidance
-from repro.core.runtime import ScalarRuntime
 from repro.core.state import StabilityTracker
 
 __all__ = [
@@ -16,6 +15,5 @@ __all__ = [
     "RRGuidance",
     "default_roots",
     "generate_guidance",
-    "ScalarRuntime",
     "StabilityTracker",
 ]

@@ -1,30 +1,13 @@
-"""Literal translation of the paper's runtime functions and APIs.
+"""The phase-dispatch interface: the phase vocabulary, the fused
+blockwise kernels, and :class:`SerialDispatch`, the one home of the
+phase bodies.
 
-This module is the paper's programming interface, transcribed per-edge:
-
-* Algorithm 2 — :meth:`ScalarRuntime.pull_edge_single_ruler` and
-  :meth:`ScalarRuntime.pull_edge_multi_ruler`;
-* Algorithm 3 — :meth:`ScalarRuntime.push_edge` (with the pull-to-push
-  all-vertex reactivation);
-* Table 3 — :meth:`ScalarRuntime.edge_proc` (both the min/max form with
-  ``active_verts``/``ruler`` and the arith form) and
-  :meth:`ScalarRuntime.vertex_update` (Algorithm 5 lines 11-18, with the
-  RulerS stability counting).
-
-User code supplies ``push_func(vsrc, out_neighbors)`` and
-``pull_func(vdst, in_neighbors)`` exactly as Algorithms 4-5 do; see
-:mod:`repro.apps` for the vectorised production path — this scalar
-runtime exists for programmability (the paper's API deliverable), for
-teaching, and as an independent implementation the vectorised engine is
-cross-validated against in the test suite.  It runs the full graph in
-pure Python, so keep inputs small.
-
-The second half of the module is the **phase-dispatch interface**: the
-phase vocabulary, the fused blockwise kernels, and :class:`SerialDispatch`,
-the one home of the phase bodies.  The out-of-core backend
-(:mod:`repro.ooc`) runs those bodies shard by shard and the
-shared-memory pool (:mod:`repro.parallel`) runs them once it has
-degraded; its workers run the same kernels over contiguous vertex
+The paper's Table 3 API is realised by the vectorised hooks of
+:mod:`repro.apps.base` (``edge_candidates``, ``source_terms``,
+``edge_contributions``, ``apply``), which these kernels call.  The
+out-of-core backend (:mod:`repro.ooc`) runs the phase bodies shard by
+shard and the shared-memory pool (:mod:`repro.parallel`) runs them once
+it has degraded; its workers run the same kernels over contiguous vertex
 blocks.  Every backend thus executes the exact kernels serial does,
 which is what makes them bit-identical by construction rather than by
 testing alone.
@@ -33,13 +16,10 @@ testing alone.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.frontier import DEFAULT_DENSE_DENOMINATOR
-from repro.core.rrg import RRGuidance
-from repro.errors import EngineError
 from repro.graph.csr import (
     covering_span,
     expand_row_dsts,
@@ -48,12 +28,8 @@ from repro.graph.csr import (
     unit_view,
 )
 from repro.graph.graph import Graph
-from repro.trace import recorder as trace_events
-from repro.trace.recorder import NULL_RECORDER, Recorder
 
 __all__ = [
-    "Neighbor",
-    "ScalarRuntime",
     "PHASE_PULL",
     "PHASE_GATHER",
     "PHASE_PUSH",
@@ -82,204 +58,8 @@ __all__ = [
     "SerialDispatch",
 ]
 
-#: ``(vertex_id, edge_weight)`` pair handed to user push/pull functions.
-Neighbor = Tuple[int, float]
-
-PushFunc = Callable[[int, Iterable[Neighbor]], None]
-PullFunc = Callable[[int, Iterable[Neighbor]], None]
-VertexFunc = Callable[[int], float]
-
-
-class ScalarRuntime:
-    """Per-edge SLFE runtime over one graph (Algorithms 2-3, Table 3).
-
-    State mirrors the paper's globals: an ``active`` flag per vertex, the
-    ``pull`` mode marker used by the push transition, and the RR guidance
-    array.  Pass ``guidance=None`` to run without redundancy reduction.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        guidance: Optional[RRGuidance] = None,
-        recorder: Optional[Recorder] = None,
-    ) -> None:
-        if guidance is not None and guidance.num_vertices != graph.num_vertices:
-            raise EngineError("guidance does not match the graph")
-        self.graph = graph
-        self.guidance = guidance
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        n = graph.num_vertices
-        self.active = np.zeros(n, dtype=bool)
-        self.pull = True  # Algorithm 2 line 2 / Algorithm 3 line 2
-        self._out = graph.out_csr
-        self._in = graph.in_csr
-        self._out_deg = graph.out_degrees()
-        self._in_deg = graph.in_degrees()
-        #: edge relaxations performed, for parity checks with the engine
-        self.edge_ops = 0
-
-    # ------------------------------------------------------------------
-    # vertex activity (the paper's vdst.active = true)
-    # ------------------------------------------------------------------
-    def activate(self, vertex: int) -> None:
-        self.active[vertex] = True
-
-    def activate_all_vertices(self) -> None:
-        self.active[:] = True
-
-    def num_active(self) -> int:
-        return int(self.active.sum())
-
-    def _in_neighbors(self, vdst: int) -> Iterable[Neighbor]:
-        sl = self._in.edge_slice(vdst)
-        return zip(
-            self._in.indices[sl].tolist(), self._in.weights[sl].tolist()
-        )
-
-    def _out_neighbors(self, vsrc: int) -> Iterable[Neighbor]:
-        sl = self._out.edge_slice(vsrc)
-        return zip(
-            self._out.indices[sl].tolist(), self._out.weights[sl].tolist()
-        )
-
-    # ------------------------------------------------------------------
-    # Algorithm 2
-    # ------------------------------------------------------------------
-    def pull_edge_single_ruler(self, pull_func: PullFunc, ruler: int) -> None:
-        """Pull with one global Ruler (min/max applications)."""
-        self.pull = True
-        last_iter = (
-            self.guidance.last_iter
-            if self.guidance is not None
-            else np.zeros(self.graph.num_vertices, dtype=np.int64)
-        )
-        for vdst in range(self.graph.num_vertices):
-            if ruler >= last_iter[vdst]:
-                self.edge_ops += int(self._in_deg[vdst])
-                pull_func(vdst, self._in_neighbors(vdst))
-
-    def pull_edge_multi_ruler(self, pull_func: PullFunc, rulers: np.ndarray) -> None:
-        """Pull with a per-vertex RulerS array (arithmetic applications)."""
-        self.pull = True
-        last_iter = (
-            self.guidance.last_iter
-            if self.guidance is not None
-            else np.full(self.graph.num_vertices, np.iinfo(np.int64).max)
-        )
-        # Unreached vertices (last_iter == 0) must never be frozen.
-        threshold = np.maximum(last_iter, 1)
-        for vdst in range(self.graph.num_vertices):
-            if rulers[vdst] < threshold[vdst]:
-                self.edge_ops += int(self._in_deg[vdst])
-                pull_func(vdst, self._in_neighbors(vdst))
-
-    # ------------------------------------------------------------------
-    # Algorithm 3
-    # ------------------------------------------------------------------
-    def push_edge(self, push_func: PushFunc) -> None:
-        """Push along out-edges of active sources."""
-        if self.pull:
-            # Transition from pull: deactivated predecessors may hold
-            # updates their successors never saw — re-deliver everything.
-            self.activate_all_vertices()
-            self.pull = False
-        sources = np.nonzero(self.active & (self._out_deg > 0))[0]
-        # Activity is consumed by this superstep.
-        self.active[:] = False
-        for vsrc in sources:
-            self.edge_ops += int(self._out_deg[vsrc])
-            push_func(int(vsrc), self._out_neighbors(int(vsrc)))
-
-    # ------------------------------------------------------------------
-    # Table 3 APIs
-    # ------------------------------------------------------------------
-    def edge_proc(
-        self,
-        push_func: PushFunc,
-        pull_func: PullFunc,
-        ruler: Optional[int] = None,
-        dense_denominator: int = DEFAULT_DENSE_DENOMINATOR,
-    ) -> str:
-        """One superstep: choose push or pull and run it.
-
-        The min/max form passes the current iteration number as
-        ``ruler``; the arith form omits it (arith apps drive pull through
-        :meth:`vertex_update`'s RulerS instead and always run dense).
-        Returns the mode used.
-        """
-        active_out_edges = int(self._out_deg[self.active].sum())
-        dense = (
-            self.graph.num_edges > 0
-            and active_out_edges > self.graph.num_edges / dense_denominator
-        )
-        if (
-            not self.active.any()
-            and self.guidance is not None
-            and ruler is not None
-            and ruler <= self.guidance.max_last_iter
-        ):
-            # Only delayed destinations remain; push has nothing to send,
-            # so the superstep must be a pull for them to ever start.
-            dense = True
-        mode = "pull" if (ruler is None or dense) else "push"
-        rec = self.recorder
-        edge_ops_before = self.edge_ops
-        rec.begin_superstep(mode)
-        if mode == "pull":
-            # Entering pull: the previous round's activity has been fully
-            # delivered (push) or fully read (pull), so consume it.
-            self.active[:] = False
-            self.pull_edge_single_ruler(pull_func, ruler if ruler is not None else np.iinfo(np.int64).max)
-        else:
-            self.push_edge(push_func)
-        rec.end_superstep(mode=mode, edge_ops=self.edge_ops - edge_ops_before)
-        return mode
-
-    def vertex_update(
-        self,
-        vertex_func: VertexFunc,
-        rulers: np.ndarray,
-        stable_value: np.ndarray,
-        epsilon: float = 0.0,
-    ) -> int:
-        """Algorithm 5 lines 11-18: apply ``vertex_func`` with RulerS.
-
-        ``rulers`` and ``stable_value`` are caller-owned state arrays
-        (``uint stableCnt[numV]`` / ``float stableValue[numV]`` in the
-        paper).  Vertices whose stability count has passed their
-        ``last_iter`` are skipped.  Returns the number of vertices whose
-        value changed this round.
-        """
-        last_iter = (
-            self.guidance.last_iter
-            if self.guidance is not None
-            else np.full(self.graph.num_vertices, np.iinfo(np.int64).max)
-        )
-        threshold = np.maximum(last_iter, 1)
-        changed = 0
-        live = 0
-        for vx in range(self.graph.num_vertices):
-            if rulers[vx] < threshold[vx]:
-                live += 1
-                value = vertex_func(vx)
-                if abs(value - stable_value[vx]) <= epsilon:
-                    rulers[vx] += 1
-                else:
-                    rulers[vx] = 0
-                    stable_value[vx] = value
-                    changed += 1
-        if self.recorder.enabled:
-            self.recorder.emit(
-                trace_events.EC_TRANSITION,
-                frozen=self.graph.num_vertices - live,
-                live=live,
-            )
-        return changed
-
-
 # ----------------------------------------------------------------------
-# phase-dispatch interface
+# phase vocabulary
 # ----------------------------------------------------------------------
 # The engine drives every superstep phase through one of three kernels,
 # identified by a small integer so the parallel backend can name the

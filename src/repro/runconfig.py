@@ -53,13 +53,15 @@ BACKENDS = ("serial", "parallel", "ooc")
 Validator = Callable[[Any, str], Any]
 
 
-def positive_float(unit: str) -> Validator:
-    """Validator: a positive, finite number of ``unit``."""
+def positive_float(unit: str, zero_ok: bool = False) -> Validator:
+    """Validator: a positive (with ``zero_ok``, non-negative), finite
+    number of ``unit``."""
 
     def check(value: Any, source: str) -> float:
         bad = EngineError(
-            "%s must be a positive number of %s (got %r)"
-            % (source, unit, value)
+            "%s must be a %s number of %s (got %r)"
+            % (source, "non-negative" if zero_ok else "positive", unit,
+               value)
         )
         if isinstance(value, bool):
             raise bad
@@ -67,7 +69,9 @@ def positive_float(unit: str) -> Validator:
             number = float(value)
         except (TypeError, ValueError):
             raise bad
-        if not math.isfinite(number) or number <= 0:
+        if not math.isfinite(number) or number < 0 or (
+            number == 0 and not zero_ok
+        ):
             raise bad
         return number
 

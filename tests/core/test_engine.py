@@ -59,6 +59,12 @@ class TestMinMaxCorrectness:
         result = engine_factory(g).run_minmax(SSSP(), root=0)
         assert result.values.tolist() == [0.0, 2.0, np.inf, np.inf]
 
+    def test_sssp_from_a_sink_reaches_nothing(self, engine_factory):
+        # path 0 -> 1 -> 2 rooted at its sink: no edge leaves vertex 2.
+        g = generators.path_graph(3)
+        result = engine_factory(g).run_minmax(SSSP(), root=2)
+        assert result.values.tolist() == [np.inf, np.inf, 0.0]
+
     def test_bfs_matches_levels(self, social, engine_factory):
         root = int(np.argmax(social.out_degrees()))
         result = engine_factory(social).run_minmax(BFS(), root=root)

@@ -3,9 +3,10 @@
 Figure 1(b) tabulates the per-iteration dist values of synchronous
 (Jacobi) SSSP on a 6-vertex graph: V4 is written twice (4 then 3) and
 V5 twice (5 then 4) because they sit on multiple propagation levels.
-These tests replay that exact table without RR and then verify what
-"start late" removes: V4's intermediate write disappears entirely, and
-total write counts drop.
+These tests replay that exact table through the production pull kernel
+(:meth:`SerialDispatch.pull_apply`, one sweep per Ruler value) and then
+check what "start late" removes on the engine's own records: V4's
+intermediate write disappears, and the total write count drops.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from repro.apps import SSSP
 from repro.core.engine import SLFEEngine
 from repro.core.rrg import generate_guidance
-from repro.core.runtime import ScalarRuntime
+from repro.core.runtime import SerialDispatch
 
 INF = np.inf
 
@@ -25,28 +26,46 @@ PAPER_TABLE = [
     [0.0, 1.0, 2.0, 2.0, 3.0, 4.0],  # Iter 4
 ]
 
+FINAL = [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
+
 
 def jacobi_sweeps(graph, root, guidance, iterations=4):
-    """Synchronous sweeps reading the previous iteration's values."""
-    runtime = ScalarRuntime(graph, guidance)
+    """Synchronous sweeps reading the previous iteration's values.
+
+    Each sweep pulls every vertex with in-edges; with guidance, only
+    those whose ``last_iter`` the Ruler has reached (Algorithm 2).
+    """
+    dispatch = SerialDispatch(graph, SSSP())
     dist = np.full(graph.num_vertices, INF)
     dist[root] = 0.0
+    pullable = np.flatnonzero(graph.in_degrees() > 0)
     writes = np.zeros(graph.num_vertices, dtype=int)
     snapshots = []
     for ruler in range(1, iterations + 1):
-        prev = dist.copy()
-
-        def pull_func(vdst, in_neighbors):
-            mini = INF
-            for vsrc, weight in in_neighbors:
-                mini = min(mini, prev[vsrc] + weight)
-            if mini < dist[vdst]:
-                dist[vdst] = mini
-                writes[vdst] += 1
-
-        runtime.pull_edge_single_ruler(pull_func, ruler=ruler)
+        ids = pullable
+        if guidance is not None:
+            ids = pullable[guidance.last_iter[pullable] <= ruler]
+        dispatch.values[:] = dist
+        dispatch.pull_apply(ids, "min")
+        won = dispatch.improved
+        dist[won] = dispatch.result[won]
+        writes += won
         snapshots.append(dist.copy())
     return snapshots, writes
+
+
+def engine_run(graph, root, enable_rr):
+    return SLFEEngine(
+        graph, enable_rr=enable_rr, record_per_vertex_ops=True
+    ).run_minmax(SSSP(), root=root)
+
+
+def supersteps_processing(result, vertex):
+    """1-based supersteps whose processed ids include ``vertex``."""
+    return [
+        step for step, (ids, _ops) in enumerate(result.per_vertex_ops, 1)
+        if vertex in ids
+    ]
 
 
 class TestFigure1WithoutRR:
@@ -60,9 +79,16 @@ class TestFigure1WithoutRR:
         graph, root = figure1
         _, writes = jacobi_sweeps(graph, root, guidance=None)
         # The paper's redundancy: V4 takes 4 then 3, V5 takes 5 then 4.
-        assert writes[4] == 2
-        assert writes[5] == 2
-        assert writes.sum() == 7
+        assert writes.tolist() == [0, 1, 1, 1, 2, 2]
+
+    def test_engine_writes_v4_twice(self, figure1):
+        graph, root = figure1
+        result = engine_run(graph, root, enable_rr=False)
+        updates = [record.updates for record in result.metrics.records]
+        assert updates == [2, 2, 2, 1, 0]
+        assert result.metrics.total_updates == 7
+        assert supersteps_processing(result, 4) == [2, 3]
+        assert result.values.tolist() == FINAL
 
 
 class TestFigure1WithRR:
@@ -78,18 +104,20 @@ class TestFigure1WithRR:
         guidance = generate_guidance(graph, [root])
         snapshots, writes = jacobi_sweeps(graph, root, guidance, iterations=5)
         # V4 is never written with the intermediate 4: one write only.
-        assert writes[4] == 1
         # V5 still needs two writes under Jacobi (its level-3 gather sees
         # V4's pre-update value) — the guidance is hop-based, and the
         # paper's correctness rule covers exactly this case by keeping
         # the relaxation running.
-        assert writes.sum() < 7
-        assert snapshots[-1].tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
+        assert writes.tolist() == [0, 1, 1, 1, 1, 2]
+        assert snapshots[-1].tolist() == FINAL
 
     def test_vectorised_engine_matches_and_saves_updates(self, figure1):
         graph, root = figure1
-        rr = SLFEEngine(graph).run_minmax(SSSP(), root=root)
-        base = SLFEEngine(graph, enable_rr=False).run_minmax(SSSP(), root=root)
-        assert rr.values.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
-        assert base.values.tolist() == rr.values.tolist()
-        assert rr.metrics.total_updates < base.metrics.total_updates
+        rr = engine_run(graph, root, enable_rr=True)
+        base = engine_run(graph, root, enable_rr=False)
+        updates = [record.updates for record in rr.metrics.records]
+        assert updates == [2, 1, 2, 1, 0]
+        assert (rr.metrics.total_updates, base.metrics.total_updates) == (6, 7)
+        # V4 starts late: only its superstep-3 pull, which writes 3.
+        assert supersteps_processing(rr, 4) == [3]
+        assert rr.values.tolist() == base.values.tolist() == FINAL

@@ -802,6 +802,37 @@ class TestLiveTelemetryCLI:
         out = capsys.readouterr().out
         assert "repro top" in out
 
+    @pytest.mark.parametrize("argv,named", [
+        (["run", "sssp", "--graph", "PK", "--scale", "16000",
+          "--serve-metrics", "0", "--serve-metrics-linger", "inf"],
+         "serve-metrics-linger"),
+        (["run", "sssp", "--graph", "PK", "--scale", "16000",
+          "--serve-metrics", "0", "--serve-metrics-linger", "-1"],
+         "serve-metrics-linger"),
+        (["top", "127.0.0.1:1", "--once", "--timeout", "0",
+          "--interval", "0"], "interval"),
+        (["top", "127.0.0.1:1", "--once", "--timeout", "0",
+          "--interval", "inf"], "interval"),
+        (["top", "127.0.0.1:1", "--once", "--timeout", "-1"], "timeout"),
+        (["top", "127.0.0.1:1", "--once", "--timeout", "nan"], "timeout"),
+    ], ids=["linger-inf", "linger-negative", "interval-zero",
+            "interval-inf", "timeout-negative", "timeout-nan"])
+    def test_bad_seconds_are_usage_errors(self, argv, named, capsys):
+        # An infinite linger used to crash in time.sleep after the run
+        # printed its results, leaving the endpoint up.
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "%s must be a" % named in err
+
+    def test_zero_linger_and_timeout_stay_valid(self):
+        parser = build_parser()
+        run = parser.parse_args([
+            "run", "sssp", "--graph", "PK", "--serve-metrics-linger", "0",
+        ])
+        top = parser.parse_args(["top", "--timeout", "0", "--interval", "0.5"])
+        assert run.serve_metrics_linger == 0.0
+        assert (top.timeout, top.interval) == (0.0, 0.5)
+
     def test_top_unreachable_endpoint_is_a_user_error(self, capsys):
         code = main([
             "top", "127.0.0.1:1", "--once", "--timeout", "0.2",
