@@ -33,7 +33,8 @@ import numpy as np
 from repro.apps.base import ArithmeticApplication, MinMaxApplication
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector, PULL
-from repro.core.engine import RunResult, _grouped_reduce
+from repro.core.engine import RunResult
+from repro.core.runtime import SerialDispatch
 from repro.errors import ConvergenceError, EngineError
 from repro.graph.graph import Graph
 from repro.partition.base import EdgePartition, Partitioner
@@ -96,13 +97,14 @@ class GASEngine:
     ) -> RunResult:
         """GAS fixpoint for a comparison-aggregation application."""
         run_graph = app.prepare(self.graph)
-        n = run_graph.num_vertices
         rec = self.recorder
         partition, out_owner, in_owner, replicas = self._prepare(run_graph)
         metrics = MetricsCollector(self.config.num_nodes, recorder=rec)
         bytes_per_update = self.config.network.bytes_per_update
 
-        values = app.initial_values(run_graph, root).astype(np.float64)
+        dispatch = SerialDispatch(run_graph, app)
+        values = dispatch.values
+        values[:] = app.initial_values(run_graph, root)
         in_csr = run_graph.in_csr
         out_csr = run_graph.out_csr
         # The initial frontier's values are scattered before the first
@@ -115,7 +117,7 @@ class GASEngine:
             if seed_flat.size
             else seed
         )
-        in_deg = in_csr.degrees()
+        in_deg = dispatch.in_degrees
         cap = max_iterations or self._iteration_cap(run_graph)
         iteration = 0
 
@@ -128,17 +130,11 @@ class GASEngine:
                 )
             metrics.begin_iteration(PULL)
             # -- gather: full in-edge reduction for every active vertex
-            agg = np.full(n, app.identity)
             with rec.phase("gather"):
                 gatherers = active[in_deg[active] > 0]
                 if gatherers.size:
+                    dispatch.pull_apply(gatherers, app.aggregation)
                     flat = in_csr.expand_positions(gatherers)
-                    candidates = app.edge_candidates(
-                        values, in_csr.indices[flat], in_csr.weights[flat]
-                    )
-                    agg[gatherers] = _grouped_reduce(
-                        app.aggregation, candidates, in_deg[gatherers]
-                    )
                     metrics.add_edge_ops(
                         np.bincount(
                             in_owner[flat], minlength=self.config.num_nodes
@@ -146,9 +142,8 @@ class GASEngine:
                     )
             # -- apply: masters commit improved values
             with rec.phase("apply"):
-                improved = app.better(agg, values)
-                changed = np.nonzero(improved)[0]
-                values[changed] = agg[changed]
+                changed = gatherers[dispatch.improved[gatherers]]
+                values[changed] = dispatch.result[changed]
                 metrics.add_vertex_ops(
                     np.bincount(
                         partition.master[active],
@@ -209,14 +204,13 @@ class GASEngine:
         metrics = MetricsCollector(self.config.num_nodes, recorder=rec)
         bytes_per_update = self.config.network.bytes_per_update
         app.bind(run_graph)
-        values = app.initial_values(run_graph).astype(np.float64)
+        dispatch = SerialDispatch(run_graph, app)
+        values = dispatch.values
+        values[:] = app.initial_values(run_graph)
         max_iterations = max_iterations or app.default_max_iterations
         tolerance = app.default_tolerance if tolerance is None else tolerance
 
-        in_csr = run_graph.in_csr
-        in_deg = in_csr.degrees()
         all_vertices = np.arange(n, dtype=np.int64)
-        dst_of_edge = in_csr.row_of_edge()
         all_in_owner_counts = np.bincount(
             in_owner, minlength=self.config.num_nodes
         ).astype(np.int64)
@@ -227,15 +221,10 @@ class GASEngine:
             iteration += 1
             metrics.begin_iteration(PULL)
             with rec.phase("gather"):
-                contrib = app.edge_contributions(
-                    values, in_csr.indices, dst_of_edge, in_csr.weights
-                )
-                gathered = np.bincount(
-                    dst_of_edge, weights=contrib, minlength=n
-                )
+                dispatch.gather(all_vertices)
                 metrics.add_edge_ops(all_in_owner_counts)
             with rec.phase("apply"):
-                new_values = app.apply(gathered, values)
+                new_values = app.apply(dispatch.result, values)
                 metrics.add_vertex_ops(
                     np.bincount(
                         partition.master, minlength=self.config.num_nodes
@@ -250,7 +239,7 @@ class GASEngine:
             metrics.add_updates(changed.size)
             metrics.set_frontier(active=n)
             metrics.end_iteration()
-            values = new_values
+            values[:] = new_values
             if float(delta.max(initial=0.0)) < tolerance:
                 converged = True
                 break

@@ -23,7 +23,8 @@ import numpy as np
 from repro.apps.base import ArithmeticApplication, MinMaxApplication
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MetricsCollector, PULL
-from repro.core.engine import RunResult, _grouped_reduce
+from repro.core.engine import RunResult
+from repro.core.runtime import SerialDispatch
 from repro.errors import ConvergenceError
 from repro.graph.graph import Graph
 from repro.trace.recorder import NULL_RECORDER, Recorder
@@ -72,11 +73,12 @@ class GraphChiEngine:
         n = run_graph.num_vertices
         rec = self.recorder
         metrics = MetricsCollector(1, recorder=rec)
-        values = app.initial_values(run_graph, root).astype(np.float64)
+        dispatch = SerialDispatch(run_graph, app)
+        values = dispatch.values
+        values[:] = app.initial_values(run_graph, root)
         active = np.unique(app.initial_frontier(run_graph, root))
-        in_csr = run_graph.in_csr
         out_csr = run_graph.out_csr
-        in_deg = in_csr.degrees()
+        in_deg = dispatch.in_degrees
         cap = max_iterations or self._iteration_cap(run_graph)
         iteration = 0
 
@@ -87,7 +89,6 @@ class GraphChiEngine:
                     "%s did not settle within %d PSW sweeps" % (app.name, cap)
                 )
             metrics.begin_iteration(PULL)
-            agg = np.full(n, app.identity)
             with rec.phase("gather"):
                 # Touched destinations perform full in-edge gathers.
                 flat_touch = out_csr.expand_positions(active)
@@ -99,24 +100,17 @@ class GraphChiEngine:
                 gatherers = touched[in_deg[touched] > 0]
                 if gatherers.size:
                     # PSW's defining component: the shard scan that
-                    # materialises each gatherer's in-edges from disk
-                    # order — a nested span so profiles show what part
-                    # of the gather is edge streaming vs reduction.
+                    # streams each gatherer's in-edges from disk order
+                    # and reduces them — a nested span so profiles show
+                    # the edge pass apart from finding the touched set.
                     with rec.phase("shard_scan"):
-                        flat = in_csr.expand_positions(gatherers)
-                        candidates = app.edge_candidates(
-                            values, in_csr.indices[flat], in_csr.weights[flat]
-                        )
-                    agg[gatherers] = _grouped_reduce(
-                        app.aggregation, candidates, in_deg[gatherers]
-                    )
+                        dispatch.pull_apply(gatherers, app.aggregation)
                     metrics.add_edge_ops(
-                        np.array([flat.size], dtype=np.int64)
+                        np.array([in_deg[gatherers].sum()], dtype=np.int64)
                     )
             with rec.phase("apply"):
-                improved = app.better(agg, values)
-                changed = np.nonzero(improved)[0]
-                values[changed] = agg[changed]
+                changed = gatherers[dispatch.improved[gatherers]]
+                values[changed] = dispatch.result[changed]
             metrics.add_updates(changed.size)
             # The PSW sweep streams every shard regardless of frontier.
             metrics.add_io(self._shard_io_bytes(changed.size / max(n, 1)))
@@ -143,11 +137,12 @@ class GraphChiEngine:
         rec = self.recorder
         metrics = MetricsCollector(1, recorder=rec)
         app.bind(run_graph)
-        values = app.initial_values(run_graph).astype(np.float64)
+        dispatch = SerialDispatch(run_graph, app)
+        values = dispatch.values
+        values[:] = app.initial_values(run_graph)
         max_iterations = max_iterations or app.default_max_iterations
         tolerance = app.default_tolerance if tolerance is None else tolerance
-        in_csr = run_graph.in_csr
-        dst_of_edge = in_csr.row_of_edge()
+        all_vertices = np.arange(n, dtype=np.int64)
         iteration = 0
         converged = False
 
@@ -156,17 +151,12 @@ class GraphChiEngine:
             metrics.begin_iteration(PULL)
             with rec.phase("gather"):
                 with rec.phase("shard_scan"):
-                    contrib = app.edge_contributions(
-                        values, in_csr.indices, dst_of_edge, in_csr.weights
-                    )
-                gathered = np.bincount(
-                    dst_of_edge, weights=contrib, minlength=n
-                )
+                    dispatch.gather(all_vertices)
                 metrics.add_edge_ops(
                     np.array([run_graph.num_edges], dtype=np.int64)
                 )
             with rec.phase("apply"):
-                new_values = app.apply(gathered, values)
+                new_values = app.apply(dispatch.result, values)
                 metrics.add_vertex_ops(np.array([n], dtype=np.int64))
             delta = np.abs(new_values - values)
             changed = int(np.count_nonzero(delta > 0))
@@ -174,7 +164,7 @@ class GraphChiEngine:
             metrics.add_io(self._shard_io_bytes(changed / max(n, 1)))
             metrics.set_frontier(active=n)
             metrics.end_iteration()
-            values = new_values
+            values[:] = new_values
             if float(delta.max(initial=0.0)) < tolerance:
                 converged = True
                 break

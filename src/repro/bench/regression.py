@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 from repro.bench import workloads
 from repro.bench.runner import run_workload
 from repro.graph.datasets import DATASETS
+from repro.runconfig import flag_type, integer_at_least
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -372,24 +373,6 @@ def compare(
     return problems
 
 
-def _positive_int(name: str):
-    """Argparse type: integer >= 1 (0 nodes would otherwise surface as
-    an opaque numpy/ClusterConfig failure deep inside the run)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("%s must be an integer" % name)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                "%s must be >= 1 (got %d)" % (name, value)
-            )
-        return value
-
-    return parse
-
-
 def _check_tolerance(value: float) -> float:
     # `new > old * (1 + nan)` is never true: a non-finite or negative
     # tolerance would switch the gate off without saying so.
@@ -419,10 +402,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=DEFAULT_TOLERANCE,
                         help="relative growth allowed per gated metric "
                         "(default: 0.10)")
-    parser.add_argument("--scale", type=_positive_int("scale"),
-                        default=DEFAULT_SCALE,
+    parser.add_argument("--scale", default=DEFAULT_SCALE,
+                        type=flag_type(integer_at_least(1), "scale"),
                         help="graph scale divisor (default: 4000)")
-    parser.add_argument("--nodes", type=_positive_int("nodes"), default=8,
+    parser.add_argument("--nodes", default=8,
+                        type=flag_type(integer_at_least(1), "nodes"),
                         help="cluster size (default: 8)")
     parser.add_argument("--apps", nargs="+", default=None,
                         choices=workloads.APP_ORDER, metavar="APP")

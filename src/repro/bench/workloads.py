@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Scale applied to the paper's graphs throughout the harness.
-DEFAULT_SCALE_DIVISOR = 2000
+DEFAULT_SCALE_DIVISOR = datasets.DEFAULT_SCALE_DIVISOR
 
 #: The seven real-world graphs, in the paper's column order.
 PAPER_GRAPHS = list(datasets.PAPER_ORDER)

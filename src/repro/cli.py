@@ -70,34 +70,44 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.bench import workloads
+from repro.core.async_engine import SCHEDULERS
 from repro.errors import EngineError
+from repro.graph import datasets
 from repro.runconfig import (
-    BACKENDS,
     KNOBS,
     configured,
+    flag_type,
     integer_at_least,
     positive_float,
     resolve,
 )
+from repro.store import DEFAULT_MAX_BYTES, ArtifactStore
 
 __all__ = ["main", "build_parser"]
 
 
-def _flag(validate, name: str):
-    """Argparse ``type=`` from a run-config validator; errors name the flag."""
-
-    def parse(text: str):
-        try:
-            return validate(text, name)
-        except EngineError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    return parse
-
-
 #: ``--scale``: a dedicated type (rather than ``args.scale or DEFAULT``)
 #: rejects 0 up front instead of silently replacing it by the default.
-_SCALE = _flag(integer_at_least(1), "scale")
+_SCALE = flag_type(integer_at_least(1), "scale")
+
+
+def _add_knob(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add knob ``name``'s flag as its :data:`KNOBS` row describes it.
+
+    The flag is validated by the row (so the CLI, the environment
+    variables and direct constructor calls reject bad values with the
+    same one-line message) and defaults to None: unset, it resolves like
+    any other caller of :func:`resolve`.
+    """
+    row = KNOBS[name]
+    text = row.help
+    if row.env:
+        text += " (default: $%s, else %g)" % (row.env, row.default)
+    parser.add_argument(
+        row.flag, type=flag_type(row.validate, row.flag[2:]), default=None,
+        metavar=row.metavar, help=text,
+    )
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -109,59 +119,13 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         "plan (worker-* terms kill/stop real pool workers under "
         "--backend parallel)",
     )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=_flag(KNOBS["checkpoint_every"].validate, "checkpoint-every"),
-        default=0, metavar="N",
-        help="snapshot engine state every N supersteps (0: only the "
-        "superstep-0 snapshot fault-tolerant runs always take)",
-    )
+    _add_knob(parser, "checkpoint_every")
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend: serial (default), parallel — "
-        "shared-memory worker processes with mini-chunk work stealing — "
-        "or ooc — out-of-core shard streaming with only vertex state "
-        "resident; SLFE-family engines only, results are bit-identical",
-    )
-    parser.add_argument(
-        "--workers", type=_flag(KNOBS["num_workers"].validate, "workers"),
-        default=None, metavar="N",
-        help="worker processes for --backend parallel (default 1)",
-    )
-    # Validation is the knob table's (repro.runconfig), so the CLI, the
-    # environment variables, and direct constructor calls all reject bad
-    # values with the same one-line message.
-    parser.add_argument(
-        "--parallel-timeout", default=None, metavar="SECONDS",
-        type=_flag(KNOBS["reply_timeout"].validate, "parallel-timeout"),
-        help="seconds a parallel pool worker may stay silent before it "
-        "is declared hung and recovered (default: "
-        "$REPRO_PARALLEL_TIMEOUT, else 120)",
-    )
-    parser.add_argument(
-        "--parallel-max-respawns", default=None, metavar="N",
-        type=_flag(KNOBS["max_respawns"].validate, "parallel-max-respawns"),
-        help="worker respawns allowed per run before the pool degrades "
-        "to inline serial-semantics execution (default: "
-        "$REPRO_PARALLEL_MAX_RESPAWNS, else 2)",
-    )
-    parser.add_argument(
-        "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
-        default=None, metavar="MB",
-        help="largest uncompressed edge-shard size for --backend ooc; "
-        "one row above it gets a shard of its own "
-        "(default: $REPRO_SHARD_MB, else 8)",
-    )
-    parser.add_argument(
-        "--shard-cache",
-        type=_flag(KNOBS["shard_cache"].validate, "shard-cache"),
-        default=None, metavar="N",
-        help="decoded shards kept resident by the ooc LRU "
-        "(default: $REPRO_SHARD_CACHE, else 4)",
-    )
+    for name in ("backend", "num_workers", "reply_timeout", "max_respawns",
+                 "shard_mb", "shard_cache"):
+        _add_knob(parser, name)
 
 
 def _add_cache_arguments(
@@ -180,9 +144,9 @@ def _add_cache_arguments(
             "is set",
         )
     parser.add_argument(
-        "--cache-max-mb", type=_flag(integer_at_least(1), "cache-max-mb"),
-        default=None, metavar="MB",
-        help="store size cap before LRU eviction (default: 1024)",
+        "--cache-max-mb", type=flag_type(integer_at_least(1), "cache-max-mb"),
+        default=DEFAULT_MAX_BYTES >> 20, metavar="MB",
+        help="store size cap before LRU eviction (default: %(default)s)",
     )
 
 
@@ -196,28 +160,23 @@ def _make_store(args, recorder=None):
 
     if getattr(args, "no_cache", False):
         return None
-    directory = (
-        getattr(args, "cache_dir", None) or os.environ.get("REPRO_CACHE_DIR")
-    )
+    directory = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     if not directory:
         return None
-    from repro.store import DEFAULT_MAX_BYTES, ArtifactStore
-
-    max_mb = getattr(args, "cache_max_mb", None)
-    max_bytes = max_mb * (1 << 20) if max_mb else DEFAULT_MAX_BYTES
-    return ArtifactStore(directory, max_bytes=max_bytes, recorder=recorder)
+    return ArtifactStore(
+        directory, max_bytes=args.cache_max_mb << 20, recorder=recorder
+    )
 
 
-_APP_CHOICES = ("SSSP", "CC", "WP", "PR", "TR")
+_APPS = ", ".join(workloads.APP_ORDER)
 
 
 def _app_name(text: str) -> str:
     """Argparse type: case-insensitive application name."""
     name = text.upper()
-    if name not in _APP_CHOICES:
+    if name not in workloads.APP_ORDER:
         raise argparse.ArgumentTypeError(
-            "unknown application %r (choose from %s)"
-            % (text, ", ".join(_APP_CHOICES))
+            "unknown application %r (choose from %s)" % (text, _APPS)
         )
     return name
 
@@ -231,27 +190,28 @@ def _add_workload_arguments(
         parser.add_argument(
             "app_pos", nargs="?", default=None, metavar="APP",
             type=_app_name,
-            help="application: SSSP, CC, WP, PR, TR (case-insensitive)",
+            help="application: %s (case-insensitive)" % _APPS,
         )
     parser.add_argument("--app", dest="app_flag", type=_app_name,
                         default=None, metavar="APP",
                         help="application (alternative to the positional)")
     parser.add_argument("--graph", default="LJ",
-                        help="dataset key (PK OK LJ WK DI ST FS RMAT; "
-                        "default: LJ)")
+                        help="dataset key (%s; default: LJ)"
+                        % " ".join(datasets.PAPER_ORDER + ["RMAT"]))
     parser.add_argument("--engine", default="SLFE",
-                        help="SLFE, Async, Gemini, PowerGraph, PowerLyra, "
-                        "GraphChi, Ligra")
+                        help=", ".join(workloads.ENGINE_NAMES))
     parser.add_argument(
-        "--scheduler", choices=("fifo", "delta", "lastiter"), default=None,
+        "--scheduler", choices=SCHEDULERS, default=None,
         help="async round scheduler (--engine async only): fifo = "
         "activation order, delta = largest pending delta first "
         "(default), lastiter = RR guidance as priority",
     )
-    parser.add_argument("--nodes", type=_flag(integer_at_least(1), "nodes"),
-                        default=8)
-    parser.add_argument("--scale", type=_SCALE, default=None,
-                        help="scale divisor for the stand-in (default 2000)")
+    parser.add_argument("--nodes", default=8,
+                        type=flag_type(integer_at_least(1), "nodes"))
+    parser.add_argument("--scale", type=_SCALE,
+                        default=datasets.DEFAULT_SCALE_DIVISOR,
+                        help="scale divisor for the stand-in "
+                        "(default %(default)s)")
     _add_backend_arguments(parser)
     _add_fault_arguments(parser)
 
@@ -285,8 +245,8 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "chrome_trace.json, speedscope.json, metrics.txt) into DIR",
     )
     parser.add_argument(
-        "--serve-metrics", type=_flag(integer_at_least(0), "serve-metrics"),
-        default=None, metavar="PORT",
+        "--serve-metrics", default=None, metavar="PORT",
+        type=flag_type(integer_at_least(0), "serve-metrics"),
         help="serve /metrics (OpenMetrics) and /healthz over HTTP on "
         "127.0.0.1:PORT for the duration of the run, refreshed live "
         "from the shared-memory worker telemetry (0: ephemeral port); "
@@ -294,8 +254,8 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--serve-metrics-linger", default=0.0,
-        type=_flag(positive_float("seconds", zero_ok=True),
-                   "serve-metrics-linger"),
+        type=flag_type(positive_float("seconds", zero_ok=True),
+                       "serve-metrics-linger"),
         metavar="SECONDS",
         help="keep the /metrics endpoint up this long after the run "
         "finishes, so short runs can be scraped deterministically",
@@ -331,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="regenerate a paper artifact")
     bench.add_argument("artifact", choices=[*ARTIFACTS, "all"])
-    bench.add_argument("--scale", type=_SCALE, default=None)
+    bench.add_argument("--scale", type=_SCALE,
+                       default=datasets.DEFAULT_SCALE_DIVISOR)
     _add_backend_arguments(bench)
     _add_fault_arguments(bench)
     bench.add_argument(
@@ -371,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 127.0.0.1:9100)",
     )
     top.add_argument("--interval", default=1.0,
-                     type=_flag(positive_float("seconds"), "interval"),
+                     type=flag_type(positive_float("seconds"), "interval"),
                      metavar="SECONDS", help="refresh period (default: 1)")
     top.add_argument("--once", action="store_true",
                      help="render a single frame and exit")
     top.add_argument("--timeout", default=5.0,
-                     type=_flag(positive_float("seconds", zero_ok=True),
-                                "timeout"),
+                     type=flag_type(positive_float("seconds", zero_ok=True),
+                                    "timeout"),
                      metavar="SECONDS",
                      help="how long to retry the first scrape while the "
                      "run is still binding its endpoint (default: 5)")
@@ -404,12 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_warm.add_argument(
         "apps", nargs="+", metavar="APP", type=_app_name,
-        help="application(s) to warm: SSSP, CC, WP, PR, TR",
+        help="application(s) to warm: %s" % _APPS,
     )
-    cache_warm.add_argument("--graph", default="LJ",
-                            help="dataset key (default: LJ)")
-    cache_warm.add_argument("--scale", type=_SCALE, default=None,
-                            help="scale divisor (default 2000)")
     cache_shard = cache_sub.add_parser(
         "shard",
         help="pre-shard the graphs the given applications would stream "
@@ -417,18 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_shard.add_argument(
         "apps", nargs="+", metavar="APP", type=_app_name,
-        help="application(s) to shard for: SSSP, CC, WP, PR, TR",
+        help="application(s) to shard for: %s" % _APPS,
     )
-    cache_shard.add_argument("--graph", default="LJ",
-                             help="dataset key (default: LJ)")
-    cache_shard.add_argument("--scale", type=_SCALE, default=None,
-                             help="scale divisor (default 2000)")
-    cache_shard.add_argument(
-        "--shard-mb", type=_flag(KNOBS["shard_mb"].validate, "shard-mb"),
-        default=None, metavar="MB",
-        help="largest uncompressed shard size "
-        "(default: $REPRO_SHARD_MB, else 8)",
-    )
+    for cache_action in (cache_warm, cache_shard):
+        cache_action.add_argument("--graph", default="LJ",
+                                  help="dataset key (default: LJ)")
+        cache_action.add_argument("--scale", type=_SCALE,
+                                  default=datasets.DEFAULT_SCALE_DIVISOR,
+                                  help="scale divisor (default %(default)s)")
+    _add_knob(cache_shard, "shard_mb")
     for cache_action in (cache_ls, cache_info, cache_clear, cache_warm,
                          cache_shard):
         # --no-cache makes no sense on a command whose object *is* the
@@ -440,17 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_fault_plan(args, num_nodes: int):
-    """(plan, checkpoint_every) from the shared fault flags (None, 0 off)."""
+    """The ``--inject-faults`` plan, or None."""
     from repro.cluster.faults import FaultPlan
 
-    plan = None
-    if getattr(args, "inject_faults", None):
-        plan = FaultPlan.parse(
-            args.inject_faults,
-            num_nodes=num_nodes,
-            num_workers=getattr(args, "workers", None),
-        )
-    return plan, getattr(args, "checkpoint_every", 0) or 0
+    if not args.inject_faults:
+        return None
+    return FaultPlan.parse(
+        args.inject_faults, num_nodes=num_nodes, num_workers=args.workers
+    )
 
 
 def _run_config(args, recorder, store, num_nodes: int) -> dict:
@@ -458,44 +409,28 @@ def _run_config(args, recorder, store, num_nodes: int) -> dict:
 
     Built before the command's live session starts, so a bad fault spec
     or ``REPRO_*`` variable is a usage error that leaves no flight dump:
-    every environment-backed knob is resolved here, once.
+    every knob is resolved here, once, its flag first.
     """
-    plan, checkpoint_every = _parse_fault_plan(args, num_nodes)
     overrides = dict(
-        recorder=recorder, fault_plan=plan, checkpoint_every=checkpoint_every
+        recorder=recorder, fault_plan=_parse_fault_plan(args, num_nodes)
     )
-    for name, flag in (
-        ("reply_timeout", "parallel_timeout"),
-        ("max_respawns", "parallel_max_respawns"),
-        ("shard_mb", "shard_mb"),
-        ("shard_cache", "shard_cache"),
-    ):
-        overrides[name] = resolve(name, getattr(args, flag, None))
-    for name, value in (
-        ("store", store),
-        ("backend", args.backend),
-        ("num_workers", args.workers),
-    ):
-        if value is not None:
-            overrides[name] = value
+    if store is not None:
+        overrides["store"] = store
+    for name, row in KNOBS.items():
+        overrides[name] = resolve(name, getattr(args, row.dest))
     return overrides
 
 
 def _run_traced_workload(args, recorder):
-    from repro.bench import workloads
     from repro.bench.runner import run_workload
 
-    scale = (
-        args.scale if args.scale is not None
-        else workloads.DEFAULT_SCALE_DIVISOR
-    )
     engine_kwargs = {}
     scheduler = getattr(args, "scheduler", None)
     if scheduler is not None:
         engine_kwargs["scheduler"] = scheduler
     return run_workload(
         args.engine, args.app, args.graph,
-        num_nodes=args.nodes, scale_divisor=scale, recorder=recorder,
+        num_nodes=args.nodes, scale_divisor=args.scale, recorder=recorder,
         backend=args.backend, workers=args.workers, **engine_kwargs,
     )
 
@@ -695,14 +630,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import workloads
     from repro.bench.experiments import ARTIFACTS
     from repro.trace import write_jsonl
 
-    scale = (
-        args.scale if args.scale is not None
-        else workloads.DEFAULT_SCALE_DIVISOR
-    )
     chosen = (
         list(ARTIFACTS.items())
         if args.artifact == "all"
@@ -716,7 +646,7 @@ def _cmd_bench(args) -> int:
     overrides = _run_config(args, recorder, store, num_nodes=8)
     with _live_session(args, recorder, overrides):
         for name, artifacts_of in chosen:
-            artifacts = artifacts_of(scale)
+            artifacts = artifacts_of(args.scale)
             for index, artifact in enumerate(artifacts):
                 print(artifact.render())
                 if args.csv_dir:
@@ -824,9 +754,7 @@ def _warm_workload(app_name: str, graph_key: str, scale: int):
     via the same ``datasets.load`` / ``generate_guidance`` paths a run
     uses, so the keys match by construction.
     """
-    from repro.bench import workloads
     from repro.core.rrg import default_roots, generate_guidance
-    from repro.graph import datasets
 
     # use_cache=False: warming exists to fill the *on-disk* store for
     # other processes; the in-process memo must not short-circuit it.
@@ -858,8 +786,6 @@ def _shard_workload(app_name: str, graph_key: str, scale: int,
     the raw dataset — so sharding goes through the same preparation a
     run performs and the digests match by construction.
     """
-    from repro.bench import workloads
-    from repro.graph import datasets
     from repro.ooc import spill_graph
 
     graph = datasets.load(
@@ -911,16 +837,10 @@ def _cmd_cache(args) -> int:
         print("removed %d entr%s (orphaned payloads included) from %s"
               % (removed, "y" if removed == 1 else "ies", store.root))
         return 0
-    from repro.bench import workloads
-
-    scale = (
-        args.scale if args.scale is not None
-        else workloads.DEFAULT_SCALE_DIVISOR
-    )
     if args.cache_command == "shard":
         for app_name in args.apps:
             digest, graph, parts = _shard_workload(
-                app_name, args.graph, scale, args.shard_mb, store
+                app_name, args.graph, args.scale, args.shard_mb, store
             )
             print("sharded %s on %s: %s (%d vertices, %d edges, "
                   "%d shard(s) per direction)"
@@ -931,7 +851,7 @@ def _cmd_cache(args) -> int:
     # warm
     with configured(store=store):
         for app_name in args.apps:
-            guidance = _warm_workload(app_name, args.graph, scale)
+            guidance = _warm_workload(app_name, args.graph, args.scale)
             print("warmed %s on %s: guidance for %d vertices "
                   "(%d iteration level(s), %d edge ops)"
                   % (app_name, args.graph, guidance.num_vertices,
@@ -941,11 +861,8 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_info(_args) -> int:
-    from repro.bench import workloads
-    from repro.graph import datasets
-
     print("Datasets (paper Table 4, 1/%d-scale stand-ins):"
-          % workloads.DEFAULT_SCALE_DIVISOR)
+          % datasets.DEFAULT_SCALE_DIVISOR)
     for name, vertices, edges, degree, kind in datasets.paper_table4():
         print("  %-15s |V|=%-12d |E|=%-14d deg=%-5.1f %s"
               % (name, vertices, edges, degree, kind))

@@ -11,10 +11,11 @@ cluster with the paper's two redundancy-reduction principles:
   processed at all until the global iteration number (the Ruler) reaches
   its guidance ``last_iter`` — all of its earlier full recomputations,
   which could only ever produce intermediate values, are skipped.  Push
-  mode (Algorithm 3) relaxes the out-edges of active sources per edge,
-  and a pull-to-push transition reactivates every vertex while any
-  destination is still delayed, so updates hidden from skipped vertices
-  are re-delivered (the paper's correctness rule).
+  mode (Algorithm 3) relaxes the out-edges of active sources per edge.
+  Algorithm 3's correctness rule — a pull-to-push transition while any
+  destination is still delayed re-delivers every value — never fires:
+  once a run has pulled, it stays in pull while a skipped destination
+  owes its catch-up gather, so no such transition happens.
 * **finish early** (:meth:`run_arithmetic`) — Algorithm 2's multi-Ruler
   pull driven by :class:`repro.core.state.StabilityTracker`: a vertex
   whose value has been stable for more than ``last_iter`` consecutive
@@ -50,7 +51,6 @@ from repro.core.accounting import segmented_improvements
 from repro.core.frontier import (
     DEFAULT_DENSE_DENOMINATOR,
     PULL,
-    PUSH,
     Frontier,
     choose_mode,
 )
@@ -63,8 +63,6 @@ from repro.core.rrg import (
     validate_guidance,
 )
 from repro.core.runtime import SerialDispatch
-# Re-exported: baselines and tests import grouped_reduce from here.
-from repro.core.runtime import grouped_reduce as _grouped_reduce  # noqa: F401
 from repro.core.state import StabilityTracker
 from repro.errors import ConvergenceError, EngineError
 from repro.graph.graph import Graph
@@ -664,8 +662,7 @@ class _StartLate(_Step):
     Owns the direction policy, the pull (touched side, catch-ups,
     frontier-side pull) and the push, plus the ``RR_SKIP`` /
     ``CATCH_UP`` events.  Checkpointed state: ``values``, ``frontier``,
-    ``started`` (and ``missed`` with RR on), ``last_mode`` and
-    ``entered_pull``.
+    ``started`` (and ``missed`` with RR on) and ``entered_pull``.
     """
 
     def __init__(self, engine, app, run_graph, dispatch, cluster, metrics,
@@ -705,7 +702,6 @@ class _StartLate(_Step):
         # ``missed`` only ever holds unstarted vertices.
         self.debt = 0
         self.pending = n - int(np.count_nonzero(self.started))
-        self.last_mode = None
         self.entered_pull = False
 
     def state(self):
@@ -713,8 +709,7 @@ class _StartLate(_Step):
                   "started": self.started}
         if self.missed is not None:
             arrays["missed"] = self.missed
-        return arrays, {"last_mode": self.last_mode,
-                        "entered_pull": self.entered_pull}
+        return arrays, {"entered_pull": self.entered_pull}
 
     def restore(self, arrays, scalars) -> None:
         self.values[:] = arrays["values"]
@@ -724,7 +719,6 @@ class _StartLate(_Step):
         if self.missed is not None:
             self.missed[:] = arrays["missed"]
             self.debt = int(np.count_nonzero(self.missed))
-        self.last_mode = scalars["last_mode"]
         self.entered_pull = scalars["entered_pull"]
 
     def more(self, iteration: int) -> bool:
@@ -755,19 +749,12 @@ class _StartLate(_Step):
             # delayed destinations, which push never skips — so the
             # catch-up gathers later refine warm values instead of
             # infinities.  Once dense, we stay in pull until every
-            # delayed destination has started: a pull-to-push
-            # transition before that would force Algorithm 3's
-            # all-vertex re-delivery (an O(E) push).
+            # delayed destination has started, so Algorithm 3's
+            # all-vertex re-delivery on a pull-to-push transition
+            # (an O(E) push) is never owed.
             mode = PULL
         if mode == PULL:
             self.entered_pull = True
-        if mode == PUSH and self.last_mode == PULL and debt:
-            # Algorithm 3 lines 2-4: while any destination is still
-            # delayed, a switch to push must re-deliver every value
-            # once, or updates hidden from skipped pulls are lost.
-            # (Unreachable under the direction policy above; kept as
-            # the correctness guard the paper specifies.)
-            frontier.activate_all()
         return mode
 
     def step(self, iteration: int, mode: str):
@@ -893,7 +880,6 @@ class _StartLate(_Step):
                 # every successor: all catch-up debts are settled.
                 self.missed[:] = False
                 self.debt = 0
-        self.last_mode = mode
 
         if rec.enabled:
             # "Start late" visibility: both events are emitted every

@@ -16,6 +16,10 @@ threaded through every driver:
   an :class:`EngineError` naming its source (the argument or the
   variable).
 
+Each :data:`KNOBS` row also carries its command-line flag, metavar and
+help sentence; ``repro.cli`` renders every knob flag from its row, and
+:func:`flag_type` turns any validator into an argparse ``type=``.
+
 Object fields (``recorder``, ``store``, ``live_plane``, ``fault_plan``)
 are read straight from :func:`current`; ``None`` means "none".  Scalar
 fields hold ``None`` until configured, so :func:`resolve` can fall
@@ -24,6 +28,7 @@ through to the environment and the default.
 
 from __future__ import annotations
 
+import argparse
 import math
 import numbers
 import os
@@ -45,6 +50,7 @@ __all__ = [
     "resolve",
     "positive_float",
     "integer_at_least",
+    "flag_type",
 ]
 
 #: Recognised execution backends for the SLFE engine family.
@@ -100,6 +106,18 @@ def integer_at_least(k: int) -> Validator:
     return check
 
 
+def flag_type(validate: Validator, name: str) -> Callable[[str], Any]:
+    """Argparse ``type=`` from a validator; errors name the flag."""
+
+    def parse(text: str) -> Any:
+        try:
+            return validate(text, name)
+        except EngineError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
+
+
 def _backend(value: Any, source: str) -> str:
     if value not in BACKENDS:
         raise EngineError(
@@ -110,7 +128,8 @@ def _backend(value: Any, source: str) -> str:
 
 
 class Knob(NamedTuple):
-    """One scalar run setting: how it is checked and where it falls back."""
+    """One scalar run setting: how it is checked, where it falls back
+    and the command-line flag that sets it."""
 
     #: names an explicit or configured value in error messages
     label: str
@@ -118,39 +137,74 @@ class Knob(NamedTuple):
     #: environment variable consulted below a configured value, or None
     env: Optional[str]
     default: Any
+    flag: str
+    metavar: str
+    #: the flag's help sentence; an env-backed row's ``--help`` entry
+    #: appends its ``(default: $ENV, else D)`` clause
+    help: str
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute the flag fills."""
+        return self.flag[2:].replace("-", "_")
 
 
 KNOBS: Dict[str, Knob] = {
     # Snapshot every N supersteps; 0 keeps only the superstep-0 snapshot
     # a fault-tolerant run needs as its rollback floor.
     "checkpoint_every": Knob(
-        "checkpoint_every", integer_at_least(0), None, 0
+        "checkpoint_every", integer_at_least(0), None, 0,
+        "--checkpoint-every", "N",
+        "snapshot engine state every N supersteps (0: only the "
+        "superstep-0 snapshot fault-tolerant runs always take)",
     ),
-    "backend": Knob("backend", _backend, None, "serial"),
-    "num_workers": Knob("num_workers", integer_at_least(1), None, 1),
+    "backend": Knob(
+        "backend", _backend, None, "serial",
+        "--backend", "{%s}" % ",".join(BACKENDS),
+        "execution backend: serial (default), parallel — "
+        "shared-memory worker processes with mini-chunk work stealing — "
+        "or ooc — out-of-core shard streaming with only vertex state "
+        "resident; SLFE-family engines only, results are bit-identical",
+    ),
+    "num_workers": Knob(
+        "num_workers", integer_at_least(1), None, 1,
+        "--workers", "N",
+        "worker processes for --backend parallel (default 1)",
+    ),
     # Generous: a worker reply only lags while the worker still holds
     # unfinished blocks of the current superstep.
     "reply_timeout": Knob(
         "parallel reply timeout", positive_float("seconds"),
         "REPRO_PARALLEL_TIMEOUT", 120.0,
+        "--parallel-timeout", "SECONDS",
+        "seconds a parallel pool worker may stay silent before it is "
+        "declared hung and recovered",
     ),
     # Respawns per run before the pool degrades to inline execution.
     "max_respawns": Knob(
         "parallel respawn budget", integer_at_least(0),
         "REPRO_PARALLEL_MAX_RESPAWNS", 2,
+        "--parallel-max-respawns", "N",
+        "worker respawns allowed per run before the pool degrades to "
+        "inline serial-semantics execution",
     ),
     # Uncompressed shard payload target: the resident working set (one
     # shard plus a few cached neighbours) stays far below a real graph's
     # edge arrays, while per-shard decompression stays negligible next
     # to the kernels.
     "shard_mb": Knob(
-        "shard size", positive_float("MiB"), "REPRO_SHARD_MB", 8.0
+        "shard size", positive_float("MiB"), "REPRO_SHARD_MB", 8.0,
+        "--shard-mb", "MB",
+        "largest uncompressed edge-shard size for --backend ooc; one row "
+        "above it gets a shard of its own",
     ),
     # Decoded shards kept per stream: two is the working-set minimum
     # (current + read-ahead); four absorbs the pull loop re-touching a
     # recent destination range without re-decoding.
     "shard_cache": Knob(
-        "shard cache", integer_at_least(1), "REPRO_SHARD_CACHE", 4
+        "shard cache", integer_at_least(1), "REPRO_SHARD_CACHE", 4,
+        "--shard-cache", "N",
+        "decoded shards kept resident by the ooc LRU",
     ),
 }
 

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import _grouped_reduce
+from repro.core.runtime import grouped_reduce as _grouped_reduce
 
 
 class TestEmptyGroups:
