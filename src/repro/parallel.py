@@ -171,8 +171,8 @@ def _attach(name: str):
 class _WorkerFailure(Exception):
     """Internal: workers died or hung mid-phase (candidate for recovery).
 
-    Never escapes :class:`ParallelExecutor` — it is either recovered
-    from (respawn / degrade) or converted into the typed
+    Never escapes :class:`ParallelExecutor` — mid-run it is recovered
+    from (respawn / degrade); at startup it is converted into the typed
     :class:`EngineError` naming the worker, the phase, and the epoch.
     """
 
@@ -230,15 +230,10 @@ class ParallelExecutor(SerialDispatch):
         hung; ``None`` resolves the ``reply_timeout`` knob
         (:func:`repro.runconfig.resolve`).
     max_respawns:
-        Worker respawns allowed for this run before the pool degrades
-        (or, with ``allow_degrade=False``, fails); ``None`` resolves
-        like ``reply_timeout``.
-    allow_degrade:
-        When the respawn budget is exhausted: ``True`` (default) kills
-        the pool and finishes the run with the serial phase bodies
-        over the live shared arrays (``degraded`` flips to True); ``False`` raises the typed :class:`EngineError` instead
-        (the pre-recovery fail-fast behaviour, kept for tests and
-        callers that prefer loud death).
+        Worker respawns allowed for this run before the pool degrades:
+        it kills its workers and finishes the run with the serial phase
+        bodies over the live shared arrays (``degraded`` flips to
+        True); ``None`` resolves like ``reply_timeout``.
     recorder:
         Optional trace recorder; recovery steps are emitted as
         ``parallel_recovery`` events and injected worker faults as
@@ -259,7 +254,6 @@ class ParallelExecutor(SerialDispatch):
         start_method: Optional[str] = None,
         reply_timeout: Optional[float] = None,
         max_respawns: Optional[int] = None,
-        allow_degrade: bool = True,
         recorder: Optional[Any] = None,
         worker_faults: Sequence[Any] = (),
     ) -> None:
@@ -269,7 +263,6 @@ class ParallelExecutor(SerialDispatch):
         )
         self._timeout = resolve("reply_timeout", reply_timeout)
         self._max_respawns = resolve("max_respawns", max_respawns)
-        self._allow_degrade = bool(allow_degrade)
         self._recorder = recorder
         self._worker_faults = tuple(worker_faults)
         self._fired_faults: Set[Any] = set()
@@ -594,16 +587,13 @@ class ParallelExecutor(SerialDispatch):
         self._spawn_worker(worker_id, start_epoch=self._epoch)
         try:
             self._recv_ack(worker_id, "respawn")
-        except _WorkerFailure as failure:
+        except _WorkerFailure:
             self._respawns_used += 1
             self._quarantine(worker_id)
-            if self._allow_degrade:
-                self._degrade(
-                    "replacement worker %d failed at startup" % worker_id,
-                    phase,
-                )
-                return False
-            raise self._failure_error(failure)
+            self._degrade(
+                "replacement worker %d failed at startup" % worker_id, phase
+            )
+            return False
         self._respawns_used += 1
         self._emit_recovery(
             action="respawned",
@@ -686,10 +676,6 @@ class ParallelExecutor(SerialDispatch):
             )
         needed = len(failed)
         if self._respawns_used + needed > self._max_respawns:
-            if not self._allow_degrade:
-                raise self._failure_error(
-                    _WorkerFailure(failed, phase)
-                )
             self._degrade(
                 "respawn budget exhausted (%d used, %d more needed, "
                 "budget %d)"

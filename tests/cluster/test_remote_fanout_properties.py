@@ -23,6 +23,8 @@ from repro.cluster.config import ClusterConfig
 from repro.graph.graph import Graph
 from repro.partition.base import VertexPartition
 
+from tests.strategies.graphs import digraphs
+
 
 def unique_pairs_fanout(graph: Graph, owner: np.ndarray, num_nodes: int):
     """remote_fanout as the parent commit computed it: sort the distinct
@@ -59,17 +61,10 @@ def _assert_fanout(cluster: SimulatedCluster) -> None:
 
 
 @st.composite
-def clusters(draw, min_nodes=1):
-    n = draw(st.integers(0, 24))
-    m = draw(st.integers(0, 90)) if n else 0
-    endpoint = st.integers(0, max(n - 1, 0))
-    # Self-loops and duplicate edges included.
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    graph = Graph.from_edges(
-        n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
-    )
-    # 1 and 2 nodes, the benchmark's 8, and one node per vertex.
+def _placed(draw, graph, min_nodes):
+    """``graph`` on 1 or 2 nodes, the benchmark's 8, or one node per
+    vertex, each vertex on a drawn node."""
+    n = graph.num_vertices
     num_nodes = draw(st.sampled_from(
         sorted({max(k, min_nodes) for k in (1, 2, 8, max(n, 1))})
     ))
@@ -78,6 +73,13 @@ def clusters(draw, min_nodes=1):
     partition = VertexPartition(np.asarray(owner, dtype=np.int64), num_nodes)
     return SimulatedCluster(
         graph, partition, ClusterConfig(num_nodes=num_nodes)
+    )
+
+
+def clusters(min_nodes=1):
+    """A placed multigraph: self-loops and duplicate edges included."""
+    return digraphs(max_vertices=24, max_edges=90, weights=(None,)).flatmap(
+        lambda graph: _placed(graph, min_nodes)
     )
 
 

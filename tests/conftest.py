@@ -1,29 +1,90 @@
-"""Shared fixtures and the tiered Hypothesis profiles for the test suite.
+"""Shared fixtures, helpers and the suite-wide hygiene check.
 
-Property tests that carry no ``@settings`` of their own run under the
-loaded profile.  Profiles trade coverage for wall clock: ``ci`` is the
-default, ``dev`` is a quick smoke, ``nightly``/``thorough`` widen the
-search.  Select with ``REPRO_HYPOTHESIS_PROFILE=nightly pytest ...``.
+The tiered Hypothesis profiles live in :mod:`tests.strategies.settings`
+and are loaded here; every graph strategy lives in
+:mod:`tests.strategies.graphs`.
+
+Every test runs under :func:`hygiene`: after it, no shared-memory
+segment this process created may still be linked, no
+``multiprocessing`` child may be alive and no thread it started may
+still run.  File descriptors are left out: the first pool a process
+starts keeps three open for the life of the process.
 """
 
 import os
+import threading
+import time
+from multiprocessing import active_children, shared_memory
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import settings
-from hypothesis import strategies as st
 
+import tests.strategies.settings  # noqa: F401  (loads the profile)
 from repro.graph import csr
 from repro.graph.generators import figure1_graph
 from repro.graph.graph import Graph
 from repro.graph.shards import ShardSlice
 
-settings.register_profile("dev", max_examples=10, deadline=None)
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.register_profile("nightly", max_examples=100, deadline=None)
-settings.register_profile("thorough", max_examples=500, deadline=None)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
+HAS_SHM = os.path.isdir("/dev/shm")
+needs_shm = pytest.mark.skipif(not HAS_SHM, reason="the pool needs /dev/shm")
+
+#: Names of the shared-memory segments this process created, in order.
+_CREATED = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _record_segments():
+    """Record the name of every segment created in this process."""
+    init = shared_memory.SharedMemory.__init__
+
+    def recording(self, name=None, create=False, size=0, **kwargs):
+        init(self, name, create, size, **kwargs)
+        if create:
+            _CREATED.append(self.name)
+
+    with mock.patch.object(shared_memory.SharedMemory, "__init__", recording):
+        yield
+
+
+class Segments:
+    """The segments created since one test began."""
+
+    def __init__(self):
+        self._start = len(_CREATED)
+
+    @property
+    def created(self):
+        return _CREATED[self._start:]
+
+    def linked(self):
+        return [name for name in self.created
+                if os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))]
+
+
+def _settled(check, seconds=5.0):
+    """``check()``'s leftovers, polled until empty or ``seconds`` pass:
+    a killed child or a stopping thread may need a moment."""
+    deadline = time.monotonic() + seconds
+    while True:
+        left = check()
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.02)
+
+
+@pytest.fixture(autouse=True)
+def hygiene():
+    """Fail a test that leaves a segment, a child or a thread behind;
+    yields the :class:`Segments` record for tests that read it."""
+    threads = set(threading.enumerate())
+    segments = Segments()
+    yield segments
+    assert not _settled(segments.linked), "shared-memory segments left linked"
+    assert not _settled(active_children), "multiprocessing children left alive"
+    assert not _settled(lambda: [
+        t for t in threading.enumerate() if t not in threads and t.is_alive()
+    ]), "threads left running"
 
 
 @pytest.fixture
@@ -59,82 +120,23 @@ def make_random_graph(num_vertices=50, num_edges=200, seed=0, weighted=True):
     return Graph.from_edges(num_vertices, (srcs, dsts), weights, name="random")
 
 
-def _draw_graph(draw, n, dsts):
-    """A graph on ``n`` vertices whose edges point at ``dsts`` (the in-CSR
-    rows, so they fix every in-degree), from drawn sources and weights."""
-    m = len(dsts)
-    srcs = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    weights = draw(st.lists(st.floats(0.1, 100.0), min_size=m, max_size=m))
-    return Graph.from_edges(
-        n,
-        (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)),
-        np.asarray(weights, dtype=np.float64),
-        name="kernel-case",
-    )
+def pk_executor(**kwargs):
+    """``(executor, run_graph)``: a worker pool over the weighted PK
+    stand-in at its smallest, running ``app`` (SSSP by default)."""
+    from repro.apps.sssp import SSSP
+    from repro.bench import workloads
+    from repro.parallel import ParallelExecutor
+
+    graph = workloads.load_graph("PK", scale_divisor=16000, weighted=True)
+    app = kwargs.pop("app", None) or SSSP()
+    run_graph = app.prepare(graph)
+    return ParallelExecutor(run_graph, app, **kwargs), run_graph
 
 
-@st.composite
-def kernel_cases(draw):
-    """``(graph, ids, seed)`` for the fused-kernel property files: a graph
-    with self-loops, duplicate and weighted edges, dangling sources,
-    zero-in-degree rows, possibly no edges at all; a task list of every
-    shape a dispatch hands a kernel; a seed for the values."""
-    n = draw(st.integers(1, 24))
-    endpoint = st.integers(0, n - 1)
-    graph = _draw_graph(draw, n, draw(st.lists(endpoint, max_size=90)))
-    kind = draw(st.sampled_from(["any", "full", "run", "single", "empty"]))
-    if kind == "any":  # unsorted, duplicated
-        ids = draw(st.lists(endpoint, max_size=2 * n))
-    elif kind == "full":
-        ids = list(range(n))
-    elif kind == "run":
-        lo = draw(endpoint)
-        ids = list(range(lo, draw(st.integers(lo, n - 1)) + 1))
-    elif kind == "single":
-        ids = [draw(endpoint)]
-    else:
-        ids = []
-    seed = draw(st.integers(0, 2**32 - 1))
-    return graph, np.asarray(ids, dtype=np.int64), seed
-
-
-@st.composite
-def span_cases(draw):
-    """``(graph, ids, seed)`` with strictly ascending, non-empty ``ids``
-    for the covering-span properties: holes anywhere; holes made only of
-    zero-in-degree rows, the span possibly starting or ending on one; a
-    single id; or two ids whose span holds one edge fewer than, exactly,
-    or one edge more than ``csr._SPAN_COST`` times their own."""
-    kind = draw(st.sampled_from(["holes", "zero_holes", "single", "at_cost"]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    if kind == "at_cost":
-        n = draw(st.integers(3, 16))
-        lo = draw(st.integers(0, n - 3))
-        hi = draw(st.integers(lo + 2, n - 1))
-        k = draw(st.integers(1, 4))
-        # Rows lo and hi own 2k edges; the holes between them the rest.
-        in_holes = int((csr._SPAN_COST - 1) * 2 * k)
-        in_holes += draw(st.sampled_from([-1, 0, 1]))
-        holes = draw(st.lists(
-            st.integers(lo + 1, hi - 1), min_size=in_holes, max_size=in_holes
-        ))
-        outside = [v for v in range(n) if not lo <= v <= hi]
-        rest = draw(st.lists(st.sampled_from(outside), max_size=10)) if outside else []
-        graph = _draw_graph(draw, n, [lo] * k + [hi] * k + holes + rest)
-        return graph, np.asarray([lo, hi], dtype=np.int64), seed
-    graph, _, _ = draw(kernel_cases())
-    n = graph.num_vertices
-    endpoint = st.integers(0, n - 1)
-    if kind == "holes":
-        ids = draw(st.lists(endpoint, min_size=1, max_size=n))
-    elif kind == "zero_holes":
-        lo = draw(endpoint)
-        hi = draw(st.integers(lo, n - 1))
-        deg = graph.in_degrees()
-        ids = [lo, hi] + [v for v in range(lo + 1, hi) if deg[v] > 0]
-    else:
-        ids = [draw(endpoint)]
-    return graph, np.unique(np.asarray(ids, dtype=np.int64)), seed
+def pull_all(ex, run_graph):
+    """One min pull over every vertex with an in-edge."""
+    ids = np.arange(run_graph.num_vertices, dtype=np.int64)
+    return ex.pull_apply(ids[run_graph.in_degrees() > 0], "min")
 
 
 def each_span_cost():

@@ -1,78 +1,41 @@
-"""Async delta-accumulative engine: differential suite + unit tests.
+"""Async delta-accumulative engine: pinned oracle cases + unit tests.
 
-The differential contract: for every app with accumulative semantics,
-``AsyncEngine`` must land within the app's declared ``async_tolerance``
-of the *serial BSP fixed point* — computed by ``SLFEEngine`` with
-redundancy reduction off, because the RR engine's finish-early freeze
-stops ~1e-7 short of the true fixpoint, coarser than the async engine
-itself converges.
+The differential contract (``tests/test_oracle.py``, point 5): under
+every scheduler, ``AsyncEngine`` reaches :mod:`repro.apps.reference`'s
+fixed point — min/max apps byte for byte, PageRank within the oracle's
+reference tolerance.  The cases here pin it on seeded random graphs.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps import ConnectedComponents, PageRank, SSSP, TunkRank
+from repro.apps import PageRank, SSSP, TunkRank
 from repro.cluster.faults import FaultPlan
 from repro.core.async_engine import SCHEDULERS, AsyncEngine
-from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 from tests.conftest import make_random_graph
+from tests.test_oracle import check_async
 
 SEEDS = (0, 3, 11)
 
 
-def reference_values(graph, app_factory, **run_kwargs):
-    """Serial BSP fixed point, redundancy reduction off."""
-    engine = SLFEEngine(graph, enable_rr=False)
-    app = app_factory()
-    if hasattr(app, "delta_seed"):
-        return engine.run_arithmetic(app, tolerance=1e-12).values
-    return engine.run_minmax(app, **run_kwargs).values
-
-
-# ----------------------------------------------------------------------
-# differential: async vs serial fixed point
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestAsyncMatchesSerialFixedPoint:
     def test_pagerank(self, scheduler, seed):
         g = make_random_graph(80, 400, seed=seed, weighted=False)
-        expected = reference_values(g, PageRank)
-        result = AsyncEngine(g, scheduler=scheduler).run_arithmetic(
-            PageRank()
-        )
-        assert result.converged
-        tol = PageRank.async_tolerance
-        assert np.max(np.abs(result.values - expected)) <= tol
+        check_async(g, "PR", None, scheduler=scheduler)
 
     def test_sssp(self, scheduler, seed):
         g = make_random_graph(80, 400, seed=seed, weighted=True)
         root = int(np.argmax(g.out_degrees()))
-        expected = reference_values(g, SSSP, root=root)
-        result = AsyncEngine(g, scheduler=scheduler).run_minmax(
-            SSSP(), root=root
-        )
-        assert result.converged
-        tol = SSSP.async_tolerance
-        finite = np.isfinite(expected)
-        assert np.array_equal(finite, np.isfinite(result.values))
-        assert np.max(
-            np.abs(result.values[finite] - expected[finite]), initial=0.0
-        ) <= tol
+        check_async(g, "SSSP", root, scheduler=scheduler)
 
     def test_connected_components(self, scheduler, seed):
         g = make_random_graph(80, 400, seed=seed, weighted=False)
-        expected = reference_values(g, ConnectedComponents)
-        result = AsyncEngine(g, scheduler=scheduler).run_minmax(
-            ConnectedComponents()
-        )
-        assert result.converged
-        # Label propagation converges to exactly the min label per
-        # component regardless of order — equality, not tolerance.
-        assert np.array_equal(result.values, expected)
+        check_async(g, "CC", None, scheduler=scheduler)
 
 
 def test_sssp_figure1_exact(figure1):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import (
@@ -27,6 +27,10 @@ from repro.graph.graph import Graph
 from repro.partition import HashPartitioner, RandomVertexCutPartitioner
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
+
+from tests.strategies.graphs import seeded_digraphs
+from tests.strategies.backends import Case
+from tests.test_oracle import check
 
 
 @pytest.fixture(scope="module")
@@ -273,55 +277,27 @@ class TestDistributedAccounting:
         assert counts["push"] + counts["pull"] == result.iterations
 
 
-@st.composite
-def small_weighted_graphs(draw):
-    n = draw(st.integers(2, 25))
-    m = draw(st.integers(1, 80))
-    seed = draw(st.integers(0, 100_000))
-    rng = np.random.default_rng(seed)
-    srcs = rng.integers(0, n, size=m)
-    dsts = rng.integers(0, n, size=m)
-    keep = srcs != dsts
-    if not keep.any():
-        srcs, dsts = np.array([0]), np.array([min(1, n - 1)])
-    else:
-        srcs, dsts = srcs[keep], dsts[keep]
-    weights = rng.uniform(0.5, 5.0, size=srcs.size)
-    return Graph.from_edges(n, (srcs, dsts), weights)
+# The differential oracle (tests/test_oracle.py) over small weighted
+# digraphs on the serial backend, rooted at vertex 0.
+_GRAPHS = seeded_digraphs(min_vertices=2, max_vertices=25, min_edges=1,
+                          max_edges=80, weighted=True)
 
 
-@given(small_weighted_graphs(), st.booleans())
-@settings(max_examples=50, deadline=None)
+@given(_GRAPHS, st.booleans())
 def test_sssp_always_matches_dijkstra(graph, enable_rr):
-    result = SLFEEngine(graph, enable_rr=enable_rr).run_minmax(SSSP(), root=0)
-    assert np.allclose(result.values, reference.dijkstra(graph, 0))
+    check(Case(graph, "SSSP", 0, rr=enable_rr))
 
 
-@given(small_weighted_graphs(), st.booleans())
-@settings(max_examples=50, deadline=None)
+@given(_GRAPHS, st.booleans())
 def test_cc_always_matches_union_find(graph, enable_rr):
-    result = SLFEEngine(graph, enable_rr=enable_rr).run_minmax(
-        ConnectedComponents()
-    )
-    assert np.array_equal(
-        result.values.astype(np.int64), reference.connected_components(graph)
-    )
+    check(Case(graph, "CC", rr=enable_rr))
 
 
-@given(small_weighted_graphs(), st.booleans())
-@settings(max_examples=50, deadline=None)
+@given(_GRAPHS, st.booleans())
 def test_widest_path_always_matches_reference(graph, enable_rr):
-    result = SLFEEngine(graph, enable_rr=enable_rr).run_minmax(
-        WidestPath(), root=0
-    )
-    assert np.allclose(result.values, reference.widest_path(graph, 0))
+    check(Case(graph, "WP", 0, rr=enable_rr))
 
 
-@given(small_weighted_graphs())
-@settings(max_examples=30, deadline=None)
+@given(_GRAPHS)
 def test_pagerank_rr_close_to_reference(graph):
-    result = SLFEEngine(graph, enable_rr=True).run_arithmetic(
-        PageRank(), tolerance=1e-11
-    )
-    expected = reference.pagerank(graph, tolerance=1e-13)
-    assert np.allclose(result.values, expected, atol=1e-3, rtol=1e-3)
+    check(Case(graph, "PR"))

@@ -9,16 +9,17 @@ instead of regenerating it, so one preprocessing pass per run, ever.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import SSSP
 from repro.bench.runner import run_workload
-from repro.cluster.config import ClusterConfig
 from repro.cluster.faults import FaultPlan
-from repro.core.engine import SLFEEngine
-from repro.graph.graph import Graph
 from repro.trace.recorder import TraceRecorder
+
+from tests.strategies import graphs
+from tests.strategies.backends import Case, stand_in
+from tests.strategies.faults import Plan
+from tests.test_oracle import check
 
 SCALE = 16000
 GRAPH = "PK"
@@ -45,10 +46,9 @@ class TestResultsSurviveFaults:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("app", APPS)
     def test_bit_identical_under_faults(self, engine, app):
-        clean, faulty = run_pair(engine, app)
-        np.testing.assert_array_equal(
-            clean.result.values, faulty.result.values
-        )
+        # Gemini is the SLFE engine with RR off.
+        check(stand_in(app, SCALE, GRAPH, rr=engine == "SLFE", num_nodes=8,
+                       plan=Plan("node", PLAN, CHECKPOINT_EVERY)))
 
     def test_faults_actually_fired(self):
         recorder = TraceRecorder()
@@ -154,31 +154,9 @@ class TestDeterminism:
         )
 
 
-@st.composite
-def small_weighted_graphs(draw):
-    n = draw(st.integers(4, 25))
-    m = draw(st.integers(3, 80))
-    seed = draw(st.integers(0, 100_000))
-    rng = np.random.default_rng(seed)
-    srcs = rng.integers(0, n, size=m)
-    dsts = rng.integers(0, n, size=m)
-    keep = srcs != dsts
-    if not keep.any():
-        srcs, dsts = np.array([0]), np.array([1])
-    else:
-        srcs, dsts = srcs[keep], dsts[keep]
-    weights = rng.uniform(0.5, 5.0, size=srcs.size)
-    return Graph.from_edges(n, (srcs, dsts), weights)
-
-
-@given(small_weighted_graphs(), st.integers(0, 50))
-@settings(max_examples=25, deadline=None)
+@given(graphs.digraphs(min_vertices=1, weights=(graphs.POSITIVE,)),
+       st.integers(0, 50))
 def test_random_fault_plans_never_change_sssp(graph, plan_seed):
     """Property: any seeded plan on any small graph leaves SSSP intact."""
-    config = ClusterConfig(num_nodes=4)
-    clean = SLFEEngine(graph, config=config).run_minmax(SSSP(), root=0)
     plan = FaultPlan.random(plan_seed, num_nodes=4, horizon=6)
-    faulty = SLFEEngine(
-        graph, config=config, fault_plan=plan, checkpoint_every=2
-    ).run_minmax(SSSP(), root=0)
-    np.testing.assert_array_equal(clean.values, faulty.values)
+    check(Case(graph, "SSSP", 0, plan=Plan("random", plan, 2), num_nodes=4))

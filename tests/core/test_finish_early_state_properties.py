@@ -42,8 +42,8 @@ from repro.core import engine as engine_mod
 from repro.core.engine import SLFEEngine
 from repro.graph import generators
 from repro.runconfig import configured
-from tests.conftest import make_random_graph
 from tests.core.test_state import ParentTracker
+from tests.strategies.graphs import seeded_digraphs, social_graphs
 
 EPSILON = 1e-7  # the engine's stability_epsilon default
 MIN_STABLE_ROUNDS = 3  # ... and its min_stable_rounds
@@ -161,23 +161,18 @@ def shadowed(monkeypatch):
     return arm
 
 
-@st.composite
-def runs(draw):
-    seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.booleans()):
-        graph = generators.social_network(
-            draw(st.integers(20, 120)), avg_degree=draw(st.integers(2, 8)),
-            seed=seed,
-        )
-    else:
-        n = draw(st.integers(2, 60))
-        graph = make_random_graph(
-            n, draw(st.integers(0, 6 * n)), seed=seed,
-            weighted=draw(st.booleans()),
-        )
-    app = draw(st.sampled_from(sorted(APPS)))
-    fault = draw(st.sampled_from(["none", "floor", "snapshot"]))
-    return graph, app, seed, fault, draw(st.integers(2, 8))
+def runs():
+    """``(graph, app, seed, fault, crash_at)``."""
+    return st.tuples(
+        st.one_of(
+            social_graphs(max_vertices=120, weighted=False),
+            seeded_digraphs(min_vertices=2, max_edges=360),
+        ),
+        st.sampled_from(sorted(APPS)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["none", "floor", "snapshot"]),
+        st.integers(2, 8),
+    )
 
 
 def _run(graph, app, seed, fault, crash_at, enable_rr, backend):

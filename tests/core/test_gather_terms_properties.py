@@ -6,7 +6,6 @@ of the two |E|-sized source gathers; what must not move is a single bit
 of the gathered sums, for any task list a dispatch can hand the kernel.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -29,11 +28,11 @@ from repro.graph.graph import Graph
 
 from tests.conftest import (
     each_span_cost,
-    kernel_cases,
+    needs_shm,
     ragged_pool_blocks,
     shard_blocks,
-    span_cases,
 )
+from tests.strategies.graphs import kernel_cases, span_cases
 
 #: name -> factory(graph, rng); bound by :func:`_bound_app`.
 TERMS_APPS = {
@@ -237,8 +236,7 @@ def test_serial_dispatch_calls_edge_contributions_without_terms():
     ("serial", None),
     pytest.param(
         "parallel", 2,
-        marks=pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                                 reason="the pool needs /dev/shm"),
+        marks=needs_shm,
     ),
     ("ooc", None),
 ])

@@ -21,7 +21,6 @@ edge ops, updates and messages:
   started destination ignore every in-neighbour outside the frontier.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -29,13 +28,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import BFS, SSSP, ConnectedComponents, WidestPath
-from repro.bench.workloads import default_root, experiment_cluster
+from repro.bench.workloads import default_root
 from repro.cluster.faults import FaultPlan
 from repro.core import engine as engine_mod
-from repro.core.engine import SLFEEngine
 from repro.graph import generators
-from repro.graph.graph import Graph
-from repro.runconfig import configured
+
+from tests.conftest import needs_shm
+from tests.strategies import apps
+from tests.strategies.backends import Case, run
+from tests.strategies.faults import NO_FAULTS, Plan
+from tests.strategies.graphs import core_and_tail, digraphs
 
 NODES = 2
 CRASH = "crash@3:1"
@@ -43,36 +45,28 @@ APPS = {"SSSP": SSSP, "CC": ConnectedComponents, "BFS": BFS,
         "WP": WidestPath}
 ROOTED = ("SSSP", "BFS", "WP")
 
-needs_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="the pool needs /dev/shm"
-)
-
 _WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0, -1.0, -3.0])
 
 
-@st.composite
-def runs(draw):
-    """``(graph, app name, root)``: unconstrained endpoint draws on a
-    small vertex range give self-loops, duplicate edges and isolated
-    vertices; ``n == 0`` is the empty graph (CC only: the rooted apps
-    need a root), ``n == 1`` a single vertex."""
-    name = draw(st.sampled_from(sorted(APPS)))
-    n = draw(st.integers(1 if name in ROOTED else 0, 20))
-    m = draw(st.integers(0, 80)) if n else 0
-    endpoint = st.integers(0, max(n - 1, 0))
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    weights = np.asarray(
-        draw(st.lists(_WEIGHTS, min_size=m, max_size=m)), dtype=np.float64
-    )
-    if name == "SSSP":
-        weights = np.abs(weights)  # SSSP rejects negative weights
-    graph = Graph.from_edges(
-        n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)),
-        weights,
-    )
-    root = draw(st.integers(0, n - 1)) if name in ROOTED else None
-    return graph, name, root
+def _rooted(graph, name):
+    return st.tuples(st.just(graph), st.just(name), apps.roots(name, graph))
+
+
+def _runs_of(name):
+    graphs = digraphs(min_vertices=1 if name in ROOTED else 0,
+                      max_vertices=20, max_edges=80, weights=(_WEIGHTS,))
+    if name == "SSSP":  # SSSP rejects negative weights
+        graphs = graphs.map(
+            lambda graph: graph.with_weights(np.abs(graph.out_csr.weights))
+        )
+    return graphs.flatmap(lambda graph: _rooted(graph, name))
+
+
+def runs():
+    """``(graph, app name, root)``: self-loops, duplicate edges, isolated
+    vertices, zero and negative weights; ``n == 0`` is the empty graph
+    (CC only: the rooted apps need a root), ``n == 1`` a single vertex."""
+    return st.sampled_from(sorted(APPS)).flatmap(_runs_of)
 
 
 def _fingerprint(result):
@@ -90,18 +84,11 @@ def _fingerprint(result):
 
 def _run(graph, name, root, enable_rr=True, denominator=20,
          backend="serial", crash=False):
-    engine = SLFEEngine(
-        graph, config=experiment_cluster(num_nodes=NODES),
-        enable_rr=enable_rr, dense_denominator=denominator,
-        backend=backend, num_workers=2 if backend == "parallel" else None,
-        fault_plan=FaultPlan.parse(CRASH, num_nodes=NODES) if crash else None,
-        checkpoint_every=2 if crash else None,
-    )
-    if backend != "ooc":
-        return engine.run_minmax(APPS[name](), root=root)
+    plan = Plan("node", FaultPlan.parse(CRASH, num_nodes=NODES), 2)
     # ~10 KiB shards behind a two-shard cache: every expansion streams.
-    with configured(shard_mb=0.01, shard_cache=2):
-        return engine.run_minmax(APPS[name](), root=root)
+    return run(Case(graph, name, root, enable_rr, backend,
+                    plan if crash else NO_FAULTS, NODES, denominator,
+                    shard_mb=0.01, shard_cache=2))[0]
 
 
 def _dense_and_chosen(patch, *args, **kwargs):
@@ -187,19 +174,12 @@ def test_no_idle_vertex_beats_an_initial_value(name, case):
     assert not app.better(candidates, values[dsts]).any()
 
 
-@st.composite
-def mixed_runs(draw):
+def mixed_runs():
     """``(graph, app name, root)``: a dense random core (pull
     supersteps) with a path hanging off it (push supersteps)."""
-    name = draw(st.sampled_from(["SSSP", "CC", "WP"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    core, tail = draw(st.integers(20, 60)), draw(st.integers(8, 30))
-    chain = np.arange(core - 1, core + tail - 1)
-    srcs = np.concatenate([rng.integers(0, core, 6 * core), chain])
-    dsts = np.concatenate([rng.integers(0, core, 6 * core), chain + 1])
-    weights = rng.choice([0.5, 1.0, 2.0, 7.0], srcs.size)
-    graph = Graph.from_edges(core + tail, (srcs, dsts), weights)
-    return graph, name, None if name == "CC" else 0
+    return st.tuples(core_and_tail(), st.sampled_from(["SSSP", "CC", "WP"])).map(
+        lambda case: (case[0], case[1], None if case[1] == "CC" else 0)
+    )
 
 
 @given(mixed_runs(), st.booleans())

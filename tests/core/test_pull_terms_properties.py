@@ -35,15 +35,11 @@ from repro.ooc import ShardStreamDispatch
 
 from tests.conftest import (
     each_span_cost,
-    kernel_cases,
+    needs_shm,
     ragged_pool_blocks,
     shard_blocks,
-    span_cases,
 )
-
-needs_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="the pool needs /dev/shm"
-)
+from tests.strategies.graphs import kernel_cases, span_cases
 
 
 class MaxLabels(ConnectedComponents):
@@ -331,7 +327,7 @@ def test_the_degraded_inline_path_computes_terms_once_per_pull(tmp_path):
     run_graph = app.prepare(_social())
     ids = np.arange(run_graph.num_vertices, dtype=np.int64)
     with parallel.ParallelExecutor(
-        run_graph, app, num_workers=2, max_respawns=0, allow_degrade=True
+        run_graph, app, num_workers=2, max_respawns=0
     ) as ex:
         ex.values[...] = app.initial_values(run_graph, None)
         ex._procs[1].kill()
@@ -371,8 +367,7 @@ def test_every_backend_pushes_from_terms_once_per_phase(tmp_path, backend):
         assert dispatch.num_shards["out"] > 8
     else:
         dispatch = parallel.ParallelExecutor(
-            run_graph, app, num_workers=2, max_respawns=0,
-            allow_degrade=True,
+            run_graph, app, num_workers=2, max_respawns=0
         )
         if backend == "degraded":
             dispatch._procs[1].kill()

@@ -21,7 +21,6 @@ scan it replaced.
   serial, pool and ooc.
 """
 
-import os
 import time
 
 import numpy as np
@@ -29,7 +28,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
 from repro.bench.workloads import experiment_cluster
 from repro.cluster.checkpoint import CheckpointStore
 from repro.cluster.faults import FaultPlan
@@ -42,6 +40,9 @@ from repro.graph import generators
 from repro.runconfig import configured
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
+
+from tests.conftest import needs_shm
+from tests.strategies.apps import APPS
 
 NODES = 4
 _HUGE = 1e300
@@ -314,11 +315,11 @@ def _assert_run_is_the_oracle_run(monkeypatch, run):
     assert _superstep_trail(got) == _superstep_trail(want)
 
 
-_ROOTED = ["SSSP", "WP"]  # keys of APPS below
+_ROOTED = ["SSSP", "WP"]  # keys of APPS
 
 
 def _slfe_run(graph, app_name, enable_rr, backend="serial", workers=None):
-    app_cls, _, oracle = APPS[app_name]
+    app = APPS[app_name]
 
     def run():
         result = SLFEEngine(
@@ -327,8 +328,8 @@ def _slfe_run(graph, app_name, enable_rr, backend="serial", workers=None):
             enable_rr=enable_rr,
             backend=backend,
             num_workers=workers,
-        ).run_minmax(app_cls(), root=0)
-        assert np.array_equal(result.values, oracle(graph, 0))
+        ).run_minmax(app.factory(), root=0)
+        assert np.array_equal(result.values, app.oracle(graph, 0))
         return result
 
     return run
@@ -344,8 +345,7 @@ def test_grid_run_is_the_oracle_run_on_serial(
     )
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="the pool needs /dev/shm")
+@needs_shm
 @pytest.mark.parametrize("enable_rr", [True, False], ids=["rr", "norr"])
 @pytest.mark.parametrize("app_name", _ROOTED)
 def test_grid_run_is_the_oracle_run_on_the_pool(
@@ -372,13 +372,13 @@ def test_grid_run_is_the_oracle_run_on_ooc(
 def test_grid_run_is_the_oracle_run_on_async(
     monkeypatch, weighted_grid, app_name
 ):
-    app_cls, _, oracle = APPS[app_name]
+    app = APPS[app_name]
 
     def run():
         result = AsyncEngine(
             weighted_grid, config=experiment_cluster(num_nodes=NODES)
-        ).run_minmax(app_cls(), root=0)
-        assert np.array_equal(result.values, oracle(weighted_grid, 0))
+        ).run_minmax(app.factory(), root=0)
+        assert np.array_equal(result.values, app.oracle(weighted_grid, 0))
         return result
 
     _assert_run_is_the_oracle_run(monkeypatch, run)
@@ -473,12 +473,7 @@ def _root(graph):
     return int(np.argmax(graph.out_degrees()))
 
 
-APPS = {
-    "SSSP": (SSSP, True, reference.dijkstra),
-    "WP": (WidestPath, True, reference.widest_path),
-    "CC": (ConnectedComponents, False,
-           lambda graph, root: reference.connected_components(graph)),
-}
+_COUNTED = ["CC", "SSSP", "WP"]  # keys of APPS
 
 
 def _counted_run(monkeypatch, graph, app_name, enable_rr, backend, workers,
@@ -506,7 +501,7 @@ def _counted_run(monkeypatch, graph, app_name, enable_rr, backend, workers,
         return real_take(self, superstep, arrays, scalars)
 
     monkeypatch.setattr(CheckpointStore, "take", scanning_take)
-    app_cls, rooted, _ = APPS[app_name]
+    app = APPS[app_name]
     result = SLFEEngine(
         graph,
         config=experiment_cluster(num_nodes=NODES),
@@ -516,7 +511,7 @@ def _counted_run(monkeypatch, graph, app_name, enable_rr, backend, workers,
         recorder=recorder,
         fault_plan=FaultPlan.parse(spec, num_nodes=NODES) if spec else None,
         checkpoint_every=checkpoint_every,
-    ).run_minmax(app_cls(), root=_root(graph) if rooted else None)
+    ).run_minmax(app.factory(), root=_root(graph) if app.rooted else None)
     traced = [
         (event.payload["debts"], event.payload["pending"])
         for event in recorder.events_named(trace_events.RR_SKIP)
@@ -546,13 +541,13 @@ def _assert_counters_are_scans(monkeypatch, graph, app_name, enable_rr,
     else:
         assert set(traced) == {(0, 0)}
     assert traced[-1][0] == 0
-    _, rooted, oracle = APPS[app_name]
-    expected = oracle(graph, _root(graph) if rooted else None)
-    assert np.array_equal(result.values, np.asarray(expected, dtype=float))
+    app = APPS[app_name]
+    expected = app.oracle(graph, _root(graph) if app.rooted else None)
+    assert result.values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("enable_rr", [True, False], ids=["rr", "norr"])
-@pytest.mark.parametrize("app_name", sorted(APPS))
+@pytest.mark.parametrize("app_name", _COUNTED)
 @pytest.mark.parametrize("spec", [None, "crash@6:1"], ids=["clean", "crash"])
 def test_debt_counter_is_the_scan_on_serial(
     monkeypatch, weighted_social, app_name, enable_rr, spec
@@ -562,9 +557,8 @@ def test_debt_counter_is_the_scan_on_serial(
     )
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="the pool needs /dev/shm")
-@pytest.mark.parametrize("app_name", sorted(APPS))
+@needs_shm
+@pytest.mark.parametrize("app_name", _COUNTED)
 def test_debt_counter_is_the_scan_on_the_pool(
     monkeypatch, weighted_social, app_name
 ):
@@ -574,7 +568,7 @@ def test_debt_counter_is_the_scan_on_the_pool(
     )
 
 
-@pytest.mark.parametrize("app_name", sorted(APPS))
+@pytest.mark.parametrize("app_name", _COUNTED)
 def test_debt_counter_is_the_scan_on_ooc(
     monkeypatch, weighted_social, app_name
 ):

@@ -12,6 +12,8 @@ from repro.graph import generators
 from repro.graph.analysis import UNREACHED
 from repro.graph.graph import Graph
 
+from tests.strategies.graphs import seeded_digraphs
+
 
 class TestDefaultRoots:
     def test_in_degree_zero_vertices(self, diamond):
@@ -93,16 +95,8 @@ class TestGenerateGuidance:
         assert guid.start_iteration(3) == 2
 
 
-@st.composite
-def random_graphs(draw):
-    n = draw(st.integers(2, 40))
-    m = draw(st.integers(0, 150))
-    seed = draw(st.integers(0, 10_000))
-    rng = np.random.default_rng(seed)
-    srcs = rng.integers(0, n, size=m)
-    dsts = rng.integers(0, n, size=m)
-    keep = srcs != dsts
-    return Graph.from_edges(n, (srcs[keep], dsts[keep]))
+RANDOM_GRAPHS = seeded_digraphs(min_vertices=2, max_vertices=40,
+                                max_edges=150, weighted=False)
 
 
 def queue_bfs_levels(graph, root):
@@ -120,7 +114,7 @@ def queue_bfs_levels(graph, root):
     return levels
 
 
-@given(random_graphs(), st.integers(0, 39))
+@given(RANDOM_GRAPHS, st.integers(0, 39))
 @settings(max_examples=60, deadline=None)
 def test_last_iter_bounds(graph, root_pick):
     root = root_pick % graph.num_vertices
@@ -145,7 +139,7 @@ def test_last_iter_bounds(graph, root_pick):
             assert guid.last_iter[v] == pred_levels.max() + 1
 
 
-@given(random_graphs())
+@given(RANDOM_GRAPHS)
 @settings(max_examples=40, deadline=None)
 def test_guidance_deterministic(graph):
     a = generate_guidance(graph)

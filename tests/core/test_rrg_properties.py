@@ -29,6 +29,8 @@ from repro.core.rrg import (
 from repro.graph.analysis import UNREACHED, bfs_levels, distinct_ids
 from repro.graph.graph import Graph
 
+from tests.strategies.graphs import edge_lists
+
 FIELDS = ("last_iter", "visited", "bfs_dist", "roots")
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -152,28 +154,34 @@ def assert_guidance_equal(guidance, expected):
 # ----------------------------------------------------------------------
 # adversarial graphs
 # ----------------------------------------------------------------------
-@st.composite
-def graphs_and_roots(draw):
-    """``(graph, roots)``: any multigraph on 0..24 vertices (self-loops
-    and repeated edges welcome, most vertices isolated when edges are
-    few), optionally chained onto a long path so the sweep runs many
-    levels, with 0..5 roots (repeats welcome) anywhere in it."""
-    n = draw(st.integers(0, 24))
-    vertex = st.integers(0, max(n - 1, 0))
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
-    tail = draw(st.sampled_from((0, 0, 0, 7, 90)))
+def _chained(case):
+    """The multigraph, optionally chained onto a long path so the sweep
+    runs many levels, optionally with half its edges repeated."""
+    (n, srcs, dsts, _), tail, repeat = case
     if tail:
         # n-1 -> n -> ... -> n+tail-1, entered from the multigraph (if any)
-        start = max(n - 1, 0)
-        edges += [(v, v + 1) for v in range(start, start + tail)]
-        n = start + tail + 1
-    if draw(st.booleans()):
-        edges += edges[: len(edges) // 2]  # duplicate edges
-    graph = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-    if n == 0:
-        return graph, []
-    roots = draw(st.lists(st.integers(0, n - 1), max_size=5))
-    return graph, roots
+        chain = np.arange(max(n - 1, 0), max(n - 1, 0) + tail)
+        srcs, dsts = np.append(srcs, chain), np.append(dsts, chain + 1)
+        n = int(chain[-1]) + 2
+    if repeat:  # duplicate edges
+        half = srcs.size // 2
+        srcs, dsts = np.append(srcs, srcs[:half]), np.append(dsts, dsts[:half])
+    return Graph.from_edges(n, (srcs, dsts))
+
+
+def graphs_and_roots():
+    """``(graph, roots)``: any multigraph on 0..24 vertices (self-loops
+    and repeated edges welcome, most vertices isolated when edges are
+    few), optionally chained, with 0..5 roots (repeats welcome)."""
+    return st.tuples(
+        edge_lists(max_vertices=24, max_edges=72, weights=(None,)),
+        st.sampled_from((0, 0, 0, 7, 90)),
+        st.booleans(),
+    ).map(_chained).flatmap(lambda graph: st.tuples(
+        st.just(graph),
+        st.lists(st.integers(0, graph.num_vertices - 1), max_size=5)
+        if graph.num_vertices else st.just([]),
+    ))
 
 
 @given(graphs_and_roots())

@@ -49,6 +49,9 @@ from repro.runconfig import configured
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
+from tests.conftest import needs_shm
+from tests.strategies.graphs import digraphs
+
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
@@ -75,26 +78,20 @@ def _tracker_with_ec(ec: np.ndarray) -> StabilityTracker:
     return tracker
 
 
-@st.composite
-def thaw_cases(draw):
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(0, 90))
-    # Self-loops, duplicate edges, zero in- and out-degree vertices all
-    # come out of unconstrained endpoint draws on a small vertex range.
-    endpoint = st.integers(0, n - 1)
-    srcs = np.asarray(draw(st.lists(endpoint, min_size=m, max_size=m)),
-                      dtype=np.int64)
-    dsts = np.asarray(draw(st.lists(endpoint, min_size=m, max_size=m)),
-                      dtype=np.int64)
+def _masks(n):
+    """An ``n``-vertex mask: none, all, or any vertices set."""
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    return st.one_of(st.just([False] * n), st.just([True] * n), bits).map(
+        lambda mask: np.asarray(mask, dtype=bool))
 
-    def mask():
-        kind = draw(st.sampled_from(["none", "all", "random"]))
-        if kind == "random":
-            bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-            return np.asarray(bits, dtype=bool)
-        return np.full(n, kind == "all", dtype=bool)
 
-    return Graph.from_edges(n, (srcs, dsts), name="thaw-case"), mask(), mask()
+def thaw_cases():
+    """``(graph, ec, changed)``: self-loops, duplicate edges, zero in- and
+    out-degree vertices; two masks."""
+    return digraphs(min_vertices=1, max_vertices=24, max_edges=90,
+                    weights=(None,)).flatmap(lambda graph: st.tuples(
+        st.just(graph), _masks(graph.num_vertices),
+        _masks(graph.num_vertices)))
 
 
 @given(thaw_cases())
@@ -436,8 +433,7 @@ def test_ooc_an_in_direction_that_fits_is_decoded_once(monkeypatch,
     assert reads == {"in": in_shards, "out": 0}
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="the pool needs /dev/shm")
+@needs_shm
 def test_matrix_degraded_inline_matches_the_parent_algorithm(matrix_case):
     # Past the first freeze, so the inline path gathers a general
     # (non-contiguous) task list through the terms kernel too.

@@ -30,7 +30,9 @@ from repro.core.frontier import Frontier, choose_mode
 from repro.core.runtime import SerialDispatch
 from repro.graph import generators
 from repro.graph.graph import Graph
-from repro.runconfig import configured
+
+from tests.strategies.backends import Case, run
+from tests.strategies.graphs import digraphs
 
 #: ``_IDLE_SIDE`` values that force the switch: every non-empty edge set
 #: reads the idle side, or none does.
@@ -49,28 +51,24 @@ def scatter_touched(graph: Graph, frontier: Frontier) -> np.ndarray:
 
 
 @st.composite
-def touched_cases(draw):
-    n = draw(st.integers(1, 24))
-    m = draw(st.integers(0, 90))
-    # Self-loops, duplicate edges, isolated and zero-in-degree vertices
-    # all come out of unconstrained endpoint draws on a small range.
-    endpoint = st.integers(0, n - 1)
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    graph = Graph.from_edges(
-        n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
-    )
+def _frontiers(draw, n):
     kind = draw(st.sampled_from(["empty", "full", "sparse", "dense"]))
     if kind in ("empty", "full"):
-        active = np.arange(n if kind == "full" else 0)
-    else:
-        # "dense" is the complement of a few vertices: past |E|/2 on
-        # most graphs, where "sparse" mostly stays below it.
-        few = draw(st.lists(endpoint, max_size=max(n // 4, 1)))
-        picked = np.zeros(n, dtype=bool)
-        picked[few] = True
-        active = np.flatnonzero(picked if kind == "sparse" else ~picked)
-    return graph, Frontier(n, active)
+        return Frontier(n, np.arange(n if kind == "full" else 0))
+    # "dense" is the complement of a few vertices: past |E|/2 on most
+    # graphs, where "sparse" mostly stays below it.
+    few = draw(st.lists(st.integers(0, n - 1), max_size=max(n // 4, 1)))
+    picked = np.zeros(n, dtype=bool)
+    picked[few] = True
+    return Frontier(n, np.flatnonzero(picked if kind == "sparse" else ~picked))
+
+
+def touched_cases():
+    """``(graph, frontier)``: self-loops, duplicate edges, isolated and
+    zero-in-degree vertices; an empty, full, sparse or dense frontier."""
+    return digraphs(min_vertices=1, max_vertices=24, max_edges=90,
+                    weights=(None,)).flatmap(lambda graph: st.tuples(
+        st.just(graph), _frontiers(graph.num_vertices)))
 
 
 @given(touched_cases())
@@ -191,16 +189,10 @@ def matrix_graphs():
 
 
 def _run(graph, app_name, enable_rr, backend):
-    app, root = _app(graph, app_name)
-    engine = SLFEEngine(
-        graph, config=experiment_cluster(num_nodes=4), enable_rr=enable_rr,
-        backend=backend, num_workers=2 if backend == "parallel" else None,
-    )
-    if backend != "ooc":
-        return engine.run_minmax(app, root=root)
     # ~10 KiB shards behind a two-shard cache: every expansion streams.
-    with configured(shard_mb=0.01, shard_cache=2):
-        return engine.run_minmax(app, root=root)
+    root = _app(graph, app_name)[1]
+    return run(Case(graph, app_name, root, enable_rr, backend, num_nodes=4,
+                    shard_mb=0.01, shard_cache=2))[0]
 
 
 @pytest.mark.parametrize("app_name", ["CC", "SSSP"])

@@ -12,32 +12,13 @@ from repro.graph.csr import CSR, contiguous_run, covering_span
 from repro.graph.graph import Graph
 from repro.graph.shards import ShardSlice
 
-
-@st.composite
-def edge_lists(draw, max_vertices=30, max_edges=120):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    m = draw(st.integers(min_value=0, max_value=max_edges))
-    srcs = draw(
-        st.lists(st.integers(0, n - 1), min_size=m, max_size=m).map(
-            lambda xs: np.asarray(xs, dtype=np.int64)
-        )
-    )
-    dsts = draw(
-        st.lists(st.integers(0, n - 1), min_size=m, max_size=m).map(
-            lambda xs: np.asarray(xs, dtype=np.int64)
-        )
-    )
-    weights = draw(
-        st.lists(
-            st.floats(0.1, 100.0, allow_nan=False, allow_infinity=False),
-            min_size=m,
-            max_size=m,
-        ).map(lambda xs: np.asarray(xs, dtype=np.float64))
-    )
-    return n, srcs, dsts, weights
+from tests.strategies.graphs import POSITIVE, edge_lists
 
 
-@given(edge_lists())
+EDGE_LISTS = edge_lists(min_vertices=1, weights=(POSITIVE,))
+
+
+@given(EDGE_LISTS)
 @settings(max_examples=60, deadline=None)
 def test_from_edges_preserves_edge_multiset(data):
     n, srcs, dsts, weights = data
@@ -47,7 +28,7 @@ def test_from_edges_preserves_edge_multiset(data):
     assert actual == expected
 
 
-@given(edge_lists())
+@given(EDGE_LISTS)
 @settings(max_examples=60, deadline=None)
 def test_indptr_is_consistent_with_degrees(data):
     n, srcs, dsts, weights = data
@@ -57,7 +38,7 @@ def test_indptr_is_consistent_with_degrees(data):
     assert np.array_equal(csr.degrees(), np.bincount(srcs, minlength=n))
 
 
-@given(edge_lists())
+@given(EDGE_LISTS)
 @settings(max_examples=60, deadline=None)
 def test_transpose_is_involution_on_edge_multiset(data):
     n, srcs, dsts, weights = data
@@ -66,7 +47,7 @@ def test_transpose_is_involution_on_edge_multiset(data):
     assert sorted(double.iter_edges()) == sorted(csr.iter_edges())
 
 
-@given(edge_lists())
+@given(EDGE_LISTS)
 @settings(max_examples=60, deadline=None)
 def test_transpose_swaps_endpoints(data):
     n, srcs, dsts, weights = data
@@ -77,7 +58,7 @@ def test_transpose_swaps_endpoints(data):
     assert fwd_set == rev_set
 
 
-@given(edge_lists())
+@given(EDGE_LISTS)
 @settings(max_examples=40, deadline=None)
 def test_expand_sources_of_all_vertices_covers_every_edge(data):
     n, srcs, dsts, weights = data
@@ -93,25 +74,11 @@ def test_expand_sources_of_all_vertices_covers_every_edge(data):
 
 
 @st.composite
-def csr_and_ids(draw, max_vertices=24, max_edges=80):
-    """A CSR (possibly empty, usually with zero-degree rows) and row ids.
-
-    Sources are drawn below a ``hubs`` cut so the rows above it form
-    all-zero-degree runs; ids are arbitrary (unsorted, repeated, empty)
-    or one of the run shapes the slice path keys on.
-    """
-    n = draw(st.integers(0, max_vertices))
+def row_ids(draw, n):
+    """Row ids of ``n`` rows: arbitrary (unsorted, repeated, empty) or
+    one of the run shapes the slice path keys on."""
     if n == 0:
-        return CSR.from_edges(0, [], []), np.empty(0, dtype=np.int64)
-    m = draw(st.integers(0, max_edges))
-    hubs = draw(st.integers(1, n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    csr = CSR.from_edges(
-        n,
-        rng.integers(0, hubs, size=m),
-        rng.integers(0, n, size=m),
-        rng.uniform(0.1, 100.0, size=m),
-    )
+        return np.empty(0, dtype=np.int64)
     shape = draw(st.sampled_from(
         ["any", "ascending", "run", "full", "from0", "to_end", "single"]
     ))
@@ -126,7 +93,22 @@ def csr_and_ids(draw, max_vertices=24, max_edges=80):
             "to_end": (a, n), "single": (a, a + 1),
         }[shape]
         ids = range(lo, hi)
-    return csr, np.asarray(list(ids), dtype=np.int64)
+    return np.asarray(list(ids), dtype=np.int64)
+
+
+def _hub_csr(case):
+    """Sources folded below a ``hubs`` cut, so the rows above it form
+    all-zero-degree runs."""
+    (n, srcs, dsts, weights), hubs = case
+    return CSR.from_edges(n, srcs % max(min(hubs, n), 1), dsts, weights)
+
+
+def csr_and_ids():
+    """A CSR (possibly empty, usually with zero-degree rows) and row ids."""
+    lists = edge_lists(max_vertices=24, max_edges=80, weights=(POSITIVE,))
+    return st.tuples(lists, st.integers(1, 24)).map(_hub_csr).flatmap(
+        lambda csr: st.tuples(st.just(csr), row_ids(csr.num_vertices))
+    )
 
 
 def expansion_oracle(csr, ids):
@@ -197,13 +179,12 @@ def test_shard_slice_expansion_matches_full_csr(data, draw):
         )
 
 
-@st.composite
-def graph_and_run(draw):
-    csr, ids = draw(csr_and_ids().filter(
+def graph_and_run():
+    runs = csr_and_ids().filter(
         lambda d: d[1].size and contiguous_run(d[1]) is not None
-    ))
-    seed = draw(st.integers(0, 2**31 - 1))
-    return csr, ids, np.random.default_rng(seed)
+    )
+    seeds = st.integers(0, 2**31 - 1).map(np.random.default_rng)
+    return st.tuples(runs, seeds).map(lambda t: (*t[0], t[1]))
 
 
 @given(graph_and_run())

@@ -29,6 +29,8 @@ from repro.graph import csr as csr_module
 from repro.graph import generators
 from repro.graph.csr import CSR, stable_group_order
 
+from tests.strategies.graphs import edge_lists
+
 
 # ----------------------------------------------------------------------
 # the parent commit's builds, kept verbatim as the oracles
@@ -162,42 +164,36 @@ def test_strided_keys():
 _WEIGHTS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, 7.25, np.inf])
 
 
-@st.composite
-def edge_lists(draw):
-    """``(n, srcs, dsts, weights)``: self-loops, duplicates and isolated
-    vertices from unconstrained draws on a small range; ``srcs``/``dsts``
-    are sometimes the two columns of one ``(m, 2)`` array."""
-    n = draw(st.integers(0, 20))
-    m = draw(st.integers(0, 80)) if n else 0
-    endpoint = st.integers(0, max(n - 1, 0))
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    order = draw(st.sampled_from(["any", "by-source", "both-sorted"]))
-    if order == "by-source":  # already grouped: from_edges' shortcut
-        srcs.sort()
-    elif order == "both-sorted":  # ... and transpose's too
-        srcs.sort()
-        dsts.sort()
-    weights = draw(st.one_of(
-        st.none(), st.lists(_WEIGHTS, min_size=m, max_size=m)
-    ))
-    if draw(st.booleans()):
+def _arranged(case):
+    """Already grouped by source (from_edges' shortcut), by both ends
+    (transpose's too), or neither; sometimes the two columns of one
+    ``(m, 2)`` array."""
+    (n, srcs, dsts, weights), order, columns = case
+    if order != "any":
+        srcs = np.sort(srcs)
+    if order == "both-sorted":
+        dsts = np.sort(dsts)
+    if columns:
         edges = np.array([srcs, dsts], dtype=np.int64).T.copy()  # (m, 2)
         srcs, dsts = edges[:, 0], edges[:, 1]
-    else:
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
     return n, srcs, dsts, weights
 
 
-@given(edge_lists())
+#: ``(n, srcs, dsts, weights)``: self-loops, duplicates and isolated
+#: vertices, arranged every way a caller hands them over.
+EDGE_LISTS = st.tuples(
+    edge_lists(max_vertices=20, max_edges=80, weights=(None, _WEIGHTS)),
+    st.sampled_from(["any", "by-source", "both-sorted"]),
+    st.booleans(),
+).map(_arranged)
+
+
+@given(EDGE_LISTS)
 def test_builds_are_the_parents(case):
     assert_builds_are_the_parents(*case)
 
 
-@given(edge_lists(), st.integers(1, 7))
+@given(EDGE_LISTS, st.integers(1, 7))
 def test_keys_packed_in_small_blocks_build_the_parents(case, block):
     """Packing fills a key's low bits (positions, rows) a block at a
     time, and a weighted transpose gathers its weights from the sorted
@@ -208,7 +204,7 @@ def test_keys_packed_in_small_blocks_build_the_parents(case, block):
         assert_builds_are_the_parents(*case)
 
 
-@given(edge_lists(), st.booleans())
+@given(EDGE_LISTS, st.booleans())
 def test_keys_too_wide_to_pack_build_the_parents(case, transpose_only):
     """Past ``_PACK_BITS`` the builds take the stable argsort: the
     transpose alone (its key is the widest), or every sort."""
@@ -231,7 +227,7 @@ def assert_builds_are_the_parents(n, srcs, dsts, weights):
     assert_same_csr(transposed.transpose(), parent_transpose(transposed))
 
 
-@given(edge_lists())
+@given(EDGE_LISTS)
 def test_editing_the_callers_arrays_leaves_the_csr_alone(case):
     n, srcs, dsts, weights = case
     csr = CSR.from_edges(n, srcs, dsts, weights)

@@ -23,7 +23,8 @@ from repro.apps import PageRank, SpMV
 from repro.core.runtime import gather_block
 from repro.graph.csr import row_sums, unit_view
 
-from tests.conftest import each_span_cost, shard_blocks, span_cases
+from tests.conftest import each_span_cost, needs_shm, shard_blocks
+from tests.strategies.graphs import span_cases
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -202,7 +203,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="the pool needs /dev/shm")
+@needs_shm
 def test_no_backend_imports_scipy_sparse(tmp_path):
     """``import scipy.sparse`` adds ~15 MiB to a process; the row sum
     loads only its compiled extension.  After a job on each backend the

@@ -27,6 +27,8 @@ from repro.graph import generators
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 
+from tests.strategies.graphs import social_recipes
+
 
 # ----------------------------------------------------------------------
 # the parent commit's generator, kept verbatim as the oracle
@@ -76,29 +78,7 @@ def assert_same_csr(got, want):
         assert np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
 
 
-@st.composite
-def recipes(draw):
-    """Keyword arguments of one ``social_network`` call."""
-    n = draw(st.integers(0, 60))
-    avg_degree = draw(st.one_of(
-        st.integers(1, 16),
-        st.just(max(n - 1, 1)),  # the widest ring
-        st.integers(max(n, 1), n + 5),  # wider than the ring can be
-    ))
-    width = max(1, min(avg_degree, n - 1))
-    shortcut_density = draw(st.one_of(
-        st.just(0.0),                                   # nothing rewired
-        st.floats(0.01, 2.0),
-        st.floats(width, 4.0 * width),                  # everything rewired
-    ))
-    hub_bias = draw(st.one_of(st.floats(1.001, 1.05), st.floats(1.05, 3.0)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return dict(num_vertices=n, avg_degree=avg_degree,
-                shortcut_density=shortcut_density, hub_bias=hub_bias,
-                seed=seed)
-
-
-@given(recipes(), st.booleans())
+@given(social_recipes(), st.booleans())
 def test_social_network_builds_the_parents_graph(recipe, weighted):
     graph = generators.social_network(**recipe)
     n, srcs, dsts = parent_social_edges(**recipe)

@@ -13,23 +13,25 @@ sort of ``E ++ reverse(E)`` it replaced is kept here as the oracle it
 must equal byte for byte, whatever block size cuts the rows.
 """
 
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import SSSP, ConnectedComponents, WidestPath, reference
-from repro.bench.workloads import experiment_cluster
 from repro.cluster.faults import FaultPlan
-from repro.core.engine import SLFEEngine
 from repro.errors import EngineError
 from repro.graph import csr as csr_module
 from repro.graph.csr import CSR
 from repro.graph.graph import Graph
 from repro.ooc import SpilledGraph
 from repro.runconfig import configured
+
+from tests.conftest import HAS_SHM
+from tests.strategies.backends import Case, run
+from tests.strategies.faults import Plan
+from tests.strategies.graphs import digraphs
+from tests.test_oracle import check
 
 
 def _incoming_edges(in_csr):
@@ -39,27 +41,13 @@ def _incoming_edges(in_csr):
     )
 
 
-@st.composite
-def graphs(draw):
-    """Self-loops, duplicate and antiparallel edges and isolated vertices
-    all come out of unconstrained endpoint draws on a small vertex range;
-    ``m == 0`` is the empty graph."""
-    n = draw(st.integers(1, 16))
-    m = draw(st.integers(0, 60))
-    endpoint = st.integers(0, n - 1)
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 7.25]),
-                            min_size=m, max_size=m))
-    return Graph.from_edges(
-        n,
-        (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)),
-        np.asarray(weights, dtype=np.float64),
-        name="sym-case",
-    )
+#: Self-loops, duplicate and antiparallel edges and isolated vertices;
+#: no edges at all is the empty graph.
+GRAPHS = digraphs(min_vertices=1, max_vertices=16, max_edges=60,
+                  weights=(st.sampled_from([0.5, 1.0, 2.0, 7.25]),))
 
 
-@given(graphs())
+@given(GRAPHS)
 def test_shared_csr_is_the_transpose_up_to_row_order(graph):
     view = graph.undirected_view()
     assert view.in_csr is view.out_csr
@@ -90,13 +78,13 @@ def _assert_byte_equal(csr, expected):
         assert got.tobytes() == want.tobytes(), name
 
 
-@given(graphs())
+@given(GRAPHS)
 def test_sort_free_view_is_byte_equal_to_the_stable_sort(graph):
     _assert_byte_equal(graph.undirected_view().out_csr,
                        sorted_symmetrise(graph))
 
 
-@given(graphs(), st.integers(1, 7), st.booleans())
+@given(GRAPHS, st.integers(1, 7), st.booleans())
 def test_view_built_in_small_blocks_is_byte_equal_to_the_stable_sort(
         graph, block, unit):
     """The view writes each half a block of edges at a time; blocks that
@@ -119,7 +107,7 @@ def test_sort_free_view_of_a_single_vertex():
                            sorted_symmetrise(graph))
 
 
-@given(graphs())
+@given(GRAPHS)
 def test_view_is_built_once_per_graph_and_is_read_only(graph):
     view = graph.undirected_view()
     assert graph.undirected_view() is view
@@ -145,18 +133,11 @@ def test_spilled_graph_refuses_the_view_and_keeps_no_partial_memo():
             spilled.undirected_view()
 
 
-@given(graphs())
+@given(GRAPHS)
 def test_cc_on_the_shared_csr_matches_the_reference(graph):
     for enable_rr in (True, False):
-        result = SLFEEngine(
-            graph, config=experiment_cluster(num_nodes=2),
-            enable_rr=enable_rr,
-        ).run_minmax(ConnectedComponents())
+        (result,) = check(Case(graph, "CC", rr=enable_rr, num_nodes=2))
         assert result.graph.in_csr is result.graph.out_csr
-        assert np.array_equal(
-            result.values,
-            reference.connected_components(graph).astype(np.float64),
-        )
 
 
 # One graph with every awkward feature: a dense random part (pull), a
@@ -175,56 +156,23 @@ def _awkward_graph():
     return Graph.from_edges(n, (srcs, dsts), weights, name="awkward")
 
 
-#: app -> (factory, root, reference); CC pulls through ``source_terms``,
-#: SSSP and WidestPath through ``edge_candidates``.
-MINMAX_APPS = {
-    "CC": (ConnectedComponents, None,
-           lambda graph, root: reference.connected_components(graph)),
-    "SSSP": (SSSP, 7, reference.dijkstra),
-    "WP": (WidestPath, 7, reference.widest_path),
-}
-
-
-def _run(graph, name, backend, workers=None, spec=None):
-    factory, root, _ = MINMAX_APPS[name]
-    plan = FaultPlan.parse(spec, num_nodes=4) if spec else None
-    return SLFEEngine(
-        graph, config=experiment_cluster(num_nodes=4), backend=backend,
-        num_workers=workers, fault_plan=plan,
-    ).run_minmax(factory(), root=root)
-
-
 def test_cc_is_bit_identical_on_serial_pool_and_ooc():
     # (SSSP and WidestPath too; the name is the one CI history knows.)
-    for name in sorted(MINMAX_APPS):
-        _assert_bit_identical_on_every_backend(name)
-
-
-def _assert_bit_identical_on_every_backend(name):
+    # CC pulls through ``source_terms``, SSSP and WP through
+    # ``edge_candidates``.
     graph = _awkward_graph()
-    _, root, oracle = MINMAX_APPS[name]
-    expected = oracle(graph, root).astype(np.float64)
-    serial = _run(graph, name, "serial")
-    assert serial.values.tobytes() == expected.tobytes()
-    modes = serial.metrics.mode_counts()
-    assert modes.get("pull", 0) and modes.get("push", 0)
-    runs = []
-    if os.path.isdir("/dev/shm"):
-        runs.append(_run(graph, name, "parallel", 2))
-        # Respawn budget 0: the first phase loses a worker and every
-        # later one runs on the parent's inline kernels.
-        first = "pull" if name == "CC" else "push"
-        with configured(max_respawns=0):
-            degraded = _run(graph, name, "parallel", 2,
-                            spec="worker-crash@1:%s-0" % first)
-        assert degraded.degraded is True
-        runs.append(degraded)
-    # ~10 KiB shards: every phase streams.
-    with configured(shard_mb=0.01, shard_cache=2):
-        runs.append(_run(graph, name, "ooc"))
-    for result in runs:
-        assert result.values.tobytes() == expected.tobytes()
-        assert result.iterations == serial.iterations
-        assert result.metrics.total_edge_ops == serial.metrics.total_edge_ops
-        assert result.metrics.total_updates == serial.metrics.total_updates
-        assert result.metrics.total_messages == serial.metrics.total_messages
+    for name, root in (("CC", None), ("SSSP", 7), ("WP", 7)):
+        case = Case(graph, name, root, num_nodes=4)
+        modes = run(case)[0].metrics.mode_counts()
+        assert modes.get("pull", 0) and modes.get("push", 0)
+        # ~10 KiB shards: every phase streams.
+        check(case, case.but(backend="ooc", shard_mb=0.01, shard_cache=2),
+              *[case.but(backend="parallel")] * HAS_SHM)
+        if HAS_SHM:
+            # Respawn budget 0: the first phase loses a worker and every
+            # later one runs on the parent's inline kernels.
+            crash = "worker-crash@1:%s-0" % ("pull" if name == "CC" else "push")
+            plan = Plan("worker", FaultPlan.parse(crash, num_nodes=4))
+            with configured(max_respawns=0):
+                (degraded,) = check(case.but(backend="parallel", plan=plan))
+            assert degraded.degraded is True

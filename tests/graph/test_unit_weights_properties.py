@@ -15,7 +15,6 @@ materialising ones.  What must hold:
   digest — hashes the same bytes as before the rule existed.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -30,24 +29,17 @@ from repro.graph.graph import Graph
 from repro.graph.shards import ShardSlice, build_shards, decode_shard
 from repro.store import graph_fingerprint
 
+from tests.conftest import needs_shm
+from tests.strategies.graphs import digraphs
+
 #: ~4 edges per shard (a unit edge is planned at the 8 B it stores): a
 #: few dozen edges make several shards.
 SHARD_MB = 4 * 8 / 2**20
 
 
-@st.composite
-def multigraphs(draw):
-    """Self-loops, duplicate edges and isolated vertices come out of
-    unconstrained endpoint draws on a small vertex range; ``n == 0`` is
-    the empty graph, ``n == 1`` a single vertex."""
-    n = draw(st.integers(0, 12))
-    m = draw(st.integers(0, 40)) if n else 0
-    endpoint = st.integers(0, max(n - 1, 0))
-    srcs = draw(st.lists(endpoint, min_size=m, max_size=m))
-    dsts = draw(st.lists(endpoint, min_size=m, max_size=m))
-    return Graph.from_edges(
-        n, (np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64))
-    )
+#: Self-loops, duplicate edges, isolated vertices, the empty and the
+#: one-vertex graph; unit weights.
+MULTIGRAPHS = digraphs(max_vertices=12, max_edges=40, weights=(None,))
 
 
 def _shard_weights(csr):
@@ -65,7 +57,7 @@ def _assert_unit(weights, m):
         weights[...] = 2.0
 
 
-@given(multigraphs(), st.booleans())
+@given(MULTIGRAPHS, st.booleans())
 def test_unweighted_graphs_hold_unit_views_everywhere(graph, explicit):
     if explicit:  # ones given as data are recognised as ones
         graph = graph.with_weights(np.ones(graph.num_edges))
@@ -85,7 +77,7 @@ def test_unweighted_graphs_hold_unit_views_everywhere(graph, explicit):
     assert gathered.tobytes() == np.ones(m).tobytes()
 
 
-@given(multigraphs(), st.sampled_from(["contiguous", "ragged", "repeated",
+@given(MULTIGRAPHS, st.sampled_from(["contiguous", "ragged", "repeated",
                                         "empty"]), st.data())
 def test_expanded_unit_weights_are_views_not_ones(graph, kind, data):
     """``expand_sources`` of a unit CSR, and of each of its spilled
@@ -122,7 +114,7 @@ def test_expanded_unit_weights_are_views_not_ones(graph, kind, data):
 ODD_ONES = [-0.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.5, np.nan]
 
 
-@given(multigraphs(), st.sampled_from(ODD_ONES), st.data())
+@given(MULTIGRAPHS, st.sampled_from(ODD_ONES), st.data())
 def test_weights_that_are_not_all_ones_stay_data(graph, odd, data):
     m = graph.num_edges
     if m == 0:
@@ -174,7 +166,7 @@ def _pool_graph():
     return Graph.from_edges(48, (srcs, dsts))  # 40..47 isolated
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="the pool needs /dev/shm")
+@needs_shm
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_pool_shares_no_unit_weights_and_its_workers_read_ones(start_method):
     if start_method not in parallel.mp.get_all_start_methods():
@@ -188,7 +180,7 @@ def test_pool_shares_no_unit_weights_and_its_workers_read_ones(start_method):
     serial.pull_apply(ids, "min")
     with parallel.ParallelExecutor(
         graph, app, num_workers=1, start_method=start_method,
-        max_respawns=0, allow_degrade=True,
+        max_respawns=0,
     ) as ex:
         assert not [key for key in ex._spec if key.endswith("_weights")]
         # The CSRs a worker builds over the blocks it attaches; the

@@ -26,9 +26,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.apps.sssp import SSSP
-from repro.bench import workloads
 from repro.bench.runner import run_workload
 from repro.core import runtime
 from repro.errors import ObservabilityError
@@ -51,26 +49,10 @@ from repro.trace import recorder as trace_events
 from repro.trace.export import loads_jsonl, read_jsonl
 from repro.trace.recorder import TraceRecorder
 
+from tests.conftest import needs_shm, pk_executor, pull_all
+
 SCALE = 16000
 NODES = 2
-
-needs_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="pool telemetry lives in /dev/shm segments",
-)
-
-
-def _make_executor(**kwargs):
-    graph = workloads.load_graph("PK", scale_divisor=SCALE, weighted=True)
-    app = kwargs.pop("app", None) or SSSP()
-    run_graph = app.prepare(graph)
-    return parallel.ParallelExecutor(run_graph, app, **kwargs), run_graph
-
-
-def _pull(ex, run_graph):
-    in_deg = run_graph.in_degrees()
-    ids = np.arange(run_graph.num_vertices, dtype=np.int64)
-    return ex.pull_apply(ids[in_deg > 0], "min")
 
 
 def _run_workload(backend=None, workers=None, recorder=None):
@@ -100,9 +82,9 @@ class TestTelemetrySegment:
 
     @needs_shm
     def test_pool_workers_fill_their_own_slots(self):
-        ex, run_graph = _make_executor(num_workers=2)
+        ex, run_graph = pk_executor(num_workers=2)
         try:
-            _pull(ex, run_graph)
+            pull_all(ex, run_graph)
             tel = ex.telemetry
             assert tel.shape[0] == 2
             # Each live worker heartbeats and returns to idle.
@@ -168,7 +150,7 @@ class TestSampler:
         deadline (20 s), so the event must surface while the pool is
         still waiting, with zero recovery actions taken."""
         recorder = TraceRecorder()
-        ex, run_graph = _make_executor(num_workers=2, reply_timeout=20.0)
+        ex, run_graph = pk_executor(num_workers=2, reply_timeout=20.0)
         sampler = TelemetrySampler(
             ex, recorder=recorder, interval=0.02, stall_after=0.2
         )
@@ -177,7 +159,7 @@ class TestSampler:
 
         def blocked_pull():
             try:
-                _pull(ex, run_graph)
+                pull_all(ex, run_graph)
             except Exception as exc:  # pragma: no cover - diagnostics
                 pull_error.append(exc)
 
@@ -211,11 +193,11 @@ class TestSampler:
     def test_sampler_survives_pool_close(self):
         # close() unmaps the shared views; the close listener must stop
         # the sampler first or sampling would read unmapped memory.
-        ex, run_graph = _make_executor(num_workers=2)
+        ex, run_graph = pk_executor(num_workers=2)
         plane = LiveTelemetryPlane(recorder=TraceRecorder())
         sampler = plane.attach_dispatch(ex)
         assert sampler is not None
-        _pull(ex, run_graph)
+        pull_all(ex, run_graph)
         ex.close()
         assert sampler._stopped
         # A late sample after close is a no-op, not a crash.
@@ -332,7 +314,7 @@ class TestMetricsEndpoint:
         run.  Every response must parse strictly and counter samples
         must never decrease between a thread's consecutive scrapes."""
         recorder = FlightRecorder(capacity=None)
-        ex, run_graph = _make_executor(num_workers=4)
+        ex, run_graph = pk_executor(num_workers=4)
         plane = LiveTelemetryPlane(recorder=recorder, serve_port=0)
         plane.attach_dispatch(ex)
         url = plane.server.url
@@ -367,7 +349,7 @@ class TestMetricsEndpoint:
             for thread in threads:
                 thread.start()
             for _ in range(6):
-                _pull(ex, run_graph)
+                pull_all(ex, run_graph)
         finally:
             stop.set()
             for thread in threads:
@@ -378,8 +360,8 @@ class TestMetricsEndpoint:
 
     @needs_shm
     def test_healthz_flips_to_503_on_degrade(self):
-        ex, run_graph = _make_executor(
-            num_workers=2, max_respawns=0, allow_degrade=True
+        ex, run_graph = pk_executor(
+            num_workers=2, max_respawns=0
         )
         plane = LiveTelemetryPlane(
             recorder=FlightRecorder(capacity=None), serve_port=0
@@ -389,7 +371,7 @@ class TestMetricsEndpoint:
             assert scrape(plane.server.url + "/healthz").strip() == "ok"
             ex._procs[0].kill()
             ex._procs[0].join(timeout=5)
-            _pull(ex, run_graph)  # budget 0: degrade to inline
+            pull_all(ex, run_graph)  # budget 0: degrade to inline
             assert ex.degraded
             with pytest.raises(urllib.error.HTTPError) as err:
                 scrape(plane.server.url + "/healthz")

@@ -15,23 +15,38 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.apps import (
+    BFS, SSSP, BeliefPropagation, ConnectedComponents, PageRank, WidestPath,
+)
 from repro.bench import workloads
 from repro.bench.runner import run_workload
+from repro.cluster.config import ClusterConfig
+from repro.cluster.faults import FaultPlan
+from repro.core.engine import SLFEEngine
+from repro.core.runtime import expand_row_dsts
 from repro.errors import EngineError, GraphIOError, StoreError
 from repro.graph import generators
 from repro.graph import io as graph_io
 from repro.graph.shards import plan_shards
+from repro.obs import registry_from_trace, render_openmetrics
+from repro.obs.report import build_report
 from repro.ooc import (
     ShardStreamDispatch,
     SpilledGraph,
+    _ShardStream,
     load_spilled,
     peak_rss_bytes,
     spill_graph,
 )
 from repro.runconfig import KNOBS, configured, install, resolve
 from repro.store import ArtifactStore
+from repro.trace import recorder as trace_events
+from repro.trace.recorder import TraceRecorder
 
 from tests.conftest import make_random_graph
+from tests.strategies.backends import stand_in
+from tests.strategies.faults import Plan
+from tests.test_oracle import check
 
 GRAPH_KEY = "PK"
 #: ~10 KiB shards: 24-48 per direction on the PK stand-in.
@@ -60,61 +75,44 @@ def ambient_store(store):
         yield store
 
 
-def _run(app_name, engine_name, backend, **engine_kwargs):
-    outcome = run_workload(
-        engine_name, app_name, GRAPH_KEY, backend=backend, **engine_kwargs
-    )
-    return outcome.result
+def _case(app_name, engine_name, **fields):
+    """``app_name`` on the PK stand-in on the ooc backend, 8 nodes."""
+    return stand_in(app_name, key=GRAPH_KEY, rr=engine_name == "SLFE",
+                    backend="ooc", num_nodes=8, shard_mb=TINY_SHARD_MB,
+                    **fields)
 
 
 def _assert_identical(ooc, serial):
     assert ooc.iterations == serial.iterations
     # Byte-for-byte, not allclose: the ooc kernels must perform the
     # same float operations in the same order as the serial ones.
-    assert np.array_equal(ooc.values, serial.values, equal_nan=True)
+    assert ooc.values.tobytes() == serial.values.tobytes()
     for total in ("total_edge_ops", "total_messages", "total_updates"):
         assert getattr(ooc.metrics, total) == getattr(serial.metrics, total)
 
 
 # ----------------------------------------------------------------------
-# tentpole: the differential matrix
+# tentpole: pinned cases of the differential oracle (tests/test_oracle.py)
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     @pytest.mark.parametrize("app_name", workloads.APP_ORDER)
     @pytest.mark.parametrize("engine_name", ["SLFE", "SLFE-noRR"])
-    def test_matches_serial_exactly(
-        self, app_name, engine_name, tiny_shards
-    ):
-        serial = _run(app_name, engine_name, "serial")
+    def test_matches_serial_exactly(self, app_name, engine_name):
+        case = _case(app_name, engine_name)
         # A cache of one, the streaming minimum, exactly the sweep and
         # one to spare: the scan reverses at every turn-around, at some
         # of them, and (everything resident) never.
-        shards = len(plan_shards(serial.graph.in_csr, TINY_SHARD_MB))
+        shards = len(plan_shards(case.graph.in_csr, TINY_SHARD_MB))
         assert shards >= 3
-        for capacity in (1, 2, shards, shards + 1):
-            tiny_shards(capacity)
-            _assert_identical(_run(app_name, engine_name, "ooc"), serial)
+        check(*[case.but(shard_cache=capacity)
+                for capacity in (1, 2, shards, shards + 1)])
 
-    def test_crash_rollback_matches_serial_exactly(self, tiny_shards):
+    def test_crash_rollback_matches_serial_exactly(self):
         """A rollback replays supersteps against whatever the LRU holds
         by then, so the replay sweeps in a different order than the
         first attempt did — and must not show it."""
-        from repro.cluster.faults import FaultPlan
-
-        runs = [
-            _run(
-                "PR", "SLFE", backend,
-                fault_plan=FaultPlan.parse("crash@7:1", num_nodes=8),
-                checkpoint_every=3,
-            )
-            for backend in ("serial", "ooc")
-        ]
-        assert [r.metrics.rollbacks for r in runs] == [1, 1]
-        _assert_identical(runs[1], runs[0])
-        # The replay's work is accounted; the answer is the clean run's.
-        clean = _run("PR", "SLFE", "serial")
-        assert runs[1].values.tobytes() == clean.values.tobytes()
-        assert runs[1].iterations == clean.iterations
+        plan = Plan("node", FaultPlan.parse("crash@7:1", num_nodes=8), 3)
+        check(_case("PR", "SLFE", plan=plan, shard_cache=2))
 
     @pytest.mark.parametrize("spare", [0, 1])
     def test_turn_around_reads_only_what_fell_out_of_the_cache(
@@ -123,9 +121,6 @@ class TestBitIdentity:
         """Two full-range gathers over S shards behind c of cache, with
         read-ahead off: the second one starts at the end the first one
         left resident and reads S - c (a same-direction scan: S)."""
-        from repro.ooc import _ShardStream
-        from repro.trace import recorder as trace_events
-        from repro.trace.recorder import TraceRecorder
 
         monkeypatch.setattr(
             _ShardStream, "announce", lambda self, direction, part: None
@@ -154,10 +149,6 @@ class TestBitIdentity:
     def test_spilled_graph_identical_without_resident_edges(
         self, store, ambient_store, tiny_shards
     ):
-        from repro.apps.pagerank import PageRank
-        from repro.cluster.cluster import ClusterConfig
-        from repro.core.engine import SLFEEngine
-
         graph = make_random_graph(num_vertices=120, num_edges=600, seed=3)
         reference = SLFEEngine(
             graph, config=ClusterConfig(num_nodes=1), enable_rr=False
@@ -172,8 +163,7 @@ class TestBitIdentity:
             enable_rr=False,
             backend="ooc",
         ).run_arithmetic(PageRank())
-        assert result.iterations == reference.iterations
-        assert np.array_equal(result.values, reference.values)
+        _assert_identical(result, reference)
 
     def test_spilled_graph_on_many_nodes_names_the_fix(
         self, store, ambient_store
@@ -181,9 +171,6 @@ class TestBitIdentity:
         """The fan-out table reads every out-edge, so a multi-node
         cluster refuses a spilled graph when it is built — saying so,
         not pointing at the backend the run already uses."""
-        from repro.apps.pagerank import PageRank
-        from repro.cluster.cluster import ClusterConfig
-        from repro.core.engine import SLFEEngine
 
         graph = make_random_graph(num_vertices=120, num_edges=600, seed=3)
         spilled = load_spilled(store, spill_graph(graph, store))
@@ -207,17 +194,12 @@ class TestSpilledRuns:
 
     @staticmethod
     def _engine(graph, **kwargs):
-        from repro.cluster.cluster import ClusterConfig
-        from repro.core.engine import SLFEEngine
-
         return SLFEEngine(graph, config=ClusterConfig(num_nodes=1), **kwargs)
 
     @pytest.mark.parametrize("configure", [True, False])
     def test_rr_without_guidance_names_the_two_fixes(
         self, store, monkeypatch, configure
     ):
-        from repro.apps.pagerank import PageRank
-
         spilled = load_spilled(
             store, spill_graph(self._graph(), store, TINY_SHARD_MB)
         )
@@ -237,8 +219,6 @@ class TestSpilledRuns:
         assert "backend='ooc'" not in message
 
     def test_rr_off_streams_from_its_own_store(self, store):
-        from repro.apps.pagerank import PageRank
-
         graph = self._graph()
         reference = self._engine(graph, enable_rr=False).run_arithmetic(
             PageRank()
@@ -253,7 +233,6 @@ class TestSpilledRuns:
                 spilled, enable_rr=False, backend="ooc"
             ).run_arithmetic(PageRank())
         _assert_identical(result, reference)
-        assert result.values.tobytes() == reference.values.tobytes()
 
     @pytest.mark.parametrize("app_name, step", [
         ("SSSP", "initial_values checks every edge weight"),
@@ -265,9 +244,6 @@ class TestSpilledRuns:
         """SSSP's and WP's weight checks, CC's symmetrised view and BP's
         contraction check read every edge outside the phases: the error
         names the app and the step, not the backend the run is on."""
-        from repro.apps import (
-            SSSP, BeliefPropagation, ConnectedComponents, WidestPath,
-        )
 
         spilled = load_spilled(
             store, spill_graph(self._graph(), store, TINY_SHARD_MB)
@@ -288,8 +264,6 @@ class TestSpilledRuns:
         assert "backend" not in message
 
     def test_bfs_runs_spilled_as_in_memory(self, store):
-        from repro.apps.bfs import BFS
-
         graph = self._graph()
         reference = self._engine(graph, enable_rr=False).run_minmax(
             BFS(), root=0
@@ -302,11 +276,8 @@ class TestSpilledRuns:
                 spilled, enable_rr=False, backend="ooc"
             ).run_minmax(BFS(), root=0)
         _assert_identical(result, reference)
-        assert result.values.tobytes() == reference.values.tobytes()
 
     def test_supplied_guidance_runs_rr(self, store):
-        from repro.apps.pagerank import PageRank
-
         graph = self._graph()
         reference = self._engine(graph).run_arithmetic(PageRank())
         assert reference.guidance is not None
@@ -318,7 +289,6 @@ class TestSpilledRuns:
                 PageRank(), guidance=reference.guidance
             )
         _assert_identical(result, reference)
-        assert result.values.tobytes() == reference.values.tobytes()
         assert result.metrics.total_skipped == reference.metrics.total_skipped
 
 
@@ -461,19 +431,12 @@ class TestKnobs:
 
 class TestObservability:
     def test_shard_io_events_and_metrics(self, tiny_shards):
-        from repro.obs.metrics import registry_from_trace
-        from repro.obs.report import build_report
-        from repro.trace import recorder as ev
-        from repro.trace.recorder import TraceRecorder
-
         recorder = TraceRecorder()
         run_workload("SLFE", "PR", GRAPH_KEY, recorder=recorder,
                      backend="ooc")
-        events = recorder.events_named(ev.SHARD_IO)
+        events = recorder.events_named(trace_events.SHARD_IO)
         assert events
         assert sum(e.payload["shards"] for e in events) > 0
-
-        from repro.obs import render_openmetrics
 
         registry = registry_from_trace(recorder)
         text = render_openmetrics(registry)
@@ -623,8 +586,6 @@ class TestStoreHygiene:
 
 class TestExpandRowDsts:
     def test_matches_csr_expansion(self):
-        from repro.core.runtime import expand_row_dsts
-
         graph = make_random_graph(num_vertices=60, num_edges=400, seed=12)
         csr = graph.out_csr
         ids = np.arange(0, 60, 3, dtype=np.int64)
@@ -633,8 +594,6 @@ class TestExpandRowDsts:
         assert np.array_equal(got, expected)
 
     def test_empty_ids(self):
-        from repro.core.runtime import expand_row_dsts
-
         graph = make_random_graph(num_vertices=10, num_edges=30, seed=13)
         csr = graph.out_csr
         got = expand_row_dsts(

@@ -22,15 +22,10 @@ from repro.apps import SSSP, PageRank
 from repro.graph.shards import EDGE_BYTES, build_shards
 from repro.ooc import ShardStreamDispatch
 
-from tests.conftest import make_random_graph
+from tests.strategies.graphs import seeded_digraphs
 
-graphs = st.builds(
-    make_random_graph,
-    num_vertices=st.integers(1, 40),
-    num_edges=st.integers(0, 400),
-    seed=st.integers(0, 2**16),
-    weighted=st.booleans(),  # False: unit weights, 8 B an edge
-)
+#: Unit (8 B an edge) or weighted (16 B) graphs of 1-40 vertices.
+graphs = seeded_digraphs(max_vertices=40, max_edges=400)
 
 #: Shard budgets from one edge to a few hundred.
 budgets = st.integers(8, 4096)

@@ -52,6 +52,7 @@ from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
 from tests.conftest import make_random_graph
+from tests.strategies.graphs import seeded_digraphs
 
 #: 32 edges per shard: a few hundred edges make 4-12 shards a direction.
 SHARD_MB = 32 * shards_mod.EDGE_BYTES / 2**20
@@ -71,13 +72,9 @@ class CountingStore(ArtifactStore):
         return blob
 
 
-graphs = st.builds(
-    make_random_graph,
-    num_vertices=st.integers(8, 40),
-    num_edges=st.integers(100, 300),
-    seed=st.integers(0, 2**16),
-    weighted=st.booleans(),  # False: every shard is unit, indices only
-)
+#: Unit (every shard indices only) or weighted graphs.
+graphs = seeded_digraphs(min_vertices=8, max_vertices=40, min_edges=100,
+                         max_edges=300)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Chaos differential suite: real worker faults under the engines.
 
-``tests/test_parallel_pool.py`` proves the pool fails *loudly* in its
-fail-fast configuration; this module proves the default configuration
-heals.  Seeded ``worker-crash`` / ``worker-hang`` faults SIGKILL or
+``tests/test_parallel_pool.py`` proves a dead or hung worker is
+detected and named; this module proves the pool heals.  Seeded ``worker-crash`` / ``worker-hang`` faults SIGKILL or
 SIGSTOP actual pool worker processes mid-phase (pull, gather, and push
 each get a turn), and every run must
 
 * finish bit-identical to a fault-free serial run (RR on and off),
-* leak zero ``/dev/shm`` segments,
+* leak zero shared-memory segments (the suite-wide ``hygiene``
+  fixture),
 * trace ``parallel_recovery`` events that reconcile exactly with the
   ``repro_parallel_recovery_*`` metric families, and
 * flip ``RunResult.degraded`` if — and only if — the respawn budget was
@@ -29,8 +29,6 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.apps.sssp import SSSP
-from repro.bench import workloads
 from repro.bench.runner import run_workload
 from repro.cluster.faults import FaultPlan
 from repro.errors import EngineError
@@ -38,17 +36,12 @@ from repro.runconfig import KNOBS, configured, current, resolve
 from repro.trace import recorder as trace_events
 from repro.trace.recorder import TraceRecorder
 
+from tests.conftest import needs_shm, pk_executor, pull_all
+
 SCALE = 16000
 NODES = 2
 
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="shared-memory segment accounting needs /dev/shm",
-)
-
-
-def _shm_segments():
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+pytestmark = needs_shm
 
 
 def _run(app, engine="SLFE", spec=None, backend=None, workers=None,
@@ -96,12 +89,10 @@ class TestChaosDifferential:
 
     @pytest.mark.parametrize("app,spec", CRASH_MATRIX)
     def test_crash_in_each_phase_recovers_bit_identical(self, app, spec):
-        before = _shm_segments()
         reference = _run(app).result.values
         recorder = TraceRecorder()
         outcome = _run(app, spec=spec, backend="parallel", workers=4,
                        recorder=recorder)
-        assert not (_shm_segments() - before)
         _assert_fired(recorder, spec)  # the seeded fault really fired
         assert outcome.result.degraded is False
         actions = [e.payload["action"] for e in _recovery_events(recorder)]
@@ -130,25 +121,21 @@ class TestChaosDifferential:
     def test_crash_with_rr_on_and_off(self, engine):
         # The first push (iteration 1) happens with or without RR, so
         # the same coordinates are valid for both engines.
-        before = _shm_segments()
         reference = _run("SSSP", engine=engine).result.values
         recorder = TraceRecorder()
         outcome = _run("SSSP", engine=engine, spec="worker-crash@1:push-0",
                        backend="parallel", workers=2, recorder=recorder)
-        assert not (_shm_segments() - before)
         _assert_fired(recorder, "worker-crash@1:push-0")
         assert outcome.result.degraded is False
         assert np.array_equal(outcome.result.values, reference)
 
     def test_hang_recovers_via_reply_timeout(self):
-        before = _shm_segments()
         reference = _run("SSSP").result.values
         recorder = TraceRecorder()
         with configured(reply_timeout=1.0):
             outcome = _run("SSSP", spec="worker-hang@1:push-0",
                            backend="parallel", workers=2,
                            recorder=recorder)
-        assert not (_shm_segments() - before)
         _assert_fired(recorder, "worker-hang@1:push-0")
         detected = [e for e in _recovery_events(recorder)
                     if e.payload["action"] == "detected"]
@@ -176,14 +163,12 @@ class TestChaosDifferential:
         assert hang["recovery_s"] >= recovery_overhead.MEASURED_HANG_TIMEOUT
 
     def test_budget_exhaustion_degrades_and_still_matches_serial(self):
-        before = _shm_segments()
         reference = _run("SSSP").result.values
         recorder = TraceRecorder()
         with configured(max_respawns=0):
             outcome = _run("SSSP", spec="worker-crash@1:push-0",
                            backend="parallel", workers=2,
                            recorder=recorder)
-        assert not (_shm_segments() - before)
         _assert_fired(recorder, "worker-crash@1:push-0")
         assert outcome.result.degraded is True
         actions = [e.payload["action"] for e in _recovery_events(recorder)]
@@ -371,93 +356,81 @@ class TestRecoveryConfig:
         assert resolve("max_respawns") == KNOBS["max_respawns"].default
 
 
-def _make_executor(**kwargs):
-    graph = workloads.load_graph("PK", scale_divisor=SCALE, weighted=True)
-    app = kwargs.pop("app", None) or SSSP()
-    run_graph = app.prepare(graph)
-    return parallel.ParallelExecutor(run_graph, app, **kwargs), run_graph
-
-
-def _pull(ex, run_graph):
-    in_deg = run_graph.in_degrees()
-    ids = np.arange(run_graph.num_vertices, dtype=np.int64)
-    return ex.pull_apply(ids[in_deg > 0], "min")
-
-
 class TestLifecycleAcrossRecovery:
     """close() idempotency and segment accounting on every heal path."""
 
-    def test_respawn_reuses_segments_and_close_is_idempotent(self):
-        before = _shm_segments()
-        ex, run_graph = _make_executor(num_workers=2)
+    def test_respawn_reuses_segments_and_close_is_idempotent(self, hygiene):
+        ex, run_graph = pk_executor(num_workers=2)
         try:
-            mapped = _shm_segments() - before
+            mapped = hygiene.linked()
             assert mapped
             ex._procs[0].kill()
             ex._procs[0].join(timeout=5)
-            _pull(ex, run_graph)  # heals: quarantine + respawn + retry
+            pull_all(ex, run_graph)  # heals: quarantine + respawn + retry
             assert ex._respawns_used == 1
             assert not ex.degraded
             # The replacement attached to the SAME segments — a respawn
             # must never allocate (or drop) shared memory.
-            assert (_shm_segments() - before) == mapped
-            _pull(ex, run_graph)  # the healed pool keeps working
+            assert hygiene.created == hygiene.linked() == mapped
+            pull_all(ex, run_graph)  # the healed pool keeps working
         finally:
             ex.close()
             ex.close()  # idempotent: second close is a no-op
-        assert not (_shm_segments() - before)
+        assert not hygiene.linked()
 
-    def test_degrade_then_close_releases_everything_once(self):
-        before = _shm_segments()
-        ex, run_graph = _make_executor(
-            num_workers=2, max_respawns=0, allow_degrade=True
-        )
+    def test_degrade_then_close_releases_everything_once(self, hygiene):
+        ex, run_graph = pk_executor(num_workers=2, max_respawns=0)
         try:
             ex._procs[1].kill()
             ex._procs[1].join(timeout=5)
-            _pull(ex, run_graph)  # budget 0: straight to inline fallback
+            pull_all(ex, run_graph)  # budget 0: straight to inline fallback
             assert ex.degraded
             # Degraded execution still runs over the shared arrays;
             # they are only unlinked by close().
-            assert _shm_segments() - before
-            _pull(ex, run_graph)  # inline path keeps serving dispatches
+            assert hygiene.linked() == hygiene.created
+            pull_all(ex, run_graph)  # inline path keeps serving dispatches
             assert not any(p.is_alive() for p in ex._procs or [])
         finally:
             ex.close()
             ex.close()
-        assert not (_shm_segments() - before)
+        assert not hygiene.linked()
 
-    def test_close_after_failed_recovery_releases_segments(self):
-        # Fail-fast pool: recovery disabled, worker killed -> typed
-        # error; close() must still unlink everything exactly once.
-        before = _shm_segments()
-        ex, run_graph = _make_executor(
-            num_workers=2, max_respawns=0, allow_degrade=False
-        )
+    def test_close_after_failed_recovery_releases_segments(
+            self, hygiene, monkeypatch):
+        # The replacement dies at start-up: recovery fails, the pool
+        # degrades and the run goes on; close() unlinks everything once.
+        ex, run_graph = pk_executor(num_workers=2)
+        spawn = ex._spawn_worker
+
+        def doomed(worker_id, start_epoch):
+            spawn(worker_id, start_epoch)
+            ex._procs[worker_id].kill()
+
         try:
             ex._procs[0].kill()
             ex._procs[0].join(timeout=5)
-            with pytest.raises(EngineError):
-                _pull(ex, run_graph)
+            monkeypatch.setattr(ex, "_spawn_worker", doomed)
+            pull_all(ex, run_graph)
+            assert ex.degraded and ex._respawns_used == 1
         finally:
             ex.close()
             ex.close()
-        assert not (_shm_segments() - before)
+        assert not hygiene.linked()
 
     def test_respawn_does_not_leak_pipe_fds(self):
         # Regression for the _spawn_worker fd leak: the child's pipe end
         # must be closed in the parent on every spawn, including
         # replacements.  Warm up once so multiprocessing's lazy
         # singletons (resource tracker, etc.) are excluded.
-        ex, run_graph = _make_executor(num_workers=1)
-        _pull(ex, run_graph)
+        ex, run_graph = pk_executor(num_workers=1)
+        pull_all(ex, run_graph)
         ex.close()
         baseline = len(os.listdir("/proc/self/fd"))
-        ex, run_graph = _make_executor(num_workers=1, max_respawns=10)
+        ex, run_graph = pk_executor(num_workers=1, max_respawns=10)
         for _ in range(3):
             ex._procs[0].kill()
             ex._procs[0].join(timeout=5)
-            _pull(ex, run_graph)
+            pull_all(ex, run_graph)
         assert ex._respawns_used == 3
         ex.close()
         assert len(os.listdir("/proc/self/fd")) <= baseline
@@ -467,15 +440,13 @@ class TestLifecycleAcrossRecovery:
         # close() must use SIGKILL or the join below hangs forever.
         import signal as _signal
 
-        before = _shm_segments()
-        ex, run_graph = _make_executor(num_workers=2, reply_timeout=0.5)
+        ex, run_graph = pk_executor(num_workers=2, reply_timeout=0.5)
         try:
             os.kill(ex._procs[0].pid, _signal.SIGSTOP)
             t0 = time.monotonic()
-            _pull(ex, run_graph)  # detected at the deadline, respawned
+            pull_all(ex, run_graph)  # detected at the deadline, respawned
             assert time.monotonic() - t0 < 30
             assert ex._respawns_used == 1
         finally:
             ex.close()
             ex.close()
-        assert not (_shm_segments() - before)

@@ -1,43 +1,32 @@
 """Persistent-pool plumbing: teardown, worker death, and O(1) IPC.
 
-The differential suite (``tests/test_parallel.py``) proves the pool
+The differential oracle (``tests/test_oracle.py``) proves the pool
 computes the right answers; this module proves the pool is *safe to
-operate*: a worker that dies or hangs mid-superstep surfaces as a typed
-:class:`EngineError` naming the worker and the phase, ``close()``
-releases every ``/dev/shm`` segment even on those error paths, and the
-trace records that each phase crossed the parent<->worker boundary a
-fixed number of times regardless of graph size.
+operate*: a worker that dies or hangs mid-superstep is detected, named
+with its phase, and the pool degrades rather than failing the run; a
+worker-side exception surfaces as a typed :class:`EngineError`;
+``close()`` releases every shared-memory segment even on those paths
+(the suite-wide ``hygiene`` fixture fails any test that leaves one
+linked); and the trace records that each phase crossed the
+parent<->worker boundary a fixed number of times regardless of graph
+size.
 """
 
-import os
 import time
 
-import numpy as np
 import pytest
 
-from repro import parallel
 from repro.apps.sssp import SSSP
-from repro.bench import workloads
+from repro.bench.runner import run_workload
 from repro.errors import EngineError
+from repro.trace import recorder as trace_events
+from repro.trace.recorder import TraceRecorder
 
-SCALE = 16000  # same tiny stand-in graphs as the differential suite
+from tests.conftest import needs_shm, pk_executor, pull_all
 
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="shared-memory segment accounting needs /dev/shm",
-)
+SCALE = 16000  # the PK stand-in at its smallest
 
-
-def _shm_segments():
-    """Names of the POSIX shared-memory segments currently mapped."""
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-
-def _make_executor(**kwargs):
-    graph = workloads.load_graph("PK", scale_divisor=SCALE, weighted=True)
-    app = kwargs.pop("app", None) or SSSP()
-    run_graph = app.prepare(graph)
-    return parallel.ParallelExecutor(run_graph, app, **kwargs), run_graph
+pytestmark = needs_shm
 
 
 class SleepyApp(SSSP):
@@ -56,76 +45,57 @@ class FailingApp(SSSP):
 
 
 class TestTeardown:
-    def test_close_unlinks_every_segment(self):
-        before = _shm_segments()
-        ex, _ = _make_executor(num_workers=2)
-        assert _shm_segments() - before  # the pool did map segments
+    def test_close_unlinks_every_segment(self, hygiene):
+        ex, _ = pk_executor(num_workers=2)
+        assert hygiene.linked()  # the pool did map segments
         ex.close()
-        assert not (_shm_segments() - before)
+        assert not hygiene.linked()
+
+    def _detected(self, recorder):
+        return [
+            (e.payload["worker"], e.payload["phase"], e.payload["reason"])
+            for e in recorder.events_named(trace_events.PARALLEL_RECOVERY)
+            if e.payload["action"] == "detected"
+        ]
 
     def test_crashed_worker_is_reported_and_segments_released(self):
-        # Fail-fast configuration: no respawns, no degradation — the
-        # pre-recovery contract (typed error naming worker + phase).
-        before = _shm_segments()
-        ex, run_graph = _make_executor(
-            num_workers=2, max_respawns=0, allow_degrade=False
+        # No respawns: the death is detected, named with its worker and
+        # phase, and the pool degrades to the serial phase bodies.
+        recorder = TraceRecorder()
+        ex, run_graph = pk_executor(
+            num_workers=2, max_respawns=0, recorder=recorder
         )
-        try:
+        with ex:
             ex._procs[0].kill()
             ex._procs[0].join(timeout=5)
-            in_deg = run_graph.in_degrees()
-            ids = np.arange(run_graph.num_vertices, dtype=np.int64)
-            with pytest.raises(EngineError) as excinfo:
-                ex.pull_apply(ids[in_deg > 0], "min")
-            message = str(excinfo.value)
-            assert "worker 0" in message
-            assert "pull" in message
-        finally:
-            ex.close()
-        assert not (_shm_segments() - before)
+            pull_all(ex, run_graph)
+            assert ex.degraded
+        assert self._detected(recorder) == [(0, "pull", "died")]
 
     def test_hung_worker_times_out_naming_the_phase(self):
-        before = _shm_segments()
-        app = SleepyApp()
-        ex, run_graph = _make_executor(
-            num_workers=1, app=app, reply_timeout=0.2,
-            max_respawns=0, allow_degrade=False,
+        recorder = TraceRecorder()
+        ex, run_graph = pk_executor(
+            num_workers=1, app=SleepyApp(), reply_timeout=0.2,
+            max_respawns=0, recorder=recorder,
         )
-        try:
-            in_deg = run_graph.in_degrees()
-            ids = np.arange(run_graph.num_vertices, dtype=np.int64)
-            with pytest.raises(EngineError, match="timed out.*pull"):
-                ex.pull_apply(ids[in_deg > 0], "min")
-        finally:
-            ex.close()
-        assert not (_shm_segments() - before)
+        with ex:
+            pull_all(ex, run_graph)
+            assert ex.degraded
+        assert self._detected(recorder) == [(0, "pull", "timeout")]
 
     def test_worker_exception_carries_traceback_and_phase(self):
-        before = _shm_segments()
-        app = FailingApp()
-        ex, run_graph = _make_executor(num_workers=1, app=app)
-        try:
-            in_deg = run_graph.in_degrees()
-            ids = np.arange(run_graph.num_vertices, dtype=np.int64)
+        ex, run_graph = pk_executor(num_workers=1, app=FailingApp())
+        with ex:
             with pytest.raises(EngineError) as excinfo:
-                ex.pull_apply(ids[in_deg > 0], "min")
-            message = str(excinfo.value)
-            assert "pull" in message
-            assert "injected edge-hook failure" in message
-        finally:
-            ex.close()
-        assert not (_shm_segments() - before)
+                pull_all(ex, run_graph)
+        message = str(excinfo.value)
+        assert "pull" in message
+        assert "injected edge-hook failure" in message
 
-    def test_failed_construction_leaks_nothing(self):
-        before = _shm_segments()
-        graph = workloads.load_graph("PK", scale_divisor=SCALE,
-                                     weighted=True)
-        app = SSSP()
-        run_graph = app.prepare(graph)
+    def test_failed_construction_leaks_nothing(self, hygiene):
         with pytest.raises(EngineError):
-            parallel.ParallelExecutor(run_graph, app, num_workers=2,
-                                      chunk_vertices=0)
-        assert not (_shm_segments() - before)
+            pk_executor(num_workers=2, chunk_vertices=0)
+        assert not hygiene.linked()
 
 
 class TestDispatchIsConstantIPC:
@@ -133,10 +103,6 @@ class TestDispatchIsConstantIPC:
         # The whole point of the persistent pool: per superstep, the
         # parent<->worker boundary is crossed a fixed number of times
         # (one poke + one ack per worker), independent of graph size.
-        from repro.bench.runner import run_workload
-        from repro.trace import recorder as trace_events
-        from repro.trace.recorder import TraceRecorder
-
         recorder = TraceRecorder()
         outcome = run_workload(
             "SLFE", "PR", "PK",
